@@ -112,8 +112,9 @@ func run() error {
 	if *stats {
 		fmt.Printf("analytic work=%d depth=%d\n", rec.Work(), rec.Depth())
 		if lapSolver != nil {
-			fmt.Printf("chain edge counts: %v (bottom n=%d)\n",
-				lapSolver.Chain.EdgeCounts(), lapSolver.Chain.BottomG.N)
+			bi := lapSolver.Chain.BottomInfo()
+			fmt.Printf("chain edge counts: %v (bottom n=%d nnz(L)=%d; stop: %s)\n",
+				lapSolver.Chain.EdgeCounts(), bi.N, bi.NNZL, bi.Stop)
 			for i, l := range lapSolver.Chain.Levels {
 				fmt.Printf("  level %d: kappa=%g chebIts=%d spec=[%.3g, %.3g] sampled=%d\n",
 					i+1, l.Kappa, l.ChebIts, l.EigLo, l.EigHi, l.Spars.Sampled)

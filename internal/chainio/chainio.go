@@ -9,7 +9,8 @@
 // rebuild stampede. A snapshot captures exactly the state that cannot be
 // recomputed cheaply (per-level graphs and sparsifier outputs with exact
 // float64 weight bits, elimination op logs, the calibrated Chebyshev
-// schedule, the dense bottom factor, ChainParams) and leaves everything
+// schedule, the sparse bottom factor and its elimination order, the
+// truncation record, ChainParams) and leaves everything
 // deterministic-and-cheap (CSRs, component indexes, reverse indexes,
 // grounding bookkeeping) to be recomputed on restore by the same
 // fixed-schedule passes the build ran — so a restored chain produces
@@ -21,7 +22,9 @@
 //	version uint32  (see Version; anything else is rejected)
 //	id      uint16 length + bytes (the canonical graph hash, "g" + 32 hex)
 //	body    ChainParams, MaxIter, the input graph, per-level payloads,
-//	        the bottom graph and its grounded dense LDL^T factor
+//	        the bottom graph, its elimination order and grounded sparse
+//	        LDL^T factor (column pointers, row positions, L, D), and the
+//	        truncation probes + stop reason
 //	trailer [32]byte SHA-256 over every preceding byte
 //
 // Truncation, bit corruption (checksum mismatch), unknown versions, and
@@ -44,7 +47,10 @@ import (
 )
 
 const (
-	// Version is the current snapshot format version. Version 3 appended
+	// Version is the current snapshot format version. Version 4 replaced
+	// the dense bottom triangle with the sparse factor (elimination order,
+	// column pointers, row positions, L values, D) and appended the
+	// truncation record (probes + stop reason). Version 3 appended
 	// ChainParams.Precision + ReorderLevels to the parameter record and the
 	// per-level precision-gate outcome (ValF32, KappaF64) plus the
 	// Cuthill–McKee permutation; version 2 appended
@@ -52,7 +58,7 @@ const (
 	// policy). Earlier snapshots are rejected rather than guessed at —
 	// rebuilding a chain is cheap next to silently restoring a different
 	// schedule or layout.
-	Version = 3
+	Version = 4
 
 	magicLen   = 8
 	trailerLen = sha256.Size
@@ -124,20 +130,26 @@ func Encode(s *solver.Solver, id string) ([]byte, error) {
 		w.bool(lvl.Calibrated)
 		w.bool(lvl.ValF32)
 		w.f64(lvl.KappaF64)
-		w.u64(uint64(len(lvl.Perm)))
-		for _, v := range lvl.Perm {
-			w.i32(v)
-		}
+		w.i32s(lvl.Perm)
 	}
 	encodeGraph(w, d.BottomG)
-	l, diag := d.Bottom.Parts()
-	w.i64(int64(d.Bottom.Dim()))
-	for _, v := range l {
-		w.f64(v)
+	w.u64(uint64(len(d.BottomOrder)))
+	for _, v := range d.BottomOrder {
+		w.i32(int32(v))
 	}
-	for _, v := range diag {
-		w.f64(v)
+	w.i32s(d.Bottom.ColPtr)
+	w.i32s(d.Bottom.RowPos)
+	w.f64s(d.Bottom.L)
+	w.f64s(d.Bottom.D)
+	w.u32(uint32(len(d.Probes)))
+	for _, pr := range d.Probes {
+		w.i64(int64(pr.Level))
+		w.i64(pr.SolveOps)
+		w.i64(pr.SweepOps)
+		w.bool(pr.Abandoned)
 	}
+	w.u16(uint16(len(d.Stop)))
+	buf.WriteString(d.Stop)
 
 	sum := sha256.Sum256(buf.Bytes())
 	buf.Write(sum[:])
@@ -220,41 +232,32 @@ func Decode(data []byte, wantID string, opt solver.Options) (*solver.Solver, err
 		lvl.Calibrated = r.bool()
 		lvl.ValF32 = r.bool()
 		lvl.KappaF64 = r.f64()
-		nPerm := r.count(4)
-		if nPerm > 0 {
-			lvl.Perm = make([]int32, 0, nPerm)
-			for j := 0; r.err == nil && j < nPerm; j++ {
-				lvl.Perm = append(lvl.Perm, r.i32())
-			}
-			// Permutation validity (range + bijection) is checked by
-			// AssembleSnapshot against the level's vertex count.
-		}
+		// Permutation validity (range + bijection) is checked by
+		// AssembleSnapshot against the level's vertex count.
+		lvl.Perm = r.i32s()
 		d.Levels = append(d.Levels, lvl)
 	}
 	d.BottomG = decodeGraph(r)
-	bn := r.i64()
-	// Cap before squaring (overflow) and before allocating (a corrupt
-	// dimension must not drive the n² allocation it claims to need).
-	if r.err == nil && (bn < 0 || bn > 1<<20 || (bn*bn+bn)*8 > int64(r.remaining())) {
-		r.fail("bottom factor dimension %d exceeds payload", bn)
+	// Every count is checked against the bytes actually remaining before it
+	// sizes an allocation. Index validity — the order a bijection onto the
+	// kept vertices, monotone column pointers, row positions strictly below
+	// the diagonal and in range — is checked by AssembleSnapshot
+	// (matrix.NewLaplacianFactorFromParts) before the factor is ever used.
+	d.BottomOrder = make([]int, r.count(4))
+	for j := range d.BottomOrder {
+		d.BottomOrder[j] = int(r.i32())
 	}
-	if r.err == nil {
-		l := make([]float64, bn*bn)
-		for j := range l {
-			l[j] = r.f64()
-		}
-		diag := make([]float64, bn)
-		for j := range diag {
-			diag[j] = r.f64()
-		}
-		if r.err == nil {
-			f, err := matrix.NewDenseFactorFromParts(int(bn), l, diag)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			d.Bottom = f
-		}
+	d.Bottom = &matrix.SparseLDL{ColPtr: r.i32s(), RowPos: r.i32s(), L: r.f64s(), D: r.f64s()}
+	nProbes := r.u32()
+	if r.err == nil && uint64(nProbes) > uint64(r.remaining()/25) {
+		r.fail("probe count %d exceeds payload", nProbes)
 	}
+	for j := 0; r.err == nil && j < int(nProbes); j++ {
+		d.Probes = append(d.Probes, solver.TruncationProbe{
+			Level: int(r.i64()), SolveOps: r.i64(), SweepOps: r.i64(), Abandoned: r.bool(),
+		})
+	}
+	d.Stop = string(r.bytes(int(r.u16())))
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -419,6 +422,20 @@ func (w writer) f64(v float64) {
 	w.u64(math.Float64bits(v))
 }
 
+// i32s and f64s write a u64 element count followed by the elements.
+func (w writer) i32s(vs []int32) {
+	w.u64(uint64(len(vs)))
+	for _, v := range vs {
+		w.i32(v)
+	}
+}
+func (w writer) f64s(vs []float64) {
+	w.u64(uint64(len(vs)))
+	for _, v := range vs {
+		w.f64(v)
+	}
+}
+
 // reader consumes fixed-width fields with bounds checking: the first
 // out-of-bounds read (or explicit fail) latches err and every subsequent
 // read returns zero, so decode loops can run straight-line and check err
@@ -500,3 +517,28 @@ func (r *reader) u64() uint64 {
 func (r *reader) i32() int32   { return int32(r.u32()) }
 func (r *reader) i64() int64   { return int64(r.u64()) }
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+// i32s and f64s read a counted array (nil when empty), the count checked
+// against the remaining payload before it sizes the allocation.
+func (r *reader) i32s() []int32 {
+	n := r.count(4)
+	if n == 0 {
+		return nil
+	}
+	vs := make([]int32, n)
+	for j := range vs {
+		vs[j] = r.i32()
+	}
+	return vs
+}
+func (r *reader) f64s() []float64 {
+	n := r.count(8)
+	if n == 0 {
+		return nil
+	}
+	vs := make([]float64, n)
+	for j := range vs {
+		vs[j] = r.f64()
+	}
+	return vs
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"parlap/internal/gen"
@@ -38,9 +39,19 @@ func testbedGraphs() []struct {
 	}
 }
 
+// pinnedDepthParams pins the chain depth with the explicit §6.3 size rule at
+// ⌈m^(1/3)⌉+BottomFloor edges (what the default was before the count-based
+// rule), so the v1–v3 suites keep round-tripping multi-level chains;
+// chainio_v4_test.go covers the count-based default and its sparse bottom.
+func pinnedDepthParams(g *graph.Graph) solver.ChainParams {
+	params := solver.DefaultChainParams()
+	params.BottomSizeEdges = int(math.Ceil(math.Cbrt(float64(g.M())))) + params.BottomFloor
+	return params
+}
+
 func buildSolver(t *testing.T, g *graph.Graph, workers int) *solver.Solver {
 	t.Helper()
-	params := solver.DefaultChainParams()
+	params := pinnedDepthParams(g)
 	params.Seed = 42
 	s, err := solver.NewWithOptions(g, params, solver.Options{Workers: workers}, nil)
 	if err != nil {
@@ -141,11 +152,8 @@ func TestRoundTripPreservesShape(t *testing.T) {
 	if restored.MaxIter != orig.MaxIter {
 		t.Fatalf("MaxIter %d vs %d", restored.MaxIter, orig.MaxIter)
 	}
-	so, sr := orig.Chain.Schedule(), restored.Chain.Schedule()
-	for i := range so {
-		if so[i] != sr[i] {
-			t.Fatalf("schedule level %d differs: %+v vs %+v", i, sr[i], so[i])
-		}
+	if so, sr := orig.Chain.Schedule(), restored.Chain.Schedule(); !reflect.DeepEqual(so, sr) {
+		t.Fatalf("schedule differs: %+v vs %+v", sr, so)
 	}
 }
 

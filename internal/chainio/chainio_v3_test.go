@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"parlap/internal/gen"
@@ -19,7 +20,7 @@ import (
 
 func buildVariantSolver(t *testing.T, g *graph.Graph, prec solver.Precision, reorder bool, workers int) *solver.Solver {
 	t.Helper()
-	params := solver.DefaultChainParams()
+	params := pinnedDepthParams(g)
 	params.Seed = 42
 	params.Precision = prec
 	params.ReorderLevels = reorder
@@ -68,11 +69,8 @@ func TestRoundTripBitwiseV3Variants(t *testing.T) {
 						t.Fatalf("workers=%d: restored %d reordered levels, want %d",
 							w, restored.Chain.ReorderedLevels(), orig.Chain.ReorderedLevels())
 					}
-					so, sr := orig.Chain.Schedule(), restored.Chain.Schedule()
-					for i := range so {
-						if so[i] != sr[i] {
-							t.Fatalf("workers=%d: schedule level %d differs: %+v vs %+v", w, i, sr[i], so[i])
-						}
+					if so, sr := orig.Chain.Schedule(), restored.Chain.Schedule(); !reflect.DeepEqual(so, sr) {
+						t.Fatalf("workers=%d: schedule differs: %+v vs %+v", w, sr, so)
 					}
 					x, st := restored.Solve(bs[0], eps)
 					if st.Iterations != stRef.Iterations {

@@ -418,8 +418,15 @@ func (rt *Router) handleGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.PathValue("rest") == "solve/stream" {
 		// Full duplex: the inbound body must stay readable while response
-		// rows flow back.
+		// rows flow back. The server then stops draining an unread body
+		// itself, and one left unread when the handler returns panics the
+		// reused keep-alive connection on its next request. The upstream
+		// transport closes the body on every path that reaches client.Do
+		// (audited, locked by TestRouterStreamErrorKeepAliveReuse); the
+		// close here covers the returns before it. Closing drains a bounded
+		// remainder or marks the connection not-for-reuse.
 		_ = http.NewResponseController(w).EnableFullDuplex()
+		defer r.Body.Close()
 		rt.proxyStream(w, r, id)
 		return
 	}

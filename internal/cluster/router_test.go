@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -294,6 +295,39 @@ func TestRouterStream(t *testing.T) {
 	}
 	if rows != 3 {
 		t.Fatalf("stream returned %d rows, want 3", rows)
+	}
+}
+
+// TestRouterStreamErrorKeepAliveReuse: a stream relay that ends before the
+// inbound body is consumed (the shard answers 404, or no shard is reachable)
+// must leave the client's keep-alive connection to the router usable — the
+// full-duplex handler closes the body on every path. One client connection
+// carries every request.
+func TestRouterStreamErrorKeepAliveReuse(t *testing.T) {
+	tc := newTestCluster(t, "solo")
+	tr := &http.Transport{MaxConnsPerHost: 1}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := client.Post(tc.front.URL+path, "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for round := 0; round < 5; round++ {
+		if code := post("/graphs/nope/solve/stream", "[1]\n[2]\n"); code != http.StatusNotFound {
+			t.Fatalf("round %d: unknown graph through the router: status %d, want 404", round, code)
+		}
+	}
+	tc.shards["solo"].Close()
+	for round := 0; round < 5; round++ {
+		if code := post("/graphs/nope/solve/stream", "[1]\n[2]\n"); code != http.StatusBadGateway {
+			t.Fatalf("round %d: unreachable shard: status %d, want 502", round, code)
+		}
 	}
 }
 

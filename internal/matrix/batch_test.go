@@ -133,18 +133,3 @@ func TestProjectBatchBitwise(t *testing.T) {
 		requireBitwise(t, "project-4comp", xs[c], refs[c])
 	}
 }
-
-func TestDenseSolveBatchBitwise(t *testing.T) {
-	a := randLap(120, 9)
-	g := GraphOf(a)
-	comp, numComp := g.ConnectedComponents()
-	lf, err := NewLaplacianFactor(a, comp, numComp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := randCols(a.N, 4, 10)
-	xs := lf.SolveBatch(bs)
-	for c := range bs {
-		requireBitwise(t, "laplacian-factor", xs[c], lf.Solve(bs[c]))
-	}
-}

@@ -196,40 +196,6 @@ func TestProjectOutConstantMasked(t *testing.T) {
 	}
 }
 
-func TestDenseFactorSolves(t *testing.T) {
-	// SPD matrix: A = [[4,1,0],[1,3,1],[0,1,2]].
-	a := []float64{4, 1, 0, 1, 3, 1, 0, 1, 2}
-	f, err := NewDenseFactor(3, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := []float64{1, 2, 3}
-	x := f.Solve(b)
-	// Verify A x = b.
-	for i := 0; i < 3; i++ {
-		s := 0.0
-		for j := 0; j < 3; j++ {
-			s += a[i*3+j] * x[j]
-		}
-		if math.Abs(s-b[i]) > 1e-10 {
-			t.Fatalf("residual %v at row %d", s-b[i], i)
-		}
-	}
-}
-
-func TestDenseFactorRejectsIndefinite(t *testing.T) {
-	a := []float64{1, 2, 2, 1} // eigenvalues 3, −1
-	if _, err := NewDenseFactor(2, a); err == nil {
-		t.Fatal("indefinite matrix factored without error")
-	}
-}
-
-func TestDenseFactorSizeMismatch(t *testing.T) {
-	if _, err := NewDenseFactor(2, []float64{1}); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-}
-
 func TestLaplacianFactorSolvesGrid(t *testing.T) {
 	g := pathGraph(6)
 	l := LaplacianOf(g)
@@ -302,7 +268,7 @@ func TestGrembanLaplacianInput(t *testing.T) {
 	if gr.G.N != 8 {
 		t.Fatalf("double cover has %d vertices, want 8", gr.G.N)
 	}
-	// Solve via dense factor on the double cover and check A x = b.
+	// Solve via the direct factor on the double cover and check A x = b.
 	comp, k := gr.G.ConnectedComponents()
 	lf, err := NewLaplacianFactor(gr.L, comp, k)
 	if err != nil {

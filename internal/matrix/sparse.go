@@ -1,8 +1,8 @@
 // Package matrix provides the linear-algebra substrate for the solver:
 // sparse symmetric matrices in CSR form, graph-Laplacian conversions, the
 // Gremban reduction from general SDD systems to Laplacians, parallel vector
-// kernels, and the dense LDLᵀ factorization used at the bottom of the
-// preconditioner chain (Fact 6.4 of the paper).
+// kernels, and the sparse minimum-degree LDLᵀ factorization used at the
+// bottom of the preconditioner chain (the direct solve of Fact 6.4).
 package matrix
 
 import (

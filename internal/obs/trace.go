@@ -11,7 +11,7 @@ package obs
 // i's Chebyshev vector kernels and mat-vecs but NOT the recursive
 // preconditioner applications it makes (those land in the deeper levels'
 // slots), FwdNS/BackNS count level i's elimination replay and
-// back-substitution, and BottomNS the dense bottom solves — so
+// back-substitution, and BottomNS the direct bottom solves — so
 // ΣCheb + ΣFwd + ΣBack + Bottom ≈ PrecondNS, and the per-stage series
 // partition the apply time instead of double-counting the recursion.
 type SolveTrace struct {
@@ -27,7 +27,7 @@ type SolveTrace struct {
 	// PrecondNS is the total time inside whole-chain preconditioner
 	// applications.
 	PrecondNS int64
-	// BottomNS is the total time in dense bottom-level direct solves.
+	// BottomNS is the total time in bottom-level direct solves.
 	BottomNS int64
 	// TotalNS is the end-to-end request time (filled by the serving layer).
 	TotalNS int64
@@ -68,7 +68,7 @@ const (
 	StageCheb                   // per-level Chebyshev sweeps, summed (exclusive of recursion)
 	StageForward                // elimination forward replays, summed
 	StageBack                   // elimination back-substitutions, summed
-	StageBottom                 // dense bottom direct solves
+	StageBottom                 // bottom direct solves
 	StageTotal                  // end-to-end request time
 	NumStages
 )

@@ -6,11 +6,13 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"parlap/internal/obs"
+	"parlap/internal/solver"
 )
 
 // Telemetry registry and the /metrics exposition. Everything here is
@@ -208,6 +210,8 @@ type graphRow struct {
 	precision string
 	f32Levels int64
 	reordered int64
+	bottom    solver.BottomSchedule
+	probes    []solver.TruncationProbe
 	lat       obs.Snapshot
 	rhsLat    obs.Snapshot
 	stageNS   [obs.NumStages]int64
@@ -241,6 +245,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			precision: e.solver.Chain.Params.Precision.String(),
 			f32Levels: int64(e.solver.Chain.F32Levels()),
 			reordered: int64(e.solver.Chain.ReorderedLevels()),
+			bottom:    e.solver.Chain.BottomInfo(),
+			probes:    e.solver.Chain.Probes,
 			lat:       e.lat.Snapshot(),
 			rhsLat:    e.rhsLat.Snapshot(),
 		}
@@ -350,6 +356,36 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e.Header("parlap_graph_reordered_levels", "Chain levels carrying a cache-aware (Cuthill-McKee) layout per graph.", "gauge")
 	for _, row := range rows {
 		e.Int("parlap_graph_reordered_levels", []obs.Label{{K: "graph", V: row.id}}, row.reordered)
+	}
+	e.Header("parlap_graph_chain_levels", "Chain levels above the direct bottom solve per graph.", "gauge")
+	for _, row := range rows {
+		e.Int("parlap_graph_chain_levels", []obs.Label{{K: "graph", V: row.id}}, int64(row.bottom.Level))
+	}
+	e.Header("parlap_graph_bottom_vertices", "Vertices of the graph the chain's direct bottom solver factors, per graph.", "gauge")
+	for _, row := range rows {
+		e.Int("parlap_graph_bottom_vertices", []obs.Label{{K: "graph", V: row.id}}, int64(row.bottom.N))
+	}
+	e.Header("parlap_graph_bottom_nnz_l", "nnz(L) of the sparse bottom factor per graph (one bottom solve costs twice this in multiply-adds).", "gauge")
+	for _, row := range rows {
+		e.Int("parlap_graph_bottom_nnz_l", []obs.Label{{K: "graph", V: row.id}}, int64(row.bottom.NNZL))
+	}
+	e.Header("parlap_graph_truncation_ops", "Operation counts the truncation rule compared at each probed level (side=solve: 2*nnz(L), or the count the symbolic pass abandoned at; side=sweep: MinChebIts*nnz(Lap)); the chain stops at the first level with solve <= sweep.", "gauge")
+	for _, row := range rows {
+		for _, pr := range row.probes {
+			lvl := strconv.Itoa(pr.Level)
+			e.Int("parlap_graph_truncation_ops", []obs.Label{{K: "graph", V: row.id}, {K: "level", V: lvl}, {K: "side", V: "solve"}}, pr.SolveOps)
+			e.Int("parlap_graph_truncation_ops", []obs.Label{{K: "graph", V: row.id}, {K: "level", V: lvl}, {K: "side", V: "sweep"}}, pr.SweepOps)
+		}
+	}
+	e.Header("parlap_graph_truncation_abandoned", "1 when the level's symbolic factorization ran past its budget and was abandoned, else 0.", "gauge")
+	for _, row := range rows {
+		for _, pr := range row.probes {
+			var v int64
+			if pr.Abandoned {
+				v = 1
+			}
+			e.Int("parlap_graph_truncation_abandoned", []obs.Label{{K: "graph", V: row.id}, {K: "level", V: strconv.Itoa(pr.Level)}}, v)
+		}
 	}
 	e.Header("parlap_graph_solve_duration_seconds", "End-to-end solve latency per graph.", "histogram")
 	for _, row := range rows {

@@ -1,12 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"parlap/internal/solver"
 )
 
 // scrape fetches /metrics and parses the exposition into a map from series
@@ -43,13 +48,23 @@ func scrape(t *testing.T, base string) map[string]float64 {
 	return out
 }
 
+// depthPinnedChain pins the chain depth with the explicit size rule (the
+// count-based default stops a 32x32 grid at one level, where no Chebyshev
+// sweep ever runs), so the stage telemetry has a cheb stage to report.
+func depthPinnedChain() *solver.ChainParams {
+	p := solver.DefaultChainParams()
+	p.BottomSizeEdges = 113 // ⌈1984^(1/3)⌉ + BottomFloor on grid2d:32x32
+	return &p
+}
+
 // The full-catalogue scrape: after a register and a few solves, every key
 // series must exist and the traffic-driven ones must be nonzero.
 func TestMetricsExposition(t *testing.T) {
-	ts := testServer(t, Config{})
+	ts := testServer(t, Config{Chain: depthPinnedChain()})
 	var reg RegisterResponse
-	// 32x32 builds a depth-2 chain, so every stage — the intermediate-level
-	// Chebyshev sweeps included — accumulates real time.
+	// 32x32 with the depth pinned builds a depth-2 chain, so every stage —
+	// the intermediate-level Chebyshev sweeps included — accumulates real
+	// time.
 	if code := doJSON(t, "POST", ts.URL+"/graphs", RegisterRequest{Spec: "grid2d:32x32"}, &reg); code != 200 {
 		t.Fatalf("register: status %d", code)
 	}
@@ -199,7 +214,7 @@ func TestSolveDebugTimings(t *testing.T) {
 // The /stats timings block appears once solves have run and summarizes the
 // same histogram /metrics exports.
 func TestStatsTimingsBlock(t *testing.T) {
-	ts := testServer(t, Config{})
+	ts := testServer(t, Config{Chain: depthPinnedChain()})
 	var reg RegisterResponse
 	// Depth-2 chain (see TestMetricsExposition) so the cheb stage records.
 	doJSON(t, "POST", ts.URL+"/graphs", RegisterRequest{Spec: "grid2d:32x32"}, &reg)
@@ -231,4 +246,86 @@ func TestStatsTimingsBlock(t *testing.T) {
 	if !found {
 		t.Fatalf("no cheb stage time in %+v", tmg.Stages)
 	}
+}
+
+// "Why is this chain N levels deep" must be answerable from /stats alone,
+// with the same counts on /metrics and in the build log line: the bottom's
+// size and nnz(L), the stop reason, and for every probed level the two
+// operation counts the truncation rule compared.
+func TestStatsExplainChainDepth(t *testing.T) {
+	var logBuf bytes.Buffer
+	var logMu sync.Mutex
+	logger := slog.New(slog.NewTextHandler(lockedWriter{&logMu, &logBuf}, nil))
+	ts := testServer(t, Config{Logger: logger})
+
+	// A grid stops at level 1: the accepting probe rides on the bottom.
+	var grid RegisterResponse
+	if code := doJSON(t, "POST", ts.URL+"/graphs", RegisterRequest{Spec: "grid2d:40x40"}, &grid); code != 200 {
+		t.Fatalf("register grid: status %d", code)
+	}
+	var gs GraphStats
+	doJSON(t, "GET", fmt.Sprintf("%s/graphs/%s/stats", ts.URL, grid.ID), nil, &gs)
+	b := gs.Bottom
+	if gs.Levels != 1 || b.Level != 1 || b.N <= 0 || b.NNZL <= 0 || b.Stop == "" {
+		t.Fatalf("grid stats do not describe the truncation: levels %d, bottom %+v", gs.Levels, b)
+	}
+	if b.Probe == nil || b.Probe.Abandoned || b.Probe.SolveOps != 2*int64(b.NNZL) || b.Probe.SolveOps > b.Probe.SweepOps {
+		t.Fatalf("grid bottom probe %+v does not show the rule being met (nnz(L)=%d)", b.Probe, b.NNZL)
+	}
+
+	// An expander recurses: level 1's rejected probe rides on the schedule.
+	var exp RegisterResponse
+	if code := doJSON(t, "POST", ts.URL+"/graphs", RegisterRequest{Spec: "regular:1500:8"}, &exp); code != 200 {
+		t.Fatalf("register expander: status %d", code)
+	}
+	var es GraphStats
+	doJSON(t, "GET", fmt.Sprintf("%s/graphs/%s/stats", ts.URL, exp.ID), nil, &es)
+	if es.Levels < 2 || len(es.Schedule) != es.Levels {
+		t.Fatalf("expander built %d levels (schedule %d entries), want a deeper chain", es.Levels, len(es.Schedule))
+	}
+	pr := es.Schedule[1].Probe
+	if pr == nil || (!pr.Abandoned && pr.SolveOps <= pr.SweepOps) {
+		t.Fatalf("expander level 1 probe %+v does not explain why the chain recursed", pr)
+	}
+
+	m := scrape(t, ts.URL)
+	gl := fmt.Sprintf(`{graph="%s"}`, grid.ID)
+	if got := m["parlap_graph_bottom_nnz_l"+gl]; got != float64(b.NNZL) {
+		t.Errorf("parlap_graph_bottom_nnz_l = %v, want %d", got, b.NNZL)
+	}
+	if got := m["parlap_graph_bottom_vertices"+gl]; got != float64(b.N) {
+		t.Errorf("parlap_graph_bottom_vertices = %v, want %d", got, b.N)
+	}
+	if got := m["parlap_graph_chain_levels"+gl]; got != 1 {
+		t.Errorf("parlap_graph_chain_levels = %v, want 1", got)
+	}
+	for side, want := range map[string]int64{"solve": b.Probe.SolveOps, "sweep": b.Probe.SweepOps} {
+		key := fmt.Sprintf(`parlap_graph_truncation_ops{graph="%s",level="1",side="%s"}`, grid.ID, side)
+		if got := m[key]; got != float64(want) {
+			t.Errorf("%s = %v, want %d", key, got, want)
+		}
+	}
+	key := fmt.Sprintf(`parlap_graph_truncation_abandoned{graph="%s",level="1"}`, exp.ID)
+	if got, ok := m[key]; !ok || (got == 1) != pr.Abandoned {
+		t.Errorf("%s = %v (present %v), want abandoned=%v", key, got, ok, pr.Abandoned)
+	}
+
+	logMu.Lock()
+	logs := logBuf.String()
+	logMu.Unlock()
+	if !strings.Contains(logs, "msg=chain_build") || !strings.Contains(logs, "bottom_nnz_l=") || !strings.Contains(logs, `stop="level 1`) {
+		t.Errorf("chain_build log line does not say where and why the chain stopped:\n%s", logs)
+	}
+}
+
+// lockedWriter serializes log writes from the server's goroutines.
+type lockedWriter struct {
+	mu *sync.Mutex
+	w  io.Writer
+}
+
+func (l lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }

@@ -43,7 +43,7 @@ type Config struct {
 	MaxInflightPerGraph int
 	// MaxCacheBytes bounds the total estimated memory retained by cached
 	// chains (graph + Laplacian + per-level sparsifier/elimination state +
-	// dense bottom factor, per entry). The LRU evicts to both this byte
+	// sparse bottom factor, per entry). The LRU evicts to both this byte
 	// budget and the MaxGraphs count, so a handful of huge chains cannot
 	// OOM the server even while the entry count looks harmless.
 	// Default 2 GiB.
@@ -346,14 +346,20 @@ func (s *Server) Register(ctx context.Context, g *graph.Graph, source string) (e
 		s.builds.Add(1)
 		s.buildNanos.Add(e.buildDur.Nanoseconds())
 	}
-	s.log.Info("chain_build",
+	logAttrs := []any{
 		"request_id", requestID(ctx),
 		"graph", id,
 		"n", g.N, "m", g.M(),
 		"restored", restored,
-		"duration_ms", float64(e.buildDur.Microseconds())/1000,
+		"duration_ms", float64(e.buildDur.Microseconds()) / 1000,
 		"err", err,
-	)
+	}
+	if err == nil {
+		// Where the chain stops and why (the truncation rule's decision).
+		bi := sv.Chain.BottomInfo()
+		logAttrs = append(logAttrs, "levels", bi.Level, "bottom_n", bi.N, "bottom_nnz_l", bi.NNZL, "stop", bi.Stop)
+	}
+	s.log.Info("chain_build", logAttrs...)
 	if err != nil {
 		// A failed build must not poison the cache key.
 		s.removeFailed(e)
@@ -685,13 +691,18 @@ type GraphStats struct {
 	// bounds of the preconditioned operator, measured vs target condition
 	// number, and the derived Chebyshev iteration counts — the production
 	// observability for κ-schedule behavior.
-	Schedule   []solver.LevelSchedule `json:"schedule"`
-	CacheHits  int64                  `json:"cache_hits"`
-	Solves     int64                  `json:"solves"`
-	RHSServed  int64                  `json:"rhs_served"`
-	Iterations int64                  `json:"iterations"`
-	BottomSolv int64                  `json:"bottom_solves"`
-	MaxIter    int                    `json:"max_iter"`
+	Schedule []solver.LevelSchedule `json:"schedule"`
+	// Bottom is where and why the chain stops: the graph the direct solver
+	// factors, nnz(L) of its sparse factor, the stop reason, and the
+	// accepting truncation probe. With the per-level probes in Schedule it
+	// answers "why is this chain N levels deep".
+	Bottom     solver.BottomSchedule `json:"bottom"`
+	CacheHits  int64                 `json:"cache_hits"`
+	Solves     int64                 `json:"solves"`
+	RHSServed  int64                 `json:"rhs_served"`
+	Iterations int64                 `json:"iterations"`
+	BottomSolv int64                 `json:"bottom_solves"`
+	MaxIter    int                   `json:"max_iter"`
 	// Timings summarizes this graph's solve telemetry: latency quantiles
 	// from the same histogram /metrics exports, and cumulative per-stage
 	// solve time (exclusive attribution — cheb+forward+back+bottom
@@ -749,6 +760,7 @@ func (s *Server) Stats(ctx context.Context, id string) (*GraphStats, error) {
 		Levels:          e.solver.Chain.Depth(),
 		EdgeCounts:      e.solver.Chain.EdgeCounts(),
 		Schedule:        e.solver.Chain.Schedule(),
+		Bottom:          e.solver.Chain.BottomInfo(),
 		Precision:       e.solver.Chain.Params.Precision.String(),
 		F32Levels:       e.solver.Chain.F32Levels(),
 		ReorderedLevels: e.solver.Chain.ReorderedLevels(),

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -45,6 +46,11 @@ func doJSON(t *testing.T, method, url string, req, resp any) int {
 			t.Fatal(err)
 		}
 	}
+	// Read to EOF: the decoder returns as soon as the JSON value closes, but
+	// the server only sends the terminating chunk after its handler wrapper
+	// has returned — and that wrapper counts the request. Callers that
+	// scrape /metrics next must not race it.
+	_, _ = io.Copy(io.Discard, r.Body)
 	return r.StatusCode
 }
 

@@ -193,7 +193,19 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 	// Expect: 100-continue, like curl, then break on the second window).
 	// Full duplex keeps the body readable; on HTTP/2 (inherently full
 	// duplex) the call reports unsupported and is safely ignored.
+	//
+	// Everything that can be rejected from the URL alone was rejected above,
+	// before the switch. From here on, every return — unknown graph, a bad
+	// first row, a mid-stream abort — must leave no unread body behind: in
+	// full-duplex mode the server no longer drains it before the response,
+	// and when its own post-handler close then reads to EOF it re-arms the
+	// connection's background read just before the keep-alive loop reads the
+	// next request, panicking the connection ("invalid concurrent Body.Read
+	// call"). Closing here, inside the handler, drains up to the server's
+	// 256 KiB post-handler allowance and otherwise marks the connection
+	// not-for-reuse; either way the next request is safe.
 	_ = http.NewResponseController(w).EnableFullDuplex()
+	defer r.Body.Close()
 	// Row length is validated against the graph's vertex count inside
 	// SolveStream; the scanner only bounds row bytes here.
 	sc := graphio.NewVectorScanner(r.Body, 0, s.cfg.MaxStreamRowBytes)

@@ -2,13 +2,16 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"parlap/internal/gen"
@@ -124,6 +127,59 @@ func TestSolveStream10kBitwise(t *testing.T) {
 	}
 	if st.Solves < int64(numRows)/64 {
 		t.Fatalf("stats report %d windows, want >= %d", st.Solves, numRows/64)
+	}
+}
+
+// TestSolveStreamErrorKeepAliveReuse is the regression test for the
+// full-duplex early-return panic: a stream request that fails before its
+// body is read (unknown graph) must leave its keep-alive connection usable.
+// Both requests go over ONE connection (a single-connection transport, the
+// second request sent only after the first response is fully read); before
+// the fix the second one died with "connection reset by peer" while the
+// server logged "invalid concurrent Body.Read call".
+func TestSolveStreamErrorKeepAliveReuse(t *testing.T) {
+	ts := testServer(t, Config{StreamWindow: 4})
+	var reg RegisterResponse
+	if code := doJSON(t, "POST", ts.URL+"/graphs", RegisterRequest{Spec: "path:10"}, &reg); code != 200 {
+		t.Fatalf("register: status %d", code)
+	}
+	var dials atomic.Int32
+	tr := &http.Transport{
+		MaxConnsPerHost: 1,
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			dials.Add(1)
+			return (&net.Dialer{}).DialContext(ctx, network, addr)
+		},
+	}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+	post := func(url, body string) int {
+		t.Helper()
+		resp, err := client.Post(url, "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", url, err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	good := fmt.Sprintf("%s/graphs/%s/solve/stream", ts.URL, reg.ID)
+	for round := 0; round < 5; round++ {
+		if code := post(ts.URL+"/graphs/nope/solve/stream", "[1]\n"); code != http.StatusNotFound {
+			t.Fatalf("round %d unknown-graph: status %d, want 404", round, code)
+		}
+		if code := post(good+"?eps=banana", ""); code != http.StatusBadRequest {
+			t.Fatalf("round %d bad-eps: status %d, want 400", round, code)
+		}
+		if code := post(good, "[1,2,3]\n"); code != http.StatusBadRequest {
+			t.Fatalf("round %d wrong-length-row: status %d, want 400", round, code)
+		}
+		if code := post(good, "[1,0,0,0,0,0,0,0,0,-1]\n"); code != http.StatusOK {
+			t.Fatalf("round %d good row: status %d, want 200", round, code)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("client dialed %d connections; the error paths must leave the keep-alive connection reusable", n)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 
 func TestPrecondApplyZeroAllocs(t *testing.T) {
 	g := gen.Grid2D(48, 48)
-	s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: 1}, nil)
+	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestPrecondApplyZeroAllocs(t *testing.T) {
 // partition that accounts for the preconditioner total.
 func TestSolveTracedNoExtraAllocs(t *testing.T) {
 	g := gen.Grid2D(32, 32)
-	s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: 1}, nil)
+	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSolveTracedNoExtraAllocs(t *testing.T) {
 // the single kernels, covered above).
 func TestPrecondApplyBlockZeroAllocs(t *testing.T) {
 	g := gen.Grid2D(48, 48)
-	s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: 1}, nil)
+	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestPrecondApplyBlockZeroAllocs(t *testing.T) {
 // stream's windows after the first must not allocate inside the solver.
 func TestSolveBlockTracedZeroAllocs(t *testing.T) {
 	g := gen.Grid2D(32, 32)
-	s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: 1}, nil)
+	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestSolveBlockTracedZeroAllocs(t *testing.T) {
 // allocation-free apply path.
 func BenchmarkPrecondApply(b *testing.B) {
 	g := gen.Grid2D(64, 64)
-	s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: 1}, nil)
+	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestPrecondApplyZeroAllocsVariants(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.String(), func(t *testing.T) {
 			g := gen.Grid2D(48, 48)
-			p := DefaultChainParams()
+			p := deepChainParams(g)
 			p.Precision = cfg.prec
 			p.ReorderLevels = cfg.reorder
 			s, err := NewWithOptions(g, p, Options{Workers: 1}, nil)
@@ -60,7 +60,7 @@ func TestPrecondApplyBlockZeroAllocsVariants(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.String(), func(t *testing.T) {
 			g := gen.Grid2D(48, 48)
-			p := DefaultChainParams()
+			p := deepChainParams(g)
 			p.Precision = cfg.prec
 			p.ReorderLevels = cfg.reorder
 			s, err := NewWithOptions(g, p, Options{Workers: 1}, nil)
@@ -91,7 +91,7 @@ func TestSolveBlockTracedZeroAllocsVariants(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.String(), func(t *testing.T) {
 			g := gen.Grid2D(32, 32)
-			p := DefaultChainParams()
+			p := deepChainParams(g)
 			p.Precision = cfg.prec
 			p.ReorderLevels = cfg.reorder
 			s, err := NewWithOptions(g, p, Options{Workers: 1}, nil)
@@ -133,7 +133,7 @@ func BenchmarkApplyLayout(b *testing.B) {
 	g := gen.Grid2D(128, 128)
 	cfgs := append([]precLayoutCfg{{PrecisionF64, false}}, applyVariants()...)
 	for _, cfg := range cfgs {
-		p := DefaultChainParams()
+		p := deepChainParams(g)
 		p.Precision = cfg.prec
 		p.ReorderLevels = cfg.reorder
 		s, err := NewWithOptions(g, p, Options{Workers: 4}, nil)

@@ -11,7 +11,7 @@ import (
 
 // The batched solve path: the whole preconditioner-chain recursion — the
 // elimination-log replays, the per-level Chebyshev sweeps, the CSR
-// mat-vecs, the dense bottom solve — operates on one contiguous n×k
+// mat-vecs, the bottom direct solve — operates on one contiguous n×k
 // matrix.Block per stage, amortizing every traversal of the chain's (large,
 // shared) static structure across the batch and streaming the k lane values
 // per vertex from adjacent memory (the vertex-major interleaved layout).
@@ -34,8 +34,7 @@ func (c *Chain) solveLevelBlock(workers, i int, bs *matrix.Block, ws *workspace)
 	if i >= len(c.Levels) {
 		k := bs.K()
 		c.bottomSolves.Add(int64(k))
-		nb := int64(c.BottomG.N)
-		c.rec.Add(int64(k)*nb*nb, 1)
+		c.rec.Add(int64(k)*c.bottomSolveOps(), int64(c.Bottom.GroundedLen()))
 		t0 := time.Now()
 		c.Bottom.SolveBlockIntoW(workers, bs, &ws.bot.x, &ws.bot.g, ws.bot.scal)
 		ws.trace.BottomNS += time.Since(t0).Nanoseconds()

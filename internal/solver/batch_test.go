@@ -38,7 +38,7 @@ func TestSolveBatchBitwiseEquivalence(t *testing.T) {
 	const eps = 1e-7
 	for name, g := range batchGraphs() {
 		t.Run(name, func(t *testing.T) {
-			s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: 2}, nil)
+			s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 2}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestSolveBatchBitwiseEquivalence(t *testing.T) {
 func TestSolveBatchWorkerEquivalence(t *testing.T) {
 	g := gen.Grid2D(28, 28)
 	const eps = 1e-7
-	s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: 1}, nil)
+	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSolveBatchWorkerEquivalence(t *testing.T) {
 // single driver) without disturbing their batch-mates.
 func TestSolveBatchZeroRHS(t *testing.T) {
 	g := gen.Grid2D(20, 20)
-	s, err := New(g, DefaultChainParams(), nil)
+	s, err := New(g, deepChainParams(g), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSolveBatchZeroRHS(t *testing.T) {
 // would cost.
 func TestSolveBatchSharesChainPasses(t *testing.T) {
 	g := gen.Grid2D(24, 24)
-	s, err := New(g, DefaultChainParams(), nil)
+	s, err := New(g, deepChainParams(g), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSolveBatchSharesChainPasses(t *testing.T) {
 // the single-column recursion.
 func TestPrecondApplyBatchBitwise(t *testing.T) {
 	g := gen.WithExponentialWeights(gen.Grid2D(20, 20), 6, 3, 7)
-	s, err := New(g, DefaultChainParams(), nil)
+	s, err := New(g, deepChainParams(g), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // Precision selects the storage width of the per-level sparsifier CSR
 // values (the Laplacians the Chebyshev sweeps stream). The outer PCG
 // vectors, the top-level operator, the elimination coefficients and the
-// dense bottom factor always stay float64; accumulation is float64 at
+// bottom factor always stay float64; accumulation is float64 at
 // either storage width, so worker and block-vs-single equivalence hold
 // per precision.
 type Precision uint8
@@ -54,14 +54,25 @@ func ParsePrecision(s string) (Precision, error) {
 // with the Section 6.3 truncation).
 type ChainParams struct {
 	Sparsify SparsifyParams
-	// BottomSizeEdges truncates the chain once a level has at most this
-	// many edges; §6.3 sets it near m^(1/3) to balance the dense bottom
-	// solve against chain depth. ≤0 means use ⌈m^(1/3)⌉ + BottomFloor.
+	// BottomSizeEdges > 0 truncates the chain once a level has at most this
+	// many edges (§6.3's size rule; tests and experiments pin chain depth
+	// with it). ≤0, the default, selects the count-based rule instead: the
+	// chain stops at the first level i ≥ 1 whose sparse bottom factor
+	// satisfies 2·nnz(L_i) ≤ MinChebIts·nnz(Lap_i) — one direct solve there
+	// costs no more than the cheapest Chebyshev sweep that recursing through
+	// the level could ever run. §6.3 stops at m^(1/3) because its levels
+	// shrink by κ^Ω(1); at serving sizes they shrink 3–4× while every level
+	// multiplies the visits below it by its Chebyshev count, so the balance
+	// point is set from this exact operation count, never from a timer.
 	BottomSizeEdges int
-	// BottomFloor is the minimum truncation size (avoids silly chains on
-	// small inputs). Default 64.
+	// BottomFloor is the vertex count at or below which a graph is solved
+	// directly without building a level (avoids silly chains on small
+	// inputs). Default 64.
 	BottomFloor int
-	// MaxBottomVertices caps the dense factorization size (O(n³) work).
+	// MaxBottomVertices bounds the bottom factor's memory: the build fails
+	// if nnz(L) of the graph the chain stops at exceeds
+	// MaxBottomVertices²/2, the footprint of a dense triangle on that many
+	// vertices.
 	MaxBottomVertices int
 	// MaxLevels caps chain length.
 	MaxLevels int
@@ -197,6 +208,21 @@ type Level struct {
 	CompIdxP *matrix.CompIndex
 }
 
+// TruncationProbe records one evaluation of the count-based truncation rule
+// (ChainParams.BottomSizeEdges ≤ 0) on a level i ≥ 1: the two operation
+// counts it compared.
+type TruncationProbe struct {
+	Level int `json:"level"`
+	// SolveOps is 2·nnz(L_i), the multiply-adds of one direct solve at this
+	// level; when Abandoned, the value the symbolic factorization had
+	// reached when it ran past its budget and gave up.
+	SolveOps int64 `json:"solve_ops"`
+	// SweepOps is MinChebIts·nnz(Lap_i), the cheapest Chebyshev sweep the
+	// level could run. The chain stops here iff SolveOps ≤ SweepOps.
+	SweepOps  int64 `json:"sweep_ops"`
+	Abandoned bool  `json:"abandoned,omitempty"`
+}
+
 // Chain is the full preconditioning chain (Definition 6.3).
 //
 // Concurrency contract: a Chain is READ-ONLY after Build returns. All
@@ -213,6 +239,11 @@ type Chain struct {
 	BottomG *graph.Graph
 	Params  ChainParams
 	Opt     Options // runtime execution policy threaded into every kernel
+	// Probes lists every evaluation of the count-based truncation rule in
+	// build order (the last one is the accepting probe when the rule ended
+	// the chain); Stop says in words why the chain ends where it does.
+	Probes []TruncationProbe
+	Stop   string
 
 	bottomSolves atomic.Int64
 	// precondApplies counts top-level preconditioner applications — one per
@@ -226,6 +257,12 @@ type Chain struct {
 	// bottomSolves counter it is internally synchronized and exempt from
 	// the read-only-after-build contract.
 	ws wsPool
+}
+
+// bottomSolveOps is the analytic work of one bottom solve: the forward and
+// backward sweeps over L plus the diagonal.
+func (c *Chain) bottomSolveOps() int64 {
+	return 2*int64(c.Bottom.NNZ()) + int64(c.Bottom.GroundedLen())
 }
 
 // BottomSolves returns the number of bottom-level direct solves performed
@@ -279,21 +316,55 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 	if p.BudgetLiftVertices == 0 {
 		p.BudgetLiftVertices = 65536
 	}
-	bottomEdges := p.BottomSizeEdges
-	if bottomEdges <= 0 {
-		bottomEdges = int(math.Ceil(math.Cbrt(float64(g.M())))) + p.BottomFloor
-	}
 	if p.KappaGrowth < 1 {
 		p.KappaGrowth = 1
 	}
+	// The bottom factor's memory bound, in entries of L.
+	maxFill := int64(p.MaxBottomVertices) * int64(p.MaxBottomVertices) / 2
 	rng := rand.New(rand.NewSource(p.Seed))
 	c := &Chain{Params: p, Opt: opt, rec: rec}
 	w := opt.Workers
 	cur := mergeParallelW(w, g)
 	kappa := p.Sparsify.Kappa
-	for len(c.Levels) < p.MaxLevels {
-		if cur.M() <= bottomEdges || cur.N <= p.BottomFloor {
+	// lap, comp, k describe cur; sym is cur's symbolic factorization once a
+	// truncation probe has accepted it.
+	var (
+		lap  *matrix.Sparse
+		comp []int
+		k    int
+		sym  *matrix.LaplacianSymbolic
+	)
+	for {
+		lap = matrix.LaplacianOfW(w, cur)
+		comp, k = cur.ConnectedComponents()
+		i := len(c.Levels)
+		if i >= p.MaxLevels {
+			c.Stop = fmt.Sprintf("MaxLevels %d reached", p.MaxLevels)
 			break
+		}
+		if p.BottomSizeEdges > 0 && cur.M() <= p.BottomSizeEdges {
+			c.Stop = fmt.Sprintf("level %d has %d edges <= BottomSizeEdges %d", i, cur.M(), p.BottomSizeEdges)
+			break
+		}
+		if cur.N <= p.BottomFloor {
+			c.Stop = fmt.Sprintf("level %d has %d vertices <= BottomFloor %d", i, cur.N, p.BottomFloor)
+			break
+		}
+		if p.BottomSizeEdges <= 0 && i >= 1 {
+			// Count-based truncation: analyze cur's factor, giving up as
+			// soon as it cannot win (or cannot fit the memory bound).
+			probe := TruncationProbe{Level: i, SweepOps: int64(p.MinChebIts) * int64(lap.NNZ())}
+			s, fill, err := matrix.AnalyzeLaplacian(lap, comp, k, min(probe.SweepOps/2, maxFill))
+			if err != nil {
+				return nil, fmt.Errorf("solver: level %d analysis: %w", i, err)
+			}
+			probe.SolveOps, probe.Abandoned = 2*fill, s == nil
+			c.Probes = append(c.Probes, probe)
+			if s != nil {
+				sym = s
+				c.Stop = fmt.Sprintf("level %d: direct solve 2*nnz(L)=%d <= cheapest sweep MinChebIts*nnz(Lap)=%d", i, probe.SolveOps, probe.SweepOps)
+				break
+			}
 		}
 		sp := p.Sparsify
 		sp.Workers = w
@@ -313,16 +384,16 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 			res = IncrementalSparsify(cur, sp, rng, rec)
 			elim = GreedyEliminationW(w, res.H, rng, rec)
 			if float64(elim.Reduced.M()) > p.ShrinkRetry*float64(cur.M()) {
+				c.Stop = fmt.Sprintf("level %d does not shrink by ShrinkRetry %g", i, p.ShrinkRetry)
 				break // cannot shrink further; truncate here
 			}
 		}
-		comp, k := cur.ConnectedComponents()
 		its := int(math.Ceil(math.Sqrt(sp.Kappa * p.ChebSlack)))
 		if its > p.MaxChebIts {
 			its = p.MaxChebIts
 		}
 		lvl := Level{
-			G: cur, Lap: matrix.LaplacianOfW(w, cur), Comp: comp, NumComp: k,
+			G: cur, Lap: lap, Comp: comp, NumComp: k,
 			CompIdx: matrix.NewCompIndexW(w, comp, k),
 			Spars:   res, Elim: elim, Kappa: sp.Kappa,
 			ChebIts: its, EigHi: 1, EigLo: 1 / (sp.Kappa * p.ChebSlack),
@@ -330,19 +401,25 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 		c.Levels = append(c.Levels, lvl)
 		cur = elim.Reduced
 	}
-	if cur.N > p.MaxBottomVertices {
-		return nil, fmt.Errorf("solver: chain truncation left %d vertices (> %d) for the dense bottom solve; increase MaxLevels or adjust sparsifier", cur.N, p.MaxBottomVertices)
+	if sym == nil {
+		s, fill, err := matrix.AnalyzeLaplacian(lap, comp, k, maxFill)
+		if err != nil {
+			return nil, fmt.Errorf("solver: bottom analysis: %w", err)
+		}
+		if s == nil {
+			return nil, fmt.Errorf("solver: chain truncation (%s) left %d vertices, %d edges whose sparse factor passes nnz(L)=%d, over the MaxBottomVertices bound %d^2/2; increase MaxLevels or adjust sparsifier",
+				c.Stop, cur.N, cur.M(), fill, p.MaxBottomVertices)
+		}
+		sym = s
 	}
-	comp, k := cur.ConnectedComponents()
-	bf, err := matrix.NewLaplacianFactorW(w, matrix.LaplacianOfW(w, cur), comp, k)
+	bf, err := sym.FactorW(w, lap)
 	if err != nil {
 		return nil, fmt.Errorf("solver: bottom factorization: %w", err)
 	}
 	c.Bottom = bf
 	c.BottomG = cur
-	// Dense factorization: n³ work, n depth (Fact 6.4).
-	nb := int64(cur.N)
-	rec.Add(nb*nb*nb, nb)
+	// Sparse factorization: Σ|col|² work; the column sweep is sequential.
+	rec.Add(sym.Flops(), int64(bf.GroundedLen()))
 	// Cache-aware layout before calibration: the Lanczos measurement then
 	// runs against the exact apply path production solves will use.
 	if p.ReorderLevels {
@@ -557,7 +634,7 @@ func (c *Chain) Depth() int { return len(c.Levels) }
 
 // MemoryBytes estimates the chain's retained footprint: per level the graph,
 // its Laplacian, the sparsifier output and the elimination log; at the bottom
-// the dense factorization. Each elimination's Reduced graph is the next
+// the sparse factorization. Each elimination's Reduced graph is the next
 // level's G (the same object), so it is counted exactly once.
 func (c *Chain) MemoryBytes() int64 {
 	var b int64
@@ -613,6 +690,47 @@ type LevelSchedule struct {
 	Precision string  `json:"precision"`
 	KappaF64  float64 `json:"kappa_f64,omitempty"`
 	Reordered bool    `json:"reordered,omitempty"`
+	// Probe is the truncation rule's evaluation of this level (count-based
+	// chains, levels ≥ 1): the chain recursed through the level because a
+	// direct solve here would have cost more than SweepOps.
+	Probe *TruncationProbe `json:"probe,omitempty"`
+}
+
+// BottomSchedule describes where and why the chain stops: the graph the
+// direct solver factors, the size of its sparse factor, and the truncation
+// decision.
+type BottomSchedule struct {
+	Level int `json:"level"`
+	N     int `json:"n"`
+	M     int `json:"m"`
+	// NNZL is nnz(L) of the sparse LDLᵀ bottom factor; one bottom solve
+	// costs 2·NNZL multiply-adds.
+	NNZL int `json:"nnz_l"`
+	// Stop says why the chain ends at this level.
+	Stop string `json:"stop"`
+	// Probe is the accepting evaluation of the count-based rule, nil when
+	// another condition (BottomSizeEdges, BottomFloor, MaxLevels, a level
+	// that would not shrink) ended the chain.
+	Probe *TruncationProbe `json:"probe,omitempty"`
+}
+
+// probeAt returns the truncation probe recorded for level i, if any.
+func (c *Chain) probeAt(i int) *TruncationProbe {
+	for j := range c.Probes {
+		if c.Probes[j].Level == i {
+			return &c.Probes[j]
+		}
+	}
+	return nil
+}
+
+// BottomInfo reports the chain's truncation: together with Schedule's
+// per-level probes it answers "why is this chain N levels deep".
+func (c *Chain) BottomInfo() BottomSchedule {
+	return BottomSchedule{
+		Level: len(c.Levels), N: c.BottomG.N, M: c.BottomG.M(),
+		NNZL: c.Bottom.NNZ(), Stop: c.Stop, Probe: c.probeAt(len(c.Levels)),
+	}
 }
 
 // Schedule returns the calibrated per-level schedule (top level first).
@@ -630,7 +748,7 @@ func (c *Chain) Schedule() []LevelSchedule {
 			EigLo: lvl.EigLo, EigHi: lvl.EigHi,
 			ChebIts: lvl.ChebIts, Calibrated: lvl.Calibrated,
 			Precision: prec.String(), KappaF64: lvl.KappaF64,
-			Reordered: lvl.Perm != nil,
+			Reordered: lvl.Perm != nil, Probe: c.probeAt(i),
 		}
 	}
 	return out
@@ -678,8 +796,7 @@ func (c *Chain) EdgeCounts() []int {
 func (c *Chain) solveLevel(workers, i int, b []float64, ws *workspace) []float64 {
 	if i >= len(c.Levels) {
 		c.bottomSolves.Add(1)
-		nb := int64(c.BottomG.N)
-		c.rec.Add(nb*nb, 1)
+		c.rec.Add(c.bottomSolveOps(), int64(c.Bottom.GroundedLen()))
 		t0 := time.Now()
 		c.Bottom.SolveIntoW(workers, b, ws.bot.x.Vec(), ws.bot.g.Vec())
 		ws.trace.BottomNS += time.Since(t0).Nanoseconds()

@@ -105,6 +105,19 @@ func TestPCGMaxIterRespected(t *testing.T) {
 	}
 }
 
+// deepChainParams returns DefaultChainParams with the chain depth pinned by
+// the explicit §6.3 size rule at ⌈m^(1/3)⌉+BottomFloor edges — the depth the
+// default produced before the count-based rule replaced it. Suites that
+// exist to cover the level ≥ 1 paths (Chebyshev sweeps, f32 values,
+// reordered layouts, the recursion's cross-worker and block-vs-single
+// determinism) build with it so they keep recursing through several levels;
+// the default rule stops most testbed graphs at one.
+func deepChainParams(g *graph.Graph) ChainParams {
+	p := DefaultChainParams()
+	p.BottomSizeEdges = int(math.Ceil(math.Cbrt(float64(g.M())))) + p.BottomFloor
+	return p
+}
+
 func TestBuildChainBottomOnlyForSmallGraphs(t *testing.T) {
 	g := gen.Grid2D(5, 5)
 	ch, err := BuildChain(g, DefaultChainParams(), nil)
@@ -128,7 +141,7 @@ func TestBuildChainBottomOnlyForSmallGraphs(t *testing.T) {
 
 func TestBuildChainKappaGrowthSchedule(t *testing.T) {
 	g := gen.Grid2D(48, 48)
-	p := DefaultChainParams()
+	p := deepChainParams(g)
 	p.KappaGrowth = 2
 	ch, err := BuildChain(g, p, nil)
 	if err != nil {
@@ -139,6 +152,9 @@ func TestBuildChainKappaGrowthSchedule(t *testing.T) {
 			t.Fatalf("kappa not nondecreasing: %v then %v",
 				ch.Levels[i-1].Kappa, ch.Levels[i].Kappa)
 		}
+	}
+	if len(ch.Levels) < 3 {
+		t.Fatalf("depth-pinned chain has %d levels; the schedule check needs several", len(ch.Levels))
 	}
 }
 

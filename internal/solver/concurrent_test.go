@@ -32,7 +32,7 @@ func TestConcurrentSolveEquivalence(t *testing.T) {
 	)
 	for name, g := range concurrencyGraphs() {
 		t.Run(name, func(t *testing.T) {
-			s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: 2}, nil)
+			s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 2}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +78,7 @@ func TestConcurrentSolveEquivalence(t *testing.T) {
 func TestConcurrentMixedSolveAndBatch(t *testing.T) {
 	const eps = 1e-7
 	g := gen.Grid2D(26, 26)
-	s, err := New(g, DefaultChainParams(), nil)
+	s, err := New(g, deepChainParams(g), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,10 @@ import (
 	"parlap/internal/matrix"
 )
 
-// Dense-reference correctness: at small n every generator family is checked
-// against a dense LDLᵀ pseudo-inverse (matrix.LaplacianFactor), the ground
-// truth the chain preconditioner is supposed to approximate. The
+// Direct-reference correctness: at small n every generator family is checked
+// against the direct LDLᵀ pseudo-inverse (matrix.LaplacianFactor, itself
+// checked against a dense 256-bit elimination in the matrix package), the
+// ground truth the chain preconditioner is supposed to approximate. The
 // multi-component cases use right-hand sides with NONZERO per-component
 // means — exactly the masked-projection case (c) the segmented reduction
 // now handles in parallel: a wrong per-component mean shows up here as a
@@ -54,7 +55,7 @@ func denseSolve(t *testing.T, g *graph.Graph, b []float64) []float64 {
 	comp, k := g.ConnectedComponents()
 	lf, err := matrix.NewLaplacianFactor(lap, comp, k)
 	if err != nil {
-		t.Fatalf("dense factor: %v", err)
+		t.Fatalf("direct factor: %v", err)
 	}
 	return lf.Solve(b)
 }

@@ -3,7 +3,7 @@
 // produced by incremental sparsification (Lemma 6.1) over low-stretch
 // subgraphs (Theorem 5.9) and shrunk by parallel greedy elimination
 // (Lemma 6.5), solved by recursive preconditioned Chebyshev iteration with
-// a dense LDLᵀ factorization at the bottom (Fact 6.4).
+// a sparse LDLᵀ factorization at the bottom (Fact 6.4's direct solve).
 package solver
 
 import (

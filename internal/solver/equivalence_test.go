@@ -48,7 +48,7 @@ func TestSolveWorkerEquivalence(t *testing.T) {
 	for name, g := range solverGraphs() {
 		t.Run(name, func(t *testing.T) {
 			b := randRHS(g.N, 11)
-			ref, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: 1}, nil)
+			ref, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +60,7 @@ func TestSolveWorkerEquivalence(t *testing.T) {
 				t.Fatalf("sequential residual %.3e exceeds %g", r, 10*eps)
 			}
 			for _, w := range equivalenceWorkers {
-				s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: w}, nil)
+				s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: w}, nil)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -86,7 +86,7 @@ func TestSolveWorkerEquivalence(t *testing.T) {
 func TestSolveChebyshevWorkerEquivalence(t *testing.T) {
 	g := gen.Grid2D(36, 36)
 	b := randRHS(g.N, 13)
-	ref, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: 1}, nil)
+	ref, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSolveChebyshevWorkerEquivalence(t *testing.T) {
 		t.Fatalf("sequential Chebyshev did not converge: %+v", stRef)
 	}
 	for _, w := range equivalenceWorkers {
-		s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: w}, nil)
+		s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: w}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

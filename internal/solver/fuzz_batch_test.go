@@ -35,7 +35,7 @@ func TestFuzzBatchLaneEquivalence(t *testing.T) {
 		spec, g := randomFuzzGraph(rng)
 		seed := rng.Int63()
 		t.Run(fmt.Sprintf("%02d-%s", sweep, spec), func(t *testing.T) {
-			params := DefaultChainParams()
+			params := deepChainParams(g)
 			params.Seed = seed
 			solvers := map[int]*Solver{}
 			for _, w := range append([]int{1}, workersList...) {
@@ -119,7 +119,7 @@ func TestSolveBatchMidIterationDropout(t *testing.T) {
 		edges = append(edges, graph.Edge{U: e.U + g1.N, V: e.V + g1.N, W: e.W})
 	}
 	g := graph.FromEdges(g1.N+g2.N, edges)
-	s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: 1}, nil)
+	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

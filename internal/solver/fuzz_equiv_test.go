@@ -99,7 +99,7 @@ func TestFuzzCrossWorkerEquivalence(t *testing.T) {
 			// (2) Chain build: every level graph (and the bottom) must match
 			// edge-for-edge with exact weight bits, and the calibrated
 			// schedule must agree.
-			params := DefaultChainParams()
+			params := deepChainParams(g)
 			params.Seed = seed
 			buildWith := func(w int) *Solver {
 				s, err := NewWithOptions(g, params, Options{Workers: w}, nil)

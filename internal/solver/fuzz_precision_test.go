@@ -60,7 +60,7 @@ func TestFuzzPrecisionLayoutEquivalence(t *testing.T) {
 			var f64x []float64
 			var f64s *Solver
 			for _, cfg := range precLayoutCfgs {
-				params := DefaultChainParams()
+				params := deepChainParams(g)
 				params.Seed = seed
 				params.Precision = cfg.prec
 				params.ReorderLevels = cfg.reorder

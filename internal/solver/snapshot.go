@@ -13,7 +13,8 @@ import (
 // cheaply and deterministically — and AssembleSnapshot reconstructs a Solver
 // from it. What is persisted: per-level graphs and sparsifier outputs with
 // exact float64 weight bits, the elimination op logs, the calibrated
-// Chebyshev schedule, the dense bottom factor, ChainParams and MaxIter.
+// Chebyshev schedule, the sparse bottom factor with its elimination order,
+// the truncation probes, ChainParams and MaxIter.
 // What is recomputed on restore: Laplacian CSRs, connected components and
 // their sorted indexes, the eliminations' owner-computes reverse indexes,
 // the bottom grounding bookkeeping, and the workspace pools. Every
@@ -51,7 +52,13 @@ type SnapshotData struct {
 	G       *graph.Graph // the registered input graph
 	Levels  []SnapshotLevel
 	BottomG *graph.Graph
-	Bottom  *matrix.DenseFactor // grounded dense LDL^T of BottomG's Laplacian
+	// Bottom is the grounded sparse LDL^T of BottomG's Laplacian and
+	// BottomOrder its elimination order (position -> kept vertex).
+	Bottom      *matrix.SparseLDL
+	BottomOrder []int
+	// Probes and Stop are the build's truncation record (Chain.Probes/Stop).
+	Probes []TruncationProbe
+	Stop   string
 }
 
 // Snapshot deconstructs a built Solver into its persisted payload. The
@@ -64,8 +71,9 @@ func (s *Solver) Snapshot() *SnapshotData {
 		MaxIter: s.MaxIter,
 		G:       s.G,
 		BottomG: s.Chain.BottomG,
-		Bottom:  s.Chain.Bottom.Factor(),
-		Levels:  make([]SnapshotLevel, len(s.Chain.Levels)),
+		Bottom:  s.Chain.Bottom.Factor(), BottomOrder: s.Chain.Bottom.Order(),
+		Probes: s.Chain.Probes, Stop: s.Chain.Stop,
+		Levels: make([]SnapshotLevel, len(s.Chain.Levels)),
 	}
 	for i := range s.Chain.Levels {
 		lvl := &s.Chain.Levels[i]
@@ -108,7 +116,12 @@ func AssembleSnapshot(d *SnapshotData, opt Options) (*Solver, error) {
 	if d.MaxIter < 1 {
 		return nil, fmt.Errorf("solver: snapshot MaxIter %d < 1", d.MaxIter)
 	}
-	c := &Chain{Params: d.Params, Opt: opt, BottomG: d.BottomG}
+	c := &Chain{Params: d.Params, Opt: opt, BottomG: d.BottomG, Probes: d.Probes, Stop: d.Stop}
+	for _, pr := range d.Probes {
+		if pr.Level < 1 || pr.Level > len(d.Levels) {
+			return nil, fmt.Errorf("solver: snapshot truncation probe names level %d of a %d-level chain", pr.Level, len(d.Levels))
+		}
+	}
 	c.Levels = make([]Level, len(d.Levels))
 	for i := range d.Levels {
 		sl := &d.Levels[i]
@@ -191,7 +204,7 @@ func AssembleSnapshot(d *SnapshotData, opt Options) (*Solver, error) {
 		return nil, fmt.Errorf("solver: snapshot bottom graph: %w", err)
 	}
 	bComp, bk := d.BottomG.ConnectedComponents()
-	bf, err := matrix.NewLaplacianFactorFromFactor(w, d.BottomG.N, bComp, bk, d.Bottom)
+	bf, err := matrix.NewLaplacianFactorFromParts(w, d.BottomG.N, bComp, bk, d.BottomOrder, d.Bottom)
 	if err != nil {
 		return nil, fmt.Errorf("solver: snapshot bottom factor: %w", err)
 	}

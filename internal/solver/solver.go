@@ -149,7 +149,7 @@ func (s *Solver) SolveTraced(b []float64, eps float64, opt Options, tr *obs.Solv
 // SolveBatch solves the k right-hand sides bs against the same Laplacian in
 // one batched PCG run: every iteration performs a single pass through the
 // preconditioner chain (one elimination-log replay, one Chebyshev sweep per
-// level, one CSR traversal per mat-vec, one dense bottom solve) serving all
+// level, one CSR traversal per mat-vec, one direct bottom solve) serving all
 // still-active columns, amortizing the chain's memory traffic across the
 // batch. Column c of the result is bitwise identical to Solve(bs[c], eps):
 // batching changes traversal sharing, never arithmetic. Columns converge

@@ -10,7 +10,7 @@ import (
 
 // workspace holds every per-solve scratch buffer of the chain's apply path
 // and the outer PCG driver: per level the Chebyshev recurrence blocks, the
-// elimination forward/back buffers, at the bottom the dense-solve pair, and
+// elimination forward/back buffers, at the bottom the direct-solve pair, and
 // (lazily) the outer iteration's blocks. One workspace serves one
 // Solve/SolveBlock/stream-window at a time; a wsPool (sync.Pool) on the
 // Solver and on the Chain reuses them across requests, so steady-state
@@ -68,7 +68,7 @@ type levelWS struct {
 	scal           []float64 // 2k projection scratch
 }
 
-// bottomWS is the dense bottom solve's scratch: the solution block and the
+// bottomWS is the bottom direct solve's scratch: the solution block and the
 // grounded right-hand side.
 type bottomWS struct {
 	x, g matrix.Block

@@ -22,7 +22,7 @@ import (
 // bitwise against a fresh Solver built from the same inputs.
 func TestWorkspaceReuseBitwise(t *testing.T) {
 	g := gen.Grid2D(28, 28)
-	shared, err := New(g, DefaultChainParams(), nil)
+	shared, err := New(g, deepChainParams(g), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestWorkspaceReuseBitwise(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			b := randRHS(g.N, 500+seed)
 			got, gotSt := shared.Solve(b, eps)
-			fresh, err := New(g, DefaultChainParams(), nil)
+			fresh, err := New(g, deepChainParams(g), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestWorkspaceReuseBitwise(t *testing.T) {
 // to the sequential reference; -race proves the pool hand-off is clean.
 func TestWorkspacePoolConcurrent(t *testing.T) {
 	g := gen.Grid2D(24, 24)
-	s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: 2}, nil)
+	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestWorkspacePoolConcurrent(t *testing.T) {
 // bitwise reproducible for every worker count, and the solves with it too.
 func TestCalibrationWorkerEquivalence(t *testing.T) {
 	g := gen.WithExponentialWeights(gen.Grid2D(40, 40), 6, 4, 9)
-	ref, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: 1}, nil)
+	ref, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCalibrationWorkerEquivalence(t *testing.T) {
 	b := randRHS(g.N, 800)
 	refX, refSt := ref.Solve(b, 1e-7)
 	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: w}, nil)
+		s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: w}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

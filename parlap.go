@@ -10,7 +10,7 @@
 //   - NewSolver: a Laplacian solver built on the paper's preconditioner
 //     chain — low-stretch subgraphs (Section 5), incremental sparsification
 //     (Lemma 6.1), parallel greedy elimination (Lemma 6.5) and recursive
-//     preconditioned Chebyshev with a dense bottom solve (Section 6).
+//     preconditioned Chebyshev with a direct bottom solve (Section 6).
 //   - NewSDDSolver: general SDD input via the Gremban double-cover
 //     reduction.
 //   - Partition: the Section 4 parallel low-diameter decomposition.
