@@ -1,6 +1,7 @@
-// Top-level benchmarks: one per experiment in EXPERIMENTS.md (E1–E10).
-// The paper (SPAA 2011) has no empirical tables; each bench regenerates the
-// measurable claim of the corresponding theorem/lemma. Run with
+// Top-level benchmarks: one per experiment of cmd/experiments (E1–E10, which
+// prints the corresponding tables), plus the scaling suite. The paper (SPAA
+// 2011) has no empirical tables; each bench regenerates the measurable claim
+// of the corresponding theorem/lemma. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -143,6 +144,7 @@ func BenchmarkE7Elimination(b *testing.B) {
 	}
 	g := NewGraph(n, edges)
 	rounds := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		el := solver.GreedyElimination(g, rng, nil)
@@ -220,6 +222,7 @@ func BenchmarkE9BaselineCG(b *testing.B) {
 // BenchmarkE9ChainBuild isolates preconditioner-chain construction cost.
 func BenchmarkE9ChainBuild(b *testing.B) {
 	g := gen.Grid2D(128, 128)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := solver.BuildChain(g, solver.DefaultChainParams(), nil); err != nil {
 			b.Fatal(err)
@@ -334,7 +337,8 @@ func BenchmarkScalingChainBuild(b *testing.B) {
 }
 
 // BenchmarkScalingCSRBuild measures the parallel triplet→CSR construction
-// (parallel merge sort + pack + scan) across the worker axis.
+// (stable bucket-by-row, then row-local sort + merge, scan, fill) across the
+// worker axis.
 func BenchmarkScalingCSRBuild(b *testing.B) {
 	g := gen.Grid2D(256, 256)
 	m := g.M()
@@ -348,6 +352,7 @@ func BenchmarkScalingCSRBuild(b *testing.B) {
 	}
 	for _, w := range scalingWorkerSet() {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := matrix.NewSparseFromTripletsW(w, g.N, rows, cols, vals); err != nil {
 					b.Fatal(err)

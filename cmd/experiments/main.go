@@ -1,6 +1,7 @@
-// Command experiments regenerates every experiment table in EXPERIMENTS.md
-// (the paper has no empirical tables of its own — each theorem/lemma's
-// quantitative claim is validated here; see DESIGN.md §4 for the index).
+// Command experiments prints the experiment tables E1–E10 (the paper has no
+// empirical tables of its own — each theorem/lemma's quantitative claim is
+// validated here; -exp lists the index, bench_test.go holds the matching
+// benchmarks).
 //
 // Usage:
 //

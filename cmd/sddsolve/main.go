@@ -119,6 +119,17 @@ func run() error {
 				fmt.Printf("  level %d: kappa=%g chebIts=%d spec=[%.3g, %.3g] sampled=%d\n",
 					i+1, l.Kappa, l.ChebIts, l.EigLo, l.EigHi, l.Spars.Sampled)
 			}
+			// Wall times, so unlike everything above they vary run to run.
+			bt := lapSolver.Chain.Build
+			fmt.Printf("build: total=%.1fms", bt.TotalMS)
+			for _, ph := range bt.Phases() {
+				fmt.Printf(" %s=%.1fms", ph.Name, ph.MS)
+			}
+			fmt.Println()
+			for _, lb := range bt.Levels {
+				fmt.Printf("  build level %d: laplacian=%.1fms fill_analysis=%.1fms sparsify=%.1fms eliminate=%.1fms (%d rounds, %d ops)\n",
+					lb.Level+1, lb.LaplacianMS, lb.FillAnalysisMS, lb.SparsifyMS, lb.EliminateMS, lb.Rounds, lb.Ops)
+			}
 		}
 	}
 	if *outPath != "" {

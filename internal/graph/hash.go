@@ -1,11 +1,12 @@
 package graph
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sort"
+	"slices"
 )
 
 // CanonicalID returns the canonical content address of g: a SHA-256 over the
@@ -17,36 +18,45 @@ import (
 // snapshot addressed by this id can only ever be replayed against the graph
 // it was built from.
 func CanonicalID(g *Graph) string {
+	// Counting-sort the normalized edges by their lower endpoint, then order
+	// each vertex's (short) bucket by (upper endpoint, weight bits).
 	type key struct {
-		u, v int
-		w    float64
+		v int
+		w uint64
 	}
-	ks := make([]key, 0, len(g.Edges))
+	start := make([]int, g.N+1)
 	for _, e := range g.Edges {
-		u, v := e.U, e.V
-		if u > v {
-			u, v = v, u
-		}
-		ks = append(ks, key{u, v, e.W})
+		start[min(e.U, e.V)+1]++
 	}
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].u != ks[j].u {
-			return ks[i].u < ks[j].u
-		}
-		if ks[i].v != ks[j].v {
-			return ks[i].v < ks[j].v
-		}
-		return math.Float64bits(ks[i].w) < math.Float64bits(ks[j].w)
-	})
-	h := sha256.New()
-	var buf [24]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(g.N))
-	h.Write(buf[:8])
-	for _, k := range ks {
-		binary.LittleEndian.PutUint64(buf[0:8], uint64(k.u))
-		binary.LittleEndian.PutUint64(buf[8:16], uint64(k.v))
-		binary.LittleEndian.PutUint64(buf[16:24], math.Float64bits(k.w))
-		h.Write(buf[:])
+	for u := 0; u < g.N; u++ {
+		start[u+1] += start[u]
 	}
-	return "g" + hex.EncodeToString(h.Sum(nil))[:32]
+	next := slices.Clone(start[:g.N])
+	ks := make([]key, len(g.Edges))
+	for _, e := range g.Edges {
+		u := min(e.U, e.V)
+		ks[next[u]] = key{max(e.U, e.V), math.Float64bits(e.W)}
+		next[u]++
+	}
+	// One buffer, one hash call: per-edge Writes cost more than the hashing.
+	buf := make([]byte, 8+24*len(ks))
+	binary.LittleEndian.PutUint64(buf, uint64(g.N))
+	rec := buf[8:]
+	for u := 0; u < g.N; u++ {
+		bucket := ks[start[u]:start[u+1]]
+		slices.SortFunc(bucket, func(a, b key) int {
+			if c := cmp.Compare(a.v, b.v); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.w, b.w)
+		})
+		for _, k := range bucket {
+			binary.LittleEndian.PutUint64(rec[0:], uint64(u))
+			binary.LittleEndian.PutUint64(rec[8:], uint64(k.v))
+			binary.LittleEndian.PutUint64(rec[16:], k.w)
+			rec = rec[24:]
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return "g" + hex.EncodeToString(sum[:16])
 }

@@ -9,9 +9,9 @@ import (
 	"parlap/internal/gen"
 )
 
-// naiveFromTriplets is the reference CSR builder: dense accumulation, no
-// parallelism. Duplicate order differs from the parallel sort's, so float
-// comparisons against it use a relative tolerance.
+// naiveFromTriplets is the reference CSR builder: map accumulation in input
+// order, which is the order the assembly sums duplicates in — so the
+// comparison against it is bitwise.
 func naiveFromTriplets(n int, rows, cols []int, vals []float64) map[[2]int]float64 {
 	acc := make(map[[2]int]float64)
 	for i := range rows {
@@ -59,9 +59,9 @@ func sameSparse(t *testing.T, a, b *Sparse, label string) {
 }
 
 func TestNewSparseFromTripletsWorkerEquivalence(t *testing.T) {
-	// Sizes straddle the sort grain so both the sequential-leaf path and
-	// the multi-round merge path are exercised; heavy duplication stresses
-	// the run-merge.
+	// Sizes straddle par's sequential cutoff so both the inline and the
+	// chunked bucket-by-row are exercised; heavy duplication (97 rows) makes
+	// every row long enough for the library sort and stresses the run-merge.
 	for _, m := range []int{0, 1, 17, 4095, 4096, 4097, 60000} {
 		n := 97
 		rows, cols, vals := randomTriplets(n, m, int64(m)+1)
@@ -76,14 +76,14 @@ func TestNewSparseFromTripletsWorkerEquivalence(t *testing.T) {
 			}
 			sameSparse(t, ref, got, fmt.Sprintf("m=%d workers=%d", m, w))
 		}
-		// Against the naive accumulator, within roundoff.
+		// Against the naive accumulator, bitwise.
 		acc := naiveFromTriplets(n, rows, cols, vals)
 		nnz := 0
 		for r := 0; r < n; r++ {
 			for i := ref.Off[r]; i < ref.Off[r+1]; i++ {
 				nnz++
 				want := acc[[2]int{r, int(ref.Col[i])}]
-				if math.Abs(ref.Val[i]-want) > 1e-9*(1+math.Abs(want)) {
+				if ref.Val[i] != want {
 					t.Fatalf("m=%d: entry (%d,%d) = %v, naive %v", m, r, ref.Col[i], ref.Val[i], want)
 				}
 			}

@@ -8,7 +8,7 @@ package matrix
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
+	"slices"
 
 	"parlap/internal/graph"
 	"parlap/internal/par"
@@ -78,25 +78,95 @@ func (a *Sparse) value(i int) float64 {
 	return float64(a.Val32[i])
 }
 
-// entry is a builder triplet.
-type entry struct {
-	r, c int
-	v    float64
+// RowEntry is one (column, value) item of a matrix row under assembly.
+type RowEntry struct {
+	Col int32
+	Val float64
 }
 
-// entryLess orders triplets by (row, col).
-func entryLess(a, b entry) bool {
-	if a.r != b.r {
-		return a.r < b.r
+// SortRow stably sorts row by column (typed, no reflection; the library's
+// stable sort is an insertion sort on rows as short as a vertex's adjacency).
+func SortRow(row []RowEntry) {
+	slices.SortStableFunc(row, func(a, b RowEntry) int { return int(a.Col) - int(b.Col) })
+}
+
+// SortMergeRow stably sorts row by column and sums each run of equal
+// columns in place, in input order; it returns the merged length.
+func SortMergeRow(row []RowEntry) int {
+	SortRow(row)
+	k := 0
+	for _, e := range row {
+		if k > 0 && row[k-1].Col == e.Col {
+			row[k-1].Val += e.Val
+		} else {
+			row[k] = e
+			k++
+		}
 	}
-	return a.c < b.c
+	return k
 }
 
-// parSortEntries sorts ents by (row, col) with par's fixed-grain parallel
-// merge sort, whose leaf layout depends only on len(ents) — so the order
-// duplicate triplets are summed in is identical for every Workers setting.
-func parSortEntries(workers int, ents []entry) {
-	par.SortW(workers, ents, entryLess)
+// assembleRowsW is the one CSR assembly kernel. Row r owns the scratch
+// segment ents[off[r]:off[r+1]]; load(r, seg) writes the row's entries into
+// it (in the order duplicates are to be summed) and returns how many it
+// wrote. Each row is then sorted and merged where it lies (SortMergeRow), the
+// merged lengths are scanned into Off, and a second pass copies the rows out.
+// Rows are independent, so both passes are row-parallel with no atomics and
+// the result is identical for every worker count.
+//
+// With laplacian set, the entries are a vertex's off-diagonal couplings and
+// each non-empty row gains its diagonal, the negated sum of the merged
+// off-diagonals taken in ascending column order — so a Laplacian does not
+// depend on the order its graph's edges were listed in.
+func assembleRowsW(workers, n int, off []int, laplacian bool, load func(r int, seg []RowEntry) int) *Sparse {
+	ents := make([]RowEntry, off[n])
+	cnt := make([]int, n)
+	par.ForChunkedW(workers, n, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			seg := ents[off[r]:off[r+1]]
+			k := SortMergeRow(seg[:load(r, seg)])
+			if laplacian && k > 0 {
+				k++
+			}
+			cnt[r] = k
+		}
+	})
+	a := &Sparse{N: n, Off: par.ScanW(workers, cnt), Diag: make([]float64, n)}
+	a.Col = make([]int32, a.Off[n])
+	a.Val = make([]float64, a.Off[n])
+	par.ForChunkedW(workers, n, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			at, end := a.Off[r], a.Off[r+1]
+			if !laplacian {
+				for _, e := range ents[off[r] : off[r]+end-at] {
+					a.Col[at], a.Val[at] = e.Col, e.Val
+					if int(e.Col) == r {
+						a.Diag[r] = e.Val
+					}
+					at++
+				}
+				continue
+			}
+			if at == end {
+				continue
+			}
+			d, dAt := 0.0, -1
+			for _, e := range ents[off[r] : off[r]+end-at-1] {
+				if dAt < 0 && int(e.Col) > r {
+					dAt = at
+					at++
+				}
+				a.Col[at], a.Val[at] = e.Col, e.Val
+				d -= e.Val
+				at++
+			}
+			if dAt < 0 {
+				dAt = at
+			}
+			a.Col[dAt], a.Val[dAt], a.Diag[r] = int32(r), d, d
+		}
+	})
+	return a
 }
 
 // NewSparseFromTriplets builds a CSR matrix from (row, col, val) triplets,
@@ -106,9 +176,9 @@ func NewSparseFromTriplets(n int, rows, cols []int, vals []float64) (*Sparse, er
 }
 
 // NewSparseFromTripletsW is NewSparseFromTriplets with an explicit worker
-// count (0 = GOMAXPROCS, 1 = sequential). The build is fully parallel —
-// validation, sort, duplicate merge, row-offset scan and diagonal extraction
-// — and returns the identical matrix for every worker count.
+// count (0 = GOMAXPROCS, 1 = sequential): a stable bucket-by-row
+// (par.PackByKeyW) followed by the row assembly kernel, so duplicates are
+// summed in input order and the matrix is identical for every worker count.
 func NewSparseFromTripletsW(workers, n int, rows, cols []int, vals []float64) (*Sparse, error) {
 	if len(rows) != len(cols) || len(rows) != len(vals) {
 		return nil, fmt.Errorf("matrix: triplet slices have mismatched lengths")
@@ -132,49 +202,13 @@ func NewSparseFromTripletsW(workers, n int, rows, cols []int, vals []float64) (*
 	if bad < m {
 		return nil, fmt.Errorf("matrix: triplet %d out of range", bad)
 	}
-	ents := make([]entry, m)
-	par.ForW(workers, m, func(i int) {
-		ents[i] = entry{rows[i], cols[i], vals[i]}
-	})
-	parSortEntries(workers, ents)
-	// Pack run heads: one output entry per distinct (row, col).
-	heads := par.FilterIndexW(workers, m, func(i int) bool {
-		return i == 0 || ents[i].r != ents[i-1].r || ents[i].c != ents[i-1].c
-	})
-	nnz := len(heads)
-	a := &Sparse{N: n}
-	a.Col = make([]int32, nnz)
-	a.Val = make([]float64, nnz)
-	rowCnt := make([]int64, n)
-	// Merge each duplicate run in sorted order (runs are disjoint) and
-	// histogram rows. Integer increments commute exactly, so the atomic
-	// counts are deterministic under any schedule.
-	par.ForW(workers, nnz, func(j int) {
-		lo := heads[j]
-		hi := m
-		if j+1 < nnz {
-			hi = heads[j+1]
+	off, order := par.PackByKeyW(workers, m, n, func(i int) int { return rows[i] })
+	return assembleRowsW(workers, n, off, false, func(r int, seg []RowEntry) int {
+		for j, i := range order[off[r]:off[r+1]] {
+			seg[j] = RowEntry{int32(cols[i]), vals[i]}
 		}
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += ents[i].v
-		}
-		a.Col[j] = int32(ents[lo].c)
-		a.Val[j] = s
-		atomic.AddInt64(&rowCnt[ents[lo].r], 1)
-	})
-	counts := make([]int, n)
-	par.ForW(workers, n, func(r int) { counts[r] = int(rowCnt[r]) })
-	a.Off = par.ScanW(workers, counts)
-	a.Diag = make([]float64, n)
-	par.ForW(workers, n, func(r int) {
-		for i := a.Off[r]; i < a.Off[r+1]; i++ {
-			if int(a.Col[i]) == r {
-				a.Diag[r] = a.Val[i]
-			}
-		}
-	})
-	return a, nil
+		return len(seg)
+	}), nil
 }
 
 // LaplacianOf builds the graph Laplacian L(g): L[i][i] = weighted degree,
@@ -182,31 +216,24 @@ func NewSparseFromTripletsW(workers, n int, rows, cols []int, vals []float64) (*
 // cancel in a Laplacian).
 func LaplacianOf(g *graph.Graph) *Sparse { return LaplacianOfW(0, g) }
 
-// LaplacianOfW is LaplacianOf with an explicit worker count. Triplet
-// generation packs the contributing edges in parallel and scatters each
-// edge's four stencil entries at a fixed offset.
+// LaplacianOfW is LaplacianOf with an explicit worker count. The graph is
+// already row-grouped (its CSR), so each vertex's adjacency feeds the
+// assembly kernel directly: parallel edges are summed in adjacency order —
+// the order of the edge list — and the diagonal in ascending neighbour order.
 func LaplacianOfW(workers int, g *graph.Graph) *Sparse {
-	n := g.N
-	live := par.FilterIndexW(workers, len(g.Edges), func(i int) bool {
-		e := g.Edges[i]
-		return e.U != e.V && e.W != 0
-	})
-	rows := make([]int, 4*len(live))
-	cols := make([]int, 4*len(live))
-	vals := make([]float64, 4*len(live))
-	par.ForW(workers, len(live), func(j int) {
-		e := g.Edges[live[j]]
-		at := 4 * j
-		rows[at], cols[at], vals[at] = e.U, e.V, -e.W
-		rows[at+1], cols[at+1], vals[at+1] = e.V, e.U, -e.W
-		rows[at+2], cols[at+2], vals[at+2] = e.U, e.U, e.W
-		rows[at+3], cols[at+3], vals[at+3] = e.V, e.V, e.W
-	})
-	a, err := NewSparseFromTripletsW(workers, n, rows, cols, vals)
-	if err != nil {
-		panic("matrix: internal Laplacian build error: " + err.Error())
+	if g.N > math.MaxInt32 {
+		panic(fmt.Sprintf("matrix: n=%d exceeds the int32 column index range", g.N))
 	}
-	return a
+	return assembleRowsW(workers, g.N, g.Off, true, func(u int, seg []RowEntry) int {
+		k := 0
+		for i := g.Off[u]; i < g.Off[u+1]; i++ {
+			if v, w := g.Adj[i], g.Wt[i]; v != u && w != 0 {
+				seg[k] = RowEntry{int32(v), -w}
+				k++
+			}
+		}
+		return k
+	})
 }
 
 // GraphOf recovers the weighted graph from a Laplacian-structured matrix

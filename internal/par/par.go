@@ -23,7 +23,6 @@ package par
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -764,33 +763,30 @@ func segmentedFoldInto(segOff []int, lo, hi, s0 int, acc []float64, f func(i int
 	}
 }
 
-// SortW sorts xs with the strict-weak order less, using a fixed-grain
-// parallel merge sort: leaf chunks of sortGrain elements are sorted
-// independently, then pairwise-merged over log(n/sortGrain) rounds with the
-// independent merges of each round running in parallel. The leaf layout and
-// merge schedule depend only on len(xs), so the resulting order — including
-// the relative order of less-equal elements — is identical for every worker
-// count.
+// SortW stably sorts xs by the strict-weak order less: elements that compare
+// equal keep their input order, so the result is the unique stable order and
+// is identical for every worker count. It is a fixed-grain parallel merge
+// sort over typed slices (no reflection): leaf chunks of sortGrain elements
+// are sorted independently — insertion-sorted runs merged bottom-up through
+// the shared buffer — then pairwise-merged over log(n/sortGrain) rounds with
+// the independent merges of each round running in parallel. Every merge
+// keeps the left run first on ties.
 func SortW[T any](workers int, xs []T, less func(a, b T) bool) {
 	m := len(xs)
-	numChunks := (m + sortGrain - 1) / sortGrain
-	if numChunks <= 1 {
-		sort.Slice(xs, func(i, j int) bool { return less(xs[i], xs[j]) })
+	if m <= sortRun {
+		insertionSort(xs, less)
 		return
 	}
+	buf := make([]T, m)
+	numChunks := (m + sortGrain - 1) / sortGrain
 	// runTasks directly: the parallel grain here is the chunk count, which
 	// is far below the element-count SequentialThreshold that ForW applies.
 	p := resolve(workers)
 	runTasks(p, numChunks, func(c int) {
 		lo := c * sortGrain
-		hi := lo + sortGrain
-		if hi > m {
-			hi = m
-		}
-		s := xs[lo:hi]
-		sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
+		hi := min(lo+sortGrain, m)
+		sortLeaf(xs[lo:hi], buf[lo:hi], less)
 	})
-	buf := make([]T, m)
 	src, dst := xs, buf
 	for width := sortGrain; width < m; width *= 2 {
 		numPairs := (m + 2*width - 1) / (2 * width)
@@ -798,33 +794,11 @@ func SortW[T any](workers int, xs []T, less func(a, b T) bool) {
 		s, d := src, dst
 		runTasks(p, numPairs, func(pi int) {
 			lo := pi * 2 * w
-			mid := lo + w
-			hi := lo + 2*w
-			if mid > m {
-				mid = m
-			}
-			if hi > m {
-				hi = m
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				// !less(s[j], s[i]) keeps the left run first on ties: a
-				// stable merge with a schedule-independent result.
-				if !less(s[j], s[i]) {
-					d[k] = s[i]
-					i++
-				} else {
-					d[k] = s[j]
-					j++
-				}
-				k++
-			}
-			k += copy(d[k:hi], s[i:mid])
-			copy(d[k:hi], s[j:hi])
+			mergeRuns(d, s, lo, min(lo+w, m), min(lo+2*w, m), less)
 		})
 		src, dst = dst, src
 	}
-	if m > 0 && &src[0] != &xs[0] {
+	if &src[0] != &xs[0] {
 		copy(xs, src)
 	}
 }
@@ -832,7 +806,57 @@ func SortW[T any](workers int, xs []T, less func(a, b T) bool) {
 // Sort is SortW with the default worker count.
 func Sort[T any](xs []T, less func(a, b T) bool) { SortW(0, xs, less) }
 
-// sortGrain is the fixed leaf size of SortW's merge sort; like reduceGrain
-// it depends only on the input length so sorted order is reproducible across
-// worker counts.
-const sortGrain = 4096
+// sortGrain is the leaf size of SortW's parallel merge sort; sortRun the
+// length of the insertion-sorted runs each leaf starts from.
+const (
+	sortGrain = 4096
+	sortRun   = 16
+)
+
+// sortLeaf stably sorts s using b (same length) as merge scratch.
+func sortLeaf[T any](s, b []T, less func(a, b T) bool) {
+	n := len(s)
+	for lo := 0; lo < n; lo += sortRun {
+		insertionSort(s[lo:min(lo+sortRun, n)], less)
+	}
+	src, dst := s, b
+	for w := sortRun; w < n; w *= 2 {
+		for lo := 0; lo < n; lo += 2 * w {
+			mergeRuns(dst, src, lo, min(lo+w, n), min(lo+2*w, n), less)
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &s[0] {
+		copy(s, src)
+	}
+}
+
+// insertionSort is the stable small-slice sort under SortW's leaves.
+func insertionSort[T any](s []T, less func(a, b T) bool) {
+	for i := 1; i < len(s); i++ {
+		x := s[i]
+		j := i
+		for ; j > 0 && less(x, s[j-1]); j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = x
+	}
+}
+
+// mergeRuns merges the sorted runs s[lo:mid] and s[mid:hi] into d[lo:hi],
+// taking from the left run on ties (!less(right, left)): a stable merge.
+func mergeRuns[T any](d, s []T, lo, mid, hi int, less func(a, b T) bool) {
+	i, j, k := lo, mid, lo
+	for i < mid && j < hi {
+		if !less(s[j], s[i]) {
+			d[k] = s[i]
+			i++
+		} else {
+			d[k] = s[j]
+			j++
+		}
+		k++
+	}
+	k += copy(d[k:hi], s[i:mid])
+	copy(d[k:hi], s[j:hi])
+}

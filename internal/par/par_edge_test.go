@@ -2,7 +2,7 @@ package par
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -129,25 +129,27 @@ func TestFilterIndexWEdgeSizesAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestSortWAcrossWorkers: SortW is stable end to end — elements with
+// equal keys keep their input order — so its output is the one stable order,
+// whatever the worker count, on sizes straddling the insertion-run and leaf
+// boundaries.
 func TestSortWAcrossWorkers(t *testing.T) {
+	type item struct{ key, pos int }
 	rng := rand.New(rand.NewSource(6))
-	for _, n := range []int{0, 1, 2, sortGrain - 1, sortGrain, sortGrain + 1,
-		2*sortGrain + 3, 5*sortGrain + 11} {
-		base := make([]int, n)
+	for _, n := range []int{0, 1, 2, sortRun - 1, sortRun, sortRun + 1, 5*sortRun + 3,
+		sortGrain - 1, sortGrain, sortGrain + 1, 2*sortGrain + 3, 5*sortGrain + 11} {
+		base := make([]item, n)
 		for i := range base {
-			base[i] = rng.Intn(50) // many duplicate keys
+			base[i] = item{rng.Intn(50), i} // many duplicate keys
 		}
-		ref := append([]int(nil), base...)
-		SortW(1, ref, func(a, b int) bool { return a < b })
-		if !sort.IntsAreSorted(ref) {
-			t.Fatalf("n=%d: workers=1 output not sorted", n)
-		}
-		for _, w := range workerSet {
-			xs := append([]int(nil), base...)
-			SortW(w, xs, func(a, b int) bool { return a < b })
+		ref := append([]item(nil), base...)
+		slices.SortStableFunc(ref, func(a, b item) int { return a.key - b.key })
+		for _, w := range append([]int{1}, workerSet...) {
+			xs := append([]item(nil), base...)
+			SortW(w, xs, func(a, b item) bool { return a.key < b.key })
 			for i := range xs {
 				if xs[i] != ref[i] {
-					t.Fatalf("n=%d workers=%d: order diverges at %d", n, w, i)
+					t.Fatalf("n=%d workers=%d: %v at %d, stable order has %v", n, w, xs[i], i, ref[i])
 				}
 			}
 		}

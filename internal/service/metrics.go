@@ -212,6 +212,7 @@ type graphRow struct {
 	reordered int64
 	bottom    solver.BottomSchedule
 	probes    []solver.TruncationProbe
+	build     *solver.BuildTimings
 	lat       obs.Snapshot
 	rhsLat    obs.Snapshot
 	stageNS   [obs.NumStages]int64
@@ -247,6 +248,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			reordered: int64(e.solver.Chain.ReorderedLevels()),
 			bottom:    e.solver.Chain.BottomInfo(),
 			probes:    e.solver.Chain.Probes,
+			build:     e.solver.Chain.Build,
 			lat:       e.lat.Snapshot(),
 			rhsLat:    e.rhsLat.Snapshot(),
 		}
@@ -385,6 +387,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				v = 1
 			}
 			e.Int("parlap_graph_truncation_abandoned", []obs.Label{{K: "graph", V: row.id}, {K: "level", V: strconv.Itoa(pr.Level)}}, v)
+		}
+	}
+	e.Header("parlap_graph_build_seconds", "Wall time of each chain build phase per graph, summed over levels (no series for a chain restored from a snapshot).", "gauge")
+	for _, row := range rows {
+		if row.build == nil {
+			continue
+		}
+		for _, ph := range row.build.Phases() {
+			e.Sample("parlap_graph_build_seconds", []obs.Label{{K: "graph", V: row.id}, {K: "phase", V: ph.Name}}, ph.MS/1e3)
 		}
 	}
 	e.Header("parlap_graph_solve_duration_seconds", "End-to-end solve latency per graph.", "histogram")

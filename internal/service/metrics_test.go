@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -315,6 +316,57 @@ func TestStatsExplainChainDepth(t *testing.T) {
 	logMu.Unlock()
 	if !strings.Contains(logs, "msg=chain_build") || !strings.Contains(logs, "bottom_nnz_l=") || !strings.Contains(logs, `stop="level 1`) {
 		t.Errorf("chain_build log line does not say where and why the chain stopped:\n%s", logs)
+	}
+}
+
+// TestStatsExplainBuildTime: /stats, /metrics and the chain_build log line
+// say where a build's wall time went — per level and phase, with the
+// elimination's rounds and ops — and the three agree.
+func TestStatsExplainBuildTime(t *testing.T) {
+	var logBuf bytes.Buffer
+	var logMu sync.Mutex
+	logger := slog.New(slog.NewTextHandler(lockedWriter{&logMu, &logBuf}, nil))
+	ts := testServer(t, Config{Logger: logger})
+	var reg RegisterResponse
+	if code := doJSON(t, "POST", ts.URL+"/graphs", RegisterRequest{Spec: "regular:1500:8"}, &reg); code != 200 {
+		t.Fatalf("register: status %d", code)
+	}
+	var gs GraphStats
+	doJSON(t, "GET", fmt.Sprintf("%s/graphs/%s/stats", ts.URL, reg.ID), nil, &gs)
+	bt := gs.Build
+	if bt == nil || len(bt.Levels) != gs.Levels+1 {
+		t.Fatalf("build block %+v does not cover %d levels and the bottom", bt, gs.Levels)
+	}
+	for i, lb := range bt.Levels {
+		built := i < gs.Levels
+		if lb.Level != i || lb.LaplacianMS <= 0 || (lb.Ops > 0) != built || (lb.Rounds > 0) != built ||
+			(lb.SparsifyMS > 0) != built || (lb.EliminateMS > 0) != built {
+			t.Errorf("level %d of %d: implausible build record %+v", i, gs.Levels, lb)
+		}
+	}
+	if bt.FactorMS <= 0 || bt.CalibrateMS <= 0 || bt.TotalMS <= 0 || bt.TotalMS > gs.BuildMS {
+		t.Errorf("factor %v calibrate %v total %v ms inside a %v ms registration", bt.FactorMS, bt.CalibrateMS, bt.TotalMS, gs.BuildMS)
+	}
+	m := scrape(t, ts.URL)
+	sum := 0.0
+	for _, ph := range bt.Phases() {
+		key := fmt.Sprintf(`parlap_graph_build_seconds{graph="%s",phase="%s"}`, reg.ID, ph.Name)
+		got, ok := m[key]
+		if !ok || ph.MS < 0 || math.Abs(got-ph.MS/1e3) > 1e-9 {
+			t.Errorf("%s = %v (present %v), /stats has %v ms", key, got, ok, ph.MS)
+		}
+		sum += ph.MS
+	}
+	if math.Abs(sum-bt.TotalMS) > 1e-6 {
+		t.Errorf("phases sum to %v ms, total is %v ms", sum, bt.TotalMS)
+	}
+	logMu.Lock()
+	logs := logBuf.String()
+	logMu.Unlock()
+	for _, attr := range []string{"laplacian_ms=", "fill_analysis_ms=", "sparsify_ms=", "eliminate_ms=", "factor_ms=", "calibrate_ms="} {
+		if !strings.Contains(logs, attr) {
+			t.Errorf("chain_build log line lacks %s:\n%s", attr, logs)
+		}
 	}
 }
 

@@ -358,6 +358,12 @@ func (s *Server) Register(ctx context.Context, g *graph.Graph, source string) (e
 		// Where the chain stops and why (the truncation rule's decision).
 		bi := sv.Chain.BottomInfo()
 		logAttrs = append(logAttrs, "levels", bi.Level, "bottom_n", bi.N, "bottom_nnz_l", bi.NNZL, "stop", bi.Stop)
+		// Where the build time went (absent on a restore, which builds nothing).
+		if bt := sv.Chain.Build; bt != nil {
+			for _, ph := range bt.Phases() {
+				logAttrs = append(logAttrs, ph.Name+"_ms", ph.MS)
+			}
+		}
 	}
 	s.log.Info("chain_build", logAttrs...)
 	if err != nil {
@@ -696,13 +702,18 @@ type GraphStats struct {
 	// factors, nnz(L) of its sparse factor, the stop reason, and the
 	// accepting truncation probe. With the per-level probes in Schedule it
 	// answers "why is this chain N levels deep".
-	Bottom     solver.BottomSchedule `json:"bottom"`
-	CacheHits  int64                 `json:"cache_hits"`
-	Solves     int64                 `json:"solves"`
-	RHSServed  int64                 `json:"rhs_served"`
-	Iterations int64                 `json:"iterations"`
-	BottomSolv int64                 `json:"bottom_solves"`
-	MaxIter    int                   `json:"max_iter"`
+	Bottom solver.BottomSchedule `json:"bottom"`
+	// Build is the chain construction's wall time per level and phase
+	// (Laplacian assembly, fill analysis, sparsify, eliminate with its rounds
+	// and ops, then factor and calibrate) — "why did this build take so
+	// long". Omitted when the chain was restored from a snapshot.
+	Build      *solver.BuildTimings `json:"build,omitempty"`
+	CacheHits  int64                `json:"cache_hits"`
+	Solves     int64                `json:"solves"`
+	RHSServed  int64                `json:"rhs_served"`
+	Iterations int64                `json:"iterations"`
+	BottomSolv int64                `json:"bottom_solves"`
+	MaxIter    int                  `json:"max_iter"`
 	// Timings summarizes this graph's solve telemetry: latency quantiles
 	// from the same histogram /metrics exports, and cumulative per-stage
 	// solve time (exclusive attribution — cheb+forward+back+bottom
@@ -761,6 +772,7 @@ func (s *Server) Stats(ctx context.Context, id string) (*GraphStats, error) {
 		EdgeCounts:      e.solver.Chain.EdgeCounts(),
 		Schedule:        e.solver.Chain.Schedule(),
 		Bottom:          e.solver.Chain.BottomInfo(),
+		Build:           e.solver.Chain.Build,
 		Precision:       e.solver.Chain.Params.Precision.String(),
 		F32Levels:       e.solver.Chain.F32Levels(),
 		ReorderedLevels: e.solver.Chain.ReorderedLevels(),

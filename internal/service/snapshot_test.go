@@ -76,6 +76,10 @@ func TestWarmRestartRestoresBitwise(t *testing.T) {
 	if err != nil || !st.Restored {
 		t.Fatalf("stats restored_from_snapshot=%v err=%v", st != nil && st.Restored, err)
 	}
+	// A restore builds nothing, so it has no build phases to report.
+	if st.Build != nil {
+		t.Fatalf("restored chain reports build timings %+v", st.Build)
+	}
 }
 
 func TestRegisterRestoresOnMiss(t *testing.T) {

@@ -223,6 +223,58 @@ type TruncationProbe struct {
 	Abandoned bool  `json:"abandoned,omitempty"`
 }
 
+// LevelBuild is what building one level cost: wall time per phase and the
+// size of its elimination. The entry after the last level describes the
+// graph the chain stops at, which is assembled and analyzed but neither
+// sparsified nor eliminated.
+type LevelBuild struct {
+	Level          int     `json:"level"`
+	LaplacianMS    float64 `json:"laplacian_ms"`
+	FillAnalysisMS float64 `json:"fill_analysis_ms"`
+	// SparsifyMS and EliminateMS include the shrink retry when it ran;
+	// Rounds and Ops describe the elimination the level kept.
+	SparsifyMS  float64 `json:"sparsify_ms"`
+	EliminateMS float64 `json:"eliminate_ms"`
+	Rounds      int     `json:"elim_rounds"`
+	Ops         int     `json:"elim_ops"`
+}
+
+// BuildTimings is the chain build's wall time by level and phase, taken
+// once by BuildChainOpts. It answers "why did this build take so long";
+// nothing reads it back into a decision.
+type BuildTimings struct {
+	Levels      []LevelBuild `json:"levels"`
+	FactorMS    float64      `json:"factor_ms"`
+	CalibrateMS float64      `json:"calibrate_ms"`
+	TotalMS     float64      `json:"total_ms"`
+}
+
+// BuildPhase is one phase's wall time summed over the levels.
+type BuildPhase struct {
+	Name string
+	MS   float64
+}
+
+// Phases sums the timings per phase, in build order; "other" is the rest of
+// TotalMS (parallel-edge merge, connected components, component indexes).
+func (b *BuildTimings) Phases() []BuildPhase {
+	var lap, fill, sp, el float64
+	for _, l := range b.Levels {
+		lap += l.LaplacianMS
+		fill += l.FillAnalysisMS
+		sp += l.SparsifyMS
+		el += l.EliminateMS
+	}
+	return []BuildPhase{
+		{"laplacian", lap}, {"fill_analysis", fill}, {"sparsify", sp}, {"eliminate", el},
+		{"factor", b.FactorMS}, {"calibrate", b.CalibrateMS},
+		{"other", b.TotalMS - lap - fill - sp - el - b.FactorMS - b.CalibrateMS},
+	}
+}
+
+// ms converts a duration to fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+
 // Chain is the full preconditioning chain (Definition 6.3).
 //
 // Concurrency contract: a Chain is READ-ONLY after Build returns. All
@@ -244,6 +296,9 @@ type Chain struct {
 	// the chain); Stop says in words why the chain ends where it does.
 	Probes []TruncationProbe
 	Stop   string
+	// Build is the construction's wall time by level and phase; nil on a
+	// chain restored from a snapshot, which was never built here.
+	Build *BuildTimings
 
 	bottomSolves atomic.Int64
 	// precondApplies counts top-level preconditioner applications — one per
@@ -319,11 +374,16 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 	if p.KappaGrowth < 1 {
 		p.KappaGrowth = 1
 	}
+	if g.N > math.MaxInt32 {
+		return nil, fmt.Errorf("solver: n=%d exceeds the int32 vertex index range of the chain", g.N)
+	}
 	// The bottom factor's memory bound, in entries of L.
 	maxFill := int64(p.MaxBottomVertices) * int64(p.MaxBottomVertices) / 2
 	rng := rand.New(rand.NewSource(p.Seed))
-	c := &Chain{Params: p, Opt: opt, rec: rec}
+	bt := &BuildTimings{}
+	c := &Chain{Params: p, Opt: opt, rec: rec, Build: bt}
 	w := opt.Workers
+	tBuild := time.Now()
 	cur := mergeParallelW(w, g)
 	kappa := p.Sparsify.Kappa
 	// lap, comp, k describe cur; sym is cur's symbolic factorization once a
@@ -335,9 +395,13 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 		sym  *matrix.LaplacianSymbolic
 	)
 	for {
-		lap = matrix.LaplacianOfW(w, cur)
-		comp, k = cur.ConnectedComponents()
 		i := len(c.Levels)
+		bt.Levels = append(bt.Levels, LevelBuild{Level: i})
+		lb := &bt.Levels[i]
+		t0 := time.Now()
+		lap = matrix.LaplacianOfW(w, cur)
+		lb.LaplacianMS = ms(time.Since(t0))
+		comp, k = cur.ConnectedComponents()
 		if i >= p.MaxLevels {
 			c.Stop = fmt.Sprintf("MaxLevels %d reached", p.MaxLevels)
 			break
@@ -354,7 +418,9 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 			// Count-based truncation: analyze cur's factor, giving up as
 			// soon as it cannot win (or cannot fit the memory bound).
 			probe := TruncationProbe{Level: i, SweepOps: int64(p.MinChebIts) * int64(lap.NNZ())}
+			t0 = time.Now()
 			s, fill, err := matrix.AnalyzeLaplacian(lap, comp, k, min(probe.SweepOps/2, maxFill))
+			lb.FillAnalysisMS = ms(time.Since(t0))
 			if err != nil {
 				return nil, fmt.Errorf("solver: level %d analysis: %w", i, err)
 			}
@@ -370,8 +436,17 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 		sp.Workers = w
 		sp.Kappa = kappa
 		kappa *= p.KappaGrowth
-		res := IncrementalSparsify(cur, sp, rng, rec)
-		elim := GreedyEliminationW(w, res.H, rng, rec)
+		// sparsifyEliminate builds B_i and its partial Cholesky, timed.
+		sparsifyEliminate := func() (*SparsifyResult, *Elimination) {
+			t0 := time.Now()
+			res := IncrementalSparsify(cur, sp, rng, rec)
+			t1 := time.Now()
+			elim := GreedyEliminationW(w, res.H, rng, rec)
+			lb.SparsifyMS += ms(t1.Sub(t0))
+			lb.EliminateMS += ms(time.Since(t1))
+			return res, elim
+		}
+		res, elim := sparsifyEliminate()
 		// The shrink-retry decision uses the MEASURED edge shrink but the
 		// nominal κ for the retry: a level's measured condition number needs
 		// the completed chain below it (calibrate's Lanczos applies the full
@@ -381,8 +456,7 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 		if float64(elim.Reduced.M()) > p.ShrinkRetry*float64(cur.M()) {
 			// Retry once with a coarser preconditioner.
 			sp.Kappa *= 2
-			res = IncrementalSparsify(cur, sp, rng, rec)
-			elim = GreedyEliminationW(w, res.H, rng, rec)
+			res, elim = sparsifyEliminate()
 			if float64(elim.Reduced.M()) > p.ShrinkRetry*float64(cur.M()) {
 				c.Stop = fmt.Sprintf("level %d does not shrink by ShrinkRetry %g", i, p.ShrinkRetry)
 				break // cannot shrink further; truncate here
@@ -399,10 +473,13 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 			ChebIts: its, EigHi: 1, EigLo: 1 / (sp.Kappa * p.ChebSlack),
 		}
 		c.Levels = append(c.Levels, lvl)
+		lb.Rounds, lb.Ops = elim.Rounds, len(elim.Ops)
 		cur = elim.Reduced
 	}
 	if sym == nil {
+		t0 := time.Now()
 		s, fill, err := matrix.AnalyzeLaplacian(lap, comp, k, maxFill)
+		bt.Levels[len(c.Levels)].FillAnalysisMS += ms(time.Since(t0))
 		if err != nil {
 			return nil, fmt.Errorf("solver: bottom analysis: %w", err)
 		}
@@ -412,7 +489,9 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 		}
 		sym = s
 	}
+	t0 := time.Now()
 	bf, err := sym.FactorW(w, lap)
+	bt.FactorMS = ms(time.Since(t0))
 	if err != nil {
 		return nil, fmt.Errorf("solver: bottom factorization: %w", err)
 	}
@@ -427,7 +506,10 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 			c.Levels[i].applyReorder(w, matrix.CMOrder(c.Levels[i].Lap))
 		}
 	}
+	t0 = time.Now()
 	c.calibrate(rng)
+	bt.CalibrateMS = ms(time.Since(t0))
+	bt.TotalMS = ms(time.Since(tBuild))
 	return c, nil
 }
 
@@ -584,46 +666,38 @@ func (c *Chain) calibrate(rng *rand.Rand) {
 }
 
 // mergeParallelW merges parallel edges (summing conductances) and drops
-// self-loops and zero-weight edges, via a parallel sort + segmented sum.
-// The sort's fixed-grain schedule keeps the summation order — and thus the
-// merged weights — identical for every worker count.
+// self-loops and zero-weight edges, row by row over g's CSR: each vertex
+// sorts and merges its half-edges to higher-numbered neighbours, so the
+// result lists every edge once, U < V, in (U, V) order. Parallel edges are
+// summed in input order (adjacency order is edge-list order), for every
+// worker count.
 func mergeParallelW(workers int, g *graph.Graph) *graph.Graph {
-	live := par.FilterIndexW(workers, len(g.Edges), func(i int) bool {
-		e := g.Edges[i]
-		return e.U != e.V && e.W != 0
-	})
-	norm := make([]graph.Edge, len(live))
-	par.ForW(workers, len(live), func(i int) {
-		e := g.Edges[live[i]]
-		if e.U > e.V {
-			e.U, e.V = e.V, e.U
+	n := g.N
+	ents := make([]matrix.RowEntry, len(g.Adj))
+	cnt := make([]int, n)
+	par.ForChunkedW(workers, n, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			row := ents[g.Off[u]:g.Off[u+1]]
+			k := 0
+			for i := g.Off[u]; i < g.Off[u+1]; i++ {
+				if v, w := g.Adj[i], g.Wt[i]; v > u && w != 0 {
+					row[k] = matrix.RowEntry{Col: int32(v), Val: w}
+					k++
+				}
+			}
+			cnt[u] = matrix.SortMergeRow(row[:k])
 		}
-		norm[i] = e
 	})
-	par.SortW(workers, norm, func(a, b graph.Edge) bool {
-		if a.U != b.U {
-			return a.U < b.U
+	off := par.ScanW(workers, cnt)
+	edges := make([]graph.Edge, off[n])
+	par.ForChunkedW(workers, n, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			for j, e := range ents[g.Off[u] : g.Off[u]+cnt[u]] {
+				edges[off[u]+j] = graph.Edge{U: u, V: int(e.Col), W: e.Val}
+			}
 		}
-		return a.V < b.V
 	})
-	m := len(norm)
-	heads := par.FilterIndexW(workers, m, func(i int) bool {
-		return i == 0 || norm[i].U != norm[i-1].U || norm[i].V != norm[i-1].V
-	})
-	edges := make([]graph.Edge, len(heads))
-	par.ForW(workers, len(heads), func(j int) {
-		lo := heads[j]
-		hi := m
-		if j+1 < len(heads) {
-			hi = heads[j+1]
-		}
-		e := norm[lo]
-		for i := lo + 1; i < hi; i++ {
-			e.W += norm[i].W
-		}
-		edges[j] = e
-	})
-	return graph.FromEdgesW(workers, g.N, edges)
+	return graph.FromEdgesW(workers, n, edges)
 }
 
 // mergeParallel is mergeParallelW with the default worker count.

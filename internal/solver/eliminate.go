@@ -84,85 +84,6 @@ func coin3(seed uint64, v int32) bool {
 	return x%3 == 0
 }
 
-// elimEdge is one live undirected edge of the elimination's working graph,
-// normalized to u < v. Parallel edges are merged on entry and after every
-// splice round, so adjacency lists are duplicate-free. seq is the edge's
-// position in the array handed to dedupElimEdges — the sort's explicit
-// tie-breaker (par.SortW's leaf pass is not stable, so input order must be
-// part of the key to be preserved).
-type elimEdge struct {
-	u, v, seq int32
-	w         float64
-}
-
-// dedupElimEdges sorts edges by (u, v, input position) and merges duplicates
-// by summing weights in segment order. The position tie-breaker makes the
-// key a total order, so segment order equals input order for every worker
-// count and schedule; callers arrange the input as "surviving edges first,
-// then splice edges in op order", reproducing the incremental accumulation
-// a mutable adjacency would do.
-func dedupElimEdges(workers int, edges []elimEdge) []elimEdge {
-	par.ForChunkedW(workers, len(edges), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			edges[i].seq = int32(i)
-		}
-	})
-	par.SortW(workers, edges, func(a, b elimEdge) bool {
-		if a.u != b.u {
-			return a.u < b.u
-		}
-		if a.v != b.v {
-			return a.v < b.v
-		}
-		return a.seq < b.seq
-	})
-	m := len(edges)
-	heads := par.FilterIndexW(workers, m, func(i int) bool {
-		return i == 0 || edges[i].u != edges[i-1].u || edges[i].v != edges[i-1].v
-	})
-	out := make([]elimEdge, len(heads))
-	par.ForW(workers, len(heads), func(j int) {
-		lo := heads[j]
-		hi := m
-		if j+1 < len(heads) {
-			hi = heads[j+1]
-		}
-		e := edges[lo]
-		for i := lo + 1; i < hi; i++ {
-			e.w += edges[i].w
-		}
-		out[j] = e
-	})
-	return out
-}
-
-// buildElimCSR packs the (deduped, (u,v)-sorted) edge list into half-edge
-// CSR arrays via the offset-precomputed pack. Because edges are sorted and
-// scattered in index order, every vertex's adjacency comes out sorted
-// ascending — the canonical neighbor order the op log relies on.
-func buildElimCSR(workers, n int, edges []elimEdge) (off []int32, nbr []int32, wt []float64) {
-	offInt, pos := par.HalfEdgePackW(workers, n, len(edges), func(i int) (int, int) {
-		return int(edges[i].u), int(edges[i].v)
-	})
-	off = make([]int32, n+1)
-	par.ForChunkedW(workers, n+1, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			off[v] = int32(offInt[v])
-		}
-	})
-	nbr = make([]int32, 2*len(edges))
-	wt = make([]float64, 2*len(edges))
-	par.ForChunkedW(workers, len(edges), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := edges[i]
-			pu, pv := pos[2*i], pos[2*i+1]
-			nbr[pu], wt[pu] = e.v, e.w
-			nbr[pv], wt[pv] = e.u, e.w
-		}
-	})
-	return off, nbr, wt
-}
-
 // recvItem is one scatter contribution during reverse-index construction.
 type recvItem struct {
 	tgt  int32   // receiving vertex
@@ -184,83 +105,83 @@ func GreedyElimination(g *graph.Graph, rng *rand.Rand, rec *wd.Recorder) *Elimin
 // every operation for exact back-substitution. Parallel edges are merged and
 // self-loops dropped on entry.
 //
-// The working graph is a compact slice-CSR rebuilt by pack after each round
-// (candidate filter, coin marking, willingness, acceptance, op emission and
-// the edge splice are all flat par.ForW / par.FilterIndexW passes — no
-// per-vertex maps anywhere on the path). The acceptance pass computes the
-// lexicographically-first independent set of willing vertices in one
-// parallel sweep: two willing degree-2 vertices are never adjacent (mutual
-// heads unmark both), so conflict chains among willing vertices have at most
-// three vertices and a depth-2 neighbor lookahead decides every vertex
-// exactly as the sequential greedy scan would.
+// The working graph is a slot adjacency: vertex v owns adj[off[v]:off[v+1]]
+// (its CSR row in g), of which the first deg[v] entries are its current
+// neighbours in ascending order with merged weights. A splice replaces one
+// neighbour by at most one other, so degrees never grow and every update
+// fits the slot it patches. Only the neighbours of a round's eliminated
+// vertices change, and they are exactly the receivers of the round's
+// reverse index, so each receiver rewrites its own slot from its own group
+// (owner computes, ops in ascending order): a round costs the candidates it
+// scans plus the adjacency it touches, which is what the recorder is
+// charged — O(n+m) in total, one depth unit per round.
+//
+// The acceptance pass computes the lexicographically-first independent set
+// of willing vertices in one parallel sweep: two willing degree-2 vertices
+// are never adjacent (mutual heads unmark both), so conflict chains among
+// willing vertices have at most three vertices and a depth-2 neighbor
+// lookahead decides every vertex exactly as the sequential greedy scan would.
 //
 // The coins are a hash of a per-round seed drawn from rng, so the op log is
 // identical for every worker count given the same rng state; merged edge
-// weights are too, because the rebuild's stable sort fixes the summation
-// order of spliced parallel edges independent of the schedule.
-//
-// The recorder is charged work = adjacency touched and depth = 1 per round,
-// matching the O(n+m) work / O(log n) depth bound.
+// weights are too: an edge's weight is its surviving weight plus the round's
+// splices onto it in op order, summed alike at both endpoints.
 func GreedyEliminationW(workers int, g *graph.Graph, rng *rand.Rand, rec *wd.Recorder) *Elimination {
 	n := g.N
-	// Normalize and merge the input edge list (drop self-loops and zero
-	// weights, u < v, parallels summed in edge-list order).
-	liveIdx := par.FilterIndexW(workers, len(g.Edges), func(i int) bool {
-		e := g.Edges[i]
-		return e.U != e.V && e.W != 0
-	})
-	edges := make([]elimEdge, len(liveIdx))
-	par.ForW(workers, len(liveIdx), func(i int) {
-		e := g.Edges[liveIdx[i]]
-		u, v := int32(e.U), int32(e.V)
-		if u > v {
-			u, v = v, u
+	// Normalize each row where it lies: drop self-loops and zero weights,
+	// sort by neighbour, sum parallels in adjacency (= edge-list) order.
+	off := g.Off
+	adj := make([]matrix.RowEntry, len(g.Adj))
+	deg := make([]int32, n)
+	par.ForChunkedW(workers, n, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			row := adj[off[u]:off[u+1]]
+			k := 0
+			for i := off[u]; i < off[u+1]; i++ {
+				if v, w := g.Adj[i], g.Wt[i]; v != u && w != 0 {
+					row[k] = matrix.RowEntry{Col: int32(v), Val: w}
+					k++
+				}
+			}
+			deg[u] = int32(matrix.SortMergeRow(row[:k]))
 		}
-		edges[i] = elimEdge{u: u, v: v, w: e.W}
 	})
-	edges = dedupElimEdges(workers, edges)
-	off, nbr, wt := buildElimCSR(workers, n, edges)
+	rec.Add(int64(n+len(adj)), 1)
+	nbrs := func(v int) []matrix.RowEntry { return adj[off[v] : off[v]+int(deg[v])] }
 
 	el := &Elimination{OrigN: n, Pos: make([]int, n)}
 	alive := make([]bool, n)
 	for i := range alive {
 		alive[i] = true
 	}
-	aliveCount := n
 	heads := make([]bool, n)
 	willing := make([]bool, n)
 	accepted := make([]bool, n)
-	deg := func(v int) int32 { return off[v+1] - off[v] }
-	for {
-		// Candidates at round start: alive vertices of (deduped) degree ≤ 2.
-		// The CSR is rebuilt each round, so degrees are exact.
-		cand := par.FilterIndexW(workers, n, func(v int) bool {
-			return alive[v] && deg(v) <= 2
-		})
-		if len(cand) == 0 {
-			break
-		}
+	// Candidates: alive vertices of degree ≤ 2, ascending. Kept across
+	// rounds — a candidate stays one until it is eliminated.
+	cand := par.FilterIndexW(workers, n, func(v int) bool { return deg[v] <= 2 })
+	for len(cand) > 0 {
 		// Coin flips for degree-2 vertices (the paper's independent-set
 		// marking); degree ≤ 1 vertices are always willing. The round seed
 		// is drawn sequentially so the rng stream stays schedule-free.
 		roundSeed := uint64(rng.Int63())
 		par.ForW(workers, len(cand), func(i int) {
 			v := cand[i]
-			if deg(v) == 2 {
+			if deg[v] == 2 {
 				heads[v] = coin3(roundSeed, int32(v))
 			}
 		})
 		par.ForW(workers, len(cand), func(i int) {
 			v := cand[i]
-			if deg(v) < 2 {
+			if deg[v] < 2 {
 				willing[v] = true
 				return
 			}
 			if !heads[v] {
 				return
 			}
-			for j := off[v]; j < off[v+1]; j++ {
-				if u := nbr[j]; deg(int(u)) == 2 && heads[u] {
+			for _, e := range nbrs(v) {
+				if deg[e.Col] == 2 && heads[e.Col] {
 					return // neighbor flipped heads too: unmarked
 				}
 			}
@@ -277,20 +198,21 @@ func GreedyEliminationW(workers int, g *graph.Graph, rng *rand.Rand, rec *wd.Rec
 				return
 			}
 			ok := true
-			for j := off[v]; j < off[v+1] && ok; j++ {
-				u := int(nbr[j])
+			for _, e := range nbrs(v) {
+				u := int(e.Col)
 				if !willing[u] || u >= v {
 					continue
 				}
 				uAccepted := true
-				for jj := off[u]; jj < off[u+1]; jj++ {
-					if w := int(nbr[jj]); w != v && w < u && willing[w] {
+				for _, f := range nbrs(u) {
+					if w := int(f.Col); w != v && w < u && willing[w] {
 						uAccepted = false
 						break
 					}
 				}
 				if uAccepted {
 					ok = false
+					break
 				}
 			}
 			accepted[v] = ok
@@ -305,62 +227,68 @@ func GreedyEliminationW(workers int, g *graph.Graph, rng *rand.Rand, rec *wd.Rec
 				v := cand[i]
 				heads[v], willing[v] = false, false
 			})
+			rec.Add(int64(len(cand)), 1)
 			continue
 		}
-		// Emit the round's ops (accepted vertices in ascending id order; CSR
+		// Emit the round's ops (accepted vertices in ascending id order;
 		// adjacency is sorted, so deg-2 neighbor order is canonical A < B).
 		base := len(el.Ops)
 		el.Ops = append(el.Ops, make([]ElimOp, len(accIdx))...)
 		ops := el.Ops[base:]
 		par.ForW(workers, len(accIdx), func(k int) {
 			v := cand[accIdx[k]]
-			lo := off[v]
-			switch deg(v) {
+			switch nb := nbrs(v); len(nb) {
 			case 0:
 				ops[k] = ElimOp{Kind: ElimDeg0, V: int32(v)}
 			case 1:
-				ops[k] = ElimOp{Kind: ElimDeg1, V: int32(v), A: nbr[lo], W1: wt[lo]}
+				ops[k] = ElimOp{Kind: ElimDeg1, V: int32(v), A: nb[0].Col, W1: nb[0].Val}
 			case 2:
 				ops[k] = ElimOp{Kind: ElimDeg2, V: int32(v),
-					A: nbr[lo], B: nbr[lo+1], W1: wt[lo], W2: wt[lo+1]}
+					A: nb[0].Col, B: nb[1].Col, W1: nb[0].Val, W2: nb[1].Val}
 			}
+			alive[v] = false
 		})
-		touched := par.SumIntW(workers, len(accIdx), func(k int) int {
-			return int(deg(cand[accIdx[k]])) + 1
-		})
-		par.ForW(workers, len(accIdx), func(k int) {
-			alive[cand[accIdx[k]]] = false
-		})
-		aliveCount -= len(accIdx)
 		el.appendRecvRound(workers, base, ops)
 
-		// Rebuild-by-pack: drop every edge incident to an eliminated vertex,
-		// append the deg-2 splice edges (in op order, after the survivors so
-		// the stable dedup sums them onto any existing A–B edge in exactly
-		// the order an in-place adjacency update would), and re-pack the CSR.
-		kept := par.FilterIndexW(workers, len(edges), func(i int) bool {
-			e := edges[i]
-			return !accepted[e.u] && !accepted[e.v]
+		// Patch the receivers' slots; wasDeg keeps each receiver's degree
+		// from before the round.
+		gLo, gHi := el.recvBounds(el.Rounds)
+		wasDeg := make([]int32, gHi-gLo)
+		par.ForChunkedW(workers, gHi-gLo, func(lo, hi int) {
+			var adds, out []matrix.RowEntry
+			for j := lo; j < hi; j++ {
+				t := el.recvVert[gLo+j]
+				wasDeg[j] = deg[t]
+				adds, out = el.spliceInto(gLo+j, nbrs(int(t)), adds[:0], out[:0])
+				deg[t] = int32(copy(adj[off[t]:], out))
+			}
 		})
-		splices := par.FilterIndexW(workers, len(ops), func(k int) bool {
-			return ops[k].Kind == ElimDeg2
+		// Adjacency touched: each receiver's row plus the items applied to it.
+		touched := par.SumIntW(workers, gHi-gLo, func(j int) int {
+			iLo, iHi := el.itemBounds(gLo + j)
+			return int(wasDeg[j]) + int(iHi-iLo)
 		})
-		next := make([]elimEdge, len(kept)+len(splices))
-		par.ForW(workers, len(kept), func(i int) {
-			next[i] = edges[kept[i]]
-		})
-		par.ForW(workers, len(splices), func(j int) {
-			op := &ops[splices[j]]
-			next[len(kept)+j] = elimEdge{u: op.A, v: op.B, w: op.W1 * op.W2 / (op.W1 + op.W2)}
-		})
-		if len(splices) == 0 {
-			// Survivors are already sorted and duplicate-free.
-			edges = next
-		} else {
-			edges = dedupElimEdges(workers, next)
-		}
-		off, nbr, wt = buildElimCSR(workers, n, edges)
 
+		// Next round's candidates: this round's less the eliminated, merged
+		// (both ascending) with the receivers that just dropped to degree ≤ 2.
+		var fresh []int
+		for j, was := range wasDeg {
+			if t := int(el.recvVert[gLo+j]); was > 2 && deg[t] <= 2 {
+				fresh = append(fresh, t)
+			}
+		}
+		next := make([]int, 0, len(cand)-len(accIdx)+len(fresh))
+		f := 0
+		for _, v := range cand {
+			if accepted[v] {
+				continue
+			}
+			for ; f < len(fresh) && fresh[f] < v; f++ {
+				next = append(next, fresh[f])
+			}
+			next = append(next, v)
+		}
+		next = append(next, fresh[f:]...)
 		// Reset the per-round marks (only candidate slots were written).
 		par.ForW(workers, len(cand), func(i int) {
 			v := cand[i]
@@ -368,12 +296,12 @@ func GreedyEliminationW(workers int, g *graph.Graph, rng *rand.Rand, rec *wd.Rec
 		})
 		el.RoundEnd = append(el.RoundEnd, len(el.Ops))
 		el.Rounds++
-		rec.Add(int64(touched+len(cand)), 1)
-		if aliveCount == 0 {
-			break
-		}
+		rec.Add(int64(len(cand)+len(ops)+touched), 1)
+		cand = next
 	}
 	// Build the reduced graph: every remaining edge joins two kept vertices.
+	// Walking the kept vertices' rows for neighbours above them lists the
+	// edges in (u, v) order.
 	el.Keep = par.FilterIndexW(workers, n, func(v int) bool { return alive[v] })
 	par.ForChunkedW(workers, n, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
@@ -383,20 +311,81 @@ func GreedyEliminationW(workers int, g *graph.Graph, rng *rand.Rand, rec *wd.Rec
 	par.ForW(workers, len(el.Keep), func(j int) {
 		el.Pos[el.Keep[j]] = j
 	})
-	redEdges := make([]graph.Edge, len(edges))
-	par.ForW(workers, len(edges), func(i int) {
-		e := edges[i]
-		redEdges[i] = graph.Edge{U: el.Pos[e.u], V: el.Pos[e.v], W: e.w}
+	upper := make([]int, len(el.Keep))
+	par.ForW(workers, len(el.Keep), func(j int) {
+		u := el.Keep[j]
+		for _, e := range nbrs(u) {
+			if int(e.Col) > u {
+				upper[j]++
+			}
+		}
 	})
+	edgeOff := par.ScanW(workers, upper)
+	redEdges := make([]graph.Edge, edgeOff[len(el.Keep)])
+	par.ForW(workers, len(el.Keep), func(j int) {
+		u, at := el.Keep[j], edgeOff[j]
+		for _, e := range nbrs(u) {
+			if int(e.Col) > u {
+				redEdges[at] = graph.Edge{U: j, V: el.Pos[e.Col], W: e.Val}
+				at++
+			}
+		}
+	})
+	rec.Add(int64(2*n+2*len(redEdges)), 1)
 	el.Reduced = graph.FromEdgesW(workers, len(el.Keep), redEdges)
 	return el
 }
 
+// spliceInto applies receiver group gi of the round just appended to the
+// receiver's sorted adjacency row: every op in the group removes its
+// eliminated vertex, and a splice adds (or adds onto) the edge to the op's
+// other neighbour with the series conductance w₁w₂/(w₁+w₂). Additions onto
+// one neighbour accumulate after the surviving weight in op order — the
+// same sequence at both endpoints of the edge, so the two copies agree
+// bitwise. The merged row is returned in out (never longer than row: each
+// addition comes with a removal); adds is scratch, returned for reuse.
+func (el *Elimination) spliceInto(gi int, row, adds, out []matrix.RowEntry) (_, _ []matrix.RowEntry) {
+	t := el.recvVert[gi]
+	it, iHi := el.itemBounds(gi)
+	for i := it; i < iHi; i++ {
+		if op := &el.Ops[el.recvOp[i]]; op.Kind == ElimDeg2 {
+			other := op.A
+			if other == t {
+				other = op.B
+			}
+			adds = append(adds, matrix.RowEntry{Col: other, Val: op.W1 * op.W2 / (op.W1 + op.W2)})
+		}
+	}
+	matrix.SortRow(adds)
+	// Three-way merge. The group's ops are in ascending order of eliminated
+	// vertex and each of them is in row, so the next removal is always the
+	// first pending one.
+	i, a := 0, 0
+	for i < len(row) || a < len(adds) {
+		if i < len(row) && it < iHi && row[i].Col == el.Ops[el.recvOp[it]].V {
+			i++
+			it++
+			continue
+		}
+		var e matrix.RowEntry
+		if a == len(adds) || (i < len(row) && row[i].Col <= adds[a].Col) {
+			e = row[i]
+			i++
+		} else {
+			e = adds[a]
+			a++
+		}
+		for ; a < len(adds) && adds[a].Col == e.Col; a++ {
+			e.Val += adds[a].Val
+		}
+		out = append(out, e)
+	}
+	return adds, out
+}
+
 // appendRecvRound extends the owner-computes reverse index with one round:
 // the round's scatter targets, grouped by receiving vertex with items in
-// ascending op order. (tgt, op) pairs are distinct — an op touches a target
-// at most once — so the sort key is a total order and needs no stability.
-// base is the round's first global op index.
+// ascending op order. base is the round's first global op index.
 func (el *Elimination) appendRecvRound(workers, base int, ops []ElimOp) {
 	cnt := make([]int, len(ops))
 	par.ForW(workers, len(ops), func(k int) {
