@@ -112,6 +112,8 @@ type solveStats struct {
 
 type solveTimings struct {
 	TotalMS   float64   `json:"total_ms"`
+	DecodeMS  float64   `json:"decode_ms"`
+	EncodeMS  float64   `json:"encode_ms"`
 	QueueMS   float64   `json:"queue_ms"`
 	PCGMS     float64   `json:"pcg_ms"`
 	PrecondMS float64   `json:"precond_ms"`
@@ -476,8 +478,8 @@ func runLoad(reg registerResp) {
 		}
 		return strings.Join(parts, ",")
 	}
-	fmt.Printf("timings_ms: total=%.3f queue=%.3f pcg=%.3f precond=%.3f bottom=%.3f levels=%d\n",
-		tm.TotalMS, tm.QueueMS, tm.PCGMS, tm.PrecondMS, tm.BottomMS, tm.Levels)
+	fmt.Printf("timings_ms: total=%.3f decode=%.3f queue=%.3f pcg=%.3f precond=%.3f bottom=%.3f encode=%.3f levels=%d\n",
+		tm.TotalMS, tm.DecodeMS, tm.QueueMS, tm.PCGMS, tm.PrecondMS, tm.BottomMS, tm.EncodeMS, tm.Levels)
 	fmt.Printf("timings_ms_per_level: cheb=[%s] forward=[%s] back=[%s]\n",
 		perLevel(tm.ChebMS), perLevel(tm.ForwardMS), perLevel(tm.BackMS))
 	checkSnapHits()

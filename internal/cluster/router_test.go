@@ -382,20 +382,29 @@ func TestRouterBadRegisterBody(t *testing.T) {
 func TestRouterMetrics(t *testing.T) {
 	tc := newTestCluster(t, "m1")
 	postJSON(t, tc.front.URL+"/graphs", `{"spec":"grid2d:4x4","seed":1}`, nil)
-	resp, err := http.Get(tc.front.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	text := buf.String()
-	for _, want := range []string{
+	wants := []string{
 		`parlap_router_requests_total{node="m1"} 1`,
 		`parlap_router_node_up{node="m1"} 1`,
 		`parlap_router_retries_total{node="m1"} 0`,
 		`parlap_router_http_requests_total{route="register",code="200"} 1`,
-	} {
+	}
+	// The route counter is bumped after the register handler returns, which
+	// can be after the client has its reply: poll briefly for it.
+	var text string
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(tc.front.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		text = buf.String()
+		if strings.Contains(text, wants[len(wants)-1]) || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, want := range wants {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}

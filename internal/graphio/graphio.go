@@ -1,6 +1,8 @@
 // Package graphio reads and writes the graph formats used by the command-
-// line tools: a whitespace edge-list format and symmetric Matrix Market
-// coordinate files (the format SDD solver suites conventionally exchange).
+// line tools — a whitespace edge-list format and symmetric Matrix Market
+// coordinate files (the format SDD solver suites conventionally exchange) —
+// and holds the float-vector wire codec that every vector the solver
+// service exchanges goes through (vector.go).
 package graphio
 
 import (

@@ -3,19 +3,16 @@ package graphio
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
 )
 
-// The ndjson vector codec: one JSON array of finite numbers per line, the
-// wire format of the solver service's streaming batch endpoint. The encoder
-// uses Go's shortest round-trip float formatting, so
-// ParseVectorRow(AppendVectorRow(nil, x)) returns x bitwise — the property
-// the streaming tests pin (streamed solutions must equal independent solves
-// bit for bit after one encode/decode round trip on each side).
+// The ndjson vector stream: one JSON array of finite numbers per line, the
+// wire format of the solver service's streaming batch endpoint, on the
+// float-vector codec of vector.go. ParseVectorRow(AppendVectorRow(nil, x))
+// returns x bitwise — the property the streaming tests pin (streamed
+// solutions must equal independent solves bit for bit after one
+// encode/decode round trip on each side).
 
 // DefaultMaxRowBytes bounds one ndjson row (16 MiB ≈ a 700k-entry vector);
 // oversized rows fail with an explicit error instead of a silent truncation.
@@ -102,62 +99,18 @@ func (s *VectorScanner) readLine() ([]byte, error) {
 
 // ParseVectorRow decodes one ndjson row: exactly one JSON array of finite
 // numbers, nothing after it. NaN/Inf (not valid JSON), out-of-range
-// literals like 1e999, non-numeric elements and trailing data are all
-// rejected.
+// literals like 1e999, null and other non-numeric elements, and trailing
+// data are all rejected.
 func ParseVectorRow(line []byte) ([]float64, error) {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	var x []float64
-	if err := dec.Decode(&x); err != nil {
+	r := NewJSONReader(line)
+	x, err := r.Vector(nil)
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("bad vector row: %w", err)
 	}
-	if x == nil {
-		return nil, fmt.Errorf("bad vector row: null is not a vector")
-	}
-	// json.Decode stops at the end of the first value; anything else on the
-	// line (a second array, stray tokens) is a malformed row.
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("trailing data after vector row")
-	}
-	for i, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("entry %d is not finite (%v)", i, v)
-		}
-	}
 	return x, nil
-}
-
-// AppendVectorRow appends x as one JSON array (no trailing newline) to dst.
-// Floats use strconv's shortest round-trip formatting: decoding the output
-// recovers every entry bitwise. Non-finite entries cannot be represented in
-// JSON; callers must not pass them (solver outputs are finite).
-func AppendVectorRow(dst []byte, x []float64) []byte {
-	dst = append(dst, '[')
-	for i, v := range x {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendJSONFloat(dst, v)
-	}
-	return append(dst, ']')
-}
-
-// appendJSONFloat mirrors encoding/json's float64 encoding (shortest
-// round-trip form, with the e-notation adjustment JSON requires).
-func appendJSONFloat(dst []byte, v float64) []byte {
-	abs := math.Abs(v)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, v, format, -1, 64)
-	if format == 'e' {
-		// Clean up e-09 to e-9, as encoding/json does.
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
 }
 
 // WriteVectorRow writes x as one ndjson line (array + newline).

@@ -74,6 +74,7 @@ func TestVectorScannerRejectsMalformed(t *testing.T) {
 		"inf-literal":     "[Infinity]\n",
 		"overflow":        "[1e999]\n",
 		"string-entry":    "[1,\"x\",2]\n",
+		"null-entry":      "[1,null]\n",
 		"object-row":      "{\"b\":[1,2]}\n",
 		"null-row":        "null\n",
 		"trailing-data":   "[1,2][3,4]\n",

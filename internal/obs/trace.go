@@ -29,8 +29,15 @@ type SolveTrace struct {
 	PrecondNS int64
 	// BottomNS is the total time in bottom-level direct solves.
 	BottomNS int64
-	// TotalNS is the end-to-end request time (filled by the serving layer).
+	// TotalNS is the end-to-end request time (filled by the serving layer;
+	// for an HTTP request it runs from reading the body to the encoded
+	// reply, DecodeNS and EncodeNS included).
 	TotalNS int64
+	// DecodeNS is reading and parsing the right-hand sides off the wire and
+	// EncodeNS formatting the solutions for it (filled by the serving layer;
+	// a stream window's EncodeNS also covers flushing its rows).
+	DecodeNS int64
+	EncodeNS int64
 	// ChebNS, FwdNS and BackNS are per-chain-level totals (level 0 = top);
 	// chains deeper than TraceLevels fold the excess into the last slot.
 	ChebNS [TraceLevels]int64
@@ -69,13 +76,15 @@ const (
 	StageForward                // elimination forward replays, summed
 	StageBack                   // elimination back-substitutions, summed
 	StageBottom                 // bottom direct solves
+	StageDecode                 // reading and parsing the right-hand sides
+	StageEncode                 // formatting the solutions
 	StageTotal                  // end-to-end request time
 	NumStages
 )
 
 var stageNames = [NumStages]string{
 	"queue", "workspace", "pcg", "precond", "cheb", "forward", "back",
-	"bottom", "total",
+	"bottom", "decode", "encode", "total",
 }
 
 func (s Stage) String() string {
@@ -96,8 +105,8 @@ func Stages() [NumStages]Stage {
 
 // StageNS aggregates the trace's time for one stage (see the Stage
 // constants for semantics). StagePCG subtracts the preconditioner time from
-// the outer driver so the top-level stages partition TotalNS − QueueNS
-// (up to timer skew).
+// the outer driver so the top-level stages (decode, queue, workspace, pcg,
+// precond, encode) partition TotalNS up to timer skew and the cache lookup.
 func (t *SolveTrace) StageNS(s Stage) int64 {
 	switch s {
 	case StageQueue:
@@ -119,6 +128,10 @@ func (t *SolveTrace) StageNS(s Stage) int64 {
 		return sumLevels(&t.BackNS)
 	case StageBottom:
 		return t.BottomNS
+	case StageDecode:
+		return t.DecodeNS
+	case StageEncode:
+		return t.EncodeNS
 	case StageTotal:
 		return t.TotalNS
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"time"
 
 	"parlap/internal/gen"
 	"parlap/internal/graph"
@@ -97,6 +98,10 @@ type SolveTimings struct {
 	ChebMS      []float64 `json:"cheb_ms_per_level"`
 	ForwardMS   []float64 `json:"forward_ms_per_level"`
 	BackMS      []float64 `json:"back_ms_per_level"`
+	// DecodeMS is reading and parsing the request body, EncodeMS formatting
+	// the reply; total_ms spans both.
+	DecodeMS float64 `json:"decode_ms"`
+	EncodeMS float64 `json:"encode_ms"`
 }
 
 // solveTimingsJSON renders a trace for the wire.
@@ -117,6 +122,8 @@ func solveTimingsJSON(tr *obs.SolveTrace) *SolveTimings {
 		ChebMS:      make([]float64, lv),
 		ForwardMS:   make([]float64, lv),
 		BackMS:      make([]float64, lv),
+		DecodeMS:    toMS(tr.DecodeNS),
+		EncodeMS:    toMS(tr.EncodeNS),
 	}
 	for i := 0; i < lv; i++ {
 		out.ChebMS[i] = toMS(tr.ChebNS[i])
@@ -173,13 +180,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, r, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes; split the batch across requests", int64(maxBodyBytes))
-			return false
-		}
-		writeError(w, r, http.StatusBadRequest, "bad request body: %v", err)
+		writeBodyError(w, r, err)
 		return false
 	}
 	return true
@@ -275,27 +276,26 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]string{"graphs": s.List()})
 }
 
+// handleSolve serves POST /graphs/{id}/solve (the codec is in wire.go).
+// The request's trace covers the whole exchange: reading and decoding the
+// body, the solve, and formatting the reply.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var req SolveRequest
-	if !decodeBody(w, r, &req) {
+	tStart := time.Now()
+	buf := getBuf()
+	defer putBuf(buf)
+	var err error
+	if *buf, err = readBody(w, r, *buf); err != nil {
+		writeBodyError(w, r, err)
 		return
 	}
-	single := req.B != nil
-	var bs [][]float64
-	switch {
-	case single && req.Batch != nil:
-		writeError(w, r, http.StatusBadRequest, "set exactly one of b and batch, not both")
-		return
-	case single:
-		bs = [][]float64{req.B}
-	case req.Batch != nil:
-		bs = req.Batch
-	default:
-		writeError(w, r, http.StatusBadRequest, "set one of b and batch")
+	bs, eps, single, err := decodeSolveBody(*buf)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	xs, sts, tr, err := s.solveTraced(r.Context(), id, bs, req.Eps)
+	decodeNS := time.Since(tStart).Nanoseconds()
+	var tr obs.SolveTrace
+	e, xs, sts, err := s.solveTraced(r.Context(), r.PathValue("id"), bs, eps, &tr)
 	if err != nil {
 		var nf *NotFoundError
 		switch {
@@ -310,19 +310,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	var timings *SolveTimings
+	// The request buffer is free again: the reply is formatted into it.
+	tEncode := time.Now()
+	out := appendSolveJSON((*buf)[:0], xs, sts, single)
+	tr.DecodeNS, tr.EncodeNS = decodeNS, time.Since(tEncode).Nanoseconds()
+	tr.TotalNS = time.Since(tStart).Nanoseconds()
+	s.observeSolve(e, &tr, len(xs))
 	if r.URL.Query().Get("debug") == "timings" {
-		timings = solveTimingsJSON(&tr)
+		out = append(append(out, `,"timings":`...), timingsJSON(&tr)...)
 	}
-	wire := make([]SolveStatsJSON, len(sts))
-	for i, st := range sts {
-		wire[i] = SolveStatsJSON{Iterations: st.Iterations, Converged: st.Converged, Residual: st.Residual}
-	}
-	if single {
-		writeJSON(w, http.StatusOK, SolveResponse{X: xs[0], Stats: &wire[0], Timings: timings})
-		return
-	}
-	writeJSON(w, http.StatusOK, SolveResponse{Xs: xs, BatchStats: wire, Timings: timings})
+	*buf = append(out, "}\n"...)
+	writeBody(w, *buf)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -593,21 +593,28 @@ func (s *Server) recharge(e *entry) {
 // len(bs) == 1 takes the single-RHS path; larger batches share one
 // preconditioner-chain pass per iteration across all columns.
 func (s *Server) Solve(ctx context.Context, id string, bs [][]float64, eps float64) ([][]float64, []solver.SolveStats, error) {
-	xs, sts, _, err := s.solveTraced(ctx, id, bs, eps)
-	return xs, sts, err
+	tStart := time.Now()
+	var tr obs.SolveTrace
+	e, xs, sts, err := s.solveTraced(ctx, id, bs, eps, &tr)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr.TotalNS = time.Since(tStart).Nanoseconds()
+	s.observeSolve(e, &tr, len(bs))
+	return xs, sts, nil
 }
 
 // solveTraced is Solve plus the per-request stage trace: queue wait,
-// workspace acquire, outer PCG, per-level preconditioner stages, and the
-// end-to-end total, recorded into the telemetry registry and returned for
-// the ?debug=timings surface. Timing never touches the arithmetic.
-func (s *Server) solveTraced(ctx context.Context, id string, bs [][]float64, eps float64) ([][]float64, []solver.SolveStats, obs.SolveTrace, error) {
-	var tr obs.SolveTrace
-	fail := func(err error) ([][]float64, []solver.SolveStats, obs.SolveTrace, error) {
+// workspace acquire, outer PCG and per-level preconditioner stages
+// overwrite *tr. The caller completes the trace (TotalNS, and
+// decode/encode when it has them) and records it with observeSolve on the
+// returned entry. Timing never touches the arithmetic.
+func (s *Server) solveTraced(ctx context.Context, id string, bs [][]float64, eps float64,
+	tr *obs.SolveTrace) (*entry, [][]float64, []solver.SolveStats, error) {
+	fail := func(err error) (*entry, [][]float64, []solver.SolveStats, error) {
 		s.met.solveErrors.Add(1)
-		return nil, nil, tr, err
+		return nil, nil, nil, err
 	}
-	tStart := time.Now()
 	e, err := s.lookupOrRestoreRef(ctx, id)
 	if err != nil {
 		return fail(err)
@@ -646,17 +653,15 @@ func (s *Server) solveTraced(ctx context.Context, id string, bs [][]float64, eps
 		s.admit.Release(e.id)
 	}()
 	opt := solver.Options{Workers: s.workersForOccupancy(occupancy)}
-	xs, sts := e.solver.SolveBatchTraced(bs, eps, opt, &tr)
+	xs, sts := e.solver.SolveBatchTraced(bs, eps, opt, tr)
 	tr.QueueNS = queueNS
-	tr.TotalNS = time.Since(tStart).Nanoseconds()
 	e.solves.Add(1)
 	e.rhsServed.Add(int64(len(bs)))
 	for _, st := range sts {
 		e.iterations.Add(int64(st.Iterations))
 	}
-	s.observeSolve(e, &tr, len(bs))
 	s.recharge(e)
-	return xs, sts, tr, nil
+	return e, xs, sts, nil
 }
 
 // NotFoundError reports an unknown (or evicted) graph id.

@@ -78,8 +78,11 @@ func (s *Server) solveStream(ctx context.Context, id string, eps float64,
 		// Gather one window.
 		bs = bs[:0]
 		var streamErr error
+		var decodeNS int64
 		for len(bs) < window {
+			tRow := time.Now()
 			b, err := next()
+			decodeNS += time.Since(tRow).Nanoseconds()
 			if err == io.EOF {
 				streamErr = io.EOF
 				break
@@ -120,25 +123,29 @@ func (s *Server) solveStream(ctx context.Context, id string, eps float64,
 				return e.solver.SolveBlockTraced(&rhsBlk, &outBlk, eps, opt, &tr, stsBuf)
 			}()
 			stsBuf = sts[:0]
-			tr.QueueNS = queueNS
-			tr.TotalNS = time.Since(tWin).Nanoseconds()
 			e.solves.Add(1)
 			e.rhsServed.Add(int64(len(bs)))
 			for _, st := range sts {
 				e.iterations.Add(int64(st.Iterations))
 			}
-			s.observeSolve(e, &tr, len(bs))
 			s.met.streamWindows.Add(1)
 			s.met.streamRows.Add(int64(len(bs)))
 			s.recharge(e)
-			for i := range sts {
+			tEncode := time.Now()
+			emitted, emitErr := 0, error(nil)
+			for ; emitted < len(sts) && emitErr == nil; emitted++ {
 				// Fresh vector per row: emit callbacks may retain it past the
 				// next window's reuse of the block.
 				x := make([]float64, e.n)
-				outBlk.ColInto(i, x)
-				if err := emit(done+i, x, sts[i]); err != nil {
-					return done + i, fmt.Errorf("%w: emit row %d: %v", ErrStreamAbort, done+i, err)
-				}
+				outBlk.ColInto(emitted, x)
+				emitErr = emit(done+emitted, x, sts[emitted])
+			}
+			tr.QueueNS, tr.DecodeNS, tr.EncodeNS = queueNS, decodeNS, time.Since(tEncode).Nanoseconds()
+			tr.TotalNS = decodeNS + time.Since(tWin).Nanoseconds()
+			s.observeSolve(e, &tr, len(bs))
+			if emitErr != nil {
+				row := done + emitted - 1
+				return row, fmt.Errorf("%w: emit row %d: %v", ErrStreamAbort, row, emitErr)
 			}
 			done += len(bs)
 		}
@@ -149,17 +156,6 @@ func (s *Server) solveStream(ctx context.Context, id string, eps float64,
 			return done, err
 		}
 	}
-}
-
-// streamSolutionRow is the wire form of one streamed solution: the row
-// index it answers, the solution vector (encoded with round-trip float
-// formatting), and the per-solve statistics.
-type streamSolutionRow struct {
-	Row        int             `json:"row"`
-	X          json.RawMessage `json:"x"`
-	Iterations int             `json:"iterations"`
-	Converged  bool            `json:"converged"`
-	Residual   float64         `json:"residual"`
 }
 
 // streamErrorRow ends a broken stream in-band (the HTTP status is already
@@ -178,14 +174,10 @@ type streamErrorRow struct {
 // batch path. eps comes from the ?eps= query parameter.
 func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	eps := 0.0
-	if raw := r.URL.Query().Get("eps"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || v <= 0 {
-			writeError(w, r, http.StatusBadRequest, "bad eps %q", raw)
-			return
-		}
-		eps = v
+	eps, err := queryEps(r)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, "%v", err)
+		return
 	}
 	// The stream interleaves reading RHS rows with writing solution rows on
 	// one HTTP/1.x connection, which Go serves half-duplex by default: the
@@ -210,21 +202,21 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 	// SolveStream; the scanner only bounds row bytes here.
 	sc := graphio.NewVectorScanner(r.Body, 0, s.cfg.MaxStreamRowBytes)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	headerSent := false
+	var line []byte
+	// One solution row on the wire: the row index it answers, the solution
+	// vector and its statistics, {"row":…,"x":[…],"iterations":…,
+	// "converged":…,"residual":…}, newline-terminated.
 	emit := func(row int, x []float64, st solver.SolveStats) error {
 		if !headerSent {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(http.StatusOK)
 			headerSent = true
 		}
-		err := enc.Encode(streamSolutionRow{
-			Row:        row,
-			X:          json.RawMessage(graphio.AppendVectorRow(nil, x)),
-			Iterations: st.Iterations,
-			Converged:  st.Converged,
-			Residual:   st.Residual,
-		})
+		line = strconv.AppendInt(append(line[:0], `{"row":`...), int64(row), 10)
+		line = graphio.AppendVectorRow(append(line, `,"x":`...), x)
+		line = append(appendStatsFields(append(line, ','), st), "}\n"...)
+		_, err := w.Write(line)
 		if err == nil && flusher != nil {
 			flusher.Flush()
 		}
@@ -241,7 +233,7 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 	}
 	if headerSent {
 		// Mid-stream failure: the status line is gone; report in-band.
-		_ = enc.Encode(streamErrorRow{
+		_ = json.NewEncoder(w).Encode(streamErrorRow{
 			Error:     err.Error(),
 			RequestID: requestID(r.Context()),
 			Rows:      rows,
