@@ -27,15 +27,13 @@ import (
 )
 
 var (
-	outPath   = flag.String("out", "BENCH_solve.json", "output file")
-	quick     = flag.Bool("quick", false, "CI-sized repetitions")
-	full      = flag.Bool("full", false, "also run grid2d:256x256 (minutes on one core)")
-	eps       = flag.Float64("eps", 1e-6, "relative residual target")
-	batchK    = flag.Int("batch", 8, "batch width for the batched-solve row")
-	seed      = flag.Int64("seed", 1, "graph + RHS seed")
-	workers   = flag.Int("workers", 0, "solver worker count (0 = GOMAXPROCS); iteration counts are identical for every value")
-	precision = flag.String("precision", "f64", "chain value storage: f64 or f32 (per-level quality gate)")
-	reorder   = flag.Bool("reorder", false, "build chains with the cache-aware Cuthill-McKee level layout")
+	outPath = flag.String("out", "BENCH_solve.json", "output file")
+	quick   = flag.Bool("quick", false, "CI-sized repetitions")
+	full    = flag.Bool("full", false, "also run grid2d:256x256 (minutes on one core)")
+	eps     = flag.Float64("eps", 1e-6, "relative residual target")
+	batchK  = flag.Int("batch", 8, "batch width for the batched-solve row")
+	seed    = flag.Int64("seed", 1, "graph + RHS seed")
+	workers = flag.Int("workers", 0, "solver worker count (0 = GOMAXPROCS); iteration counts are identical for every value")
 )
 
 // result is one topology's row.
@@ -82,8 +80,6 @@ type doc struct {
 	NumCPU     int      `json:"num_cpu"`
 	Eps        float64  `json:"eps"`
 	Quick      bool     `json:"quick"`
-	Precision  string   `json:"precision"`
-	Reorder    bool     `json:"reorder,omitempty"`
 	Results    []result `json:"results"`
 }
 
@@ -132,11 +128,6 @@ func main() {
 	if *full {
 		specs = append(specs, "grid2d:256x256")
 	}
-	prec, err := solver.ParsePrecision(*precision)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsolve:", err)
-		os.Exit(1)
-	}
 	out := doc{
 		GeneratedUnix: time.Now().Unix(),
 		GitSHA:        gitSHA(),
@@ -145,8 +136,6 @@ func main() {
 		NumCPU:        runtime.NumCPU(),
 		Eps:           *eps,
 		Quick:         *quick,
-		Precision:     prec.String(),
-		Reorder:       *reorder,
 	}
 	for _, spec := range specs {
 		g, err := gen.FromSpec(spec, *seed)
@@ -155,8 +144,6 @@ func main() {
 			os.Exit(1)
 		}
 		params := solver.DefaultChainParams()
-		params.Precision = prec
-		params.ReorderLevels = *reorder
 		t0 := time.Now()
 		s, err := solver.NewWithOptions(g, params, solver.Options{Workers: *workers}, nil)
 		buildMS := float64(time.Since(t0).Microseconds()) / 1000

@@ -138,7 +138,11 @@ func e2() {
 func e3() {
 	header("E3", "Lem 4.4: #covering (center,iter) pairs per vertex = O(log^2 n)")
 	fmt.Printf("%-10s %8s %10s %10s %12s\n", "graph", "n", "maxCover", "avgCover", "log2(n)^2")
-	for _, side := range []int{16, 32, 64, scaled(128, 64)} {
+	sides := []int{16, 32, 64}
+	if !*quickFlag {
+		sides = append(sides, 128)
+	}
+	for _, side := range sides {
 		g := gen.Grid2D(side, side)
 		p := decomp.PracticalParams()
 		p.CountCoverage = true

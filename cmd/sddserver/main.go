@@ -79,8 +79,6 @@ var (
 	maxLevels     = flag.Int("max-levels", 0, "override the chain length cap (0 = default 8)")
 	chebSlack     = flag.Float64("cheb-slack", 0, "override the static κ·slack safety envelope on the Chebyshev lower bound (0 = default 1.5)")
 	budgetLiftN   = flag.Int("budget-lift-n", 0, "top-level vertex count past which the Chebyshev work budget lifts to the full measured sqrt(kappa) schedule (0 = default 65536, negative = never lift)")
-	chainPrec     = flag.String("chain-precision", "f64", "value storage for chain sparsifier levels: f64, or f32 (halves level bandwidth; a per-level quality gate falls back to f64 where measured kappa degrades)")
-	chainReorder  = flag.Bool("chain-reorder", false, "relabel chain levels with a cache-aware Cuthill-McKee ordering at build time")
 	chainDir      = flag.String("chain-dir", "", "directory for persisted chain snapshots; enables restore-on-boot/miss and snapshot-on-shutdown (empty = no persistence)")
 	s3Endpoint    = flag.String("chain-s3-endpoint", "", "S3-compatible endpoint URL for chain snapshots (e.g. http://minio:9000); mutually exclusive with -chain-dir")
 	s3Bucket      = flag.String("chain-s3-bucket", "", "S3 bucket holding chain snapshots (required with -chain-s3-endpoint)")
@@ -127,13 +125,6 @@ func main() {
 	if *budgetLiftN != 0 {
 		chain.BudgetLiftVertices = *budgetLiftN
 	}
-	prec, err := solver.ParsePrecision(*chainPrec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	chain.Precision = prec
-	chain.ReorderLevels = *chainReorder
 	var store chainio.BlobStore
 	storeDesc := ""
 	switch {

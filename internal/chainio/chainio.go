@@ -47,18 +47,17 @@ import (
 )
 
 const (
-	// Version is the current snapshot format version. Version 4 replaced
-	// the dense bottom triangle with the sparse factor (elimination order,
-	// column pointers, row positions, L values, D) and appended the
-	// truncation record (probes + stop reason). Version 3 appended
-	// ChainParams.Precision + ReorderLevels to the parameter record and the
-	// per-level precision-gate outcome (ValF32, KappaF64) plus the
-	// Cuthill–McKee permutation; version 2 appended
-	// ChainParams.BudgetLiftVertices (the size-adaptive Chebyshev schedule
-	// policy). Earlier snapshots are rejected rather than guessed at —
-	// rebuilding a chain is cheap next to silently restoring a different
-	// schedule or layout.
-	Version = 4
+	// Version is the current snapshot format version. Version 5 dropped
+	// the float32 level storage and Cuthill–McKee layout fields that
+	// version 3 had added (two chain parameters; per level the precision-
+	// gate outcome and the permutation). Version 4 replaced the dense bottom triangle with the
+	// sparse factor (elimination order, column pointers, row positions, L
+	// values, D) and appended the truncation record (probes + stop reason);
+	// version 2 appended ChainParams.BudgetLiftVertices (the size-adaptive
+	// Chebyshev schedule policy). Other versions are rejected rather than
+	// guessed at — rebuilding a chain is cheap next to silently restoring a
+	// different schedule.
+	Version = 5
 
 	magicLen   = 8
 	trailerLen = sha256.Size
@@ -128,9 +127,6 @@ func Encode(s *solver.Solver, id string) ([]byte, error) {
 		w.f64(lvl.EigLo)
 		w.f64(lvl.KappaMeasured)
 		w.bool(lvl.Calibrated)
-		w.bool(lvl.ValF32)
-		w.f64(lvl.KappaF64)
-		w.i32s(lvl.Perm)
 	}
 	encodeGraph(w, d.BottomG)
 	w.u64(uint64(len(d.BottomOrder)))
@@ -230,11 +226,6 @@ func Decode(data []byte, wantID string, opt solver.Options) (*solver.Solver, err
 		lvl.EigLo = r.f64()
 		lvl.KappaMeasured = r.f64()
 		lvl.Calibrated = r.bool()
-		lvl.ValF32 = r.bool()
-		lvl.KappaF64 = r.f64()
-		// Permutation validity (range + bijection) is checked by
-		// AssembleSnapshot against the level's vertex count.
-		lvl.Perm = r.i32s()
 		d.Levels = append(d.Levels, lvl)
 	}
 	d.BottomG = decodeGraph(r)
@@ -316,8 +307,6 @@ func encodeParams(w writer, p *solver.ChainParams) {
 	w.f64(p.ChebBudget)
 	w.i64(p.Seed)
 	w.i64(int64(p.BudgetLiftVertices))
-	w.u8(uint8(p.Precision))
-	w.bool(p.ReorderLevels)
 }
 
 func decodeParams(r *reader, p *solver.ChainParams) {
@@ -340,12 +329,6 @@ func decodeParams(r *reader, p *solver.ChainParams) {
 	p.ChebBudget = r.f64()
 	p.Seed = r.i64()
 	p.BudgetLiftVertices = int(r.i64())
-	prec := r.u8()
-	if prec > uint8(solver.PrecisionF32) {
-		r.fail("unknown chain precision %d", prec)
-	}
-	p.Precision = solver.Precision(prec)
-	p.ReorderLevels = r.bool()
 }
 
 func encodeGraph(w writer, g *graph.Graph) {

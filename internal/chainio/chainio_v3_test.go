@@ -12,18 +12,18 @@ import (
 	"parlap/internal/solver"
 )
 
-// Format-v3 coverage: chains carrying the new per-level payload — float32
-// value storage (gate outcome + f64 baseline κ) and Cuthill–McKee
-// permutations — must round-trip bit-identically (restore re-applies
-// permute-then-convert in build order), and blobs with corrupted v3 fields
-// must be rejected as cleanly as any other corruption.
+// The suites first written for format v3. The v3 per-level payload (float32
+// value flags, Cuthill–McKee permutations) left the format in v5; what these
+// suites still guard is the rest of what a recursing chain carries: the
+// encoded ChainParams and the calibrated schedule must come back exactly
+// under non-default parameters, and a blob holding recursing levels must be
+// rejected as cleanly as the bottom-only blob of TestCorruptionRejected.
 
-func buildVariantSolver(t *testing.T, g *graph.Graph, prec solver.Precision, reorder bool, workers int) *solver.Solver {
+func buildVariantSolver(t *testing.T, g *graph.Graph, tweak func(*solver.ChainParams), workers int) *solver.Solver {
 	t.Helper()
 	params := pinnedDepthParams(g)
 	params.Seed = 42
-	params.Precision = prec
-	params.ReorderLevels = reorder
+	tweak(&params)
 	s, err := solver.NewWithOptions(g, params, solver.Options{Workers: workers}, nil)
 	if err != nil {
 		t.Fatalf("build: %v", err)
@@ -34,18 +34,17 @@ func buildVariantSolver(t *testing.T, g *graph.Graph, prec solver.Precision, reo
 func TestRoundTripBitwiseV3Variants(t *testing.T) {
 	const eps = 1e-8
 	variants := []struct {
-		name    string
-		prec    solver.Precision
-		reorder bool
+		name  string
+		tweak func(*solver.ChainParams)
 	}{
-		{"f32", solver.PrecisionF32, false},
-		{"f64+reorder", solver.PrecisionF64, true},
-		{"f32+reorder", solver.PrecisionF32, true},
+		{"kappa-growth-1", func(p *solver.ChainParams) { p.KappaGrowth = 1 }},
+		{"budget-lifted", func(p *solver.ChainParams) { p.BudgetLiftVertices = 1 }},
+		{"min-cheb-8", func(p *solver.ChainParams) { p.MinChebIts = 8 }},
 	}
 	for _, tb := range testbedGraphs() {
 		for _, v := range variants {
 			t.Run(tb.name+"/"+v.name, func(t *testing.T) {
-				orig := buildVariantSolver(t, tb.g, v.prec, v.reorder, 0)
+				orig := buildVariantSolver(t, tb.g, v.tweak, 0)
 				id := graph.CanonicalID(tb.g)
 				data, err := Encode(orig, id)
 				if err != nil {
@@ -59,15 +58,10 @@ func TestRoundTripBitwiseV3Variants(t *testing.T) {
 					if err != nil {
 						t.Fatalf("workers=%d: decode: %v", w, err)
 					}
-					// The restored chain must carry the same gate and layout
-					// outcomes, not just solve identically.
-					if restored.Chain.F32Levels() != orig.Chain.F32Levels() {
-						t.Fatalf("workers=%d: restored %d f32 levels, want %d",
-							w, restored.Chain.F32Levels(), orig.Chain.F32Levels())
-					}
-					if restored.Chain.ReorderedLevels() != orig.Chain.ReorderedLevels() {
-						t.Fatalf("workers=%d: restored %d reordered levels, want %d",
-							w, restored.Chain.ReorderedLevels(), orig.Chain.ReorderedLevels())
+					// The restored chain must carry the same parameters and
+					// calibration outcomes, not just solve identically.
+					if !reflect.DeepEqual(restored.Chain.Params, orig.Chain.Params) {
+						t.Fatalf("workers=%d: params differ: %+v vs %+v", w, restored.Chain.Params, orig.Chain.Params)
 					}
 					if so, sr := orig.Chain.Schedule(), restored.Chain.Schedule(); !reflect.DeepEqual(so, sr) {
 						t.Fatalf("workers=%d: schedule differs: %+v vs %+v", w, sr, so)
@@ -88,16 +82,15 @@ func TestRoundTripBitwiseV3Variants(t *testing.T) {
 }
 
 // TestCorruptionRejectedV3 re-runs the corruption sweep over a blob whose
-// payload exercises every v3 field (f32 flags, baseline κs, permutation
-// arrays): bit flips must trip the checksum, resealed flips must never panic
-// (a flipped permutation entry has to be caught by the bijection check, a
-// flipped level-0 flag by the exemption check), and truncations inside the
-// new fields must fail with ErrCorrupt.
+// payload holds recursing levels (elimination logs, schedules, component
+// indices): bit flips must trip the checksum, resealed flips must never
+// panic, and truncations anywhere in the level payload must fail with
+// ErrCorrupt.
 func TestCorruptionRejectedV3(t *testing.T) {
 	g := gen.Grid2D(20, 20)
-	s := buildVariantSolver(t, g, solver.PrecisionF32, true, 1)
-	if s.Chain.F32Levels() == 0 || s.Chain.ReorderedLevels() == 0 {
-		t.Fatal("testbed blob does not exercise the v3 fields")
+	s := buildVariantSolver(t, g, func(*solver.ChainParams) {}, 1)
+	if len(s.Chain.Levels) == 0 {
+		t.Fatal("testbed blob holds no recursing level")
 	}
 	id := graph.CanonicalID(g)
 	data, err := Encode(s, id)

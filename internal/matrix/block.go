@@ -138,21 +138,10 @@ func (a *Sparse) MulVecBlockW(workers int, x, y *Block) {
 		a.MulVecW(workers, x.Vec(), y.Vec())
 		return
 	}
-	// Named row helpers, closures only on the parallel branch (sequential
-	// zero-alloc wall); the f32-valued twin widens each coefficient before
-	// the identical per-lane accumulation.
+	// Named row helper, closure only on the parallel branch (sequential
+	// zero-alloc wall).
 	if par.Sequential(workers) {
-		if a.Val == nil {
-			a.mulVecBlockRowsF32(x, y, k, 0, a.N)
-			return
-		}
 		a.mulVecBlockRows(x, y, k, 0, a.N)
-		return
-	}
-	if a.Val == nil {
-		par.ForChunkedW(workers, a.N, func(lo, hi int) {
-			a.mulVecBlockRowsF32(x, y, k, lo, hi)
-		})
 		return
 	}
 	par.ForChunkedW(workers, a.N, func(lo, hi int) {
@@ -168,23 +157,6 @@ func (a *Sparse) mulVecBlockRows(x, y *Block, k, lo, hi int) {
 		}
 		for i := a.Off[r]; i < a.Off[r+1]; i++ {
 			v := a.Val[i]
-			at := int(a.Col[i]) * k
-			xr := x.data[at : at+k]
-			for c := 0; c < k; c++ {
-				yr[c] += v * xr[c]
-			}
-		}
-	}
-}
-
-func (a *Sparse) mulVecBlockRowsF32(x, y *Block, k, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		yr := y.data[r*k : (r+1)*k]
-		for c := range yr {
-			yr[c] = 0
-		}
-		for i := a.Off[r]; i < a.Off[r+1]; i++ {
-			v := float64(a.Val32[i])
 			at := int(a.Col[i]) * k
 			xr := x.data[at : at+k]
 			for c := 0; c < k; c++ {
@@ -211,17 +183,7 @@ func (a *Sparse) MulVecAxpyBlockW(workers int, x, ap *Block, alpha float64, y *B
 	// value heap-allocates at its declaration, which would break the
 	// sequential path's zero-allocation guarantee.
 	if par.Sequential(workers) {
-		if a.Val == nil {
-			a.mulVecAxpyBlockRowsF32(x, ap, alpha, y, k, 0, a.N)
-			return
-		}
 		a.mulVecAxpyBlockRows(x, ap, alpha, y, k, 0, a.N)
-		return
-	}
-	if a.Val == nil {
-		par.ForChunkedW(workers, a.N, func(lo, hi int) {
-			a.mulVecAxpyBlockRowsF32(x, ap, alpha, y, k, lo, hi)
-		})
 		return
 	}
 	par.ForChunkedW(workers, a.N, func(lo, hi int) {
@@ -237,27 +199,6 @@ func (a *Sparse) mulVecAxpyBlockRows(x, ap *Block, alpha float64, y *Block, k, l
 		}
 		for i := a.Off[r]; i < a.Off[r+1]; i++ {
 			v := a.Val[i]
-			at := int(a.Col[i]) * k
-			xr := x.data[at : at+k]
-			for c := 0; c < k; c++ {
-				apr[c] += v * xr[c]
-			}
-		}
-		yr := y.data[r*k : (r+1)*k]
-		for c := 0; c < k; c++ {
-			yr[c] = alpha*apr[c] + yr[c]
-		}
-	}
-}
-
-func (a *Sparse) mulVecAxpyBlockRowsF32(x, ap *Block, alpha float64, y *Block, k, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		apr := ap.data[r*k : (r+1)*k]
-		for c := range apr {
-			apr[c] = 0
-		}
-		for i := a.Off[r]; i < a.Off[r+1]; i++ {
-			v := float64(a.Val32[i])
 			at := int(a.Col[i]) * k
 			xr := x.data[at : at+k]
 			for c := 0; c < k; c++ {

@@ -91,49 +91,3 @@ func ProjectOutConstantMaskedIdxW(workers int, x []float64, ci *CompIndex) {
 		}
 	})
 }
-
-// ProjectOutConstantMaskedBatchIdxW is the batched form: one pass over the
-// component-sorted order serves every column's segmented sums, and each
-// column folds through exactly the single-column chunk tree, so column c is
-// bitwise identical to ProjectOutConstantMaskedIdxW on that column.
-func ProjectOutConstantMaskedBatchIdxW(workers int, xs [][]float64, ci *CompIndex) {
-	k := len(xs)
-	if k == 0 {
-		return
-	}
-	n := len(xs[0])
-	if ci.NumComp == 1 {
-		mus := par.SumFloat64BatchW(workers, n, k, func(i, c int) float64 { return xs[c][i] })
-		for c := range mus {
-			mus[c] /= float64(n)
-		}
-		par.ForChunkedW(workers, n, func(lo, hi int) {
-			for c := 0; c < k; c++ {
-				mu, x := mus[c], xs[c]
-				for i := lo; i < hi; i++ {
-					x[i] -= mu
-				}
-			}
-		})
-		return
-	}
-	mus := par.SegmentedSumFloat64BatchW(workers, k, ci.SegOff, func(i, c int) float64 {
-		return xs[c][ci.Order[i]]
-	})
-	for s := 0; s < ci.NumComp; s++ {
-		if sz := ci.SegOff[s+1] - ci.SegOff[s]; sz > 0 {
-			for c := 0; c < k; c++ {
-				mus[s*k+c] /= float64(sz)
-			}
-		}
-	}
-	comp := ci.Comp
-	par.ForChunkedW(workers, n, func(lo, hi int) {
-		for c := 0; c < k; c++ {
-			x := xs[c]
-			for i := lo; i < hi; i++ {
-				x[i] -= mus[comp[i]*k+c]
-			}
-		}
-	})
-}

@@ -109,31 +109,6 @@ func TestProjectOutConstantMaskedWorkerBitwise(t *testing.T) {
 	}
 }
 
-func TestProjectOutConstantMaskedBatchColumnParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n, k, cols := 7000, 6, 5
-	comp := randomPartition(rng, n, k)
-	ci := NewCompIndexW(0, comp, k)
-	xs := make([][]float64, cols)
-	refs := make([][]float64, cols)
-	for c := range xs {
-		xs[c] = make([]float64, n)
-		for i := range xs[c] {
-			xs[c][i] = rng.NormFloat64() + float64((comp[i]+c)%k)
-		}
-		refs[c] = append([]float64(nil), xs[c]...)
-	}
-	ProjectOutConstantMaskedBatchIdxW(2, xs, ci)
-	for c := range refs {
-		ProjectOutConstantMaskedIdxW(1, refs[c], ci)
-		for i := range refs[c] {
-			if xs[c][i] != refs[c][i] {
-				t.Fatalf("col %d entry %d: batch %.17g != single %.17g", c, i, xs[c][i], refs[c][i])
-			}
-		}
-	}
-}
-
 func abs64(x float64) float64 {
 	if x < 0 {
 		return -x

@@ -369,7 +369,7 @@ func (s *LaplacianSymbolic) FactorW(workers int, a *Sparse) (*LaplacianFactor, e
 		w[j] = a.Diag[v]
 		for i := a.Off[v]; i < a.Off[v+1]; i++ {
 			if u := int(a.Col[i]); u != v && s.pos[u] > j {
-				w[s.pos[u]] = a.value(i)
+				w[s.pos[u]] = a.Val[i]
 			}
 		}
 		for c := head[j]; c >= 0; {

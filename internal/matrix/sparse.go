@@ -19,63 +19,23 @@ import (
 //
 // Column indices are int32: every matrix in the preconditioner chain has
 // n « 2³¹, and the apply path is memory-bandwidth-bound, so halving the
-// index traffic is a direct win. Values are float64 by default; a matrix
-// can opt into float32 storage (ConvertValues32) in which case Val is nil
-// and the kernels read Val32, widening each coefficient to float64 before
-// the (unchanged, fixed-grain) accumulation — so worker equivalence and
-// block-vs-single equivalence hold at either precision.
+// index traffic is a direct win.
 type Sparse struct {
-	N     int
-	Off   []int     // length N+1
-	Col   []int32   // length nnz
-	Val   []float64 // length nnz, nil when values are stored as float32
-	Val32 []float32 // length nnz when f32 storage is active, else nil
-	Diag  []float64 // cached diagonal, length N (always float64)
+	N    int
+	Off  []int     // length N+1
+	Col  []int32   // length nnz
+	Val  []float64 // length nnz
+	Diag []float64 // cached diagonal, length N
 }
 
 // NNZ returns the number of stored entries.
 func (a *Sparse) NNZ() int { return len(a.Col) }
 
 // MemoryBytes estimates the matrix's retained footprint (CSR arrays plus
-// the cached diagonal), honouring the compact index and value widths.
+// the cached diagonal), honouring the compact index width.
 func (a *Sparse) MemoryBytes() int64 {
 	return int64(len(a.Off))*8 + int64(len(a.Col))*4 +
-		int64(len(a.Val))*8 + int64(len(a.Val32))*4 + int64(len(a.Diag))*8
-}
-
-// ValuesF32 reports whether the matrix stores its coefficients as float32.
-func (a *Sparse) ValuesF32() bool { return a.Val == nil && a.Val32 != nil }
-
-// ConvertValues32 switches the matrix to float32 value storage (round to
-// nearest), dropping the float64 array. The caller may retain the returned
-// prior Val slice to undo the conversion via RestoreValues64.
-func (a *Sparse) ConvertValues32() []float64 {
-	if a.Val == nil {
-		return nil
-	}
-	v32 := make([]float32, len(a.Val))
-	for i, v := range a.Val {
-		v32[i] = float32(v)
-	}
-	saved := a.Val
-	a.Val32 = v32
-	a.Val = nil
-	return saved
-}
-
-// RestoreValues64 undoes ConvertValues32 with the slice it returned.
-func (a *Sparse) RestoreValues64(saved []float64) {
-	a.Val = saved
-	a.Val32 = nil
-}
-
-// value returns entry i's coefficient regardless of storage precision.
-// Cold-path accessor; the hot kernels branch once per call instead.
-func (a *Sparse) value(i int) float64 {
-	if a.Val != nil {
-		return a.Val[i]
-	}
-	return float64(a.Val32[i])
+		int64(len(a.Val))*8 + int64(len(a.Diag))*8
 }
 
 // RowEntry is one (column, value) item of a matrix row under assembly.
@@ -247,8 +207,8 @@ func GraphOfW(workers int, a *Sparse) *graph.Graph {
 	for r := 0; r < a.N; r++ {
 		for i := a.Off[r]; i < a.Off[r+1]; i++ {
 			c := int(a.Col[i])
-			if c > r && a.value(i) < 0 {
-				edges = append(edges, graph.Edge{U: r, V: c, W: -a.value(i)})
+			if c > r && a.Val[i] < 0 {
+				edges = append(edges, graph.Edge{U: r, V: c, W: -a.Val[i]})
 			}
 		}
 	}
@@ -260,22 +220,10 @@ func (a *Sparse) MulVec(x, y []float64) { a.MulVecW(0, x, y) }
 
 // MulVecW is MulVec with an explicit worker count. Rows are independent, so
 // the workers==1 fast path (no closure, no goroutines, no allocation) is
-// bitwise identical to every parallel schedule. A float32-valued matrix
-// widens each coefficient before the same left-to-right row accumulation,
-// so the f32 path keeps the identical determinism walls.
+// bitwise identical to every parallel schedule.
 func (a *Sparse) MulVecW(workers int, x, y []float64) {
 	if par.Sequential(workers) {
-		if a.Val == nil {
-			mulVecRowsF32(a, x, y, 0, a.N)
-			return
-		}
 		mulVecRows(a, x, y, 0, a.N)
-		return
-	}
-	if a.Val == nil {
-		par.ForChunkedW(workers, a.N, func(lo, hi int) {
-			mulVecRowsF32(a, x, y, lo, hi)
-		})
 		return
 	}
 	par.ForChunkedW(workers, a.N, func(lo, hi int) {
@@ -283,25 +231,14 @@ func (a *Sparse) MulVecW(workers int, x, y []float64) {
 	})
 }
 
-// mulVecRows is the f64 row kernel shared by the sequential fast path and
-// each parallel chunk (named, not a closure: the sequential call must not
+// mulVecRows is the row kernel shared by the sequential fast path and each
+// parallel chunk (named, not a closure: the sequential call must not
 // allocate).
 func mulVecRows(a *Sparse, x, y []float64, lo, hi int) {
 	for r := lo; r < hi; r++ {
 		s := 0.0
 		for i := a.Off[r]; i < a.Off[r+1]; i++ {
 			s += a.Val[i] * x[a.Col[i]]
-		}
-		y[r] = s
-	}
-}
-
-// mulVecRowsF32 is the float32-valued twin of mulVecRows.
-func mulVecRowsF32(a *Sparse, x, y []float64, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		s := 0.0
-		for i := a.Off[r]; i < a.Off[r+1]; i++ {
-			s += float64(a.Val32[i]) * x[a.Col[i]]
 		}
 		y[r] = s
 	}
@@ -321,7 +258,7 @@ func (a *Sparse) IsSDD(tol float64) bool {
 	get := func(r, c int) float64 {
 		for i := a.Off[r]; i < a.Off[r+1]; i++ {
 			if int(a.Col[i]) == c {
-				return a.value(i)
+				return a.Val[i]
 			}
 		}
 		return 0
@@ -333,7 +270,7 @@ func (a *Sparse) IsSDD(tol float64) bool {
 			if c == r {
 				continue
 			}
-			v := a.value(i)
+			v := a.Val[i]
 			if math.Abs(v-get(c, r)) > tol*(1+math.Abs(v)) {
 				return false
 			}

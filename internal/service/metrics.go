@@ -202,20 +202,17 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 // graphRow is the per-graph slice of the exposition, captured under s.mu
 // and rendered after it is released.
 type graphRow struct {
-	id        string
-	solves    int64
-	rhs       int64
-	hits      int64
-	bytes     int64
-	precision string
-	f32Levels int64
-	reordered int64
-	bottom    solver.BottomSchedule
-	probes    []solver.TruncationProbe
-	build     *solver.BuildTimings
-	lat       obs.Snapshot
-	rhsLat    obs.Snapshot
-	stageNS   [obs.NumStages]int64
+	id      string
+	solves  int64
+	rhs     int64
+	hits    int64
+	bytes   int64
+	bottom  solver.BottomSchedule
+	probes  []solver.TruncationProbe
+	build   *solver.BuildTimings
+	lat     obs.Snapshot
+	rhsLat  obs.Snapshot
+	stageNS [obs.NumStages]int64
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
@@ -238,19 +235,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		row := graphRow{
-			id:        id,
-			solves:    e.solves.Load(),
-			rhs:       e.rhsServed.Load(),
-			hits:      e.hits.Load(),
-			bytes:     e.bytes,
-			precision: e.solver.Chain.Params.Precision.String(),
-			f32Levels: int64(e.solver.Chain.F32Levels()),
-			reordered: int64(e.solver.Chain.ReorderedLevels()),
-			bottom:    e.solver.Chain.BottomInfo(),
-			probes:    e.solver.Chain.Probes,
-			build:     e.solver.Chain.Build,
-			lat:       e.lat.Snapshot(),
-			rhsLat:    e.rhsLat.Snapshot(),
+			id:     id,
+			solves: e.solves.Load(),
+			rhs:    e.rhsServed.Load(),
+			hits:   e.hits.Load(),
+			bytes:  e.bytes,
+			bottom: e.solver.Chain.BottomInfo(),
+			probes: e.solver.Chain.Probes,
+			build:  e.solver.Chain.Build,
+			lat:    e.lat.Snapshot(),
+			rhsLat: e.rhsLat.Snapshot(),
 		}
 		for i := range row.stageNS {
 			row.stageNS[i] = e.stageNS[i].Load()
@@ -345,19 +339,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e.Header("parlap_graph_bytes", "Estimated retained chain bytes per graph.", "gauge")
 	for _, row := range rows {
 		e.Int("parlap_graph_bytes", []obs.Label{{K: "graph", V: row.id}}, row.bytes)
-	}
-	e.Header("parlap_graph_chain_precision", "Chain value-storage precision per graph (value is always 1; the precision label carries the knob).", "gauge")
-	for _, row := range rows {
-		e.Int("parlap_graph_chain_precision",
-			[]obs.Label{{K: "graph", V: row.id}, {K: "precision", V: row.precision}}, 1)
-	}
-	e.Header("parlap_graph_f32_levels", "Chain levels the precision gate kept in float32 per graph.", "gauge")
-	for _, row := range rows {
-		e.Int("parlap_graph_f32_levels", []obs.Label{{K: "graph", V: row.id}}, row.f32Levels)
-	}
-	e.Header("parlap_graph_reordered_levels", "Chain levels carrying a cache-aware (Cuthill-McKee) layout per graph.", "gauge")
-	for _, row := range rows {
-		e.Int("parlap_graph_reordered_levels", []obs.Label{{K: "graph", V: row.id}}, row.reordered)
 	}
 	e.Header("parlap_graph_chain_levels", "Chain levels above the direct bottom solve per graph.", "gauge")
 	for _, row := range rows {

@@ -690,14 +690,6 @@ type GraphStats struct {
 	WorkspaceBytes int64 `json:"workspace_bytes"`
 	Levels         int   `json:"levels"`
 	EdgeCounts     []int `json:"edge_counts"`
-	// Precision is the chain's value-storage knob ("f64" or "f32");
-	// F32Levels counts the levels the per-level quality gate actually kept
-	// in float32 (the gate falls back level-by-level, so this can be less
-	// than Levels even on an f32 chain). ReorderedLevels counts levels
-	// carrying a Cuthill–McKee layout. Per-level detail is in Schedule.
-	Precision       string `json:"precision"`
-	F32Levels       int    `json:"f32_levels"`
-	ReorderedLevels int    `json:"reordered_levels"`
 	// Schedule is the calibrated per-level κ schedule: measured spectral
 	// bounds of the preconditioned operator, measured vs target condition
 	// number, and the derived Chebyshev iteration counts — the production
@@ -769,24 +761,21 @@ func (s *Server) Stats(ctx context.Context, id string) (*GraphStats, error) {
 	}
 	st := &GraphStats{
 		ID: e.id, Source: e.source, N: e.n, M: e.m,
-		BuildMS:         float64(e.buildDur.Microseconds()) / 1000,
-		Restored:        e.restored,
-		Bytes:           e.bytes,
-		WorkspaceBytes:  e.solver.WorkspaceBytes(),
-		Levels:          e.solver.Chain.Depth(),
-		EdgeCounts:      e.solver.Chain.EdgeCounts(),
-		Schedule:        e.solver.Chain.Schedule(),
-		Bottom:          e.solver.Chain.BottomInfo(),
-		Build:           e.solver.Chain.Build,
-		Precision:       e.solver.Chain.Params.Precision.String(),
-		F32Levels:       e.solver.Chain.F32Levels(),
-		ReorderedLevels: e.solver.Chain.ReorderedLevels(),
-		CacheHits:       e.hits.Load(),
-		Solves:          e.solves.Load(),
-		RHSServed:       e.rhsServed.Load(),
-		Iterations:      e.iterations.Load(),
-		BottomSolv:      e.solver.Chain.BottomSolves(),
-		MaxIter:         e.solver.MaxIter,
+		BuildMS:        float64(e.buildDur.Microseconds()) / 1000,
+		Restored:       e.restored,
+		Bytes:          e.bytes,
+		WorkspaceBytes: e.solver.WorkspaceBytes(),
+		Levels:         e.solver.Chain.Depth(),
+		EdgeCounts:     e.solver.Chain.EdgeCounts(),
+		Schedule:       e.solver.Chain.Schedule(),
+		Bottom:         e.solver.Chain.BottomInfo(),
+		Build:          e.solver.Chain.Build,
+		CacheHits:      e.hits.Load(),
+		Solves:         e.solves.Load(),
+		RHSServed:      e.rhsServed.Load(),
+		Iterations:     e.iterations.Load(),
+		BottomSolv:     e.solver.Chain.BottomSolves(),
+		MaxIter:        e.solver.MaxIter,
 	}
 	if snap := e.lat.Snapshot(); snap.Count > 0 {
 		toMS := func(ns int64) float64 { return float64(ns) / 1e6 }

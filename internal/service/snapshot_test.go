@@ -1,13 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
 
 	"parlap/internal/chainio"
 	"parlap/internal/gen"
+	"parlap/internal/solver"
 )
 
 // Service-level chain persistence tests: warm restarts restore instead of
@@ -115,63 +119,106 @@ func TestRegisterRestoresOnMiss(t *testing.T) {
 	}
 }
 
+// TestCorruptSnapshotFallsBackToBuild covers two unusable blobs: one
+// truncated with a flipped byte, and one from an older format version
+// (version byte 4, resealed so only the version check can reject it). Each
+// must be skipped by boot restore and rebuilt by the first registration,
+// and the rebuilt chain must solve bit-identically to a fresh build.
 func TestCorruptSnapshotFallsBackToBuild(t *testing.T) {
-	ctx := context.Background()
-	ds := snapshotStore(t)
-	cfg := Config{Workers: 2, Snapshots: ds, SnapshotOnBuild: true}
 	g := gen.Grid2D(6, 8)
 	id := GraphID(g)
-
-	s1 := New(cfg)
-	if _, _, err := s1.Register(ctx, g, "t"); err != nil {
+	bs := [][]float64{meanFreeRHS(g.N, 2)}
+	ctx := context.Background()
+	fresh := New(Config{Workers: 2})
+	if _, _, err := fresh.Register(ctx, g, "t"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Corrupt the persisted blob in place (truncate + flip a byte).
-	data, err := ds.Get(id)
+	xRef, _, err := fresh.Solve(ctx, id, bs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mut := data[:len(data)-7]
-	mut[len(mut)/2] ^= 0x10
-	if err := ds.Put(id, mut); err != nil {
-		t.Fatal(err)
-	}
 
-	// Boot restore skips the corrupt blob without dying.
-	s2 := New(cfg)
-	restored, err := s2.RestoreAll(ctx)
-	if restored != 0 || err == nil {
-		t.Fatalf("RestoreAll = %d, %v; want 0 and a reported skip", restored, err)
-	}
-	// Registration falls back to a fresh build and re-persists.
-	e, cached, err := s2.Register(ctx, g, "t")
-	if err != nil || cached {
-		t.Fatalf("register after corrupt snapshot: cached=%v err=%v", cached, err)
-	}
-	if e.restored {
-		t.Fatal("corrupt snapshot claimed to restore")
-	}
-	h := s2.Health()
-	if h.SnapshotErrors < 1 || h.SnapshotMisses < 1 {
-		t.Fatalf("errors=%d misses=%d; want both >= 1", h.SnapshotErrors, h.SnapshotMisses)
-	}
-	if _, _, err := s2.Solve(ctx, id, [][]float64{meanFreeRHS(g.N, 2)}, 0); err != nil {
-		t.Fatal(err)
-	}
-	s2.snapWG.Wait() // write-behind of the fresh build
-	fixed, err := ds.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotID, err := chainio.SnapshotID(fixed); err != nil || gotID != id {
-		t.Fatalf("re-persisted blob id = %q, %v", gotID, err)
-	}
-	if len(fixed) == len(mut) {
-		t.Fatal("store still holds the corrupt blob")
+	for _, tc := range []struct {
+		name    string
+		want    error
+		corrupt func(data []byte) []byte
+	}{
+		{"truncated-flipped", chainio.ErrCorrupt, func(data []byte) []byte {
+			mut := data[:len(data)-7]
+			mut[len(mut)/2] ^= 0x10
+			return mut
+		}},
+		{"older-version-resealed", chainio.ErrVersion, func(data []byte) []byte {
+			mut := append([]byte(nil), data...)
+			mut[8] = 4 // low byte of the u32 version after the 8-byte magic
+			sum := sha256.Sum256(mut[:len(mut)-sha256.Size])
+			copy(mut[len(mut)-sha256.Size:], sum[:])
+			return mut
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := snapshotStore(t)
+			cfg := Config{Workers: 2, Snapshots: ds, SnapshotOnBuild: true}
+			s1 := New(cfg)
+			if _, _, err := s1.Register(ctx, g, "t"); err != nil {
+				t.Fatal(err)
+			}
+			if err := s1.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+
+			// Replace the persisted blob with the unusable one.
+			data, err := ds.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mut := tc.corrupt(data)
+			if _, err := chainio.Decode(mut, id, solver.Options{Workers: 1}); !errors.Is(err, tc.want) {
+				t.Fatalf("decode of the replaced blob: got %v, want %v", err, tc.want)
+			}
+			if err := ds.Put(id, mut); err != nil {
+				t.Fatal(err)
+			}
+
+			// Boot restore skips the unusable blob without dying.
+			s2 := New(cfg)
+			restored, err := s2.RestoreAll(ctx)
+			if restored != 0 || err == nil {
+				t.Fatalf("RestoreAll = %d, %v; want 0 and a reported skip", restored, err)
+			}
+			// Registration falls back to a fresh build and re-persists.
+			e, cached, err := s2.Register(ctx, g, "t")
+			if err != nil || cached {
+				t.Fatalf("register after unusable snapshot: cached=%v err=%v", cached, err)
+			}
+			if e.restored {
+				t.Fatal("unusable snapshot claimed to restore")
+			}
+			h := s2.Health()
+			if h.SnapshotErrors < 1 || h.SnapshotMisses < 1 {
+				t.Fatalf("errors=%d misses=%d; want both >= 1", h.SnapshotErrors, h.SnapshotMisses)
+			}
+			xs, _, err := s2.Solve(ctx, id, bs, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range xRef[0] {
+				if math.Float64bits(xs[0][i]) != math.Float64bits(xRef[0][i]) {
+					t.Fatalf("rebuilt solve differs from a fresh build at entry %d", i)
+				}
+			}
+			s2.snapWG.Wait() // write-behind of the fresh build
+			fixed, err := ds.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotID, err := chainio.SnapshotID(fixed); err != nil || gotID != id {
+				t.Fatalf("re-persisted blob id = %q, %v", gotID, err)
+			}
+			if bytes.Equal(fixed, mut) {
+				t.Fatal("store still holds the unusable blob")
+			}
+		})
 	}
 }
 

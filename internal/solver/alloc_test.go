@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"parlap/internal/gen"
+	"parlap/internal/graph"
 	"parlap/internal/matrix"
 	"parlap/internal/obs"
 )
@@ -174,5 +175,112 @@ func BenchmarkPrecondApply(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Chain.PrecondApplyIntoW(1, r, dst)
+	}
+}
+
+// The allocation walls above, re-run on chain shapes whose apply path takes
+// other branches than the deep unit-weight grid: the count-based default
+// chain (one level over a sparse LDLᵀ bottom factor), exponentially spread
+// conductances (the grid_expw workload's weights, which change the
+// sparsifier's sampling and the calibrated schedule), and a preferential-
+// attachment graph (irregular degrees, so uneven CSR rows in every sweep).
+// Each must hold the same steady-state zero-allocation guarantee.
+type allocVariant struct {
+	name   string
+	g      *graph.Graph
+	params ChainParams
+}
+
+func allocVariants(side int) []allocVariant {
+	grid := gen.Grid2D(side, side)
+	expw := gen.WithExponentialWeights(gen.Grid2D(side, side), 8, 4, 5)
+	pa := gen.PreferentialAttachment(side*side, 3, 17)
+	return []allocVariant{
+		{"default-params", grid, DefaultChainParams()},
+		{"exp-weights", expw, deepChainParams(expw)},
+		{"pa", pa, deepChainParams(pa)},
+	}
+}
+
+func TestPrecondApplyZeroAllocsVariants(t *testing.T) {
+	for _, v := range allocVariants(48) {
+		v := v
+		t.Run(v.name, func(t *testing.T) {
+			s, err := NewWithOptions(v.g, v.params, Options{Workers: 1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := s.Chain
+			r := randRHS(v.g.N, 7)
+			ws := newWorkspace(c, 1)
+			c.applyHTop(1, r, ws)
+			allocs := testing.AllocsPerRun(20, func() {
+				c.applyHTop(1, r, ws)
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state %s application allocated %.1f objects/op, want 0", v.name, allocs)
+			}
+		})
+	}
+}
+
+func TestPrecondApplyBlockZeroAllocsVariants(t *testing.T) {
+	for _, v := range allocVariants(48) {
+		v := v
+		t.Run(v.name, func(t *testing.T) {
+			s, err := NewWithOptions(v.g, v.params, Options{Workers: 1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := s.Chain
+			const k = 8
+			var rs matrix.Block
+			rs.Reshape(v.g.N, k)
+			for j := 0; j < k; j++ {
+				rs.SetCol(j, randRHS(v.g.N, int64(7+j)))
+			}
+			ws := newWorkspace(c, k)
+			c.applyHTopBlock(1, &rs, ws)
+			allocs := testing.AllocsPerRun(20, func() {
+				c.applyHTopBlock(1, &rs, ws)
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state %s block application allocated %.1f objects/op, want 0", v.name, allocs)
+			}
+		})
+	}
+}
+
+func TestSolveBlockTracedZeroAllocsVariants(t *testing.T) {
+	for _, v := range allocVariants(32) {
+		v := v
+		t.Run(v.name, func(t *testing.T) {
+			s, err := NewWithOptions(v.g, v.params, Options{Workers: 1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const k = 4
+			var rhs, out matrix.Block
+			rhs.Reshape(v.g.N, k)
+			for j := 0; j < k; j++ {
+				rhs.SetCol(j, randRHS(v.g.N, int64(11+j)))
+			}
+			const eps = 1e-4
+			opt := Options{Workers: 1}
+			var tr obs.SolveTrace
+			var sts []SolveStats
+			sts = s.SolveBlockTraced(&rhs, &out, eps, opt, &tr, sts)
+			allocs := testing.AllocsPerRun(10, func() {
+				sts = s.SolveBlockTraced(&rhs, &out, eps, opt, &tr, sts)
+			})
+			if allocs != 0 && !raceDetectorEnabled {
+				t.Fatalf("steady-state %s block solve allocated %.1f objects/op, want 0", v.name, allocs)
+			}
+			for j, st := range sts {
+				if !st.Converged {
+					t.Fatalf("lane %d did not converge: %+v", j, st)
+				}
+			}
+		})
 	}
 }

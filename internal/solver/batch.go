@@ -93,32 +93,6 @@ func (c *Chain) applyHTopBlock(workers int, rs *matrix.Block, ws *workspace) *ma
 	return zs
 }
 
-// PrecondApplyBatchW applies the top-level preconditioner to k residuals in
-// one chain pass. Column c is bitwise identical to PrecondApplyW on that
-// column; the returned columns are freshly allocated (caller-owned). Safe
-// for concurrent use (the Chain is read-only after build).
-func (c *Chain) PrecondApplyBatchW(workers int, rs [][]float64) [][]float64 {
-	k := len(rs)
-	if k == 0 {
-		return nil
-	}
-	n := len(rs[0])
-	ws := c.ws.get(c, k)
-	var rb matrix.Block
-	rb.Reshape(n, k)
-	for col, r := range rs {
-		rb.SetCol(col, r)
-	}
-	zs := c.applyHTopBlock(workers, &rb, ws)
-	out := make([][]float64, k)
-	for col := range out {
-		out[col] = make([]float64, n)
-		zs.ColInto(col, out[col])
-	}
-	c.ws.put(ws)
-	return out
-}
-
 // chebLevelBlock runs chebLevel's fixed-degree preconditioned Chebyshev
 // iteration on k lanes at once. The recurrence scalars depend only on the
 // spectral interval and the iteration index — never on the data — so one
@@ -132,13 +106,7 @@ func (c *Chain) chebLevelBlock(workers, i int, bs *matrix.Block, ws *workspace) 
 	lvl := &c.Levels[i]
 	if k == 1 {
 		c.chebLevel(workers, i, bs.Vec(), ws)
-		if lvl.Perm != nil {
-			return &l.permNat // the permuted single path returns natural order
-		}
 		return &l.chebX
-	}
-	if lvl.Perm != nil {
-		return c.chebLevelBlockPerm(workers, i, bs, ws)
 	}
 	a := lvl.Lap
 	ci := lvl.CompIdx
@@ -165,45 +133,6 @@ func (c *Chain) chebLevelBlock(workers, i int, bs *matrix.Block, ws *workspace) 
 	matrix.ProjectOutConstantMaskedBlockIdxW(workers, x, ci, l.scal)
 	ws.trace.ChebNS[obs.LevelIndex(i)] += time.Since(t0).Nanoseconds() - innerNS
 	return x
-}
-
-// chebLevelBlockPerm is chebLevelPerm's k-lane form: sweep state in the
-// level's Cuthill–McKee order streaming LapP, with a block scatter into the
-// elimination's natural order before each recursive application and a block
-// gather after it. Lane c performs exactly chebLevelPerm's operations, so
-// block-vs-single equivalence holds on reordered chains too.
-func (c *Chain) chebLevelBlockPerm(workers, i int, bs *matrix.Block, ws *workspace) *matrix.Block {
-	lvl := &c.Levels[i]
-	a := lvl.LapP
-	ci := lvl.CompIdxP
-	perm := lvl.Perm
-	l := &ws.lvl[i]
-	k := bs.K()
-	x, r, p, ap := &l.chebX, &l.chebR, &l.chebP, &l.chebAp
-	nat, zp := &l.permNat, &l.permZ
-	n := a.N
-	t0 := time.Now()
-	var innerNS int64
-	x.Zero()
-	matrix.GatherBlockW(workers, r, bs, perm)
-	matrix.ProjectOutConstantMaskedBlockIdxW(workers, r, ci, l.scal)
-	co := newChebCoeffs(lvl.EigLo, lvl.EigHi)
-	for it := 0; it < lvl.ChebIts; it++ {
-		matrix.ScatterBlockW(workers, nat, r, perm)
-		ta := time.Now()
-		z := c.applyHBlock(workers, i, nat, ws)
-		innerNS += time.Since(ta).Nanoseconds()
-		matrix.GatherBlockW(workers, zp, z, perm)
-		matrix.ProjectOutConstantMaskedBlockIdxW(workers, zp, ci, l.scal)
-		alpha, beta, first := co.step(it)
-		matrix.ChebUpdateBlockW(workers, p, zp, beta, x, alpha, first)
-		a.MulVecAxpyBlockW(workers, p, ap, -alpha, r)
-		c.rec.Add(int64(k)*int64(a.NNZ()+8*n), 2)
-	}
-	matrix.ProjectOutConstantMaskedBlockIdxW(workers, x, ci, l.scal)
-	matrix.ScatterBlockW(workers, nat, x, perm)
-	ws.trace.ChebNS[obs.LevelIndex(i)] += time.Since(t0).Nanoseconds() - innerNS
-	return nat
 }
 
 // finishBlockLane retires one lane of the outer driver's iterate block: its

@@ -6,6 +6,7 @@ import (
 
 	"parlap/internal/gen"
 	"parlap/internal/graph"
+	"parlap/internal/matrix"
 )
 
 // The SolveBatch acceptance contract: k batched right-hand sides return
@@ -157,8 +158,8 @@ func TestSolveBatchSharesChainPasses(t *testing.T) {
 	}
 }
 
-// TestPrecondApplyBatchBitwise pins the chain-internal batch recursion to
-// the single-column recursion.
+// TestPrecondApplyBatchBitwise pins the chain-internal block recursion to
+// the single-column recursion, column by column.
 func TestPrecondApplyBatchBitwise(t *testing.T) {
 	g := gen.WithExponentialWeights(gen.Grid2D(20, 20), 6, 3, 7)
 	s, err := New(g, deepChainParams(g), nil)
@@ -166,8 +167,15 @@ func TestPrecondApplyBatchBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := [][]float64{randRHS(g.N, 11), randRHS(g.N, 12), randRHS(g.N, 13)}
-	zs := s.Chain.PrecondApplyBatchW(0, rs)
+	var rb matrix.Block
+	rb.Reshape(g.N, len(rs))
+	for c, r := range rs {
+		rb.SetCol(c, r)
+	}
+	zs := s.Chain.applyHTopBlock(0, &rb, newWorkspace(s.Chain, len(rs)))
+	z := make([]float64, g.N)
 	for c := range rs {
-		requireBitwiseVec(t, fmt.Sprintf("column %d", c), zs[c], s.Chain.PrecondApply(rs[c]))
+		zs.ColInto(c, z)
+		requireBitwiseVec(t, fmt.Sprintf("column %d", c), z, s.Chain.PrecondApply(rs[c]))
 	}
 }

@@ -14,42 +14,6 @@ import (
 	"parlap/internal/wd"
 )
 
-// Precision selects the storage width of the per-level sparsifier CSR
-// values (the Laplacians the Chebyshev sweeps stream). The outer PCG
-// vectors, the top-level operator, the elimination coefficients and the
-// bottom factor always stay float64; accumulation is float64 at
-// either storage width, so worker and block-vs-single equivalence hold
-// per precision.
-type Precision uint8
-
-const (
-	// PrecisionF64 stores level values as float64 (the default).
-	PrecisionF64 Precision = iota
-	// PrecisionF32 stores sub-top level values as float32 where the
-	// calibration gate confirms the measured κ stays inside the safety
-	// envelope (per level; degraded levels fall back to f64).
-	PrecisionF32
-)
-
-// String returns the flag-friendly name ("f64"/"f32").
-func (p Precision) String() string {
-	if p == PrecisionF32 {
-		return "f32"
-	}
-	return "f64"
-}
-
-// ParsePrecision inverts String (accepting also "float64"/"float32").
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "f64", "float64", "":
-		return PrecisionF64, nil
-	case "f32", "float32":
-		return PrecisionF32, nil
-	}
-	return PrecisionF64, fmt.Errorf("solver: unknown precision %q (want f64 or f32)", s)
-}
-
 // ChainParams controls preconditioner-chain construction (Definition 6.3
 // with the Section 6.3 truncation).
 type ChainParams struct {
@@ -129,20 +93,7 @@ type ChainParams struct {
 	// default threshold (65536 vertices, ~256×256 grid); negative disables
 	// the lift entirely (budget always applies).
 	BudgetLiftVertices int
-	// Precision opts sub-top chain levels into float32 value storage
-	// (PrecisionF32), roughly halving the value traffic of the bandwidth-
-	// bound Chebyshev sweeps. The choice is gated per level at calibration
-	// time: the Lanczos estimator re-measures κ on the converted level and
-	// reverts it to float64 if the measurement degrades beyond EigSafety,
-	// so the schedule stays measured, not assumed. Default PrecisionF64.
-	Precision Precision
-	// ReorderLevels applies a deterministic Cuthill–McKee relabeling to
-	// each sub-top level's Laplacian at build time, so the Chebyshev CSR
-	// sweeps run on a bandwidth-reduced layout (permute-in/permute-out via
-	// pooled workspace scratch; see BenchmarkApplyLayout for the measured
-	// effect). Off by default.
-	ReorderLevels bool
-	Seed          int64
+	Seed               int64
 }
 
 // DefaultChainParams returns the settings used by the public solver API.
@@ -191,21 +142,6 @@ type Level struct {
 	KappaMeasured float64
 	// Calibrated reports whether the Lanczos measurement succeeded.
 	Calibrated bool
-	// ValF32 reports that the precision gate kept this level's values as
-	// float32 (PrecisionF32 chains only; a degraded level stays false and
-	// keeps float64 storage).
-	ValF32 bool
-	// KappaF64 is the float64 baseline κ measured by the precision gate
-	// just before conversion (0 when the gate did not run or the baseline
-	// measurement failed) — what KappaMeasured is compared against in the
-	// f32 quality check.
-	KappaF64 float64
-	// Perm, when non-nil, is the level's Cuthill–McKee relabeling
-	// (new → old): the Chebyshev sweep runs on LapP (= P·Lap·Pᵀ) with
-	// CompIdxP, gathering in and scattering out at the applyH boundary.
-	Perm     []int32
-	LapP     *matrix.Sparse
-	CompIdxP *matrix.CompIndex
 }
 
 // TruncationProbe records one evaluation of the count-based truncation rule
@@ -499,33 +435,11 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 	c.BottomG = cur
 	// Sparse factorization: Σ|col|² work; the column sweep is sequential.
 	rec.Add(sym.Flops(), int64(bf.GroundedLen()))
-	// Cache-aware layout before calibration: the Lanczos measurement then
-	// runs against the exact apply path production solves will use.
-	if p.ReorderLevels {
-		for i := 1; i < len(c.Levels); i++ {
-			c.Levels[i].applyReorder(w, matrix.CMOrder(c.Levels[i].Lap))
-		}
-	}
 	t0 = time.Now()
 	c.calibrate(rng)
 	bt.CalibrateMS = ms(time.Since(t0))
 	bt.TotalMS = ms(time.Since(tBuild))
 	return c, nil
-}
-
-// applyReorder installs the relabeling perm on the level: the permuted
-// Laplacian and component index the Chebyshev sweep runs on. The top level
-// is never reordered (its sweep never runs: applyHTop enters the chain
-// through the elimination, and the outer PCG works on the caller's
-// natural-order vectors).
-func (lvl *Level) applyReorder(workers int, perm []int32) {
-	lvl.Perm = perm
-	lvl.LapP = matrix.PermuteSparse(workers, lvl.Lap, perm)
-	compP := make([]int, len(perm))
-	for j, v := range perm {
-		compP[j] = lvl.Comp[v]
-	}
-	lvl.CompIdxP = matrix.NewCompIndexW(workers, compP, lvl.NumComp)
 }
 
 // calibrate finalizes the chain's runtime schedule bottom-up, measuring
@@ -589,36 +503,6 @@ func (c *Chain) calibrate(rng *rand.Rand) {
 	for i := len(c.Levels) - 1; i >= 0; i-- {
 		lvl := &c.Levels[i]
 		lo, hi, ok := c.lanczosBounds(w, i, p.CalibIters, rng, ws)
-		if p.Precision == PrecisionF32 && i > 0 {
-			// Precision gate, measured not assumed: convert this level's
-			// values to float32 (deeper levels are already final), re-run
-			// the Lanczos measurement through the REAL converted operator,
-			// and keep the conversion only if the measured κ stays within
-			// EigSafety of the float64 baseline. The schedule below then
-			// uses whichever measurement matches the kept storage. Level 0
-			// is exempt: its Laplacian is the (unsparsified) top operator
-			// and its Chebyshev sweep never runs.
-			lvl.KappaF64 = 0
-			if ok {
-				lvl.KappaF64 = hi / lo
-			}
-			saved := lvl.Lap.ConvertValues32()
-			var savedP []float64
-			if lvl.LapP != nil {
-				savedP = lvl.LapP.ConvertValues32()
-			}
-			lo32, hi32, ok32 := c.lanczosBounds(w, i, p.CalibIters, rng, ws)
-			keep := ok32 && (!ok || hi32/lo32 <= (hi/lo)*p.EigSafety)
-			if keep {
-				lvl.ValF32 = true
-				lo, hi, ok = lo32, hi32, true
-			} else {
-				lvl.Lap.RestoreValues64(saved)
-				if lvl.LapP != nil {
-					lvl.LapP.RestoreValues64(savedP)
-				}
-			}
-		}
 		lvl.Calibrated = ok
 		if !ok {
 			// Unusable measurement: fall back to the static schedule (the
@@ -719,12 +603,6 @@ func (c *Chain) MemoryBytes() int64 {
 		if lvl.CompIdx != nil {
 			b += lvl.CompIdx.MemoryBytes()
 		}
-		if lvl.LapP != nil {
-			b += lvl.LapP.MemoryBytes() + int64(len(lvl.Perm))*4
-		}
-		if lvl.CompIdxP != nil {
-			b += lvl.CompIdxP.MemoryBytes()
-		}
 		if lvl.Spars != nil {
 			b += lvl.Spars.H.MemoryBytes() + int64(len(lvl.Spars.Subgraph))*8
 		}
@@ -757,13 +635,6 @@ type LevelSchedule struct {
 	EigHi         float64 `json:"eig_hi"`
 	ChebIts       int     `json:"cheb_its"`
 	Calibrated    bool    `json:"calibrated"`
-	// Precision is this level's value storage ("f32" only where the
-	// precision gate kept the conversion); KappaF64 the gate's float64
-	// baseline κ (0 when the gate did not run). Reordered reports the
-	// Cuthill–McKee layout.
-	Precision string  `json:"precision"`
-	KappaF64  float64 `json:"kappa_f64,omitempty"`
-	Reordered bool    `json:"reordered,omitempty"`
 	// Probe is the truncation rule's evaluation of this level (count-based
 	// chains, levels ≥ 1): the chain recursed through the level because a
 	// direct solve here would have cost more than SweepOps.
@@ -812,43 +683,15 @@ func (c *Chain) Schedule() []LevelSchedule {
 	out := make([]LevelSchedule, len(c.Levels))
 	for i := range c.Levels {
 		lvl := &c.Levels[i]
-		prec := PrecisionF64
-		if lvl.ValF32 {
-			prec = PrecisionF32
-		}
 		out[i] = LevelSchedule{
 			Level: i, N: lvl.G.N, M: lvl.G.M(),
 			KappaTarget: lvl.Kappa, KappaMeasured: lvl.KappaMeasured,
 			EigLo: lvl.EigLo, EigHi: lvl.EigHi,
 			ChebIts: lvl.ChebIts, Calibrated: lvl.Calibrated,
-			Precision: prec.String(), KappaF64: lvl.KappaF64,
-			Reordered: lvl.Perm != nil, Probe: c.probeAt(i),
+			Probe: c.probeAt(i),
 		}
 	}
 	return out
-}
-
-// F32Levels reports how many levels the precision gate kept in float32
-// value storage (always 0 on a ChainParams.Precision == PrecisionF64 chain).
-func (c *Chain) F32Levels() int {
-	n := 0
-	for i := range c.Levels {
-		if c.Levels[i].ValF32 {
-			n++
-		}
-	}
-	return n
-}
-
-// ReorderedLevels reports how many levels carry a Cuthill–McKee layout.
-func (c *Chain) ReorderedLevels() int {
-	n := 0
-	for i := range c.Levels {
-		if c.Levels[i].Perm != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // EdgeCounts returns the edge count of every level plus the bottom graph,
@@ -887,9 +730,6 @@ func (c *Chain) solveLevel(workers, i int, b []float64, ws *workspace) []float64
 // preconditioner application allocation-free.
 func (c *Chain) chebLevel(workers, i int, b []float64, ws *workspace) []float64 {
 	lvl := &c.Levels[i]
-	if lvl.Perm != nil {
-		return c.chebLevelPerm(workers, i, b, ws)
-	}
 	a := lvl.Lap
 	ci := lvl.CompIdx
 	l := &ws.lvl[i]
@@ -925,59 +765,6 @@ func (c *Chain) chebLevel(workers, i int, b []float64, ws *workspace) []float64 
 	matrix.ProjectOutConstantMaskedIdxW(workers, x, ci)
 	ws.trace.ChebNS[obs.LevelIndex(i)] += time.Since(t0).Nanoseconds() - innerNS
 	return x
-}
-
-// chebLevelPerm is chebLevel on the level's Cuthill–McKee relabeling: the
-// sweep state (x, r, p, ap) lives in permuted space so the CSR traversal
-// streams LapP with bandwidth-reduced column locality, and only the
-// boundary to applyH (whose elimination log speaks the natural order) pays
-// a scatter on the way in and a gather on the way out, both into pooled
-// level scratch. Gather/scatter are pure data movement, so the permuted
-// sweep keeps the same worker-equivalence and block-vs-single walls as the
-// natural one.
-func (c *Chain) chebLevelPerm(workers, i int, b []float64, ws *workspace) []float64 {
-	lvl := &c.Levels[i]
-	a := lvl.LapP
-	ci := lvl.CompIdxP
-	perm := lvl.Perm
-	l := &ws.lvl[i]
-	x, r, p, ap := l.chebX.Vec(), l.chebR.Vec(), l.chebP.Vec(), l.chebAp.Vec()
-	nat, zp := l.permNat.Vec(), l.permZ.Vec()
-	n := a.N
-	t0 := time.Now()
-	var innerNS int64
-	for j := 0; j < n; j++ {
-		x[j] = 0
-	}
-	matrix.GatherW(workers, r, b, perm)
-	matrix.ProjectOutConstantMaskedIdxW(workers, r, ci)
-	co := newChebCoeffs(lvl.EigLo, lvl.EigHi)
-	for k := 0; k < lvl.ChebIts; k++ {
-		matrix.ScatterW(workers, nat, r, perm)
-		ta := time.Now()
-		z := c.applyH(workers, i, nat, ws)
-		innerNS += time.Since(ta).Nanoseconds()
-		matrix.GatherW(workers, zp, z, perm)
-		matrix.ProjectOutConstantMaskedIdxW(workers, zp, ci)
-		alpha, beta, first := co.step(k)
-		if first {
-			copy(p, zp)
-		} else {
-			matrix.AxpyIntoW(workers, p, beta, p, zp)
-		}
-		matrix.AxpyIntoW(workers, x, alpha, p, x)
-		a.MulVecW(workers, p, ap)
-		matrix.AxpyIntoW(workers, r, -alpha, ap, r)
-		c.rec.Add(int64(a.NNZ()+8*n), 2)
-	}
-	matrix.ProjectOutConstantMaskedIdxW(workers, x, ci)
-	// Return in natural order: the caller's back-substitution reads the
-	// elimination's vertex numbering. nat is dead after the last scatter
-	// above, so it doubles as the result buffer (valid until this level's
-	// scratch is next used, same contract as the natural path).
-	matrix.ScatterW(workers, nat, x, perm)
-	ws.trace.ChebNS[obs.LevelIndex(i)] += time.Since(t0).Nanoseconds() - innerNS
-	return nat
 }
 
 // applyH solves the preconditioner system H_i z = r by partial-Cholesky

@@ -108,9 +108,8 @@ func TestPCGMaxIterRespected(t *testing.T) {
 // deepChainParams returns DefaultChainParams with the chain depth pinned by
 // the explicit §6.3 size rule at ⌈m^(1/3)⌉+BottomFloor edges — the depth the
 // default produced before the count-based rule replaced it. Suites that
-// exist to cover the level ≥ 1 paths (Chebyshev sweeps, f32 values,
-// reordered layouts, the recursion's cross-worker and block-vs-single
-// determinism) build with it so they keep recursing through several levels;
+// exist to cover the level ≥ 1 paths (Chebyshev sweeps, the recursion's
+// cross-worker and block-vs-single determinism) build with it so they keep recursing through several levels;
 // the default rule stops most testbed graphs at one.
 func deepChainParams(g *graph.Graph) ChainParams {
 	p := DefaultChainParams()

@@ -39,8 +39,7 @@ type convergencePin struct {
 // direct solve undercuts the cheapest sweep) moved them 105 → 72 / 227 → 201
 // / 90 → 90 and the 128×128 grid 175 → 81 (TestConvergenceIterationPinGrid128):
 // a shallower chain hands the outer loop an exact solve where it used to get
-// a fixed-degree Chebyshev approximation. The depth-pinned chains of
-// precision_test.go keep the old counts.
+// a fixed-degree Chebyshev approximation.
 var convergencePins = []convergencePin{
 	{spec: "grid2d:64x64", iters: 72, band: 8},
 	{spec: "regular:4000:8", iters: 201, band: 20},
@@ -108,5 +107,39 @@ func TestConvergenceIterationPins(t *testing.T) {
 			t.Logf("%s: %d iterations (pin %d±%d), residual %.2e",
 				pin.spec, st.Iterations, pin.iters, pin.band, st.Residual)
 		})
+	}
+}
+
+// The 128×128 grid pin for the default chain — the iteration-vs-n
+// trajectory's next point (64×64 pins 72; ×1.13 growth per 4× vertices),
+// promoted from a BENCH_solve.json observation to an enforced wall.
+func TestConvergenceIterationPinGrid128(t *testing.T) {
+	if testing.Short() {
+		t.Skip("testbed chain builds are too heavy for -short")
+	}
+	if raceDetectorEnabled {
+		t.Skip("128x128 pin is too heavy under the race detector; covered by the non-race run")
+	}
+	const eps = 1e-6
+	g, err := gen.FromSpec("grid2d:128x128", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: testWorkers(t)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := benchRHS(s.G.N)
+	x, st := s.Solve(b, eps)
+	if !st.Converged {
+		t.Fatalf("solve did not converge: %+v", st)
+	}
+	if r := s.Residual(x, b); r > 10*eps {
+		t.Fatalf("residual %.3e exceeds %g", r, 10*eps)
+	}
+	const pin, band = 81, 8
+	if st.Iterations < pin-band || st.Iterations > pin+band {
+		t.Fatalf("outer PCG took %d iterations, pinned to %d±%d (see convergence_test.go)",
+			st.Iterations, pin, band)
 	}
 }

@@ -548,73 +548,6 @@ func (el *Elimination) ForwardRHSIntoW(workers int, b, work, carry, reduced []fl
 	})
 }
 
-// ForwardRHSBatchW pushes k right-hand sides through the elimination with
-// one replay of the op log: each round's carry gather and owner-computes
-// scatter loop over the columns before advancing, so the log (and its cache
-// traffic) is traversed once per round instead of once per RHS. Column c of
-// the result is bitwise identical to ForwardRHSW on bs[c] alone.
-func (el *Elimination) ForwardRHSBatchW(workers int, bs [][]float64) (reduced, carry [][]float64) {
-	kcols := len(bs)
-	works := make([][]float64, kcols)
-	carry = make([][]float64, kcols)
-	reduced = make([][]float64, kcols)
-	for c := range works {
-		works[c] = make([]float64, el.OrigN)
-		carry[c] = make([]float64, len(el.Ops))
-		reduced[c] = make([]float64, len(el.Keep))
-	}
-	el.ForwardRHSBatchIntoW(workers, bs, works, carry, reduced)
-	return reduced, carry
-}
-
-// ForwardRHSBatchIntoW is ForwardRHSBatchW into caller-provided column
-// buffers (sizes as in ForwardRHSIntoW, one per column, fully overwritten).
-// Column c is bitwise identical to ForwardRHSIntoW on bs[c] alone.
-func (el *Elimination) ForwardRHSBatchIntoW(workers int, bs, works, carry, reduced [][]float64) {
-	kcols := len(bs)
-	if kcols == 1 {
-		el.ForwardRHSIntoW(workers, bs[0], works[0], carry[0], reduced[0])
-		return
-	}
-	for c := range bs {
-		copy(works[c], bs[c])
-	}
-	for ri := 0; ri < el.Rounds; ri++ {
-		lo, hi := el.roundBounds(ri)
-		ops := el.Ops[lo:hi]
-		par.ForChunkedW(workers, len(ops), func(clo, chi int) {
-			for k := clo; k < chi; k++ {
-				v := ops[k].V
-				for c := 0; c < kcols; c++ {
-					carry[c][lo+k] = works[c][v]
-				}
-			}
-		})
-		gLo, gHi := el.recvBounds(ri)
-		par.ForChunkedW(workers, gHi-gLo, func(clo, chi int) {
-			for g := gLo + clo; g < gLo+chi; g++ {
-				v := el.recvVert[g]
-				iLo, iHi := el.itemBounds(g)
-				for c := 0; c < kcols; c++ {
-					acc := works[c][v]
-					for it := iLo; it < iHi; it++ {
-						acc += carry[c][el.recvOp[it]] * el.recvCoef[it]
-					}
-					works[c][v] = acc
-				}
-			}
-		})
-	}
-	par.ForChunkedW(workers, len(el.Keep), func(clo, chi int) {
-		for j := clo; j < chi; j++ {
-			kv := el.Keep[j]
-			for c := 0; c < kcols; c++ {
-				reduced[c][j] = works[c][kv]
-			}
-		}
-	})
-}
-
 // BackSolve extends a solution of the reduced system with the default worker
 // count; see BackSolveW.
 func (el *Elimination) BackSolve(xReduced, carry []float64) []float64 {
@@ -679,60 +612,6 @@ func (el *Elimination) BackSolveIntoW(workers int, xReduced, carry, x []float64)
 					x[op.V] = x[op.A] + carry[lo+k]/op.W1
 				case ElimDeg2:
 					x[op.V] = (op.W1*x[op.A] + op.W2*x[op.B] + carry[lo+k]) / (op.W1 + op.W2)
-				}
-			}
-		})
-	}
-}
-
-// BackSolveBatchW is BackSolveW over k columns with one reverse replay of
-// the op log: each op's neighbor gather loops over the columns before
-// advancing. Column c is bitwise identical to BackSolveW on column c.
-func (el *Elimination) BackSolveBatchW(workers int, xReduced, carry [][]float64) [][]float64 {
-	xs := make([][]float64, len(xReduced))
-	for c := range xs {
-		xs[c] = make([]float64, el.OrigN)
-	}
-	el.BackSolveBatchIntoW(workers, xReduced, carry, xs)
-	return xs
-}
-
-// BackSolveBatchIntoW is BackSolveBatchW into caller-provided columns (each
-// length OrigN, fully overwritten). Column c is bitwise identical to
-// BackSolveIntoW on column c.
-func (el *Elimination) BackSolveBatchIntoW(workers int, xReduced, carry, xs [][]float64) {
-	kcols := len(xReduced)
-	if kcols == 1 {
-		el.BackSolveIntoW(workers, xReduced[0], carry[0], xs[0])
-		return
-	}
-	par.ForChunkedW(workers, len(el.Keep), func(clo, chi int) {
-		for j := clo; j < chi; j++ {
-			kv := el.Keep[j]
-			for c := 0; c < kcols; c++ {
-				xs[c][kv] = xReduced[c][j]
-			}
-		}
-	})
-	for ri := el.Rounds - 1; ri >= 0; ri-- {
-		lo, hi := el.roundBounds(ri)
-		ops := el.Ops[lo:hi]
-		par.ForChunkedW(workers, len(ops), func(clo, chi int) {
-			for k := clo; k < chi; k++ {
-				op := &ops[k]
-				switch op.Kind {
-				case ElimDeg0:
-					for c := 0; c < kcols; c++ {
-						xs[c][op.V] = 0
-					}
-				case ElimDeg1:
-					for c := 0; c < kcols; c++ {
-						xs[c][op.V] = xs[c][op.A] + carry[c][lo+k]/op.W1
-					}
-				case ElimDeg2:
-					for c := 0; c < kcols; c++ {
-						xs[c][op.V] = (op.W1*xs[c][op.A] + op.W2*xs[c][op.B] + carry[c][lo+k]) / (op.W1 + op.W2)
-					}
 				}
 			}
 		})

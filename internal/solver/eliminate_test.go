@@ -121,20 +121,32 @@ func TestForwardRHSSharedNeighborHotspot(t *testing.T) {
 			}
 		}
 	}
-	// The batch form must reproduce the same columns bitwise.
+	// The block form must reproduce the same columns bitwise.
 	bs := [][]float64{b, randRHS(g.N, 13), randRHS(g.N, 14)}
+	k := len(bs)
+	var bb, work, carry, red matrix.Block
+	bb.Reshape(g.N, k)
+	for c := range bs {
+		bb.SetCol(c, bs[c])
+	}
+	work.Reshape(el.OrigN, k)
+	carry.Reshape(len(el.Ops), k)
+	red.Reshape(len(el.Keep), k)
 	for _, w := range []int{1, 4} {
-		reds, carries := el.ForwardRHSBatchW(w, bs)
+		el.ForwardRHSBlockIntoW(w, &bb, &work, &carry, &red)
 		for c := range bs {
 			redC, carryC := el.ForwardRHSW(1, bs[c])
+			gotRed, gotCarry := make([]float64, len(redC)), make([]float64, len(carryC))
+			red.ColInto(c, gotRed)
+			carry.ColInto(c, gotCarry)
 			for i := range redC {
-				if reds[c][i] != redC[i] {
-					t.Fatalf("workers=%d: batch column %d reduced diverges at %d", w, c, i)
+				if gotRed[i] != redC[i] {
+					t.Fatalf("workers=%d: block column %d reduced diverges at %d", w, c, i)
 				}
 			}
 			for i := range carryC {
-				if carries[c][i] != carryC[i] {
-					t.Fatalf("workers=%d: batch column %d carry diverges at %d", w, c, i)
+				if gotCarry[i] != carryC[i] {
+					t.Fatalf("workers=%d: block column %d carry diverges at %d", w, c, i)
 				}
 			}
 		}

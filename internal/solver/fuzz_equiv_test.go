@@ -151,6 +151,9 @@ func TestFuzzCrossWorkerEquivalence(t *testing.T) {
 				bs[c] = b
 			}
 			xRef, stRef := ref.Solve(bs[0], eps)
+			if !stRef.Converged {
+				t.Fatalf("solve did not converge: %+v", stRef)
+			}
 			xsRef, _ := ref.SolveBatch(bs, eps)
 			for _, w := range fuzzWorkers {
 				s := solvers[w]
@@ -174,4 +177,106 @@ func TestFuzzCrossWorkerEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFuzzPrecisionLayoutEquivalence keeps the accuracy contract of the
+// former value-precision × level-layout sweep now that the chain has one
+// precision (float64) and one layout (natural vertex order): how the chain
+// is built changes the preconditioner, never the answer. Per random graph,
+// a depth-pinned chain and one built from a differently seeded sparsifier
+// must each solve bitwise identically across worker counts (single and
+// batch paths), and their solutions must agree within 10·eps in the A-norm.
+func TestFuzzPrecisionLayoutEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chain-build sweeps are too heavy for -short")
+	}
+	sweeps := 5
+	if raceDetectorEnabled {
+		// Chain builds are ~20x slower under the race detector; two sweeps
+		// still cover both chain shapes while keeping the package inside
+		// the CI race budget. The full five run in the non-race suite.
+		sweeps = 2
+	}
+	const eps = 1e-6
+	rng := rand.New(rand.NewSource(20260808))
+	for sweep := 0; sweep < sweeps; sweep++ {
+		spec, g := randomFuzzGraph(rng)
+		seed := rng.Int63()
+		t.Run(fmt.Sprintf("%02d-%s", sweep, spec), func(t *testing.T) {
+			b := make([]float64, g.N)
+			brng := rand.New(rand.NewSource(seed ^ 0x5eed))
+			for i := range b {
+				b[i] = brng.NormFloat64()
+			}
+			bs := [][]float64{b, b, b}
+			var firstX []float64
+			var firstS *Solver
+			for _, cfg := range []struct {
+				name string
+				seed int64
+			}{{"seeded", seed}, {"reseeded", seed + 1}} {
+				params := deepChainParams(g)
+				params.Seed = cfg.seed
+				build := func(w int) *Solver {
+					s, err := NewWithOptions(g, params, Options{Workers: w}, nil)
+					if err != nil {
+						t.Fatalf("%s workers=%d: build: %v", cfg.name, w, err)
+					}
+					return s
+				}
+				ref := build(1)
+				xRef, stRef := ref.Solve(b, eps)
+				if !stRef.Converged {
+					t.Fatalf("%s: solve did not converge: %+v", cfg.name, stRef)
+				}
+				xsRef, _ := ref.SolveBatch(bs, eps)
+				for _, w := range []int{2, 4} {
+					s := build(w)
+					x, st := s.Solve(b, eps)
+					if st.Iterations != stRef.Iterations {
+						t.Fatalf("%s workers=%d: %d iterations vs %d", cfg.name, w, st.Iterations, stRef.Iterations)
+					}
+					for i := range xRef {
+						if math.Float64bits(x[i]) != math.Float64bits(xRef[i]) {
+							t.Fatalf("%s workers=%d: solve differs at entry %d", cfg.name, w, i)
+						}
+					}
+					xs, _ := s.SolveBatch(bs, eps)
+					for c := range xsRef {
+						for i := range xsRef[c] {
+							if math.Float64bits(xs[c][i]) != math.Float64bits(xsRef[c][i]) {
+								t.Fatalf("%s workers=%d: batch col %d differs at entry %d", cfg.name, w, c, i)
+							}
+						}
+					}
+				}
+				if firstS == nil {
+					firstX, firstS = xRef, ref
+					continue
+				}
+				if d := relANorm(firstS, xRef, firstX); d > 10*eps {
+					t.Fatalf("%s: solution %.3e from the first seed's in the A-norm, want <= %g", cfg.name, d, 10*eps)
+				}
+			}
+		})
+	}
+}
+
+// relANorm returns ‖x−y‖_A / ‖y‖_A under s's Laplacian.
+func relANorm(s *Solver, x, y []float64) float64 {
+	n := len(x)
+	d := make([]float64, n)
+	for i := range d {
+		d[i] = x[i] - y[i]
+	}
+	ad := make([]float64, n)
+	ay := make([]float64, n)
+	s.Lap.MulVecW(1, d, ad)
+	s.Lap.MulVecW(1, y, ay)
+	num, den := 0.0, 0.0
+	for i := 0; i < n; i++ {
+		num += d[i] * ad[i]
+		den += y[i] * ay[i]
+	}
+	return math.Sqrt(num / den)
 }

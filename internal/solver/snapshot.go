@@ -37,12 +37,6 @@ type SnapshotLevel struct {
 	EigHi, EigLo  float64
 	KappaMeasured float64
 	Calibrated    bool
-	// Precision-gate and layout outcomes (format v3). Restore re-applies
-	// them mechanically — the f64→f32 rounding and the permutation build
-	// are deterministic — so the restored apply path is bit-identical.
-	ValF32   bool
-	KappaF64 float64
-	Perm     []int32 // Cuthill–McKee relabeling, nil/empty when not reordered
 }
 
 // SnapshotData is a built Solver's persisted payload.
@@ -88,9 +82,6 @@ func (s *Solver) Snapshot() *SnapshotData {
 			EigHi: lvl.EigHi, EigLo: lvl.EigLo,
 			KappaMeasured: lvl.KappaMeasured,
 			Calibrated:    lvl.Calibrated,
-			ValF32:        lvl.ValF32,
-			KappaF64:      lvl.KappaF64,
-			Perm:          lvl.Perm,
 		}
 	}
 	return d
@@ -160,12 +151,6 @@ func AssembleSnapshot(d *SnapshotData, opt Options) (*Solver, error) {
 			return nil, fmt.Errorf("solver: snapshot level %d elimination keeps %d vertices, next level has %d", i, len(el.Keep), next.N)
 		}
 		el.Reduced = next
-		if sl.ValF32 && i == 0 {
-			return nil, fmt.Errorf("solver: snapshot marks top level as float32 (the gate never converts level 0)")
-		}
-		if len(sl.Perm) > 0 && i == 0 {
-			return nil, fmt.Errorf("solver: snapshot carries a top-level permutation (level 0 is never reordered)")
-		}
 		comp, k := sl.G.ConnectedComponents()
 		c.Levels[i] = Level{
 			G: sl.G, Lap: matrix.LaplacianOfW(w, sl.G),
@@ -180,24 +165,6 @@ func AssembleSnapshot(d *SnapshotData, opt Options) (*Solver, error) {
 			EigHi: sl.EigHi, EigLo: sl.EigLo,
 			KappaMeasured: sl.KappaMeasured,
 			Calibrated:    sl.Calibrated,
-			ValF32:        sl.ValF32,
-			KappaF64:      sl.KappaF64,
-		}
-		// Re-apply the persisted layout and precision outcomes in build
-		// order (permute, then convert) — both passes are deterministic, so
-		// the restored LapP/Val32 arrays match the original bit-for-bit.
-		nl := &c.Levels[i]
-		if len(sl.Perm) > 0 {
-			if !matrix.IsPermutation(sl.Perm, sl.G.N) {
-				return nil, fmt.Errorf("solver: snapshot level %d permutation is not a permutation of %d vertices", i, sl.G.N)
-			}
-			nl.applyReorder(w, sl.Perm)
-		}
-		if sl.ValF32 {
-			nl.Lap.ConvertValues32()
-			if nl.LapP != nil {
-				nl.LapP.ConvertValues32()
-			}
 		}
 	}
 	if err := d.BottomG.Validate(); err != nil {

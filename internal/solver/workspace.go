@@ -62,10 +62,7 @@ type levelWS struct {
 	fwdCarry                    matrix.Block // len(Elim.Ops) × k
 	fwdRed                      matrix.Block // len(Elim.Keep) × k
 	backX                       matrix.Block // n_i × k
-	// permNat/permZ are the reordered sweep's natural-order staging and
-	// permuted-z buffers (n_i × k); zero-sized on levels without a Perm.
-	permNat, permZ matrix.Block
-	scal           []float64 // 2k projection scratch
+	scal                        []float64    // 2k projection scratch
 }
 
 // bottomWS is the bottom direct solve's scratch: the solution block and the
@@ -122,10 +119,6 @@ func (ws *workspace) grow(k int) {
 		l.fwdCarry.Reshape(len(lvl.Elim.Ops), k)
 		l.fwdRed.Reshape(len(lvl.Elim.Keep), k)
 		l.backX.Reshape(lvl.Elim.OrigN, k)
-		if lvl.Perm != nil {
-			l.permNat.Reshape(n, k)
-			l.permZ.Reshape(n, k)
-		}
 		l.scal = growFloats(l.scal, 2*k)
 	}
 	ws.bot.x.Reshape(c.Bottom.N(), k)
@@ -171,8 +164,6 @@ func (ws *workspace) bytes() int64 {
 		blk(&l.fwdCarry)
 		blk(&l.fwdRed)
 		blk(&l.backX)
-		blk(&l.permNat)
-		blk(&l.permZ)
 		n += int64(cap(l.scal)) * 8
 	}
 	blk(&ws.bot.x)
