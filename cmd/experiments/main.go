@@ -337,7 +337,7 @@ func e9() {
 		{"path-cliques", gen.PathOfCliques(6, scaled(600, 200))},
 		{"torus-expw(z4)", gen.WithExponentialWeights(gen.Torus2D(side, side), 4, 12, *seedFlag)},
 	}
-	fmt.Printf("%-16s %10s %12s %12s %12s\n", "graph", "CG its", "Jacobi its", "chain its", "chainCheb")
+	fmt.Printf("%-16s %10s %12s %12s\n", "graph", "CG its", "Jacobi its", "chain its")
 	for _, cse := range cases {
 		lap := matrix.LaplacianOf(cse.g)
 		comp, k := cse.g.ConnectedComponents()
@@ -350,9 +350,8 @@ func e9() {
 			continue
 		}
 		_, chSt := sw.Solve(bb, 1e-8)
-		_, cbSt := sw.SolveChebyshev(bb, 1e-8)
-		fmt.Printf("%-16s %10d %12d %12d %12d\n",
-			cse.name, cgSt.Iterations, jSt.Iterations, chSt.Iterations, cbSt.Iterations)
+		fmt.Printf("%-16s %10d %12d %12d\n",
+			cse.name, cgSt.Iterations, jSt.Iterations, chSt.Iterations)
 	}
 	fmt.Printf("-- (d) parallel wall-clock speedup (grid %d^2, one solve) --\n", side)
 	orig := runtime.GOMAXPROCS(0)

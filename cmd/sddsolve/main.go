@@ -41,7 +41,6 @@ var (
 	eps        = flag.Float64("eps", 1e-8, "relative residual target")
 	seed       = flag.Int64("seed", 1, "random seed")
 	stats      = flag.Bool("stats", false, "print chain shape and work/depth accounting")
-	chebyshev  = flag.Bool("chebyshev", false, "use the paper-faithful Chebyshev outer loop instead of PCG")
 	workers    = flag.Int("workers", 0, "worker goroutines for parallel kernels (0 = GOMAXPROCS, 1 = sequential)")
 )
 
@@ -97,12 +96,9 @@ func run() error {
 	t0 := time.Now()
 	var x []float64
 	var st solver.SolveStats
-	switch {
-	case lapSolver != nil && *chebyshev:
-		x, st = lapSolver.SolveChebyshev(b, *eps)
-	case lapSolver != nil:
+	if lapSolver != nil {
 		x, st = lapSolver.Solve(b, *eps)
-	default:
+	} else {
 		x, st = sddSolver.Solve(b, *eps)
 	}
 	wall := time.Since(t0)

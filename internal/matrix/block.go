@@ -35,6 +35,9 @@ func NewBlock(n, k int) *Block {
 	return &Block{n: n, k: k, data: make([]float64, n*k)}
 }
 
+// VecBlock views the plain vector v as an n×1 block sharing v's backing.
+func VecBlock(v []float64) Block { return Block{n: len(v), k: 1, data: v} }
+
 // N returns the vector length (vertex count).
 func (b *Block) N() int { return b.n }
 
@@ -55,7 +58,7 @@ func (b *Block) Row(v int) []float64 { return b.data[v*b.k : (v+1)*b.k] }
 
 // Vec views a single-column block (k == 1) as a plain vector. It panics on
 // wider blocks — the k==1 fast paths delegating to single-vector kernels
-// are the only intended callers.
+// and the width-1 callers of the apply recursion are the intended callers.
 func (b *Block) Vec() []float64 {
 	if b.k != 1 {
 		panic("matrix: Block.Vec on multi-column block")
@@ -116,6 +119,10 @@ func (b *Block) KeepLanes(keep []int) {
 	oldK, newK := b.k, len(keep)
 	if newK == oldK {
 		return // ascending keep of full width is the identity
+	}
+	if newK == 0 {
+		b.k, b.data = 0, b.data[:0] // nothing moves: skip the row walk
+		return
 	}
 	for v := 0; v < b.n; v++ {
 		src := b.data[v*oldK:]

@@ -112,15 +112,25 @@ func TestBlockKeepLanes(t *testing.T) {
 				keep = append(keep, c)
 			}
 		}
+		if trial == 0 {
+			keep = nil // the last lane retiring: compaction to zero lanes
+		}
 		b := blockFromCols(xs)
+		base := &b.Data()[0]
 		b.KeepLanes(keep)
-		if b.K() != len(keep) {
-			t.Fatalf("K = %d after KeepLanes(%v)", b.K(), keep)
+		if b.K() != len(keep) || len(b.Data()) != n*len(keep) {
+			t.Fatalf("shape %dx%d (%d values) after KeepLanes(%v)", b.N(), b.K(), len(b.Data()), keep)
 		}
 		for j, c := range keep {
 			got := make([]float64, n)
 			b.ColInto(j, got)
 			requireBitwise(t, fmt.Sprintf("trial %d lane %d<-%d", trial, j, c), got, xs[c])
+		}
+		// The compacted block must reshape back to full width on its own
+		// backing array.
+		b.Reshape(n, k)
+		if b.K() != k || len(b.Data()) != n*k || &b.Data()[0] != base {
+			t.Fatalf("trial %d: Reshape(%d, %d) after KeepLanes(%v) gave %dx%d or a new backing", trial, n, k, keep, b.N(), b.K())
 		}
 	}
 }

@@ -165,12 +165,6 @@ func TestVectorKernels(t *testing.T) {
 			t.Fatalf("Sub[%d] = %v, want 3", i, dst[i])
 		}
 	}
-	AddInto(dst, x, x)
-	for i := range dst {
-		if dst[i] != 2*x[i] {
-			t.Fatalf("Add[%d] = %v", i, dst[i])
-		}
-	}
 	ScaleInto(dst, 10, x)
 	for i := range dst {
 		if dst[i] != 10*x[i] {

@@ -107,24 +107,6 @@ func SubIntoW(workers int, dst, x, y []float64) {
 	})
 }
 
-// AddInto computes dst = x + y.
-func AddInto(dst, x, y []float64) { AddIntoW(0, dst, x, y) }
-
-// AddIntoW is AddInto with an explicit worker count.
-func AddIntoW(workers int, dst, x, y []float64) {
-	if par.Sequential(workers) {
-		for i := range dst {
-			dst[i] = x[i] + y[i]
-		}
-		return
-	}
-	par.ForChunkedW(workers, len(dst), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = x[i] + y[i]
-		}
-	})
-}
-
 // CopyVec returns a copy of x.
 func CopyVec(x []float64) []float64 {
 	y := make([]float64, len(x))

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"testing"
 
 	"parlap/internal/gen"
@@ -25,15 +26,26 @@ func TestPrecondApplyZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := s.Chain
-	r := randRHS(g.N, 7)
-	ws := newWorkspace(c, 1) // held directly: immune to pool/GC interplay
-	c.applyHTop(1, r, ws)    // warm up (lazy growth done)
+	requireApplyZeroAllocs(t, s.Chain, g.N, 1, "preconditioner application")
+}
+
+// requireApplyZeroAllocs holds a k-wide pass through the apply recursion
+// (applyHTopBlock over n-vertex right-hand sides) to zero steady-state
+// allocations.
+func requireApplyZeroAllocs(t *testing.T, c *Chain, n, k int, what string) {
+	t.Helper()
+	var rs matrix.Block
+	rs.Reshape(n, k)
+	for j := 0; j < k; j++ {
+		rs.SetCol(j, randRHS(n, int64(7+j)))
+	}
+	ws := newWorkspace(c, k)     // held directly: immune to pool/GC interplay
+	c.applyHTopBlock(1, &rs, ws) // warm up (lazy growth done)
 	allocs := testing.AllocsPerRun(20, func() {
-		c.applyHTop(1, r, ws)
+		c.applyHTopBlock(1, &rs, ws)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state preconditioner application allocated %.1f objects/op, want 0", allocs)
+		t.Fatalf("steady-state %s allocated %.1f objects/op, want 0", what, allocs)
 	}
 }
 
@@ -86,33 +98,18 @@ func TestSolveTracedNoExtraAllocs(t *testing.T) {
 	}
 }
 
-// The block apply path is held to the same wall as the single path: a
+// The k-wide apply pass is held to the same wall as the width-1 pass: a
 // steady-state k-wide preconditioner application at Workers:1 must perform
 // ZERO heap allocations — the block workspace reshapes in place, every
 // block kernel takes its sequential fast path, and lane compaction is pure
-// data movement. k >= 2 is the interesting case (the k==1 path delegates to
-// the single kernels, covered above).
+// data movement. Width 1 is covered above; this is the k = 8 pass.
 func TestPrecondApplyBlockZeroAllocs(t *testing.T) {
 	g := gen.Grid2D(48, 48)
 	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := s.Chain
-	const k = 8
-	var rs matrix.Block
-	rs.Reshape(g.N, k)
-	for j := 0; j < k; j++ {
-		rs.SetCol(j, randRHS(g.N, int64(7+j)))
-	}
-	ws := newWorkspace(c, k) // held directly: immune to pool/GC interplay
-	c.applyHTopBlock(1, &rs, ws)
-	allocs := testing.AllocsPerRun(20, func() {
-		c.applyHTopBlock(1, &rs, ws)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state block preconditioner application allocated %.1f objects/op, want 0", allocs)
-	}
+	requireApplyZeroAllocs(t, s.Chain, g.N, 8, "block preconditioner application")
 }
 
 // The full traced block solve must also be allocation-free at steady state
@@ -127,11 +124,23 @@ func TestSolveBlockTracedZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const k = 4
+	for _, k := range []int{4, 1} {
+		tr := requireSolveBlockZeroAllocs(t, s, k, fmt.Sprintf("k=%d block solve", k))
+		if tr.OuterNS <= 0 || tr.PrecondNS <= 0 {
+			t.Fatalf("k=%d: trace not populated: %+v", k, tr)
+		}
+	}
+}
+
+// requireSolveBlockZeroAllocs holds a k-lane SolveBlockTraced with
+// caller-retained blocks, stats and trace to zero steady-state allocations
+// and checks every lane converged; it returns the last solve's trace.
+func requireSolveBlockZeroAllocs(t *testing.T, s *Solver, k int, what string) obs.SolveTrace {
+	t.Helper()
 	var rhs, out matrix.Block
-	rhs.Reshape(g.N, k)
+	rhs.Reshape(s.G.N, k)
 	for j := 0; j < k; j++ {
-		rhs.SetCol(j, randRHS(g.N, int64(11+j)))
+		rhs.SetCol(j, randRHS(s.G.N, int64(11+j)))
 	}
 	const eps = 1e-4
 	opt := Options{Workers: 1}
@@ -144,19 +153,17 @@ func TestSolveBlockTracedZeroAllocs(t *testing.T) {
 	// Under -race sync.Pool intentionally drops items, so the pooled
 	// workspace misses and reallocates; the wall only holds on normal builds.
 	if allocs != 0 && !raceDetectorEnabled {
-		t.Fatalf("steady-state block solve allocated %.1f objects/op, want 0", allocs)
+		t.Fatalf("steady-state %s allocated %.1f objects/op, want 0", what, allocs)
 	}
 	if len(sts) != k {
-		t.Fatalf("got %d stats rows, want %d", len(sts), k)
+		t.Fatalf("%s: got %d stats rows, want %d", what, len(sts), k)
 	}
 	for j, st := range sts {
 		if !st.Converged {
-			t.Fatalf("lane %d did not converge: %+v", j, st)
+			t.Fatalf("%s: lane %d did not converge: %+v", what, j, st)
 		}
 	}
-	if tr.OuterNS <= 0 || tr.PrecondNS <= 0 {
-		t.Fatalf("trace not populated: %+v", tr)
-	}
+	return tr
 }
 
 // BenchmarkPrecondApply reports ns/op and (via ReportAllocs) allocs/op for
@@ -210,16 +217,7 @@ func TestPrecondApplyZeroAllocsVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := s.Chain
-			r := randRHS(v.g.N, 7)
-			ws := newWorkspace(c, 1)
-			c.applyHTop(1, r, ws)
-			allocs := testing.AllocsPerRun(20, func() {
-				c.applyHTop(1, r, ws)
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state %s application allocated %.1f objects/op, want 0", v.name, allocs)
-			}
+			requireApplyZeroAllocs(t, s.Chain, v.g.N, 1, v.name+" application")
 		})
 	}
 }
@@ -232,21 +230,7 @@ func TestPrecondApplyBlockZeroAllocsVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := s.Chain
-			const k = 8
-			var rs matrix.Block
-			rs.Reshape(v.g.N, k)
-			for j := 0; j < k; j++ {
-				rs.SetCol(j, randRHS(v.g.N, int64(7+j)))
-			}
-			ws := newWorkspace(c, k)
-			c.applyHTopBlock(1, &rs, ws)
-			allocs := testing.AllocsPerRun(20, func() {
-				c.applyHTopBlock(1, &rs, ws)
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state %s block application allocated %.1f objects/op, want 0", v.name, allocs)
-			}
+			requireApplyZeroAllocs(t, s.Chain, v.g.N, 8, v.name+" block application")
 		})
 	}
 }
@@ -259,27 +243,8 @@ func TestSolveBlockTracedZeroAllocsVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const k = 4
-			var rhs, out matrix.Block
-			rhs.Reshape(v.g.N, k)
-			for j := 0; j < k; j++ {
-				rhs.SetCol(j, randRHS(v.g.N, int64(11+j)))
-			}
-			const eps = 1e-4
-			opt := Options{Workers: 1}
-			var tr obs.SolveTrace
-			var sts []SolveStats
-			sts = s.SolveBlockTraced(&rhs, &out, eps, opt, &tr, sts)
-			allocs := testing.AllocsPerRun(10, func() {
-				sts = s.SolveBlockTraced(&rhs, &out, eps, opt, &tr, sts)
-			})
-			if allocs != 0 && !raceDetectorEnabled {
-				t.Fatalf("steady-state %s block solve allocated %.1f objects/op, want 0", v.name, allocs)
-			}
-			for j, st := range sts {
-				if !st.Converged {
-					t.Fatalf("lane %d did not converge: %+v", j, st)
-				}
+			for _, k := range []int{4, 1} {
+				requireSolveBlockZeroAllocs(t, s, k, fmt.Sprintf("%s k=%d block solve", v.name, k))
 			}
 		})
 	}

@@ -9,27 +9,32 @@ import (
 	"parlap/internal/wd"
 )
 
-// The batched solve path: the whole preconditioner-chain recursion — the
+// The chain's apply recursion (rPCh, Lemmas 6.6–6.7) and the block PCG
+// driver above it. Every chain solve runs here at its batch width k — a
+// single right-hand side is a k = 1 block — and every stage (the
 // elimination-log replays, the per-level Chebyshev sweeps, the CSR
-// mat-vecs, the bottom direct solve — operates on one contiguous n×k
-// matrix.Block per stage, amortizing every traversal of the chain's (large,
-// shared) static structure across the batch and streaming the k lane values
-// per vertex from adjacent memory (the vertex-major interleaved layout).
-// Lane arithmetic is never mixed: each block kernel performs, per lane,
-// exactly the floating-point operations of its single-vector form in the
-// same order, so SolveBlock returns bitwise-identical vectors to k
-// independent Solve calls. Lanes that converge (or break down) are
-// compacted out of the block — pure data movement via Block.KeepLanes —
-// exactly where the single-column driver would have stopped.
+// mat-vecs, the bottom direct solve) operates on one contiguous n×k
+// matrix.Block, amortizing every traversal of the chain's (large, shared)
+// static structure across the batch and streaming the k lane values per
+// vertex from adjacent memory (the vertex-major interleaved layout). Lane
+// arithmetic is never mixed: each block kernel performs, per lane, exactly
+// the floating-point operations of its single-vector form in the same
+// order (at k = 1 it IS the single-vector kernel), so lane c of a k-wide
+// solve is bitwise identical to a solve of that column alone. Lanes that
+// converge (or break down) are compacted out of the block — pure data
+// movement via Block.KeepLanes — exactly where a lone solve of the column
+// would have stopped.
 //
-// Scratch lives in the same per-solve workspace as the single path (each
-// buffer a Block reshaped to the batch width), so steady-state batch
-// applications reuse backing arrays across iterations and stream windows
-// and the Workers:1 apply path performs zero heap allocations.
+// Scratch lives in the per-solve workspace (each buffer a Block reshaped to
+// the batch width), so steady-state applications reuse backing arrays
+// across iterations and stream windows and the Workers:1 apply path
+// performs zero heap allocations.
 
-// solveLevelBlock is solveLevel over the k lanes of bs: one Chebyshev sweep
-// (or one bottom direct solve) serving the whole batch. The result is a
-// workspace-resident block.
+// solveLevelBlock approximately solves A_i x = b for the k lanes of bs by
+// level i's preconditioned Chebyshev sweep; past the last level it solves
+// exactly with the bottom factor (the Lemma 6.7 / 6.8 recursion). One sweep
+// or one bottom solve serves the whole batch. The result is a
+// workspace-resident block, valid until the level's scratch is next used.
 func (c *Chain) solveLevelBlock(workers, i int, bs *matrix.Block, ws *workspace) *matrix.Block {
 	if i >= len(c.Levels) {
 		k := bs.K()
@@ -43,8 +48,12 @@ func (c *Chain) solveLevelBlock(workers, i int, bs *matrix.Block, ws *workspace)
 	return c.chebLevelBlock(workers, i, bs, ws)
 }
 
-// applyHBlock is applyH over the k lanes of r: one forward/backward replay
-// of the elimination log per batch instead of per RHS.
+// applyHBlock solves the preconditioner system H_i z = r for the k lanes of
+// r by partial-Cholesky elimination into A_{i+1}, a recursive solve there,
+// and back-substitution: one forward/backward replay of the elimination log
+// per batch instead of per RHS. The κ scaling of the subgraph inside H is
+// part of H's definition, so no extra scaling appears here. The returned
+// block is ws's level-i back-substitution buffer.
 func (c *Chain) applyHBlock(workers, i int, r *matrix.Block, ws *workspace) *matrix.Block {
 	lvl := &c.Levels[i]
 	l := &ws.lvl[i]
@@ -70,15 +79,6 @@ func (c *Chain) applyHTopBlock(workers int, rs *matrix.Block, ws *workspace) *ma
 	if ws.cols != k {
 		ws.grow(k)
 	}
-	if k == 1 {
-		// Single-lane batches run the plain path (which counts the apply
-		// itself); the result buffer is the same workspace block either way.
-		c.applyHTop(workers, rs.Vec(), ws)
-		if len(c.Levels) == 0 {
-			return &ws.bot.x
-		}
-		return &ws.lvl[0].backX
-	}
 	c.precondApplies.Add(1)
 	t0 := time.Now()
 	var zs *matrix.Block
@@ -93,27 +93,27 @@ func (c *Chain) applyHTopBlock(workers int, rs *matrix.Block, ws *workspace) *ma
 	return zs
 }
 
-// chebLevelBlock runs chebLevel's fixed-degree preconditioned Chebyshev
-// iteration on k lanes at once. The recurrence scalars depend only on the
-// spectral interval and the iteration index — never on the data — so one
-// scalar schedule drives all lanes and each lane reproduces the
-// single-column iteration bitwise. The direction/iterate updates and the
-// mat-vec/residual updates are fused (ChebUpdateBlockW, MulVecAxpyBlockW),
-// sweeping the n×k working set twice per iteration instead of four times.
+// chebLevelBlock runs level i's fixed-degree preconditioned Chebyshev
+// iteration on k lanes at once: spec(M⁻¹A) ⊆ [EigLo, EigHi], exactly
+// ChebIts iterations, preconditioned by applyHBlock(i). The recurrence
+// scalars depend only on the spectral interval and the iteration index —
+// never on the data — so one scalar schedule drives all lanes and each lane
+// reproduces the single-column iteration bitwise. The direction/iterate
+// updates and the mat-vec/residual updates are fused (ChebUpdateBlockW,
+// MulVecAxpyBlockW), sweeping the n×k working set twice per iteration
+// instead of four times. Keeping the recursion closure-free and the scratch
+// level-resident is what makes a steady-state application allocation-free.
 func (c *Chain) chebLevelBlock(workers, i int, bs *matrix.Block, ws *workspace) *matrix.Block {
 	k := bs.K()
 	l := &ws.lvl[i]
 	lvl := &c.Levels[i]
-	if k == 1 {
-		c.chebLevel(workers, i, bs.Vec(), ws)
-		return &l.chebX
-	}
 	a := lvl.Lap
 	ci := lvl.CompIdx
 	x, r, p, ap := &l.chebX, &l.chebR, &l.chebP, &l.chebAp
 	n := a.N
-	// Exclusive stage timing, mirroring chebLevel: the recursion's time
-	// lands in deeper levels' slots, not this one's.
+	// Stage timing: the sweep's own kernel time, EXCLUSIVE of the recursive
+	// preconditioner applications (those land in deeper levels' trace
+	// slots), so the per-level stage series partition the apply time.
 	t0 := time.Now()
 	var innerNS int64
 	x.Zero()
@@ -150,11 +150,12 @@ func finishBlockLane(workers int, x *matrix.Block, lane int, ci *matrix.CompInde
 	out.SetCol(outCol, col)
 }
 
-// pcgFlexibleBlock runs pcgFlexible on the k0 lanes of rhs, sharing one
-// preconditioner-chain pass per iteration across all still-active lanes.
-// Every lane follows the exact operation sequence of the single-column
-// driver — same kernels, same order, same break points — so out's column c
-// is bitwise identical to pcgFlexible on rhs's column c. Lanes leave the
+// pcgFlexibleBlock runs pcgFlexible's flexible PCG iteration on the k0
+// lanes of rhs, sharing one preconditioner-chain pass per iteration across
+// all still-active lanes. Every lane follows the exact operation sequence of
+// the single-column driver — same kernels, same order, same break points —
+// so out's column c is bitwise identical to a width-1 solve of rhs's
+// column c. Lanes leave the
 // active block via KeepLanes compaction (pure data movement — surviving
 // lanes' arithmetic is untouched) when they converge or the preconditioner
 // breaks down for them, exactly where pcgFlexible would have returned; a

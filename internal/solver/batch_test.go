@@ -158,8 +158,8 @@ func TestSolveBatchSharesChainPasses(t *testing.T) {
 	}
 }
 
-// TestPrecondApplyBatchBitwise pins the chain-internal block recursion to
-// the single-column recursion, column by column.
+// TestPrecondApplyBatchBitwise pins a k-wide pass of the apply recursion to
+// width-1 passes (PrecondApplyIntoW), column by column.
 func TestPrecondApplyBatchBitwise(t *testing.T) {
 	g := gen.WithExponentialWeights(gen.Grid2D(20, 20), 6, 3, 7)
 	s, err := New(g, deepChainParams(g), nil)
@@ -176,6 +176,6 @@ func TestPrecondApplyBatchBitwise(t *testing.T) {
 	z := make([]float64, g.N)
 	for c := range rs {
 		zs.ColInto(c, z)
-		requireBitwiseVec(t, fmt.Sprintf("column %d", c), z, s.Chain.PrecondApply(rs[c]))
+		requireBitwiseVec(t, fmt.Sprintf("column %d", c), z, precondApply(s.Chain, rs[c]))
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"parlap/internal/graph"
 	"parlap/internal/matrix"
-	"parlap/internal/obs"
 	"parlap/internal/par"
 	"parlap/internal/wd"
 )
@@ -218,9 +217,9 @@ func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 // Chebyshev schedule (calibration runs exclusively at build time) — is
 // immutable thereafter, and every per-solve temporary lives in
 // solve-call-local buffers, so any number of goroutines may call
-// PrecondApply/PrecondApplyW (and the Solver's Solve methods above it)
-// concurrently on one Chain. The only mutating fields are the atomic
-// bottomSolves counter and the (atomic) work/depth recorder.
+// PrecondApplyIntoW (and the Solver's Solve methods above it) concurrently
+// on one Chain. The only mutating fields are the atomic bottomSolves
+// counter and the (atomic) work/depth recorder.
 type Chain struct {
 	Levels  []Level
 	Bottom  *matrix.LaplacianFactor
@@ -238,13 +237,13 @@ type Chain struct {
 
 	bottomSolves atomic.Int64
 	// precondApplies counts top-level preconditioner applications — one per
-	// applyHTop/applyHTopBlock call regardless of batch width, so a k-column
-	// block apply that shares every chain pass across lanes counts once
-	// where k single applies would count k times.
+	// applyHTopBlock call regardless of batch width, so a k-column block
+	// apply that shares every chain pass across lanes counts once where k
+	// single applies would count k times.
 	precondApplies atomic.Int64
 	rec            *wd.Recorder
-	// ws pools per-solve workspaces for the public PrecondApply entry
-	// points (the Solver keeps its own pool for full solves). Like the
+	// ws pools per-solve workspaces for the public PrecondApplyIntoW entry
+	// point (the Solver keeps its own pool for full solves). Like the
 	// bottomSolves counter it is internally synchronized and exempt from
 	// the read-only-after-build contract.
 	ws wsPool
@@ -545,7 +544,7 @@ func (c *Chain) calibrate(rng *rand.Rand) {
 	// Seed the chain's workspace pool with the calibration workspace (its
 	// footprint charged, so the build-time MemoryBytes snapshot the serving
 	// cache budgets against already includes the retained scratch) — the
-	// first PrecondApply reuses it.
+	// first PrecondApplyIntoW reuses it.
 	c.ws.seed(ws)
 }
 
@@ -615,7 +614,7 @@ func (c *Chain) MemoryBytes() int64 {
 		b += c.Bottom.MemoryBytes()
 	}
 	// Workspace pool: the high-water estimate of per-solve scratch retained
-	// between GCs by the chain's own PrecondApply pool.
+	// between GCs by the chain's own PrecondApplyIntoW pool.
 	b += c.ws.PeakBytes()
 	return b
 }
@@ -705,133 +704,17 @@ func (c *Chain) EdgeCounts() []int {
 	return out
 }
 
-// solveLevel approximately solves A_i x = b by preconditioned Chebyshev
-// iteration with the next level as preconditioner; the bottom level solves
-// exactly (Lemma 6.7 / 6.8 recursion). The result lives in ws (the level's
-// Chebyshev x, or the bottom solution buffer) and stays valid until the
-// level's scratch is next used.
-func (c *Chain) solveLevel(workers, i int, b []float64, ws *workspace) []float64 {
-	if i >= len(c.Levels) {
-		c.bottomSolves.Add(1)
-		c.rec.Add(c.bottomSolveOps(), int64(c.Bottom.GroundedLen()))
-		t0 := time.Now()
-		c.Bottom.SolveIntoW(workers, b, ws.bot.x.Vec(), ws.bot.g.Vec())
-		ws.trace.BottomNS += time.Since(t0).Nanoseconds()
-		return ws.bot.x.Vec()
-	}
-	return c.chebLevel(workers, i, b, ws)
-}
-
-// chebLevel runs level i's fixed-degree preconditioned Chebyshev iteration
-// (the recurrence of iterative.go's chebyshev, specialized to the chain) on
-// workspace-resident vectors: spec(M⁻¹A) ⊆ [EigLo, EigHi], exactly ChebIts
-// iterations, preconditioned by applyH(i). Keeping the recursion closure-
-// free and the scratch level-resident is what makes a steady-state
-// preconditioner application allocation-free.
-func (c *Chain) chebLevel(workers, i int, b []float64, ws *workspace) []float64 {
-	lvl := &c.Levels[i]
-	a := lvl.Lap
-	ci := lvl.CompIdx
-	l := &ws.lvl[i]
-	x, r, p, ap := l.chebX.Vec(), l.chebR.Vec(), l.chebP.Vec(), l.chebAp.Vec()
-	n := a.N
-	// Stage timing: the sweep's own kernel time, EXCLUSIVE of the recursive
-	// preconditioner applications (those attribute to deeper levels' trace
-	// slots), so the per-level stage series partition the apply time.
-	t0 := time.Now()
-	var innerNS int64
-	for j := 0; j < n; j++ {
-		x[j] = 0
-	}
-	copy(r, b)
-	matrix.ProjectOutConstantMaskedIdxW(workers, r, ci)
-	co := newChebCoeffs(lvl.EigLo, lvl.EigHi)
-	for k := 0; k < lvl.ChebIts; k++ {
-		ta := time.Now()
-		z := c.applyH(workers, i, r, ws)
-		innerNS += time.Since(ta).Nanoseconds()
-		matrix.ProjectOutConstantMaskedIdxW(workers, z, ci)
-		alpha, beta, first := co.step(k)
-		if first {
-			copy(p, z)
-		} else {
-			matrix.AxpyIntoW(workers, p, beta, p, z)
-		}
-		matrix.AxpyIntoW(workers, x, alpha, p, x)
-		a.MulVecW(workers, p, ap)
-		matrix.AxpyIntoW(workers, r, -alpha, ap, r)
-		c.rec.Add(int64(a.NNZ()+6*n), 2)
-	}
-	matrix.ProjectOutConstantMaskedIdxW(workers, x, ci)
-	ws.trace.ChebNS[obs.LevelIndex(i)] += time.Since(t0).Nanoseconds() - innerNS
-	return x
-}
-
-// applyH solves the preconditioner system H_i z = r by partial-Cholesky
-// elimination into A_{i+1}, a recursive solve there, and back-substitution,
-// entirely in level-resident workspace buffers. The κ scaling of the
-// subgraph inside H is part of H's definition, so no extra scaling appears
-// here. The returned z is ws's level-i back-substitution buffer.
-func (c *Chain) applyH(workers, i int, r []float64, ws *workspace) []float64 {
-	lvl := &c.Levels[i]
-	l := &ws.lvl[i]
-	li := obs.LevelIndex(i)
-	t0 := time.Now()
-	lvl.Elim.ForwardRHSIntoW(workers, r, l.fwdWork.Vec(), l.fwdCarry.Vec(), l.fwdRed.Vec())
-	ws.trace.FwdNS[li] += time.Since(t0).Nanoseconds()
-	xr := c.solveLevel(workers, i+1, l.fwdRed.Vec(), ws)
-	t1 := time.Now()
-	lvl.Elim.BackSolveIntoW(workers, xr, l.fwdCarry.Vec(), l.backX.Vec())
-	z := l.backX.Vec()
-	matrix.ProjectOutConstantMaskedIdxW(workers, z, lvl.CompIdx)
-	ws.trace.BackNS[li] += time.Since(t1).Nanoseconds()
-	c.rec.Add(int64(len(lvl.Elim.Ops))+int64(len(r)), int64(lvl.Elim.Rounds)+1)
-	return z
-}
-
-// applyHTop applies the whole-chain preconditioner into ws and returns the
-// workspace-resident result (valid until ws is reused).
-func (c *Chain) applyHTop(workers int, r []float64, ws *workspace) []float64 {
-	c.precondApplies.Add(1)
-	t0 := time.Now()
-	var z []float64
-	if len(c.Levels) == 0 {
-		c.Bottom.SolveIntoW(workers, r, ws.bot.x.Vec(), ws.bot.g.Vec())
-		z = ws.bot.x.Vec()
-		ws.trace.BottomNS += time.Since(t0).Nanoseconds()
-	} else {
-		z = c.applyH(workers, 0, r, ws)
-	}
-	ws.trace.PrecondNS += time.Since(t0).Nanoseconds()
-	return z
-}
-
-// PrecondApply exposes one application of the top-level preconditioner
-// (H_1⁻¹ through the whole chain), used by the PCG driver and experiments.
-// Safe for concurrent use (see the Chain concurrency contract).
-func (c *Chain) PrecondApply(r []float64) []float64 {
-	return c.PrecondApplyW(c.Opt.Workers, r)
-}
-
-// PrecondApplyW is PrecondApply with a per-call worker count, letting a
-// serving layer split a global worker budget across concurrent solves
-// without rebuilding the chain. Results are bitwise identical for every
-// workers value. The returned vector is freshly allocated (caller-owned);
-// repeated callers who want the allocation-free path should use
-// PrecondApplyIntoW.
-func (c *Chain) PrecondApplyW(workers int, r []float64) []float64 {
-	out := make([]float64, len(r))
-	c.PrecondApplyIntoW(workers, r, out)
-	return out
-}
-
-// PrecondApplyIntoW applies the top-level preconditioner into dst (length
-// n, fully overwritten; dst must not alias r). Scratch comes from the
-// chain's workspace pool, so steady-state applications perform zero heap
+// PrecondApplyIntoW applies the top-level preconditioner H_1⁻¹ (the whole
+// chain) to r into dst (length n, fully overwritten; dst must not alias r),
+// running the apply recursion at width 1 on a view of r. Results are bitwise
+// identical for every workers value, so a serving layer may split a global
+// worker budget across concurrent calls. Scratch comes from the chain's
+// workspace pool, so steady-state applications perform zero heap
 // allocations at Workers:1 (locked by the solver package's allocation
-// test). Safe for concurrent use.
+// test). Safe for concurrent use (see the Chain concurrency contract).
 func (c *Chain) PrecondApplyIntoW(workers int, r, dst []float64) {
 	ws := c.ws.get(c, 1)
-	copy(dst, c.applyHTop(workers, r, ws))
+	rb := matrix.VecBlock(r)
+	copy(dst, c.applyHTopBlock(workers, &rb, ws).Vec())
 	c.ws.put(ws)
 }

@@ -10,62 +10,33 @@ import (
 	"parlap/internal/matrix"
 )
 
-func TestChebyshevSolvesWithExactPreconditioner(t *testing.T) {
-	// With M = A (exact preconditioner), spec(M⁻¹A) = {1}; Chebyshev on
-	// [0.9, 1.1] must converge essentially immediately.
-	g := gen.Grid2D(10, 10)
-	lap := matrix.LaplacianOf(g)
-	comp, k := g.ConnectedComponents()
-	lf, err := matrix.NewLaplacianFactor(lap, comp, k)
+// TestChebyshevFixedIterationCountIsLinear checks the property Lemma 6.7's
+// recursion rests on: a level's Chebyshev sweep runs a fixed iteration
+// count over a preconditioner that is itself such a sweep (down to an
+// exact bottom solve), so it is a linear operator —
+// C(a·b1 + b2) = a·C(b1) + C(b2) up to roundoff.
+func TestChebyshevFixedIterationCountIsLinear(t *testing.T) {
+	g := gen.Grid2D(24, 24)
+	ch, err := BuildChain(g, deepChainParams(g), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := randRHS(g.N, 1)
-	x := chebyshev(0, lap, b, 8, 0.9, 1.1, lf.Solve, matrix.NewCompIndex(comp, k), nil)
-	ax := lap.Apply(x)
-	for i := range b {
-		if math.Abs(ax[i]-b[i]) > 1e-6 {
-			t.Fatalf("residual %v at %d", ax[i]-b[i], i)
-		}
+	if len(ch.Levels) < 2 {
+		t.Fatalf("depth-pinned chain has %d levels; the level-1 sweep needs two", len(ch.Levels))
 	}
-}
-
-func TestChebyshevIdentityPreconditioner(t *testing.T) {
-	// M = I on a path Laplacian: spectrum within (0, 4]; enough iterations
-	// with the true interval must reduce the residual substantially.
-	g := gen.Path(32)
-	lap := matrix.LaplacianOf(g)
-	comp, k := g.ConnectedComponents()
-	b := randRHS(g.N, 2)
-	// λmin of the path Laplacian ≈ 2(1−cos(π/n)) ≈ π²/n².
-	lmin := 2 * (1 - math.Cos(math.Pi/float64(g.N)))
-	x := chebyshev(0, lap, b, 200, lmin, 4, matrix.CopyVec, matrix.NewCompIndex(comp, k), nil)
-	r := matrix.CopyVec(b)
-	matrix.SubInto(r, r, lap.Apply(x))
-	if matrix.Norm2(r)/matrix.Norm2(b) > 1e-3 {
-		t.Fatalf("relative residual %v after 200 its", matrix.Norm2(r)/matrix.Norm2(b))
-	}
-}
-
-func TestChebyshevFixedIterationCountIsLinear(t *testing.T) {
-	// The Chebyshev operator with fixed iterations must be linear:
-	// C(a·b1 + b2) = a·C(b1) + C(b2) (Lemma 6.7 requires this for the
-	// recursion). Identity preconditioner, fixed bounds.
-	g := gen.Grid2D(6, 6)
-	lap := matrix.LaplacianOf(g)
-	comp, k := g.ConnectedComponents()
+	n := ch.Levels[1].G.N
+	ws := newWorkspace(ch, 1)
 	apply := func(b []float64) []float64 {
-		return chebyshev(0, lap, b, 5, 0.05, 8, matrix.CopyVec, matrix.NewCompIndex(comp, k), nil)
+		bb := matrix.VecBlock(b)
+		return matrix.CopyVec(ch.chebLevelBlock(1, 1, &bb, ws).Vec())
 	}
 	rng := rand.New(rand.NewSource(3))
-	b1, b2 := make([]float64, g.N), make([]float64, g.N)
+	b1, b2 := make([]float64, n), make([]float64, n)
 	for i := range b1 {
 		b1[i], b2[i] = rng.NormFloat64(), rng.NormFloat64()
 	}
-	matrix.ProjectOutConstant(b1)
-	matrix.ProjectOutConstant(b2)
 	alpha := 2.7
-	combo := make([]float64, g.N)
+	combo := make([]float64, n)
 	matrix.AxpyInto(combo, alpha, b1, b2)
 	y1, y2, yc := apply(b1), apply(b2), apply(combo)
 	for i := range yc {
@@ -80,7 +51,7 @@ func TestPCGZeroRHS(t *testing.T) {
 	g := gen.Grid2D(5, 5)
 	lap := matrix.LaplacianOf(g)
 	comp, k := g.ConnectedComponents()
-	x, st := pcgFlexible(0, lap, make([]float64, g.N), matrix.CopyVec, matrix.NewCompIndex(comp, k), 1e-10, 100, nil, nil)
+	x, st := pcgFlexible(0, lap, make([]float64, g.N), matrix.CopyVec, matrix.NewCompIndex(comp, k), 1e-10, 100, nil)
 	if !st.Converged || st.Iterations != 0 {
 		t.Fatalf("zero rhs: %+v", st)
 	}
@@ -96,7 +67,7 @@ func TestPCGMaxIterRespected(t *testing.T) {
 	lap := matrix.LaplacianOf(g)
 	comp, k := g.ConnectedComponents()
 	b := randRHS(g.N, 5)
-	_, st := pcgFlexible(0, lap, b, matrix.CopyVec, matrix.NewCompIndex(comp, k), 1e-14, 7, nil, nil)
+	_, st := pcgFlexible(0, lap, b, matrix.CopyVec, matrix.NewCompIndex(comp, k), 1e-14, 7, nil)
 	if st.Iterations > 7 {
 		t.Fatalf("iterations %d exceed maxIter", st.Iterations)
 	}
@@ -117,6 +88,14 @@ func deepChainParams(g *graph.Graph) ChainParams {
 	return p
 }
 
+// precondApply runs PrecondApplyIntoW at the chain's own worker count into
+// a freshly allocated result.
+func precondApply(c *Chain, r []float64) []float64 {
+	z := make([]float64, len(r))
+	c.PrecondApplyIntoW(c.Opt.Workers, r, z)
+	return z
+}
+
 func TestBuildChainBottomOnlyForSmallGraphs(t *testing.T) {
 	g := gen.Grid2D(5, 5)
 	ch, err := BuildChain(g, DefaultChainParams(), nil)
@@ -126,9 +105,9 @@ func TestBuildChainBottomOnlyForSmallGraphs(t *testing.T) {
 	if len(ch.Levels) != 0 {
 		t.Fatalf("tiny graph built %d levels", len(ch.Levels))
 	}
-	// PrecondApply must be the exact bottom solve.
+	// The preconditioner must be the exact bottom solve.
 	b := randRHS(g.N, 6)
-	x := ch.PrecondApply(b)
+	x := precondApply(ch, b)
 	lap := matrix.LaplacianOf(g)
 	ax := lap.Apply(x)
 	for i := range b {
@@ -175,7 +154,7 @@ func TestChainBottomSolvesCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := ch.BottomSolves()
-	ch.PrecondApply(randRHS(g.N, 7))
+	precondApply(ch, randRHS(g.N, 7))
 	if ch.BottomSolves() <= before {
 		t.Fatal("bottom solves not counted")
 	}
@@ -277,11 +256,11 @@ func TestEliminationDisconnectedGraph(t *testing.T) {
 	}
 	// Solve L x = b with b in range (per-component mean zero).
 	b := []float64{1, -1, 2, -1, -1, 0, 0}
-	red, carry := el.ForwardRHS(b)
+	red, carry := forwardRHS(el, 0, b)
 	if len(red) != 0 {
 		t.Fatalf("reduced rhs nonempty: %v", red)
 	}
-	x := el.BackSolve(nil, carry)
+	x := backSolve(el, 0, nil, carry)
 	lap := matrix.LaplacianOf(g)
 	ax := lap.Apply(x)
 	for i := range b {
@@ -300,9 +279,9 @@ func TestEliminationWeightedSplice(t *testing.T) {
 	// Everything is degree ≤ 2 so the graph empties, but the intermediate
 	// splice is exercised via the op log; verify solve correctness instead.
 	b := []float64{1, 0, -1}
-	red, carry := el.ForwardRHS(b)
+	red, carry := forwardRHS(el, 0, b)
 	_ = red
-	x := el.BackSolve(make([]float64, len(el.Keep)), carry)
+	x := backSolve(el, 0, make([]float64, len(el.Keep)), carry)
 	lap := matrix.LaplacianOf(g)
 	ax := lap.Apply(x)
 	for i := range b {

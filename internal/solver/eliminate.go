@@ -43,10 +43,10 @@ type ElimOp struct {
 // Alongside the op log it carries an owner-computes reverse index: for each
 // round, the ops' scatter targets (the op.A/op.B neighbors that receive
 // forwarded b-mass) grouped by receiving vertex, in op order within each
-// group. ForwardRHS uses it to let every receiver accumulate its own round
-// contributions in parallel — two ops sharing a neighbor no longer force a
-// sequential scatter — while reproducing the sequential op-order float sums
-// bitwise (per receiver, the accumulation order is unchanged).
+// group. ForwardRHSIntoW uses it to let every receiver accumulate its own
+// round contributions in parallel — two ops sharing a neighbor no longer
+// force a sequential scatter — while reproducing the sequential op-order
+// float sums bitwise (per receiver, the accumulation order is unchanged).
 type Elimination struct {
 	OrigN    int
 	Ops      []ElimOp
@@ -464,16 +464,12 @@ func (el *Elimination) itemBounds(gi int) (lo, hi int32) {
 	return lo, el.recvItemEnd[gi]
 }
 
-// ForwardRHS pushes a right-hand side through the elimination with the
-// default worker count; see ForwardRHSW.
-func (el *Elimination) ForwardRHS(b []float64) (reduced, carry []float64) {
-	return el.ForwardRHSW(0, b)
-}
-
-// ForwardRHSW pushes a right-hand side through the elimination: eliminated
-// vertices forward their b-mass to their neighbors. It returns the reduced
-// right-hand side and the per-op carried values needed by BackSolve.
-// The input b is not modified.
+// ForwardRHSIntoW pushes a right-hand side through the elimination:
+// eliminated vertices forward their b-mass to their neighbors. It writes
+// the reduced right-hand side into reduced (length len(Keep)) and the
+// per-op carried values BackSolveIntoW needs into carry (length len(Ops)),
+// using work (length OrigN) as scratch; all three are fully overwritten and
+// b is not modified.
 //
 // Within a round the eliminated vertices form an independent set, and a
 // round's scatter targets (neighbors) are never that round's eliminated
@@ -483,21 +479,8 @@ func (el *Elimination) ForwardRHS(b []float64) (reduced, carry []float64) {
 // contributions (carry × precomputed coefficient) in ascending op order —
 // a fixed summation order that makes the result bitwise identical for
 // every worker count, and matches what a sequential op-order scatter of
-// the same contributions would produce.
-func (el *Elimination) ForwardRHSW(workers int, b []float64) (reduced, carry []float64) {
-	work := make([]float64, el.OrigN)
-	carry = make([]float64, len(el.Ops))
-	reduced = make([]float64, len(el.Keep))
-	el.ForwardRHSIntoW(workers, b, work, carry, reduced)
-	return reduced, carry
-}
-
-// ForwardRHSIntoW is ForwardRHSW into caller-provided buffers: work (length
-// OrigN), carry (length len(Ops)) and reduced (length len(Keep)), each fully
-// overwritten. b is not modified. At workers==1 the replay runs as plain
-// loops — no closures, no goroutines, no allocation — with arithmetic
-// bitwise identical to every parallel schedule (the scatter order per
-// receiver is fixed by the reverse index either way).
+// the same contributions would produce. At workers==1 the replay runs as
+// plain loops — no closures, no goroutines, no allocation.
 func (el *Elimination) ForwardRHSIntoW(workers int, b, work, carry, reduced []float64) {
 	copy(work, b)
 	seq := par.Sequential(workers)
@@ -548,30 +531,18 @@ func (el *Elimination) ForwardRHSIntoW(workers int, b, work, carry, reduced []fl
 	})
 }
 
-// BackSolve extends a solution of the reduced system with the default worker
-// count; see BackSolveW.
-func (el *Elimination) BackSolve(xReduced, carry []float64) []float64 {
-	return el.BackSolveW(0, xReduced, carry)
-}
-
-// BackSolveW extends a solution of the reduced system to the full system by
-// replaying the elimination log in reverse, round by round. carry must come
-// from the ForwardRHS call for the same right-hand side.
+// BackSolveIntoW extends a solution of the reduced system to the full
+// system by replaying the elimination log in reverse, round by round, into
+// x (length OrigN, fully overwritten: every vertex is either kept or
+// eliminated by exactly one op). carry must come from the ForwardRHSIntoW
+// call for the same right-hand side.
 //
 // The reverse replay is owner-computes by construction: each op writes only
 // x[op.V] and gathers its neighbor reads (x[op.A], x[op.B]) from vertices
 // eliminated in later rounds or kept — already final when the round replays
 // — so ops within a round run in parallel, realizing the Lemma 6.5 claim
-// that rounds are the only sequential dependency.
-func (el *Elimination) BackSolveW(workers int, xReduced, carry []float64) []float64 {
-	x := make([]float64, el.OrigN)
-	el.BackSolveIntoW(workers, xReduced, carry, x)
-	return x
-}
-
-// BackSolveIntoW is BackSolveW into a caller-provided x (length OrigN, fully
-// overwritten: every vertex is either kept or eliminated by exactly one op).
-// At workers==1 the reverse replay runs as plain loops with no allocation.
+// that rounds are the only sequential dependency. At workers==1 the reverse
+// replay runs as plain loops with no allocation.
 func (el *Elimination) BackSolveIntoW(workers int, xReduced, carry, x []float64) {
 	seq := par.Sequential(workers)
 	if seq {
@@ -761,7 +732,7 @@ func (el *Elimination) backSolveBlockOps(ops []ElimOp, lo, clo, chi, kcols int, 
 // ascending-vertex Keep), so the reconstructed index — including the
 // recomputed forwarding coefficients wᵢ/(w₁+w₂) from the ops' exact weight
 // bits — is bit-identical to the one the original elimination carried, and
-// ForwardRHS/BackSolve replay bitwise. It validates the op log (vertex
+// ForwardRHSIntoW/BackSolveIntoW replay bitwise. It validates the op log (vertex
 // ranges, monotone round boundaries, no vertex eliminated twice) and returns
 // an error instead of building an index that could panic or scatter out of
 // bounds. Reduced is left untouched; callers attach the next level's graph.

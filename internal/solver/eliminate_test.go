@@ -10,11 +10,25 @@ import (
 	"parlap/internal/matrix"
 )
 
+// forwardRHS runs ForwardRHSIntoW into freshly allocated buffers.
+func forwardRHS(el *Elimination, workers int, b []float64) (reduced, carry []float64) {
+	reduced, carry = make([]float64, len(el.Keep)), make([]float64, len(el.Ops))
+	el.ForwardRHSIntoW(workers, b, make([]float64, el.OrigN), carry, reduced)
+	return reduced, carry
+}
+
+// backSolve runs BackSolveIntoW into a freshly allocated solution.
+func backSolve(el *Elimination, workers int, xReduced, carry []float64) []float64 {
+	x := make([]float64, el.OrigN)
+	el.BackSolveIntoW(workers, xReduced, carry, x)
+	return x
+}
+
 // exactElimSolve eliminates g, solves the reduced system directly, and
 // back-substitutes; it fails the test if L x != b beyond tol.
 func exactElimSolve(t *testing.T, g *graph.Graph, el *Elimination, b []float64, tol float64) []float64 {
 	t.Helper()
-	red, carry := el.ForwardRHS(b)
+	red, carry := forwardRHS(el, 0, b)
 	var xr []float64
 	if len(el.Keep) > 0 {
 		comp, k := el.Reduced.ConnectedComponents()
@@ -24,7 +38,7 @@ func exactElimSolve(t *testing.T, g *graph.Graph, el *Elimination, b []float64, 
 		}
 		xr = lf.Solve(red)
 	}
-	x := el.BackSolve(xr, carry)
+	x := backSolve(el, 0, xr, carry)
 	ax := matrix.LaplacianOf(g).Apply(x)
 	for i := range b {
 		if math.Abs(ax[i]-b[i]) > tol {
@@ -107,9 +121,9 @@ func TestForwardRHSSharedNeighborHotspot(t *testing.T) {
 		t.Fatalf("round 1 eliminated %d vertices, want all %d leaves", hi-lo, g.N-1)
 	}
 	b := randRHS(g.N, 12)
-	redRef, carryRef := el.ForwardRHSW(1, b)
+	redRef, carryRef := forwardRHS(el, 1, b)
 	for _, w := range []int{0, 2, 4} {
-		red, carry := el.ForwardRHSW(w, b)
+		red, carry := forwardRHS(el, w, b)
 		for i := range redRef {
 			if red[i] != redRef[i] {
 				t.Fatalf("workers=%d: reduced rhs diverges at %d", w, i)
@@ -135,7 +149,7 @@ func TestForwardRHSSharedNeighborHotspot(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		el.ForwardRHSBlockIntoW(w, &bb, &work, &carry, &red)
 		for c := range bs {
-			redC, carryC := el.ForwardRHSW(1, bs[c])
+			redC, carryC := forwardRHS(el, 1, bs[c])
 			gotRed, gotCarry := make([]float64, len(redC)), make([]float64, len(carryC))
 			red.ColInto(c, gotRed)
 			carry.ColInto(c, gotCarry)
@@ -162,7 +176,7 @@ func TestEliminationEmptyAndEdgelessGraphs(t *testing.T) {
 	if el.Reduced.N != 0 || el.Rounds != 1 || len(el.Ops) != 5 {
 		t.Fatalf("edgeless: reduced %d, rounds %d, ops %d", el.Reduced.N, el.Rounds, len(el.Ops))
 	}
-	x := el.BackSolve(nil, make([]float64, len(el.Ops)))
+	x := backSolve(el, 0, nil, make([]float64, len(el.Ops)))
 	for i, v := range x {
 		if v != 0 {
 			t.Fatalf("x[%d] = %v, want 0", i, v)

@@ -83,32 +83,6 @@ func TestSolveWorkerEquivalence(t *testing.T) {
 	}
 }
 
-func TestSolveChebyshevWorkerEquivalence(t *testing.T) {
-	g := gen.Grid2D(36, 36)
-	b := randRHS(g.N, 13)
-	ref, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xRef, stRef := ref.SolveChebyshev(b, 1e-6)
-	if !stRef.Converged {
-		t.Fatalf("sequential Chebyshev did not converge: %+v", stRef)
-	}
-	for _, w := range equivalenceWorkers {
-		s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: w}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, st := s.SolveChebyshev(b, 1e-6)
-		if !st.Converged {
-			t.Fatalf("workers=%d: not converged: %+v", w, st)
-		}
-		if d := relDiff(xRef, x); d > 1e-10 {
-			t.Errorf("workers=%d: Chebyshev solution diverges by %.3e", w, d)
-		}
-	}
-}
-
 // tridiagSDD returns a strictly diagonally dominant matrix with positive
 // off-diagonals — NOT a Laplacian, so NewSDD must take the Gremban
 // double-cover path.
@@ -208,14 +182,14 @@ func TestEliminationWorkerEquivalence(t *testing.T) {
 				}
 			}
 			b := randRHS(g.N, 23)
-			redRef, carryRef := ref.ForwardRHSW(1, b)
+			redRef, carryRef := forwardRHS(ref, 1, b)
 			xr := make([]float64, len(redRef))
 			for i := range xr {
 				xr[i] = float64(i%13) * 0.25
 			}
-			xRef := ref.BackSolveW(1, xr, carryRef)
+			xRef := backSolve(ref, 1, xr, carryRef)
 			for _, w := range []int{0, 2, 4} {
-				red, carry := ref.ForwardRHSW(w, b)
+				red, carry := forwardRHS(ref, w, b)
 				for i := range redRef {
 					if red[i] != redRef[i] {
 						t.Fatalf("workers=%d: ForwardRHS diverges at %d", w, i)
@@ -226,7 +200,7 @@ func TestEliminationWorkerEquivalence(t *testing.T) {
 						t.Fatalf("workers=%d: carry diverges at %d", w, i)
 					}
 				}
-				x := ref.BackSolveW(w, xr, carry)
+				x := backSolve(ref, w, xr, carry)
 				for i := range xRef {
 					if x[i] != xRef[i] {
 						t.Fatalf("workers=%d: BackSolve diverges at %d", w, i)

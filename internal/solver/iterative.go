@@ -9,10 +9,10 @@ import (
 
 // chebCoeffs steps the Chebyshev recurrence scalars for spec(M⁻¹A) ⊆
 // [lo, hi]. The schedule depends only on the interval and the iteration
-// index — never on the data — and is shared by chebyshev, chebLevel and
-// chebLevelBatch so the three drivers (whose bitwise single/batch/chain
-// equivalences depend on identical scalars) cannot drift. A value type with
-// no allocation: safe for the zero-alloc apply path.
+// index — never on the data — so one schedule drives every lane of
+// chebLevelBlock's sweep, which is what keeps a lane of a k-wide sweep
+// bitwise identical to the same column swept alone. A value type with no
+// allocation: safe for the zero-alloc apply path.
 type chebCoeffs struct {
 	d, cc, alpha, beta float64
 }
@@ -41,40 +41,6 @@ func (c *chebCoeffs) step(k int) (alpha, beta float64, first bool) {
 	return c.alpha, c.beta, false
 }
 
-// chebyshev runs preconditioned Chebyshev iteration on A x = b assuming
-// spec(M⁻¹A) ⊆ [a, bnd], performing exactly iters iterations (a fixed
-// linear operator, as Lemma 6.7 requires for the recursion). precond must
-// approximate M⁻¹. ci is the component-sorted index of A's connected
-// components, used for null-space projection (built once per chain level).
-// workers selects the vector-kernel parallelism (0 = GOMAXPROCS,
-// 1 = sequential).
-func chebyshev(workers int, a *matrix.Sparse, b []float64, iters int, lo, hi float64,
-	precond func([]float64) []float64, ci *matrix.CompIndex, rec *wd.Recorder) []float64 {
-	n := a.N
-	x := make([]float64, n)
-	r := matrix.CopyVec(b)
-	matrix.ProjectOutConstantMaskedIdxW(workers, r, ci)
-	co := newChebCoeffs(lo, hi)
-	var p []float64
-	ap := make([]float64, n)
-	for k := 0; k < iters; k++ {
-		z := precond(r)
-		matrix.ProjectOutConstantMaskedIdxW(workers, z, ci)
-		alpha, beta, first := co.step(k)
-		if first {
-			p = matrix.CopyVec(z)
-		} else {
-			matrix.AxpyIntoW(workers, p, beta, p, z)
-		}
-		matrix.AxpyIntoW(workers, x, alpha, p, x)
-		a.MulVecW(workers, p, ap)
-		matrix.AxpyIntoW(workers, r, -alpha, ap, r)
-		rec.Add(int64(a.NNZ()+6*n), 2)
-	}
-	matrix.ProjectOutConstantMaskedIdxW(workers, x, ci)
-	return x
-}
-
 // SolveStats reports what an iterative solve did.
 type SolveStats struct {
 	Iterations   int
@@ -89,23 +55,14 @@ type SolveStats struct {
 // gradient: it tolerates the mildly nonlinear preconditioner that a
 // recursive Chebyshev chain is in floating point. Stops when the relative
 // residual drops below tol or after maxIter iterations. workers selects the
-// vector-kernel parallelism. ws supplies the iteration scratch (r, p, ap,
-// prevR, diff) so steady-state iterations are allocation-free; nil
-// allocates fresh buffers (the baseline drivers' path). Only the returned
-// solution vector is allocated per call — it outlives the workspace.
+// vector-kernel parallelism. It drives the CG and Jacobi-PCG baselines; the
+// chain solves run the same iteration lane-wise in pcgFlexibleBlock.
 func pcgFlexible(workers int, a *matrix.Sparse, b []float64, precond func([]float64) []float64,
-	ci *matrix.CompIndex, tol float64, maxIter int, ws *workspace, rec *wd.Recorder) ([]float64, SolveStats) {
+	ci *matrix.CompIndex, tol float64, maxIter int, rec *wd.Recorder) ([]float64, SolveStats) {
 	n := a.N
 	x := make([]float64, n)
-	var r, p, ap, prevR, diff []float64
-	if ws != nil {
-		ws.ensureOuter(n, 1)
-		r, p, ap = ws.pcgR.Vec(), ws.pcgP.Vec(), ws.pcgAp.Vec()
-		prevR, diff = ws.pcgPrev.Vec(), ws.pcgDiff.Vec()
-	} else {
-		r, p, ap = make([]float64, n), make([]float64, n), make([]float64, n)
-		prevR, diff = make([]float64, n), make([]float64, n)
-	}
+	r, p, ap := make([]float64, n), make([]float64, n), make([]float64, n)
+	prevR, diff := make([]float64, n), make([]float64, n)
 	copy(r, b)
 	matrix.ProjectOutConstantMaskedIdxW(workers, r, ci)
 	bnorm := matrix.Norm2W(workers, r)
@@ -159,7 +116,7 @@ func pcgFlexible(workers int, a *matrix.Sparse, b []float64, precond func([]floa
 
 // CG is the unpreconditioned conjugate-gradient baseline.
 func CG(a *matrix.Sparse, b []float64, comp []int, numComp int, tol float64, maxIter int, rec *wd.Recorder) ([]float64, SolveStats) {
-	return pcgFlexible(0, a, b, matrix.CopyVec, matrix.NewCompIndex(comp, numComp), tol, maxIter, nil, rec)
+	return pcgFlexible(0, a, b, matrix.CopyVec, matrix.NewCompIndex(comp, numComp), tol, maxIter, rec)
 }
 
 // JacobiPCG is the diagonally preconditioned CG baseline.
@@ -177,5 +134,5 @@ func JacobiPCG(a *matrix.Sparse, b []float64, comp []int, numComp int, tol float
 		}
 		return z
 	}
-	return pcgFlexible(0, a, b, precond, matrix.NewCompIndex(comp, numComp), tol, maxIter, nil, rec)
+	return pcgFlexible(0, a, b, precond, matrix.NewCompIndex(comp, numComp), tol, maxIter, rec)
 }

@@ -84,8 +84,8 @@ func (s *Solver) MemoryBytes() int64 {
 }
 
 // WorkspaceBytes reports the workspace pools' high-water footprint (solver
-// solve pool + the chain's PrecondApply pool) — the scratch a serving layer
-// retains between GCs on top of the chain itself.
+// solve pool + the chain's PrecondApplyIntoW pool) — the scratch a serving
+// layer retains between GCs on top of the chain itself.
 func (s *Solver) WorkspaceBytes() int64 {
 	b := s.ws.PeakBytes()
 	if s.Chain != nil {
@@ -124,26 +124,14 @@ func (s *Solver) SolveOpts(b []float64, eps float64, opt Options) ([]float64, So
 // around the kernels but never touches data values, so results remain
 // bitwise identical to SolveOpts, and the trace copy is a plain struct
 // assignment — the traced path allocates nothing beyond the untraced one.
+// It is SolveBlockTraced at width 1 on block views of b (never copied) and
+// of the freshly allocated result.
 func (s *Solver) SolveTraced(b []float64, eps float64, opt Options, tr *obs.SolveTrace) ([]float64, SolveStats) {
-	if eps <= 0 {
-		eps = 1e-8
-	}
-	w := opt.Workers
-	t0 := time.Now()
-	ws := s.ws.get(s.Chain, 1)
-	ws.trace.WorkspaceNS = time.Since(t0).Nanoseconds()
-	ws.trace.Levels = len(s.Chain.Levels)
-	pre := func(r []float64) []float64 {
-		return s.Chain.applyHTop(w, r, ws)
-	}
-	tOuter := time.Now()
-	x, st := pcgFlexible(w, s.Lap, b, pre, s.CompIdx, eps, s.MaxIter, ws, s.rec)
-	ws.trace.OuterNS = time.Since(tOuter).Nanoseconds()
-	if tr != nil {
-		*tr = ws.trace
-	}
-	s.ws.put(ws)
-	return x, st
+	x := make([]float64, len(b))
+	rhs, out := matrix.VecBlock(b), matrix.VecBlock(x)
+	var st [1]SolveStats
+	s.SolveBlockTraced(&rhs, &out, eps, opt, tr, st[:])
+	return x, st[0]
 }
 
 // SolveBatch solves the k right-hand sides bs against the same Laplacian in
@@ -173,10 +161,6 @@ func (s *Solver) SolveBatchTraced(bs [][]float64, eps float64, opt Options, tr *
 	if len(bs) == 0 {
 		return nil, nil
 	}
-	if len(bs) == 1 {
-		x, st := s.SolveTraced(bs[0], eps, opt, tr)
-		return [][]float64{x}, []SolveStats{st}
-	}
 	k := len(bs)
 	n := len(bs[0])
 	var rhs, out matrix.Block
@@ -202,8 +186,7 @@ func (s *Solver) SolveBatchTraced(bs [][]float64, eps float64, opt Options, tr *
 // sts is reused for the returned stats when its capacity allows, so a
 // steady-state caller (the streaming driver) that holds rhs, out and sts
 // across windows performs zero heap allocations per solve at Workers:1 for
-// k ≥ 2. (k == 1 delegates to SolveTraced, which allocates its result
-// vector; single-RHS callers use Solve directly.)
+// every k ≥ 1. Every chain solve runs here: SolveTraced is this at k = 1.
 func (s *Solver) SolveBlockTraced(rhs, out *matrix.Block, eps float64, opt Options, tr *obs.SolveTrace, sts []SolveStats) []SolveStats {
 	k := rhs.K()
 	if cap(sts) >= k {
@@ -220,14 +203,7 @@ func (s *Solver) SolveBlockTraced(rhs, out *matrix.Block, eps float64, opt Optio
 	if eps <= 0 {
 		eps = 1e-8
 	}
-	n := rhs.N()
-	out.Reshape(n, k)
-	if k == 1 {
-		x, st := s.SolveTraced(rhs.Vec(), eps, opt, tr)
-		copy(out.Vec(), x)
-		sts[0] = st
-		return sts
-	}
+	out.Reshape(rhs.N(), k)
 	w := opt.Workers
 	t0 := time.Now()
 	ws := s.ws.get(s.Chain, k)
@@ -241,59 +217,6 @@ func (s *Solver) SolveBlockTraced(rhs, out *matrix.Block, eps float64, opt Optio
 	}
 	s.ws.put(ws)
 	return sts
-}
-
-// SolveChebyshev is the paper-faithful solver: top-level preconditioned
-// Chebyshev (no adaptivity) run in rounds of ⌈√κ₁⌉ iterations with
-// iterative refinement between rounds until the residual target is met.
-func (s *Solver) SolveChebyshev(b []float64, eps float64) ([]float64, SolveStats) {
-	if eps <= 0 {
-		eps = 1e-8
-	}
-	w := s.Opt.Workers
-	n := s.G.N
-	x := make([]float64, n)
-	r := matrix.CopyVec(b)
-	matrix.ProjectOutConstantMaskedIdxW(w, r, s.CompIdx)
-	bnorm := matrix.Norm2W(w, r)
-	st := SolveStats{}
-	if bnorm == 0 {
-		st.Converged = true
-		return x, st
-	}
-	lo, hi := 0.25, 1.0
-	its := 16
-	if len(s.Chain.Levels) > 0 {
-		l0 := s.Chain.Levels[0]
-		lo, hi = l0.EigLo, l0.EigHi
-		// A full √κ sweep per refinement round (the work-balanced ChebIts
-		// is tuned for inner recursion, not the top level).
-		its = int(math.Ceil(math.Sqrt(hi / lo)))
-		if its < 16 {
-			its = 16
-		}
-	}
-	pre := func(z []float64) []float64 { return s.Chain.PrecondApply(z) }
-	ax := make([]float64, n)
-	maxRounds := 200
-	for round := 0; round < maxRounds; round++ {
-		dx := chebyshev(w, s.Lap, r, its, lo, hi, pre, s.CompIdx, s.rec)
-		matrix.AddIntoW(w, x, x, dx)
-		s.Lap.MulVecW(w, x, ax)
-		matrix.SubIntoW(w, r, b, ax)
-		matrix.ProjectOutConstantMaskedIdxW(w, r, s.CompIdx)
-		st.Iterations += its
-		st.Residual = matrix.Norm2W(w, r) / bnorm
-		if st.Residual <= eps {
-			st.Converged = true
-			break
-		}
-		if math.IsNaN(st.Residual) || st.Residual > 1e6 {
-			break // diverged: caller should fall back to Solve
-		}
-	}
-	st.Work, st.Depth = s.rec.Work(), s.rec.Depth()
-	return x, st
 }
 
 // Residual returns ‖b − L x‖₂ / ‖b‖₂ with b projected per component.

@@ -39,12 +39,14 @@ import (
 // identical for every worker count.
 
 // lanczosBounds runs iters Lanczos steps on level i's preconditioned
-// operator and returns the extreme Ritz values. The level's Chebyshev
-// scratch in ws doubles as the Lanczos vector storage (calibration runs
-// before any solve), so the loop allocates only the O(iters) tridiagonal
-// coefficients. ok is false when the estimate is unusable (zero or NaN
-// norms before any Ritz value was produced) and the caller should fall back
-// to the static schedule.
+// operator and returns the extreme Ritz values. ws is a width-1 workspace:
+// P is applyHBlock at k = 1, and the level's Chebyshev scratch doubles as
+// the Lanczos vector storage (calibration runs before any solve, and
+// applyHBlock(i) only touches level i's elimination buffers and the levels
+// below), so the loop allocates only the O(iters) tridiagonal coefficients.
+// ok is false when the estimate is unusable (zero or NaN norms before any
+// Ritz value was produced) and the caller should fall back to the static
+// schedule.
 func (c *Chain) lanczosBounds(workers, i, iters int, rng *rand.Rand, ws *workspace) (lo, hi float64, ok bool) {
 	lvl := &c.Levels[i]
 	n := lvl.G.N
@@ -56,8 +58,8 @@ func (c *Chain) lanczosBounds(workers, i, iters int, rng *rand.Rand, ws *workspa
 		v[j] = rng.NormFloat64()
 	}
 	matrix.ProjectOutConstantMaskedIdxW(workers, v, lvl.CompIdx)
-	pu := c.applyH(workers, i, v, ws) // P v₀ (projected by applyH)
-	t := matrix.DotW(workers, v, pu)  // ‖v₀‖²_P
+	pu := c.applyHBlock(workers, i, &l.chebX, ws).Vec() // P v₀ (projected by applyHBlock)
+	t := matrix.DotW(workers, v, pu)                    // ‖v₀‖²_P
 	if t <= 0 || math.IsNaN(t) || math.IsInf(t, 0) {
 		return 0, 0, false
 	}
@@ -86,7 +88,7 @@ func (c *Chain) lanczosBounds(workers, i, iters int, rng *rand.Rand, ws *workspa
 		if it == iters-1 {
 			break // last α recorded; no successor vector needed
 		}
-		pu = c.applyH(workers, i, u, ws)
+		pu = c.applyHBlock(workers, i, &l.chebP, ws).Vec() // P u (u lives in chebP)
 		t = matrix.DotW(workers, u, pu)
 		if t <= 0 || math.IsNaN(t) || math.IsInf(t, 0) {
 			break // invariant subspace found (or roundoff floor): T is complete

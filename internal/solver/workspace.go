@@ -21,8 +21,8 @@ import (
 // workspace produces bitwise-identical results to a fresh one, preserving
 // the Chain/Solver equivalence contracts. Scratch is held as contiguous
 // matrix.Block multi-vectors (vertex-major interleaved); grow reshapes them
-// in place to the batch width of the current solve, and the single-RHS path
-// runs at width 1 and views each block as a plain vector.
+// in place to the batch width of the current solve — width 1 for a single
+// right-hand side, which runs the same block recursion.
 type workspace struct {
 	c    *Chain
 	cols int
@@ -55,7 +55,7 @@ type workspace struct {
 
 // levelWS is one level's scratch: the Chebyshev recurrence blocks (sized to
 // the level's vertex count), the elimination replay buffers and the
-// back-substitution output (which is also what applyH returns).
+// back-substitution output (which is also what applyHBlock returns).
 type levelWS struct {
 	chebX, chebR, chebP, chebAp matrix.Block // n_i × k
 	fwdWork                     matrix.Block // n_i × k
