@@ -77,8 +77,6 @@ var (
 	kappa         = flag.Float64("kappa", 0, "override the sparsifier's condition target κ (0 = default)")
 	kappaGrowth   = flag.Float64("kappa-growth", 0, "override the per-level κ growth factor (0 = default 2)")
 	maxLevels     = flag.Int("max-levels", 0, "override the chain length cap (0 = default 8)")
-	chebSlack     = flag.Float64("cheb-slack", 0, "override the static κ·slack safety envelope on the Chebyshev lower bound (0 = default 1.5)")
-	budgetLiftN   = flag.Int("budget-lift-n", 0, "top-level vertex count past which the Chebyshev work budget lifts to the full measured sqrt(kappa) schedule (0 = default 65536, negative = never lift)")
 	chainDir      = flag.String("chain-dir", "", "directory for persisted chain snapshots; enables restore-on-boot/miss and snapshot-on-shutdown (empty = no persistence)")
 	s3Endpoint    = flag.String("chain-s3-endpoint", "", "S3-compatible endpoint URL for chain snapshots (e.g. http://minio:9000); mutually exclusive with -chain-dir")
 	s3Bucket      = flag.String("chain-s3-bucket", "", "S3 bucket holding chain snapshots (required with -chain-s3-endpoint)")
@@ -106,8 +104,8 @@ func main() {
 	}
 	logger := slog.New(handler)
 	// Chain-schedule knobs thread through service.Config so operators can
-	// tune cached chains (κ schedule, depth, calibration envelope) without
-	// rebuilding the binary; the calibrated result is visible per graph in
+	// tune cached chains (κ schedule and depth) without rebuilding the
+	// binary; the calibrated result is visible per graph in
 	// GET /graphs/{id}/stats under "schedule".
 	chain := solver.DefaultChainParams()
 	if *kappa > 0 {
@@ -118,12 +116,6 @@ func main() {
 	}
 	if *maxLevels > 0 {
 		chain.MaxLevels = *maxLevels
-	}
-	if *chebSlack > 0 {
-		chain.ChebSlack = *chebSlack
-	}
-	if *budgetLiftN != 0 {
-		chain.BudgetLiftVertices = *budgetLiftN
 	}
 	var store chainio.BlobStore
 	storeDesc := ""

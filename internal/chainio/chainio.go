@@ -47,17 +47,18 @@ import (
 )
 
 const (
-	// Version is the current snapshot format version. Version 5 dropped
-	// the float32 level storage and Cuthill–McKee layout fields that
-	// version 3 had added (two chain parameters; per level the precision-
-	// gate outcome and the permutation). Version 4 replaced the dense bottom triangle with the
-	// sparse factor (elimination order, column pointers, row positions, L
-	// values, D) and appended the truncation record (probes + stop reason);
-	// version 2 appended ChainParams.BudgetLiftVertices (the size-adaptive
-	// Chebyshev schedule policy). Other versions are rejected rather than
-	// guessed at — rebuilding a chain is cheap next to silently restoring a
-	// different schedule.
-	Version = 5
+	// Version is the current snapshot format version. Version 6 dropped
+	// the seven chain parameters that became fixed constants of the solver
+	// (the direct-solve vertex floor, the Chebyshev slack, iteration cap and
+	// work budget, the Lanczos step count, the eigenvalue safety padding and
+	// the budget-lift threshold). Version 5 dropped the float32 level storage
+	// and Cuthill–McKee layout fields that version 3 had added. Version 4
+	// replaced the dense bottom triangle with the sparse factor (elimination
+	// order, column pointers, row positions, L values, D) and appended the
+	// truncation record (probes + stop reason). Other versions are rejected
+	// rather than guessed at — rebuilding a chain is cheap next to silently
+	// restoring a different schedule.
+	Version = 6
 
 	magicLen   = 8
 	trailerLen = sha256.Size
@@ -294,19 +295,12 @@ func encodeParams(w writer, p *solver.ChainParams) {
 	// Sparsify.Workers is runtime execution policy, not chain identity; the
 	// restoring process supplies its own.
 	w.i64(int64(p.BottomSizeEdges))
-	w.i64(int64(p.BottomFloor))
 	w.i64(int64(p.MaxBottomVertices))
 	w.i64(int64(p.MaxLevels))
 	w.f64(p.ShrinkRetry)
 	w.f64(p.KappaGrowth)
-	w.f64(p.ChebSlack)
-	w.i64(int64(p.MaxChebIts))
 	w.i64(int64(p.MinChebIts))
-	w.i64(int64(p.CalibIters))
-	w.f64(p.EigSafety)
-	w.f64(p.ChebBudget)
 	w.i64(p.Seed)
-	w.i64(int64(p.BudgetLiftVertices))
 }
 
 func decodeParams(r *reader, p *solver.ChainParams) {
@@ -316,19 +310,12 @@ func decodeParams(r *reader, p *solver.ChainParams) {
 	p.Sparsify.Lambda = int(r.i64())
 	p.Sparsify.PaperConstants = r.bool()
 	p.BottomSizeEdges = int(r.i64())
-	p.BottomFloor = int(r.i64())
 	p.MaxBottomVertices = int(r.i64())
 	p.MaxLevels = int(r.i64())
 	p.ShrinkRetry = r.f64()
 	p.KappaGrowth = r.f64()
-	p.ChebSlack = r.f64()
-	p.MaxChebIts = int(r.i64())
 	p.MinChebIts = int(r.i64())
-	p.CalibIters = int(r.i64())
-	p.EigSafety = r.f64()
-	p.ChebBudget = r.f64()
 	p.Seed = r.i64()
-	p.BudgetLiftVertices = int(r.i64())
 }
 
 func encodeGraph(w writer, g *graph.Graph) {

@@ -40,12 +40,13 @@ func testbedGraphs() []struct {
 }
 
 // pinnedDepthParams pins the chain depth with the explicit §6.3 size rule at
-// ⌈m^(1/3)⌉+BottomFloor edges (what the default was before the count-based
-// rule), so the v1–v3 suites keep round-tripping multi-level chains;
-// chainio_v4_test.go covers the count-based default and its sparse bottom.
+// ⌈m^(1/3)⌉+100 edges, 100 being the solver's direct-solve vertex floor
+// (what the default was before the count-based rule), so the v1–v3 suites
+// keep round-tripping multi-level chains; chainio_v4_test.go covers the
+// count-based default and its sparse bottom.
 func pinnedDepthParams(g *graph.Graph) solver.ChainParams {
 	params := solver.DefaultChainParams()
-	params.BottomSizeEdges = int(math.Ceil(math.Cbrt(float64(g.M())))) + params.BottomFloor
+	params.BottomSizeEdges = int(math.Ceil(math.Cbrt(float64(g.M())))) + 100
 	return params
 }
 

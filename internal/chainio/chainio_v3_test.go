@@ -38,7 +38,6 @@ func TestRoundTripBitwiseV3Variants(t *testing.T) {
 		tweak func(*solver.ChainParams)
 	}{
 		{"kappa-growth-1", func(p *solver.ChainParams) { p.KappaGrowth = 1 }},
-		{"budget-lifted", func(p *solver.ChainParams) { p.BudgetLiftVertices = 1 }},
 		{"min-cheb-8", func(p *solver.ChainParams) { p.MinChebIts = 8 }},
 	}
 	for _, tb := range testbedGraphs() {

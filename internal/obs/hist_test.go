@@ -160,9 +160,9 @@ func TestObserveZeroAllocs(t *testing.T) {
 // Count, with straddling buckets attributed upward (conservative).
 func TestCumulative(t *testing.T) {
 	var h Histogram
-	h.Observe(50_000)      // 50µs: internal bucket well under 100µs
-	h.Observe(150_000)     // 150µs: ≤ 250µs bound
-	h.Observe(2_000_000)   // 2ms: ≤ 2.5ms bound
+	h.Observe(50_000)         // 50µs: internal bucket well under 100µs
+	h.Observe(150_000)        // 150µs: ≤ 250µs bound
+	h.Observe(2_000_000)      // 2ms: ≤ 2.5ms bound
 	h.Observe(30_000_000_000) // 30s: beyond the ladder → only +Inf
 	s := h.Snapshot()
 	boundsNS := make([]int64, len(PromBoundsSeconds))

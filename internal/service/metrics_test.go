@@ -54,7 +54,7 @@ func scrape(t *testing.T, base string) map[string]float64 {
 // sweep ever runs), so the stage telemetry has a cheb stage to report.
 func depthPinnedChain() *solver.ChainParams {
 	p := solver.DefaultChainParams()
-	p.BottomSizeEdges = 113 // ⌈1984^(1/3)⌉ + BottomFloor on grid2d:32x32
+	p.BottomSizeEdges = 113 // ⌈1984^(1/3)⌉ + 100 (the direct-solve vertex floor) on grid2d:32x32
 	return &p
 }
 

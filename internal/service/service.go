@@ -77,8 +77,10 @@ type Config struct {
 	// cannot be cancelled once started). Defaults 2e6 / 16e6.
 	MaxGraphVertices int
 	MaxGraphEdges    int
-	// Chain are the preconditioner-chain construction parameters; the zero
-	// value means solver.DefaultChainParams().
+	// Chain are the preconditioner-chain construction parameters; nil means
+	// solver.DefaultChainParams(), and unset fields take its values (see
+	// ChainParams.WithDefaults). A snapshot built under other parameters is
+	// not restored.
 	Chain *solver.ChainParams
 	// Snapshots, when non-nil, persists built chains as content-addressed
 	// snapshot blobs (see internal/chainio): a registration whose chain is
@@ -211,7 +213,7 @@ func New(cfg Config) *Server {
 	}
 	chain := solver.DefaultChainParams()
 	if cfg.Chain != nil {
-		chain = *cfg.Chain
+		chain = cfg.Chain.WithDefaults()
 	}
 	logger := cfg.Logger
 	if logger == nil {

@@ -119,11 +119,11 @@ func TestRegisterRestoresOnMiss(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotFallsBackToBuild covers two unusable blobs: one
-// truncated with a flipped byte, and one from an older format version
-// (version byte 4, resealed so only the version check can reject it). Each
-// must be skipped by boot restore and rebuilt by the first registration,
-// and the rebuilt chain must solve bit-identically to a fresh build.
+// TestCorruptSnapshotFallsBackToBuild covers unusable blobs: one truncated
+// with a flipped byte, and ones from older format versions (version bytes 4
+// and 5, resealed so only the version check can reject them). Each must be
+// skipped by boot restore and rebuilt by the first registration, and the
+// rebuilt chain must solve bit-identically to a fresh build.
 func TestCorruptSnapshotFallsBackToBuild(t *testing.T) {
 	g := gen.Grid2D(6, 8)
 	id := GraphID(g)
@@ -148,13 +148,8 @@ func TestCorruptSnapshotFallsBackToBuild(t *testing.T) {
 			mut[len(mut)/2] ^= 0x10
 			return mut
 		}},
-		{"older-version-resealed", chainio.ErrVersion, func(data []byte) []byte {
-			mut := append([]byte(nil), data...)
-			mut[8] = 4 // low byte of the u32 version after the 8-byte magic
-			sum := sha256.Sum256(mut[:len(mut)-sha256.Size])
-			copy(mut[len(mut)-sha256.Size:], sum[:])
-			return mut
-		}},
+		{"older-version-resealed", chainio.ErrVersion, resealedVersion(4)},
+		{"v5-resealed", chainio.ErrVersion, resealedVersion(5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := snapshotStore(t)
@@ -219,6 +214,92 @@ func TestCorruptSnapshotFallsBackToBuild(t *testing.T) {
 				t.Fatal("store still holds the unusable blob")
 			}
 		})
+	}
+}
+
+// resealedVersion returns a corruption that rewrites a blob's format
+// version to v and reseals the checksum, so only the version check can
+// reject it.
+func resealedVersion(v byte) func(data []byte) []byte {
+	return func(data []byte) []byte {
+		mut := append([]byte(nil), data...)
+		mut[8] = v // low byte of the u32 version after the 8-byte magic
+		sum := sha256.Sum256(mut[:len(mut)-sha256.Size])
+		copy(mut[len(mut)-sha256.Size:], sum[:])
+		return mut
+	}
+}
+
+// TestSnapshotUnderOtherParamsIsRebuilt: snapshots are keyed by graph alone,
+// so a blob built under other chain parameters (here a MaxLevels 1 chain)
+// must not be served by a server restarted with different knobs. It counts
+// as a miss plus an error, and the chain is rebuilt under the server's own
+// parameters. A difference in Sparsify.Workers alone, which snapshots do not
+// record, still restores.
+func TestSnapshotUnderOtherParamsIsRebuilt(t *testing.T) {
+	ctx := context.Background()
+	g := gen.RandomRegular(600, 8, 1)
+	id := GraphID(g)
+	bs := [][]float64{meanFreeRHS(g.N, 3)}
+	fresh := New(Config{Workers: 1})
+	ef, _, err := fresh.Register(ctx, g, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ef.levels < 2 {
+		t.Fatalf("default chain has %d levels; the test needs MaxLevels 1 to differ", ef.levels)
+	}
+	xRef, _, err := fresh.Solve(ctx, id, bs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ds := snapshotStore(t)
+	shallow := solver.DefaultChainParams()
+	shallow.MaxLevels = 1
+	s1 := New(Config{Workers: 1, Snapshots: ds, SnapshotOnBuild: true, Chain: &shallow})
+	if _, _, err := s1.Register(ctx, g, "t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(Config{Workers: 1, Snapshots: ds, SnapshotOnBuild: true})
+	if restored, err := s2.RestoreAll(ctx); restored != 0 || err == nil {
+		t.Fatalf("RestoreAll = %d, %v; want 0 and a reported skip", restored, err)
+	}
+	e, cached, err := s2.Register(ctx, g, "t")
+	if err != nil || cached {
+		t.Fatalf("register: cached=%v err=%v", cached, err)
+	}
+	if e.restored || e.levels != ef.levels {
+		t.Fatalf("served restored=%v with %d levels; want a rebuild with %d", e.restored, e.levels, ef.levels)
+	}
+	if h := s2.Health(); h.SnapshotHits != 0 || h.SnapshotErrors < 2 || h.SnapshotMisses < 2 {
+		t.Fatalf("hits=%d errors=%d misses=%d; want 0 hits and a miss plus an error per attempt",
+			h.SnapshotHits, h.SnapshotErrors, h.SnapshotMisses)
+	}
+	xs, _, err := s2.Solve(ctx, id, bs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range xRef[0] {
+		if math.Float64bits(xs[0][i]) != math.Float64bits(xRef[0][i]) {
+			t.Fatalf("rebuilt solve differs from a fresh build at entry %d", i)
+		}
+	}
+	if err := s2.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// The rebuild re-persisted a default chain; a server whose parameters
+	// differ from it only in Sparsify.Workers restores it.
+	workers := solver.DefaultChainParams()
+	workers.Sparsify.Workers = 1
+	s3 := New(Config{Workers: 1, Snapshots: ds, Chain: &workers})
+	if restored, err := s3.RestoreAll(ctx); restored != 1 || err != nil {
+		t.Fatalf("RestoreAll = %d, %v; want 1, nil", restored, err)
 	}
 }
 

@@ -22,8 +22,9 @@ import (
 // tryRestore attempts to restore graph id's chain from the snapshot store.
 // It returns (nil, false) whenever a fresh build is required: no store
 // configured, blob absent, or blob unusable (corrupt, truncated, wrong
-// version, wrong graph — every such failure counts as a miss and an error,
-// never an outage).
+// version, wrong graph, or built under chain parameters other than this
+// server's — every such failure counts as a miss and an error, never an
+// outage).
 func (s *Server) tryRestore(id string) (*solver.Solver, bool) {
 	if s.cfg.Snapshots == nil {
 		return nil, false
@@ -37,7 +38,18 @@ func (s *Server) tryRestore(id string) (*solver.Solver, bool) {
 		return nil, false
 	}
 	sv, err := chainio.Decode(data, id, solver.Options{Workers: s.cfg.Workers})
+	if err == nil {
+		// Blobs are keyed by graph alone, so one written under other knobs
+		// (say a run with a different -max-levels) must not be served here.
+		// Sparsify.Workers is execution policy and is never persisted.
+		got, want := sv.Chain.Params, s.chain
+		got.Sparsify.Workers, want.Sparsify.Workers = 0, 0
+		if got != want {
+			err = fmt.Errorf("service: snapshot built with chain parameters %+v, want %+v", got, want)
+		}
+	}
 	if err != nil {
+		s.log.Warn("snapshot_unusable", "graph", id, "err", err)
 		s.snapMisses.Add(1)
 		s.snapErrors.Add(1)
 		return nil, false

@@ -28,10 +28,6 @@ type ChainParams struct {
 	// multiplies the visits below it by its Chebyshev count, so the balance
 	// point is set from this exact operation count, never from a timer.
 	BottomSizeEdges int
-	// BottomFloor is the vertex count at or below which a graph is solved
-	// directly without building a level (avoids silly chains on small
-	// inputs). Default 64.
-	BottomFloor int
 	// MaxBottomVertices bounds the bottom factor's memory: the build fails
 	// if nnz(L) of the graph the chain stops at exceeds
 	// MaxBottomVertices²/2, the footprint of a dense triangle on that many
@@ -48,71 +44,81 @@ type ChainParams struct {
 	// iteration count) while deeper levels trade fidelity for shrinkage.
 	// Default 2.
 	KappaGrowth float64
-	// ChebSlack multiplies κ when setting the STATIC Chebyshev lower bound
-	// EigHi/(κ·ChebSlack), absorbing the sampling constants in H ⪯ O(κ)·G.
+	// MinChebIts floors the calibrated per-level iteration count. Default 4.
+	MinChebIts int
+	Seed       int64
+}
+
+// The fixed part of the chain schedule: values no caller has needed to vary.
+const (
+	// bottomFloor is the vertex count at or below which a graph is solved
+	// directly without building a level (avoids silly chains on small
+	// inputs).
+	bottomFloor = 100
+	// chebSlack multiplies κ when setting the STATIC Chebyshev lower bound
+	// EigHi/(κ·chebSlack), absorbing the sampling constants in H ⪯ O(κ)·G.
 	// Since calibration measures the interval, this bound only acts as the
 	// safety envelope: the measured EigLo is never allowed below it.
-	// Default 1.5.
-	ChebSlack float64
-	// MaxChebIts caps the per-level Chebyshev iteration count ⌈√κ⌉,
-	// bounding the recursion fan-out. Default 24.
-	MaxChebIts int
-	// MinChebIts floors the calibrated per-level iteration count (replaces
-	// the previously hardcoded 4). Default 4.
-	MinChebIts int
-	// CalibIters is the Lanczos iteration count per level used to measure
-	// both ends of spec(H⁻¹A) at calibration time (replaces the fixed
-	// 12-step λmax-only power iteration). Default 16.
-	CalibIters int
-	// EigSafety pads the measured spectral bounds — EigHi = λmax·EigSafety,
-	// EigLo = λmin/√EigSafety — because Ritz values approach the spectrum
+	chebSlack = 1.5
+	// maxChebIts caps the per-level Chebyshev iteration count ⌈√κ⌉,
+	// bounding the recursion fan-out.
+	maxChebIts = 24
+	// calibIters is the Lanczos iteration count per level used to measure
+	// both ends of spec(H⁻¹A) at calibration time.
+	calibIters = 16
+	// eigSafety pads the measured spectral bounds — EigHi = λmax·eigSafety,
+	// EigLo = λmin/√eigSafety — because Ritz values approach the spectrum
 	// from inside; the upper end gets the full margin (beyond it a fixed-
 	// degree Chebyshev polynomial diverges), the lower end only a square
-	// root (a high floor merely under-damps the lowest modes). Replaces
-	// the hardcoded 1.3 power-iteration margin. Default 1.2.
-	EigSafety float64
-	// ChebBudget multiplies the measured per-level shrink m_{i-1}/m_i to
-	// form the work-balance cap on ChebIts (replaces the hardcoded 1.5,
-	// which pushed nearly all convergence work into the outer PCG loop):
-	// level i may spend at most ChebBudget·(m_{i-1}/m_i) inner iterations,
-	// keeping one preconditioner application O(ChebBudget·m) work. The
-	// default 3 trades ~1.5× per-application work for a 1.7–2.6× cut in
-	// outer iterations on the benchmark testbed and near-flat iteration
-	// growth with n (the measured ⌈√κ⌉ schedule binds before the budget on
+	// root (a high floor merely under-damps the lowest modes).
+	eigSafety = 1.2
+	// chebBudget multiplies the measured per-level shrink m_{i-1}/m_i to
+	// form the work-balance cap on ChebIts: level i may spend at most
+	// chebBudget·(m_{i-1}/m_i) inner iterations, keeping one preconditioner
+	// application O(chebBudget·m) work. 3 trades ~1.5× per-application work
+	// for a 1.7–2.6× cut in outer iterations against 1.5 on the benchmark
+	// testbed (the measured ⌈√κ⌉ schedule binds before the budget on
 	// well-sparsified levels). See calibrate.
-	ChebBudget float64
-	// BudgetLiftVertices lifts the ChebBudget work-balance cap on chains
-	// whose TOP level has at least this many vertices, letting every level
-	// run its full measured ⌈√κ⌉ Chebyshev schedule. At small sizes the
-	// budget wins: the outer PCG loop is cheap, so weak inner solves trade
-	// well. At large sizes each outer iteration sweeps the full top-level
-	// working set from DRAM, so the balance inverts — spending the measured
-	// iteration count inside the (smaller, cache-resident) deeper levels
-	// cuts outer iterations where they are most expensive. 0 means the
-	// default threshold (65536 vertices, ~256×256 grid); negative disables
-	// the lift entirely (budget always applies).
-	BudgetLiftVertices int
-	Seed               int64
-}
+	chebBudget = 3
+)
 
 // DefaultChainParams returns the settings used by the public solver API.
 func DefaultChainParams() ChainParams {
 	return ChainParams{
-		Sparsify:           DefaultSparsifyParams(),
-		BottomFloor:        100,
-		MaxBottomVertices:  1500,
-		MaxLevels:          8,
-		ShrinkRetry:        0.5,
-		KappaGrowth:        2,
-		ChebSlack:          1.5,
-		MaxChebIts:         24,
-		MinChebIts:         4,
-		CalibIters:         16,
-		EigSafety:          1.2,
-		ChebBudget:         3,
-		BudgetLiftVertices: 65536,
-		Seed:               1,
+		Sparsify:          DefaultSparsifyParams(),
+		MaxBottomVertices: 1500,
+		MaxLevels:         8,
+		ShrinkRetry:       0.5,
+		KappaGrowth:       2,
+		MinChebIts:        4,
+		Seed:              1,
 	}
+}
+
+// WithDefaults returns p with every non-positive field that has no meaning
+// at zero (MaxBottomVertices, MaxLevels, ShrinkRetry, KappaGrowth,
+// MinChebIts) set to DefaultChainParams()'s value. BottomSizeEdges ≤ 0
+// selects the count-based truncation rule and Seed 0 is a seed, so both are
+// kept; Sparsify is taken as given. BuildChainOpts builds with
+// p.WithDefaults() and the chain records it as its Params.
+func (p ChainParams) WithDefaults() ChainParams {
+	d := DefaultChainParams()
+	if p.MaxBottomVertices <= 0 {
+		p.MaxBottomVertices = d.MaxBottomVertices
+	}
+	if p.MaxLevels <= 0 {
+		p.MaxLevels = d.MaxLevels
+	}
+	if p.ShrinkRetry <= 0 {
+		p.ShrinkRetry = d.ShrinkRetry
+	}
+	if p.KappaGrowth <= 0 {
+		p.KappaGrowth = d.KappaGrowth
+	}
+	if p.MinChebIts <= 0 {
+		p.MinChebIts = d.MinChebIts
+	}
+	return p
 }
 
 // Level is one link A_i → B_i → A_{i+1} of the chain.
@@ -131,8 +137,8 @@ type Level struct {
 	ChebIts int             // inner Chebyshev iterations ⌈√(EigHi/EigLo)⌉ when recursing
 	// EigHi/EigLo bound spec(H⁻¹A) at this level. Both ends are MEASURED at
 	// construction time by the Lanczos estimator (spectral.go), padded by
-	// EigSafety; EigLo is additionally floored by the static theory envelope
-	// EigHi/(κ·ChebSlack), so the calibrated interval is never wider than
+	// eigSafety; EigLo is additionally floored by the static theory envelope
+	// EigHi/(κ·chebSlack), so the calibrated interval is never wider than
 	// the pre-measurement schedule would have assumed.
 	EigHi, EigLo float64
 	// KappaMeasured is the measured condition number λmax/λmin of the
@@ -276,39 +282,7 @@ func BuildChain(g *graph.Graph, p ChainParams, rec *wd.Recorder) (*Chain, error)
 // parallel kernel in construction (Laplacian CSR builds, parallel-edge
 // merging, elimination sweeps, calibration) runs with opt.Workers.
 func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder) (*Chain, error) {
-	if p.BottomFloor <= 0 {
-		p.BottomFloor = 64
-	}
-	if p.MaxBottomVertices <= 0 {
-		p.MaxBottomVertices = 3000
-	}
-	if p.MaxLevels <= 0 {
-		p.MaxLevels = 12
-	}
-	if p.ChebSlack <= 0 {
-		p.ChebSlack = 1.5
-	}
-	if p.MaxChebIts <= 0 {
-		p.MaxChebIts = 24
-	}
-	if p.MinChebIts <= 0 {
-		p.MinChebIts = 4
-	}
-	if p.CalibIters <= 0 {
-		p.CalibIters = 16
-	}
-	if p.EigSafety <= 1 {
-		p.EigSafety = 1.2
-	}
-	if p.ChebBudget <= 0 {
-		p.ChebBudget = 3
-	}
-	if p.BudgetLiftVertices == 0 {
-		p.BudgetLiftVertices = 65536
-	}
-	if p.KappaGrowth < 1 {
-		p.KappaGrowth = 1
-	}
+	p = p.WithDefaults()
 	if g.N > math.MaxInt32 {
 		return nil, fmt.Errorf("solver: n=%d exceeds the int32 vertex index range of the chain", g.N)
 	}
@@ -345,8 +319,8 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 			c.Stop = fmt.Sprintf("level %d has %d edges <= BottomSizeEdges %d", i, cur.M(), p.BottomSizeEdges)
 			break
 		}
-		if cur.N <= p.BottomFloor {
-			c.Stop = fmt.Sprintf("level %d has %d vertices <= BottomFloor %d", i, cur.N, p.BottomFloor)
+		if cur.N <= bottomFloor {
+			c.Stop = fmt.Sprintf("level %d has %d vertices <= bottomFloor %d", i, cur.N, bottomFloor)
 			break
 		}
 		if p.BottomSizeEdges <= 0 && i >= 1 {
@@ -397,15 +371,12 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 				break // cannot shrink further; truncate here
 			}
 		}
-		its := int(math.Ceil(math.Sqrt(sp.Kappa * p.ChebSlack)))
-		if its > p.MaxChebIts {
-			its = p.MaxChebIts
-		}
+		its := min(int(math.Ceil(math.Sqrt(sp.Kappa*chebSlack))), maxChebIts)
 		lvl := Level{
 			G: cur, Lap: lap, Comp: comp, NumComp: k,
 			CompIdx: matrix.NewCompIndexW(w, comp, k),
 			Spars:   res, Elim: elim, Kappa: sp.Kappa,
-			ChebIts: its, EigHi: 1, EigLo: 1 / (sp.Kappa * p.ChebSlack),
+			ChebIts: its, EigHi: 1, EigLo: 1 / (sp.Kappa * chebSlack),
 		}
 		c.Levels = append(c.Levels, lvl)
 		lb.Rounds, lb.Ops = elim.Rounds, len(elim.Ops)
@@ -448,15 +419,15 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 //     because its levels shrink by κ^Ω(1) ≫ √κ; at practical sizes the
 //     measured shrink is a small constant, so a √κ budget makes total work
 //     grow geometrically with depth. Each level's Chebyshev budget is
-//     capped at ChebBudget × the measured shrink m_{i-1}/m_i (and by √κ
-//     and MaxChebIts), which keeps one top-level preconditioner
+//     capped at chebBudget × the measured shrink m_{i-1}/m_i (and by √κ
+//     and maxChebIts), which keeps one top-level preconditioner
 //     application at O(m) work — the near-linear-work discipline of
 //     Theorem 1.1 — and lets the adaptive outer iteration absorb the
 //     weaker inner solves.
 //  2. Spectral bounds. Measure BOTH ends of each level's preconditioned
 //     spectrum spec(H⁻¹A) with the Lanczos estimator (spectral.go) and set
 //     the Chebyshev interval to the safety-padded measurement, floored by
-//     the static theory envelope EigHi/(κ·ChebSlack). The per-level
+//     the static theory envelope EigHi/(κ·chebSlack). The per-level
 //     iteration count becomes ⌈√(EigHi/EigLo)⌉ — the measured condition
 //     number, not the nominal κ·slack product, so levels whose sparsifier
 //     beat its target run proportionally fewer (and better-centered)
@@ -476,10 +447,6 @@ func (c *Chain) calibrate(rng *rand.Rand) {
 	w := c.Opt.Workers
 	p := &c.Params
 	ws := newWorkspace(c, 1)
-	// Size-adaptive schedule policy: past the lift threshold the work-balance
-	// budget stops binding and every level runs its measured ⌈√κ⌉ count (see
-	// ChainParams.BudgetLiftVertices for the rationale).
-	lift := p.BudgetLiftVertices > 0 && c.Levels[0].G.N >= p.BudgetLiftVertices
 	// Work-balance budget per level from the measured shrink. lvl.ChebIts
 	// still holds the static ⌈√(κ·slack)⌉ cap from the build loop.
 	budget := make([]int, len(c.Levels))
@@ -490,38 +457,29 @@ func (c *Chain) calibrate(rng *rand.Rand) {
 			prevM = c.Levels[i-1].G.M()
 		}
 		shrink := float64(prevM) / float64(lvl.G.M()+1)
-		its := int(math.Ceil(p.ChebBudget * shrink))
-		if its < p.MinChebIts {
-			its = p.MinChebIts
-		}
-		if its > lvl.ChebIts {
-			its = lvl.ChebIts
-		}
-		budget[i] = its
+		budget[i] = min(max(int(math.Ceil(chebBudget*shrink)), p.MinChebIts), lvl.ChebIts)
 	}
 	for i := len(c.Levels) - 1; i >= 0; i-- {
 		lvl := &c.Levels[i]
-		lo, hi, ok := c.lanczosBounds(w, i, p.CalibIters, rng, ws)
+		lo, hi, ok := c.lanczosBounds(w, i, calibIters, rng, ws)
 		lvl.Calibrated = ok
 		if !ok {
 			// Unusable measurement: fall back to the static schedule (the
 			// envelope the pre-measurement chain would have assumed).
-			lvl.EigHi = p.EigSafety
-			lvl.EigLo = lvl.EigHi / (lvl.Kappa * p.ChebSlack)
+			lvl.EigHi = eigSafety
+			lvl.EigLo = lvl.EigHi / (lvl.Kappa * chebSlack)
 			lvl.KappaMeasured = 0
-			if !lift {
-				lvl.ChebIts = budget[i]
-			}
+			lvl.ChebIts = budget[i]
 			continue
 		}
 		lvl.KappaMeasured = hi / lo
-		lvl.EigHi = hi * p.EigSafety
-		staticLo := lvl.EigHi / (lvl.Kappa * p.ChebSlack)
+		lvl.EigHi = hi * eigSafety
+		staticLo := lvl.EigHi / (lvl.Kappa * chebSlack)
 		// Asymmetric padding: EigHi gets the full safety margin (outside
 		// the interval a fixed-degree Chebyshev polynomial diverges), EigLo
-		// only √EigSafety (a slightly-high floor merely under-damps the
+		// only √eigSafety (a slightly-high floor merely under-damps the
 		// lowest modes, which the adaptive outer iteration absorbs).
-		measLo := lo / math.Sqrt(p.EigSafety)
+		measLo := lo / math.Sqrt(eigSafety)
 		if measLo < staticLo {
 			measLo = staticLo // safety envelope: never schedule worse than κ·slack
 		}
@@ -530,16 +488,10 @@ func (c *Chain) calibrate(rng *rand.Rand) {
 		}
 		lvl.EigLo = measLo
 		its := int(math.Ceil(math.Sqrt(lvl.EigHi / lvl.EigLo)))
-		if its > budget[i] && i > 0 && !lift {
-			its = budget[i]
+		if i > 0 {
+			its = min(its, budget[i])
 		}
-		if its > p.MaxChebIts {
-			its = p.MaxChebIts
-		}
-		if its < p.MinChebIts {
-			its = p.MinChebIts
-		}
-		lvl.ChebIts = its
+		lvl.ChebIts = max(min(its, maxChebIts), p.MinChebIts)
 	}
 	// Seed the chain's workspace pool with the calibration workspace (its
 	// footprint charged, so the build-time MemoryBytes snapshot the serving
@@ -653,7 +605,7 @@ type BottomSchedule struct {
 	// Stop says why the chain ends at this level.
 	Stop string `json:"stop"`
 	// Probe is the accepting evaluation of the count-based rule, nil when
-	// another condition (BottomSizeEdges, BottomFloor, MaxLevels, a level
+	// another condition (BottomSizeEdges, bottomFloor, MaxLevels, a level
 	// that would not shrink) ended the chain.
 	Probe *TruncationProbe `json:"probe,omitempty"`
 }

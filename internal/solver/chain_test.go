@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"parlap/internal/gen"
@@ -77,14 +78,14 @@ func TestPCGMaxIterRespected(t *testing.T) {
 }
 
 // deepChainParams returns DefaultChainParams with the chain depth pinned by
-// the explicit §6.3 size rule at ⌈m^(1/3)⌉+BottomFloor edges — the depth the
+// the explicit §6.3 size rule at ⌈m^(1/3)⌉+bottomFloor edges — the depth the
 // default produced before the count-based rule replaced it. Suites that
 // exist to cover the level ≥ 1 paths (Chebyshev sweeps, the recursion's
 // cross-worker and block-vs-single determinism) build with it so they keep recursing through several levels;
 // the default rule stops most testbed graphs at one.
 func deepChainParams(g *graph.Graph) ChainParams {
 	p := DefaultChainParams()
-	p.BottomSizeEdges = int(math.Ceil(math.Cbrt(float64(g.M())))) + p.BottomFloor
+	p.BottomSizeEdges = int(math.Ceil(math.Cbrt(float64(g.M())))) + bottomFloor
 	return p
 }
 
@@ -133,6 +134,47 @@ func TestBuildChainKappaGrowthSchedule(t *testing.T) {
 	}
 	if len(ch.Levels) < 3 {
 		t.Fatalf("depth-pinned chain has %d levels; the schedule check needs several", len(ch.Levels))
+	}
+}
+
+// TestZeroParamsTakeDefaults: a ChainParams with only Sparsify and Seed set
+// builds exactly the chain DefaultChainParams() builds — every zero field
+// takes the default's value — on a graph deep enough (two levels) for the
+// depth, κ-growth and shrink-retry settings to matter.
+func TestZeroParamsTakeDefaults(t *testing.T) {
+	g := gen.RandomRegular(600, 8, 1)
+	def := DefaultChainParams()
+	build := func(p ChainParams) *Solver {
+		s, err := NewWithOptions(g, p, Options{Workers: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ref := build(def)
+	got := build(ChainParams{Sparsify: def.Sparsify, Seed: def.Seed})
+	if len(ref.Chain.Levels) < 2 {
+		t.Fatalf("default chain has %d levels; the test needs two", len(ref.Chain.Levels))
+	}
+	if e, w := got.Chain.EdgeCounts(), ref.Chain.EdgeCounts(); !reflect.DeepEqual(e, w) {
+		t.Fatalf("edge counts %v, want %v", e, w)
+	}
+	if sg, sr := got.Chain.Schedule(), ref.Chain.Schedule(); !reflect.DeepEqual(sg, sr) {
+		t.Fatalf("schedule %+v, want %+v", sg, sr)
+	}
+	if got.Chain.Params != def {
+		t.Fatalf("recorded params %+v, want the defaults %+v", got.Chain.Params, def)
+	}
+	b := randRHS(g.N, 9)
+	x, st := got.Solve(b, 1e-8)
+	xRef, stRef := ref.Solve(b, 1e-8)
+	if st.Iterations != stRef.Iterations {
+		t.Fatalf("%d iterations, want %d", st.Iterations, stRef.Iterations)
+	}
+	for i := range xRef {
+		if math.Float64bits(x[i]) != math.Float64bits(xRef[i]) {
+			t.Fatalf("solve differs from the default chain's at entry %d", i)
+		}
 	}
 }
 

@@ -43,12 +43,11 @@ func (c *chebCoeffs) step(k int) (alpha, beta float64, first bool) {
 
 // SolveStats reports what an iterative solve did.
 type SolveStats struct {
-	Iterations   int
-	Converged    bool
-	Residual     float64 // final ‖b−Ax‖₂ / ‖b‖₂ (b projected onto range(A))
-	BottomSolves int
-	Work         int64
-	Depth        int64
+	Iterations int
+	Converged  bool
+	Residual   float64 // final ‖b−Ax‖₂ / ‖b‖₂ (b projected onto range(A))
+	Work       int64
+	Depth      int64
 }
 
 // pcgFlexible is a flexible (Polak–Ribière) preconditioned conjugate

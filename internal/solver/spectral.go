@@ -10,7 +10,7 @@ import (
 // The spectral layer of chain calibration: a small preconditioned Lanczos
 // estimator that measures BOTH ends of spec(H⁻¹A) per level. The old power
 // iteration only estimated λmax and assumed the lower bound from the static
-// κ·ChebSlack product, so every level's Chebyshev interval was pessimistic
+// κ·chebSlack product, so every level's Chebyshev interval was pessimistic
 // by whatever slack the sparsifier didn't actually use; measuring the
 // interval is what turns the paper's known-κᵢ Chebyshev bounds into
 // practice ("measure, don't assume").
@@ -31,7 +31,7 @@ import (
 // The extreme eigenvalues of the tridiagonal T = tridiag(β, α, β)
 // approximate the extremes of spec(H⁻¹A) from inside (λmax(T) ≤ λmax,
 // λmin(T) ≥ λmin by Rayleigh–Ritz), which is why calibrate pads both ends
-// by ChainParams.EigSafety before trusting them as a Chebyshev interval.
+// by eigSafety (chain.go) before trusting them as a Chebyshev interval.
 //
 // Determinism: the start vector is drawn from the (sequential) build rng,
 // and every kernel below is one of the fixed-tree W kernels, so the
