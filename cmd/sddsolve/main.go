@@ -113,7 +113,7 @@ func run() error {
 				lapSolver.Chain.EdgeCounts(), bi.N, bi.NNZL, bi.Stop)
 			for i, l := range lapSolver.Chain.Levels {
 				fmt.Printf("  level %d: kappa=%g chebIts=%d spec=[%.3g, %.3g] sampled=%d\n",
-					i+1, l.Kappa, l.ChebIts, l.EigLo, l.EigHi, l.Spars.Sampled)
+					i+1, l.Kappa, l.ChebIts, l.EigLo, l.EigHi, l.Sampled)
 			}
 			// Wall times, so unlike everything above they vary run to run.
 			bt := lapSolver.Chain.Build

@@ -7,8 +7,8 @@
 // expensive near-linear-work step, every subsequent solve is cheap — so a
 // chain that dies with its process turns every restart under load into a
 // rebuild stampede. A snapshot captures exactly the state that cannot be
-// recomputed cheaply (per-level graphs and sparsifier outputs with exact
-// float64 weight bits, elimination op logs, the calibrated Chebyshev
+// recomputed cheaply (per-level graphs with exact float64 weight bits and
+// sampled-edge counts, elimination op logs, the calibrated Chebyshev
 // schedule, the sparse bottom factor and its elimination order, the
 // truncation record, ChainParams) and leaves everything
 // deterministic-and-cheap (CSRs, component indexes, reverse indexes,
@@ -47,18 +47,14 @@ import (
 )
 
 const (
-	// Version is the current snapshot format version. Version 6 dropped
-	// the seven chain parameters that became fixed constants of the solver
-	// (the direct-solve vertex floor, the Chebyshev slack, iteration cap and
-	// work budget, the Lanczos step count, the eigenvalue safety padding and
-	// the budget-lift threshold). Version 5 dropped the float32 level storage
-	// and Cuthill–McKee layout fields that version 3 had added. Version 4
-	// replaced the dense bottom triangle with the sparse factor (elimination
-	// order, column pointers, row positions, L values, D) and appended the
-	// truncation record (probes + stop reason). Other versions are rejected
-	// rather than guessed at — rebuilding a chain is cheap next to silently
-	// restoring a different schedule.
-	Version = 6
+	// Version is the current snapshot format version. Version 7 dropped
+	// each level's sparsifier graph B_i, its low-stretch subgraph edge ids
+	// and its average stretch: a solve reads only B_i's elimination log.
+	// Version 6 dropped the seven chain parameters that became fixed
+	// constants of the solver. Other versions are rejected rather than
+	// guessed at — rebuilding a chain is cheap next to silently restoring a
+	// different schedule.
+	Version = 7
 
 	magicLen   = 8
 	trailerLen = sha256.Size
@@ -101,13 +97,7 @@ func Encode(s *solver.Solver, id string) ([]byte, error) {
 	for i := range d.Levels {
 		lvl := &d.Levels[i]
 		encodeGraph(w, lvl.G)
-		encodeGraph(w, lvl.H)
-		w.u64(uint64(len(lvl.Subgraph)))
-		for _, e := range lvl.Subgraph {
-			w.i64(int64(e))
-		}
 		w.i64(int64(lvl.Sampled))
-		w.f64(lvl.StretchS)
 		w.u64(uint64(len(lvl.Ops)))
 		for j := range lvl.Ops {
 			op := &lvl.Ops[j]
@@ -191,14 +181,7 @@ func Decode(data []byte, wantID string, opt solver.Options) (*solver.Solver, err
 	for i := 0; r.err == nil && i < int(nLevels); i++ {
 		lvl := solver.SnapshotLevel{}
 		lvl.G = decodeGraph(r)
-		lvl.H = decodeGraph(r)
-		nSub := r.count(8)
-		lvl.Subgraph = make([]int, 0, nSub)
-		for j := 0; r.err == nil && j < nSub; j++ {
-			lvl.Subgraph = append(lvl.Subgraph, int(r.i64()))
-		}
 		lvl.Sampled = int(r.i64())
-		lvl.StretchS = r.f64()
 		nOps := r.count(29) // kind u8 + three i32 + two f64 per op
 		lvl.Ops = make([]solver.ElimOp, 0, nOps)
 		for j := 0; r.err == nil && j < nOps; j++ {

@@ -295,3 +295,52 @@ func TestSnapshotID(t *testing.T) {
 		t.Fatalf("short header: got %v, want ErrCorrupt", err)
 	}
 }
+
+// TestWeightZeroBridgeConverges: two 20×20 grids joined only by a weight-0
+// edge. The chain drops weight-0 edges when it merges the input, so its top
+// level has two components, and the outer PCG must project b per component
+// of that same graph. Projected over the input's one component (the weight-0
+// edge still joins it), b = e₀ − e₇₉₉ is not in range(L) and the solve stalls
+// at MaxIter. Checked on a built solver and on one restored from its
+// snapshot.
+func TestWeightZeroBridgeConverges(t *testing.T) {
+	a := gen.Grid2D(20, 20)
+	edges := append([]graph.Edge(nil), a.Edges...)
+	for _, e := range a.Edges {
+		edges = append(edges, graph.Edge{U: e.U + a.N, V: e.V + a.N, W: e.W})
+	}
+	edges = append(edges, graph.Edge{U: a.N - 1, V: a.N, W: 0})
+	g := graph.FromEdges(2*a.N, edges)
+	b := make([]float64, g.N)
+	b[0], b[g.N-1] = 1, -1
+
+	built, err := solver.New(g, solver.DefaultChainParams(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := graph.CanonicalID(g)
+	data, err := Encode(built, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Decode(data, id, solver.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps = 1e-8
+	for _, tc := range []struct {
+		name string
+		s    *solver.Solver
+	}{{"built", built}, {"restored", restored}} {
+		if tc.s.NumComp != 2 {
+			t.Fatalf("%s: %d components, want 2", tc.name, tc.s.NumComp)
+		}
+		x, st := tc.s.Solve(b, eps)
+		if !st.Converged {
+			t.Fatalf("%s: not converged after %d iterations (residual %.3g)", tc.name, st.Iterations, st.Residual)
+		}
+		if r := tc.s.Residual(x, b); r > 10*eps {
+			t.Fatalf("%s: residual %.3g", tc.name, r)
+		}
+	}
+}

@@ -473,6 +473,10 @@ func (lf *LaplacianFactor) Factor() *SparseLDL { return lf.factor }
 // kept vertices only) for snapshot serialization; read-only.
 func (lf *LaplacianFactor) Order() []int { return lf.keep }
 
+// CompIndex exposes the component index of the factored Laplacian's graph;
+// read-only.
+func (lf *LaplacianFactor) CompIndex() *CompIndex { return lf.compIdx }
+
 // NewLaplacianFactorFromParts reassembles a LaplacianFactor from snapshot
 // data: the component labeling of the n-vertex bottom graph, the elimination
 // order and the grounded SparseLDL, exactly as Order and Factor return them.

@@ -397,9 +397,6 @@ func ScanW(workers int, src []int) []int {
 // PrefixSumInt computes the exclusive prefix sum of src; see Scan.
 func PrefixSumInt(src []int) []int { return ScanW(0, src) }
 
-// PrefixSumIntW is PrefixSumInt with an explicit worker count.
-func PrefixSumIntW(workers int, src []int) []int { return ScanW(workers, src) }
-
 // FilterIndex returns, in increasing order, all i in [0, n) with keep(i).
 // It uses a parallel count + prefix-sum + scatter, the standard PRAM pack.
 func FilterIndex(n int, keep func(i int) bool) []int { return FilterIndexW(0, n, keep) }
@@ -537,11 +534,6 @@ func HalfEdgePackW(workers, n, m int, ends func(i int) (u, v int)) (off, pos []i
 		}
 	})
 	return off, pos
-}
-
-// HalfEdgePack is HalfEdgePackW with the default worker count.
-func HalfEdgePack(n, m int, ends func(i int) (u, v int)) (off, pos []int) {
-	return HalfEdgePackW(0, n, m, ends)
 }
 
 // PackByKeyW groups the indices [0, n) by key(i) ∈ [0, numKeys) with a

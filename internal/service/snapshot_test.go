@@ -120,8 +120,8 @@ func TestRegisterRestoresOnMiss(t *testing.T) {
 }
 
 // TestCorruptSnapshotFallsBackToBuild covers unusable blobs: one truncated
-// with a flipped byte, and ones from older format versions (version bytes 4
-// and 5, resealed so only the version check can reject them). Each must be
+// with a flipped byte, and ones from older format versions (version bytes 4,
+// 5 and 6, resealed so only the version check can reject them). Each must be
 // skipped by boot restore and rebuilt by the first registration, and the
 // rebuilt chain must solve bit-identically to a fresh build.
 func TestCorruptSnapshotFallsBackToBuild(t *testing.T) {
@@ -150,6 +150,7 @@ func TestCorruptSnapshotFallsBackToBuild(t *testing.T) {
 		}},
 		{"older-version-resealed", chainio.ErrVersion, resealedVersion(4)},
 		{"v5-resealed", chainio.ErrVersion, resealedVersion(5)},
+		{"v6-resealed", chainio.ErrVersion, resealedVersion(6)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := snapshotStore(t)

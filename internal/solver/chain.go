@@ -131,10 +131,10 @@ type Level struct {
 	// reused by every per-iteration masked projection (the segmented-
 	// reduction analogue of the elimination's cached reverse index).
 	CompIdx *matrix.CompIndex
-	Spars   *SparsifyResult // B_i = Spars.H
-	Elim    *Elimination    // partial Cholesky B_i → A_{i+1}
-	Kappa   float64         // condition target used for B_i
-	ChebIts int             // inner Chebyshev iterations ⌈√(EigHi/EigLo)⌉ when recursing
+	Sampled int          // off-subgraph edges sampled into B_i (B_i itself is not kept)
+	Elim    *Elimination // partial Cholesky B_i → A_{i+1}
+	Kappa   float64      // condition target used for B_i
+	ChebIts int          // inner Chebyshev iterations ⌈√(EigHi/EigLo)⌉ when recursing
 	// EigHi/EigLo bound spec(H⁻¹A) at this level. Both ends are MEASURED at
 	// construction time by the Lanczos estimator (spectral.go), padded by
 	// eigSafety; EigLo is additionally floored by the static theory envelope
@@ -224,8 +224,9 @@ func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 // immutable thereafter, and every per-solve temporary lives in
 // solve-call-local buffers, so any number of goroutines may call
 // PrecondApplyIntoW (and the Solver's Solve methods above it) concurrently
-// on one Chain. The only mutating fields are the atomic bottomSolves
-// counter and the (atomic) work/depth recorder.
+// on one Chain. The only mutating fields are internally synchronized: the
+// atomic bottomSolves and precondApplies counters, the (atomic) work/depth
+// recorder, and the ws workspace pool.
 type Chain struct {
 	Levels  []Level
 	Bottom  *matrix.LaplacianFactor
@@ -241,6 +242,9 @@ type Chain struct {
 	// chain restored from a snapshot, which was never built here.
 	Build *BuildTimings
 
+	// bottomLap is the bottom graph's Laplacian, kept only when the chain
+	// has no level: the outer PCG then iterates on it (see Top).
+	bottomLap    *matrix.Sparse
 	bottomSolves atomic.Int64
 	// precondApplies counts top-level preconditioner applications — one per
 	// applyHTopBlock call regardless of batch width, so a k-column block
@@ -345,17 +349,18 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 		sp.Workers = w
 		sp.Kappa = kappa
 		kappa *= p.KappaGrowth
-		// sparsifyEliminate builds B_i and its partial Cholesky, timed.
-		sparsifyEliminate := func() (*SparsifyResult, *Elimination) {
+		// sparsifyEliminate builds B_i and its partial Cholesky, timed; only
+		// B_i's sampled-edge count outlives it.
+		sparsifyEliminate := func() (int, *Elimination) {
 			t0 := time.Now()
 			res := IncrementalSparsify(cur, sp, rng, rec)
 			t1 := time.Now()
 			elim := GreedyEliminationW(w, res.H, rng, rec)
 			lb.SparsifyMS += ms(t1.Sub(t0))
 			lb.EliminateMS += ms(time.Since(t1))
-			return res, elim
+			return res.Sampled, elim
 		}
-		res, elim := sparsifyEliminate()
+		sampled, elim := sparsifyEliminate()
 		// The shrink-retry decision uses the MEASURED edge shrink but the
 		// nominal κ for the retry: a level's measured condition number needs
 		// the completed chain below it (calibrate's Lanczos applies the full
@@ -365,7 +370,7 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 		if float64(elim.Reduced.M()) > p.ShrinkRetry*float64(cur.M()) {
 			// Retry once with a coarser preconditioner.
 			sp.Kappa *= 2
-			res, elim = sparsifyEliminate()
+			sampled, elim = sparsifyEliminate()
 			if float64(elim.Reduced.M()) > p.ShrinkRetry*float64(cur.M()) {
 				c.Stop = fmt.Sprintf("level %d does not shrink by ShrinkRetry %g", i, p.ShrinkRetry)
 				break // cannot shrink further; truncate here
@@ -375,7 +380,7 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 		lvl := Level{
 			G: cur, Lap: lap, Comp: comp, NumComp: k,
 			CompIdx: matrix.NewCompIndexW(w, comp, k),
-			Spars:   res, Elim: elim, Kappa: sp.Kappa,
+			Sampled: sampled, Elim: elim, Kappa: sp.Kappa,
 			ChebIts: its, EigHi: 1, EigLo: 1 / (sp.Kappa * chebSlack),
 		}
 		c.Levels = append(c.Levels, lvl)
@@ -403,6 +408,9 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 	}
 	c.Bottom = bf
 	c.BottomG = cur
+	if len(c.Levels) == 0 {
+		c.bottomLap = lap
+	}
 	// Sparse factorization: Σ|col|² work; the column sweep is sequential.
 	rec.Add(sym.Flops(), int64(bf.GroundedLen()))
 	t0 = time.Now()
@@ -535,15 +543,24 @@ func mergeParallelW(workers int, g *graph.Graph) *graph.Graph {
 	return graph.FromEdgesW(workers, n, edges)
 }
 
-// mergeParallel is mergeParallelW with the default worker count.
-func mergeParallel(g *graph.Graph) *graph.Graph { return mergeParallelW(0, g) }
-
 // Depth returns the number of levels above the bottom solve.
 func (c *Chain) Depth() int { return len(c.Levels) }
 
+// Top returns the operator the outer PCG iterates on and its component
+// index: level 0's Laplacian and index when the chain has levels, else the
+// bottom graph's Laplacian and the bottom factor's index. A Solver shares
+// these objects instead of building its own.
+func (c *Chain) Top() (*matrix.Sparse, *matrix.CompIndex) {
+	if len(c.Levels) == 0 {
+		return c.bottomLap, c.Bottom.CompIndex()
+	}
+	return c.Levels[0].Lap, c.Levels[0].CompIdx
+}
+
 // MemoryBytes estimates the chain's retained footprint: per level the graph,
-// its Laplacian, the sparsifier output and the elimination log; at the bottom
-// the sparse factorization. Each elimination's Reduced graph is the next
+// its Laplacian, the component index and the elimination log; at the bottom
+// the graph and the sparse factorization (and, for a chain with no level,
+// the bottom Laplacian). Each elimination's Reduced graph is the next
 // level's G (the same object), so it is counted exactly once.
 func (c *Chain) MemoryBytes() int64 {
 	var b int64
@@ -554,13 +571,13 @@ func (c *Chain) MemoryBytes() int64 {
 		if lvl.CompIdx != nil {
 			b += lvl.CompIdx.MemoryBytes()
 		}
-		if lvl.Spars != nil {
-			b += lvl.Spars.H.MemoryBytes() + int64(len(lvl.Spars.Subgraph))*8
-		}
 		b += lvl.Elim.MemoryBytes()
 	}
 	if c.BottomG != nil {
 		b += c.BottomG.MemoryBytes()
+	}
+	if c.bottomLap != nil {
+		b += c.bottomLap.MemoryBytes()
 	}
 	if c.Bottom != nil {
 		b += c.Bottom.MemoryBytes()

@@ -208,7 +208,7 @@ func TestMergeParallelCombinesEdges(t *testing.T) {
 		{U: 1, V: 1, W: 5}, // self-loop: dropped
 		{U: 1, V: 2, W: 3},
 	})
-	m := mergeParallel(g)
+	m := mergeParallelW(0, g)
 	if m.M() != 2 {
 		t.Fatalf("merged M = %d, want 2", m.M())
 	}

@@ -110,6 +110,19 @@ func TestFuzzCrossWorkerEquivalence(t *testing.T) {
 			}
 			ref := buildWith(1)
 			solvers := map[int]*Solver{1: ref}
+			// The chain keeps only B_i's elimination, so B_i is rebuilt
+			// here: IncrementalSparsify on each level's graph, at the
+			// level's κ, from a per-level seeded rng.
+			sparsWith := func(w, i int) *graph.Graph {
+				lvl := &ref.Chain.Levels[i]
+				sp := params.Sparsify
+				sp.Kappa, sp.Workers = lvl.Kappa, w
+				return IncrementalSparsify(lvl.G, sp, rand.New(rand.NewSource(seed+int64(i))), nil).H
+			}
+			refH := make([]*graph.Graph, ref.Chain.Depth())
+			for i := range refH {
+				refH[i] = sparsWith(1, i)
+			}
 			for _, w := range fuzzWorkers {
 				s := buildWith(w)
 				solvers[w] = s
@@ -121,7 +134,7 @@ func TestFuzzCrossWorkerEquivalence(t *testing.T) {
 					if !sameEdges(lr.G.Edges, lg.G.Edges) {
 						t.Fatalf("workers=%d: level %d graph differs", w, i)
 					}
-					if !sameEdges(lr.Spars.H.Edges, lg.Spars.H.Edges) {
+					if !sameEdges(refH[i].Edges, sparsWith(w, i).Edges) {
 						t.Fatalf("workers=%d: level %d sparsifier differs", w, i)
 					}
 					if lr.ChebIts != lg.ChebIts ||

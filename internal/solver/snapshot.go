@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"slices"
 
 	"parlap/internal/graph"
 	"parlap/internal/matrix"
@@ -11,11 +12,13 @@ import (
 // the byte-level container live in internal/chainio): a built Solver
 // deconstructs into SnapshotData — only the state that cannot be recomputed
 // cheaply and deterministically — and AssembleSnapshot reconstructs a Solver
-// from it. What is persisted: per-level graphs and sparsifier outputs with
-// exact float64 weight bits, the elimination op logs, the calibrated
-// Chebyshev schedule, the sparse bottom factor with its elimination order,
-// the truncation probes, ChainParams and MaxIter.
-// What is recomputed on restore: Laplacian CSRs, connected components and
+// from it. What is persisted: the input graph and the per-level graphs A_i
+// with exact float64 weight bits, each level's sampled-edge count, the
+// elimination op logs, the calibrated Chebyshev schedule, the sparse bottom
+// factor with its elimination order, the truncation probes, ChainParams and
+// MaxIter. The sparsifier graphs B_i are not: a solve reads only their
+// elimination logs. What is recomputed on restore: the level (or, for a
+// chain with no level, bottom) Laplacian CSRs, connected components and
 // their sorted indexes, the eliminations' owner-computes reverse indexes,
 // the bottom grounding bookkeeping, and the workspace pools. Every
 // recomputation is one of the fixed-schedule deterministic passes the build
@@ -25,10 +28,7 @@ import (
 // SnapshotLevel is one chain level's persisted payload.
 type SnapshotLevel struct {
 	G        *graph.Graph // A_i (level 0: the merged input; else prior Reduced)
-	H        *graph.Graph // B_i, the sparsifier output the elimination ran on
-	Subgraph []int        // low-stretch subgraph edge ids within A_i
 	Sampled  int
-	StretchS float64
 	Ops      []ElimOp // partial-Cholesky op log B_i -> A_{i+1}
 	RoundEnd []int
 	// Calibrated schedule (exact bits; never re-measured on restore).
@@ -72,10 +72,7 @@ func (s *Solver) Snapshot() *SnapshotData {
 	for i := range s.Chain.Levels {
 		lvl := &s.Chain.Levels[i]
 		d.Levels[i] = SnapshotLevel{
-			G: lvl.G, H: lvl.Spars.H,
-			Subgraph: lvl.Spars.Subgraph,
-			Sampled:  lvl.Spars.Sampled,
-			StretchS: lvl.Spars.StretchS,
+			G: lvl.G, Sampled: lvl.Sampled,
 			Ops:      lvl.Elim.Ops,
 			RoundEnd: lvl.Elim.RoundEnd,
 			Kappa:    lvl.Kappa, ChebIts: lvl.ChebIts,
@@ -116,22 +113,11 @@ func AssembleSnapshot(d *SnapshotData, opt Options) (*Solver, error) {
 	c.Levels = make([]Level, len(d.Levels))
 	for i := range d.Levels {
 		sl := &d.Levels[i]
-		if sl.G == nil || sl.H == nil {
+		if sl.G == nil {
 			return nil, fmt.Errorf("solver: snapshot level %d missing graph", i)
 		}
 		if err := sl.G.Validate(); err != nil {
 			return nil, fmt.Errorf("solver: snapshot level %d graph: %w", i, err)
-		}
-		if err := sl.H.Validate(); err != nil {
-			return nil, fmt.Errorf("solver: snapshot level %d sparsifier: %w", i, err)
-		}
-		if sl.H.N != sl.G.N {
-			return nil, fmt.Errorf("solver: snapshot level %d sparsifier has %d vertices, level has %d", i, sl.H.N, sl.G.N)
-		}
-		for _, id := range sl.Subgraph {
-			if id < 0 || id >= sl.G.M() {
-				return nil, fmt.Errorf("solver: snapshot level %d subgraph edge id %d out of range", i, id)
-			}
 		}
 		if sl.ChebIts < 1 || sl.ChebIts > 1<<20 {
 			return nil, fmt.Errorf("solver: snapshot level %d has implausible ChebIts %d", i, sl.ChebIts)
@@ -139,7 +125,7 @@ func AssembleSnapshot(d *SnapshotData, opt Options) (*Solver, error) {
 		if !(sl.EigLo > 0) || !(sl.EigHi >= sl.EigLo) {
 			return nil, fmt.Errorf("solver: snapshot level %d has invalid Chebyshev interval [%g, %g]", i, sl.EigLo, sl.EigHi)
 		}
-		el := &Elimination{OrigN: sl.H.N, Ops: sl.Ops, RoundEnd: sl.RoundEnd}
+		el := &Elimination{OrigN: sl.G.N, Ops: sl.Ops, RoundEnd: sl.RoundEnd}
 		if err := el.ReindexW(w); err != nil {
 			return nil, fmt.Errorf("solver: snapshot level %d: %w", i, err)
 		}
@@ -156,11 +142,7 @@ func AssembleSnapshot(d *SnapshotData, opt Options) (*Solver, error) {
 			G: sl.G, Lap: matrix.LaplacianOfW(w, sl.G),
 			Comp: comp, NumComp: k,
 			CompIdx: matrix.NewCompIndexW(w, comp, k),
-			Spars: &SparsifyResult{
-				H: sl.H, Subgraph: sl.Subgraph,
-				Sampled: sl.Sampled, StretchS: sl.StretchS,
-			},
-			Elim:  el,
+			Sampled: sl.Sampled, Elim: el,
 			Kappa: sl.Kappa, ChebIts: sl.ChebIts,
 			EigHi: sl.EigHi, EigLo: sl.EigLo,
 			KappaMeasured: sl.KappaMeasured,
@@ -170,23 +152,27 @@ func AssembleSnapshot(d *SnapshotData, opt Options) (*Solver, error) {
 	if err := d.BottomG.Validate(); err != nil {
 		return nil, fmt.Errorf("solver: snapshot bottom graph: %w", err)
 	}
+	// The Solver iterates on the chain's top-level operator, so the top
+	// graph must be exactly the merged input graph the id addresses.
+	top := d.BottomG
+	if len(d.Levels) > 0 {
+		top = d.Levels[0].G
+	}
+	if merged := mergeParallelW(w, d.G); top.N != merged.N || !slices.Equal(top.Edges, merged.Edges) {
+		return nil, fmt.Errorf("solver: snapshot top-level graph is not the merged input graph")
+	}
 	bComp, bk := d.BottomG.ConnectedComponents()
 	bf, err := matrix.NewLaplacianFactorFromParts(w, d.BottomG.N, bComp, bk, d.BottomOrder, d.Bottom)
 	if err != nil {
 		return nil, fmt.Errorf("solver: snapshot bottom factor: %w", err)
 	}
 	c.Bottom = bf
+	if len(c.Levels) == 0 {
+		c.bottomLap = matrix.LaplacianOfW(w, d.BottomG)
+	}
 	// Warm the chain's workspace pool exactly as calibrate does at build
 	// time, so the restored chain's first preconditioner application is
 	// allocation-free and MemoryBytes already accounts the retained scratch.
 	c.ws.seed(newWorkspace(c, 1))
-	comp, k := d.G.ConnectedComponents()
-	s := &Solver{
-		G: d.G, Lap: matrix.LaplacianOfW(w, d.G), Chain: c,
-		Comp: comp, NumComp: k,
-		CompIdx: matrix.NewCompIndexW(w, comp, k),
-		Opt:     opt,
-		MaxIter: d.MaxIter,
-	}
-	return s, nil
+	return newSolver(d.G, c, opt, nil, d.MaxIter), nil
 }

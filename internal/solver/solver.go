@@ -16,13 +16,14 @@ import (
 // New (or NewWithOptions to pin the worker count), then Solve any number of
 // right-hand sides.
 type Solver struct {
-	G       *graph.Graph
+	G *graph.Graph // the input graph as given
+	// Lap, Comp, NumComp and CompIdx (the outer PCG's operator and its
+	// component index) are the chain's top-level objects, not a copy: see
+	// Chain.Top. Weight-0 edges of G join no components there.
 	Lap     *matrix.Sparse
 	Chain   *Chain
 	Comp    []int
 	NumComp int
-	// CompIdx is the component-sorted index over Comp, built once at
-	// construction and reused by every masked projection in the outer PCG.
 	CompIdx *matrix.CompIndex
 	Opt     Options
 
@@ -56,31 +57,26 @@ func NewWithOptions(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 	if err != nil {
 		return nil, err
 	}
-	comp, k := g.ConnectedComponents()
-	s := &Solver{
-		G: g, Lap: matrix.LaplacianOfW(opt.Workers, g), Chain: ch,
-		Comp: comp, NumComp: k,
-		CompIdx: matrix.NewCompIndexW(opt.Workers, comp, k),
-		Opt:     opt, rec: rec,
-		MaxIter: 10 * int(math.Sqrt(float64(g.N))+100),
+	return newSolver(g, ch, opt, rec, 10*int(math.Sqrt(float64(g.N))+100)), nil
+}
+
+// newSolver wraps a built or restored chain over the input graph g. The
+// Solver's operator and component index are the chain's top-level objects.
+func newSolver(g *graph.Graph, ch *Chain, opt Options, rec *wd.Recorder, maxIter int) *Solver {
+	lap, ci := ch.Top()
+	return &Solver{
+		G: g, Lap: lap, Chain: ch,
+		Comp: ci.Comp, NumComp: ci.NumComp, CompIdx: ci,
+		Opt: opt, rec: rec, MaxIter: maxIter,
 	}
-	return s, nil
 }
 
 // MemoryBytes estimates the solver's retained footprint — the input graph,
-// its Laplacian, the component labels, the whole preconditioner chain, and
-// the workspace pools' high-water scratch — the per-entry cost a serving
-// layer's byte-budgeted cache accounts for.
+// the whole preconditioner chain (which holds the operator and component
+// index the outer PCG reads), and the workspace pools' high-water scratch —
+// the per-entry cost a serving layer's byte-budgeted cache accounts for.
 func (s *Solver) MemoryBytes() int64 {
-	b := s.G.MemoryBytes() + s.Lap.MemoryBytes() + int64(len(s.Comp))*8
-	if s.CompIdx != nil {
-		b += s.CompIdx.MemoryBytes()
-	}
-	if s.Chain != nil {
-		b += s.Chain.MemoryBytes() // includes the chain pool's peak
-	}
-	b += s.ws.PeakBytes()
-	return b
+	return s.G.MemoryBytes() + s.Chain.MemoryBytes() + s.ws.PeakBytes()
 }
 
 // WorkspaceBytes reports the workspace pools' high-water footprint (solver
@@ -156,10 +152,15 @@ func (s *Solver) SolveBatchOpts(bs [][]float64, eps float64, opt Options) ([][]f
 // the whole batch (the chain passes are shared across columns, so per-column
 // attribution does not exist). See SolveTraced. It is a staging wrapper over
 // SolveBlockTraced: the slice columns are packed into a contiguous block,
-// solved, and unpacked into freshly allocated output columns.
+// solved, and unpacked into freshly allocated output columns. A batch of
+// one is SolveTraced, which solves on a view of the column unpacked.
 func (s *Solver) SolveBatchTraced(bs [][]float64, eps float64, opt Options, tr *obs.SolveTrace) ([][]float64, []SolveStats) {
-	if len(bs) == 0 {
+	switch len(bs) {
+	case 0:
 		return nil, nil
+	case 1: // one vector solves on a view of b, with no packing into a block
+		x, st := s.SolveTraced(bs[0], eps, opt, tr)
+		return [][]float64{x}, []SolveStats{st}
 	}
 	k := len(bs)
 	n := len(bs[0])

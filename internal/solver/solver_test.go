@@ -526,3 +526,55 @@ func TestSolveConstantRHSProjected(t *testing.T) {
 		}
 	}
 }
+
+// TestSolverSharesChainTop: the Solver's operator and component index are
+// the chain's top-level objects, not a second copy — level 0's for a chain
+// with levels, the bottom graph's for a chain with none — on a built solver
+// and on one reassembled from its snapshot. Because the solver iterates on
+// that graph, a snapshot whose top graph is not the merged input graph
+// (here: one weight changed) is rejected.
+func TestSolverSharesChainTop(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		levels bool
+	}{
+		{"levels", gen.Grid2D(20, 20), true},
+		{"no-level", gen.Grid2D(8, 8), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := deepChainParams(tc.g)
+			built, err := NewWithOptions(tc.g, p, Options{Workers: 1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := AssembleSnapshot(built.Snapshot(), Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []*Solver{built, restored} {
+				if got := s.Chain.Depth() > 0; got != tc.levels {
+					t.Fatalf("chain has levels = %v, want %v", got, tc.levels)
+				}
+				lap, ci := s.Chain.Top()
+				if s.Lap != lap || s.CompIdx != ci || &s.Comp[0] != &ci.Comp[0] || s.NumComp != ci.NumComp {
+					t.Fatal("solver does not share the chain's top-level operator and component index")
+				}
+				if tc.levels && (lap != s.Chain.Levels[0].Lap || ci != s.Chain.Levels[0].CompIdx) {
+					t.Fatal("Top is not level 0's operator")
+				}
+			}
+			d := built.Snapshot()
+			top := &d.BottomG
+			if tc.levels {
+				top = &d.Levels[0].G
+			}
+			edges := append([]graph.Edge(nil), (*top).Edges...)
+			edges[0].W *= 2
+			*top = graph.FromEdges((*top).N, edges)
+			if _, err := AssembleSnapshot(d, Options{Workers: 1}); err == nil {
+				t.Fatal("snapshot with a top graph other than the merged input was accepted")
+			}
+		})
+	}
+}
