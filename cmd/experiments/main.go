@@ -293,7 +293,7 @@ func e8() {
 func e9() {
 	header("E9", "Thm 1.1: near-linear work scaling, log(1/eps) dependence, baseline comparison")
 	fmt.Printf("-- (a) scaling in m (unit 2D grids, eps=1e-8) --\n")
-	fmt.Printf("%8s %8s %8s %10s %14s %14s %12s\n", "n", "m", "iters", "wallMs", "work", "work/m", "depth")
+	fmt.Printf("%8s %8s %8s %10s %14s %14s %12s %14s\n", "n", "m", "iters", "wallMs", "work", "work/m", "depth", "build work/m")
 	sides := []int{32, 64, 128}
 	if !*quickFlag {
 		sides = append(sides, 256)
@@ -307,12 +307,12 @@ func e9() {
 			continue
 		}
 		b := randB(g.N, *seedFlag)
-		rec.Reset()
 		t0 := time.Now()
 		_, st := s.Solve(b, 1e-8)
 		ms := time.Since(t0).Milliseconds()
-		fmt.Printf("%8d %8d %8d %10d %14d %14.1f %12d\n",
-			g.N, g.M(), st.Iterations, ms, rec.Work(), float64(rec.Work())/float64(g.M()), rec.Depth())
+		fmt.Printf("%8d %8d %8d %10d %14d %14.1f %12d %14.1f\n",
+			g.N, g.M(), st.Iterations, ms, st.Work, float64(st.Work)/float64(g.M()), st.Depth,
+			float64(rec.Work())/float64(g.M()))
 	}
 	fmt.Printf("-- (b) scaling in eps (grid %d^2) --\n", scaled(128, 64))
 	side := scaled(128, 64)

@@ -106,12 +106,17 @@ func run() error {
 	fmt.Printf("n=%d  iterations=%d  converged=%v  residual=%.3g  wall=%v\n",
 		n, st.Iterations, st.Converged, st.Residual, wall.Round(time.Millisecond))
 	if *stats {
-		fmt.Printf("analytic work=%d depth=%d\n", rec.Work(), rec.Depth())
+		fmt.Printf("analytic build work=%d depth=%d; solve work=%d depth=%d\n",
+			rec.Work(), rec.Depth(), st.Work, st.Depth)
 		if lapSolver != nil {
 			bi := lapSolver.Chain.BottomInfo()
 			fmt.Printf("chain edge counts: %v (bottom n=%d nnz(L)=%d; stop: %s)\n",
 				lapSolver.Chain.EdgeCounts(), bi.N, bi.NNZL, bi.Stop)
 			for i, l := range lapSolver.Chain.Levels {
+				if i == 0 {
+					fmt.Printf("  level 1: kappa=%g outer PCG sampled=%d\n", l.Kappa, l.Sampled)
+					continue
+				}
 				fmt.Printf("  level %d: kappa=%g chebIts=%d spec=[%.3g, %.3g] sampled=%d\n",
 					i+1, l.Kappa, l.ChebIts, l.EigLo, l.EigHi, l.Sampled)
 			}

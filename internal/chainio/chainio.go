@@ -7,12 +7,14 @@
 // expensive near-linear-work step, every subsequent solve is cheap — so a
 // chain that dies with its process turns every restart under load into a
 // rebuild stampede. A snapshot captures exactly the state that cannot be
-// recomputed cheaply (per-level graphs with exact float64 weight bits and
-// sampled-edge counts, elimination op logs, the calibrated Chebyshev
+// recomputed cheaply (the graphs below the top level with exact float64
+// weight bits, per-level sampled-edge counts, elimination op logs, the
+// calibrated Chebyshev
 // schedule, the sparse bottom factor and its elimination order, the
 // truncation record, ChainParams) and leaves everything
-// deterministic-and-cheap (CSRs, component indexes, reverse indexes,
-// grounding bookkeeping) to be recomputed on restore by the same
+// deterministic-and-cheap (the top-level graph, which is the merged input,
+// CSRs, component indexes, reverse indexes, grounding bookkeeping) to be
+// recomputed on restore by the same
 // fixed-schedule passes the build ran — so a restored chain produces
 // bit-identical solves to the original for every Workers setting.
 //
@@ -21,10 +23,11 @@
 //	magic   [8]byte "PLCHSNP\x00"
 //	version uint32  (see Version; anything else is rejected)
 //	id      uint16 length + bytes (the canonical graph hash, "g" + 32 hex)
-//	body    ChainParams, MaxIter, the input graph, per-level payloads,
-//	        the bottom graph, its elimination order and grounded sparse
-//	        LDL^T factor (column pointers, row positions, L, D), and the
-//	        truncation probes + stop reason
+//	body    ChainParams, MaxIter, the input graph, per-level payloads
+//	        (each with the graph its elimination keeps; the last one is
+//	        the bottom graph), the bottom factor's elimination order and
+//	        grounded sparse LDL^T (column pointers, row positions, L, D),
+//	        and the truncation probes + stop reason
 //	trailer [32]byte SHA-256 over every preceding byte
 //
 // Truncation, bit corruption (checksum mismatch), unknown versions, and
@@ -47,14 +50,14 @@ import (
 )
 
 const (
-	// Version is the current snapshot format version. Version 7 dropped
-	// each level's sparsifier graph B_i, its low-stretch subgraph edge ids
-	// and its average stretch: a solve reads only B_i's elimination log.
-	// Version 6 dropped the seven chain parameters that became fixed
-	// constants of the solver. Other versions are rejected rather than
-	// guessed at — rebuilding a chain is cheap next to silently restoring a
-	// different schedule.
-	Version = 7
+	// Version is the current snapshot format version. Version 8 dropped
+	// the top-level graph (level 0's, or the bottom graph of a chain with
+	// no level): it is the merged input graph, recomputed on restore.
+	// Version 7 dropped each level's sparsifier graph B_i, its low-stretch
+	// subgraph edge ids and its average stretch. Other versions are
+	// rejected rather than guessed at — rebuilding a chain is cheap next to
+	// silently restoring a different schedule.
+	Version = 8
 
 	magicLen   = 8
 	trailerLen = sha256.Size
@@ -96,7 +99,7 @@ func Encode(s *solver.Solver, id string) ([]byte, error) {
 	w.u32(uint32(len(d.Levels)))
 	for i := range d.Levels {
 		lvl := &d.Levels[i]
-		encodeGraph(w, lvl.G)
+		encodeGraph(w, lvl.Reduced)
 		w.i64(int64(lvl.Sampled))
 		w.u64(uint64(len(lvl.Ops)))
 		for j := range lvl.Ops {
@@ -119,7 +122,6 @@ func Encode(s *solver.Solver, id string) ([]byte, error) {
 		w.f64(lvl.KappaMeasured)
 		w.bool(lvl.Calibrated)
 	}
-	encodeGraph(w, d.BottomG)
 	w.u64(uint64(len(d.BottomOrder)))
 	for _, v := range d.BottomOrder {
 		w.i32(int32(v))
@@ -173,14 +175,25 @@ func Decode(data []byte, wantID string, opt solver.Options) (*solver.Solver, err
 	d := &solver.SnapshotData{}
 	decodeParams(r, &d.Params)
 	d.MaxIter = int(r.i64())
-	d.G = decodeGraph(r)
+	d.G = decodeGraph(r, maxSnapshotVertices)
+	if r.err != nil {
+		return nil, r.err
+	}
+	// Content addressing: the embedded graph must hash to the stored id, so
+	// a snapshot only ever replays against the graph it was built from. It
+	// is checked before any level, and no later graph may be larger (levels
+	// only shrink), so a blob costs O(n) for an input vertex count n up to
+	// maxSnapshotVertices before it is rejected.
+	if got := graph.CanonicalID(d.G); got != id {
+		return nil, fmt.Errorf("%w: embedded graph hashes to %q, snapshot claims %q", ErrWrongGraph, got, id)
+	}
 	nLevels := r.u32()
 	if r.err == nil && uint64(nLevels) > uint64(r.remaining()) {
 		r.fail("level count %d exceeds payload", nLevels)
 	}
 	for i := 0; r.err == nil && i < int(nLevels); i++ {
 		lvl := solver.SnapshotLevel{}
-		lvl.G = decodeGraph(r)
+		lvl.Reduced = decodeGraph(r, d.G.N)
 		lvl.Sampled = int(r.i64())
 		nOps := r.count(29) // kind u8 + three i32 + two f64 per op
 		lvl.Ops = make([]solver.ElimOp, 0, nOps)
@@ -212,7 +225,6 @@ func Decode(data []byte, wantID string, opt solver.Options) (*solver.Solver, err
 		lvl.Calibrated = r.bool()
 		d.Levels = append(d.Levels, lvl)
 	}
-	d.BottomG = decodeGraph(r)
 	// Every count is checked against the bytes actually remaining before it
 	// sizes an allocation. Index validity — the order a bijection onto the
 	// kept vertices, monotone column pointers, row positions strictly below
@@ -238,13 +250,6 @@ func Decode(data []byte, wantID string, opt solver.Options) (*solver.Solver, err
 	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, r.remaining())
-	}
-
-	// Content addressing: the embedded graph must hash to the stored id, so
-	// a snapshot can only ever be replayed against the graph it was built
-	// from, no matter what key the blob was filed under.
-	if got := graph.CanonicalID(d.G); got != id {
-		return nil, fmt.Errorf("%w: embedded graph hashes to %q, snapshot claims %q", ErrWrongGraph, got, id)
 	}
 	s, err := solver.AssembleSnapshot(d, opt)
 	if err != nil {
@@ -311,16 +316,16 @@ func encodeGraph(w writer, g *graph.Graph) {
 	}
 }
 
-// maxSnapshotVertices is a format-level cap on one graph's vertex count —
-// far above anything the solver serves (elimination ops index vertices with
-// int32 anyway), and low enough that a corrupted count is rejected here
-// instead of driving a multi-gigabyte CSR allocation.
+// maxSnapshotVertices is a format-level cap on the input graph's vertex
+// count — far above anything the solver serves (elimination ops index
+// vertices with int32 anyway), and low enough that a corrupted count is
+// rejected here instead of driving a multi-gigabyte CSR allocation.
 const maxSnapshotVertices = 1 << 27
 
-func decodeGraph(r *reader) *graph.Graph {
+func decodeGraph(r *reader, maxN int) *graph.Graph {
 	n := int(r.i64())
 	m := r.count(24)
-	if r.err == nil && (n < 0 || n > maxSnapshotVertices) {
+	if r.err == nil && (n < 0 || n > maxN) {
 		r.fail("implausible vertex count %d", n)
 	}
 	edges := make([]graph.Edge, 0, m)

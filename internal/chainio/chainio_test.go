@@ -1,12 +1,15 @@
 package chainio
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"parlap/internal/gen"
@@ -276,6 +279,51 @@ func TestCorruptionRejected(t *testing.T) {
 			t.Fatalf("got %v, want ErrCorrupt", err)
 		}
 	})
+}
+
+// TestDecodeBoundsLaterGraphs: a resealed blob whose level or bottom graph
+// claims 2^26 vertices is rejected as corrupt before any CSR of that size is
+// built. Levels only shrink, so no graph after the id-checked input may be
+// larger than it.
+func TestDecodeBoundsLaterGraphs(t *testing.T) {
+	g := gen.Grid2D(20, 20)
+	s := buildSolver(t, g, 1)
+	if s.Chain.Depth() < 2 {
+		t.Fatalf("chain has %d levels; the test needs a level graph in the blob", s.Chain.Depth())
+	}
+	id := graph.CanonicalID(g)
+	data, err := Encode(s, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"level", s.Chain.Levels[1].G}, {"bottom", s.Chain.BottomG}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The graph's encoding (n, m, edges) is unique in the blob; its
+			// first field is the vertex count.
+			var enc bytes.Buffer
+			encodeGraph(writer{&enc}, tc.g)
+			off := bytes.Index(data, enc.Bytes())
+			if off < 0 {
+				t.Fatal("graph encoding not found in the blob")
+			}
+			mut := append([]byte(nil), data...)
+			binary.LittleEndian.PutUint64(mut[off:], 1<<26)
+			reseal(mut)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Decode(mut, id, solver.Options{Workers: 1})
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("got %v, want ErrCorrupt", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+				t.Fatalf("rejecting the blob allocated %d bytes", grew)
+			}
+		})
+	}
 }
 
 // TestSnapshotID parses the header-only accessor.

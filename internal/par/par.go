@@ -193,16 +193,12 @@ func DoW(workers int, fns ...func()) {
 	runTasks(resolve(workers), len(fns), func(c int) { fns[c]() })
 }
 
-// ReduceFloat64 computes the reduction of f(i) over [0, n) with the
-// associative combiner op and identity element id. Chunks of reduceGrain
-// elements are folded left-to-right from id and the per-chunk partials are
-// combined in chunk order, so the result is bitwise identical for every
-// worker count (the tree shape depends only on n).
-func ReduceFloat64(n int, id float64, f func(i int) float64, op func(a, b float64) float64) float64 {
-	return ReduceFloat64W(0, n, id, f, op)
-}
-
-// ReduceFloat64W is ReduceFloat64 with an explicit worker count.
+// ReduceFloat64W computes the reduction of f(i) over [0, n) with the
+// associative combiner op and identity element id, on the given number of
+// workers. Chunks of reduceGrain elements are folded left-to-right from id
+// and the per-chunk partials are combined in chunk order, so the result is
+// bitwise identical for every worker count (the tree shape depends only on
+// n).
 func ReduceFloat64W(workers, n int, id float64, f func(i int) float64, op func(a, b float64) float64) float64 {
 	if n <= 0 {
 		return id
@@ -278,23 +274,8 @@ func SumFloat64BatchW(workers, n, k int, f func(i, c int) float64) []float64 {
 	return out
 }
 
-// MinFloat64 returns the minimum of f(i) over [0, n), or id if n <= 0.
-func MinFloat64(n int, id float64, f func(i int) float64) float64 {
-	return ReduceFloat64(n, id, f, func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
-
-// ReduceInt computes the reduction of f(i) over [0, n) with combiner op,
-// folding fixed-grain chunks in chunk order (see ReduceFloat64).
-func ReduceInt(n int, id int, f func(i int) int, op func(a, b int) int) int {
-	return ReduceIntW(0, n, id, f, op)
-}
-
-// ReduceIntW is ReduceInt with an explicit worker count.
+// ReduceIntW computes the reduction of f(i) over [0, n) with combiner op,
+// folding fixed-grain chunks in chunk order (see ReduceFloat64W).
 func ReduceIntW(workers, n int, id int, f func(i int) int, op func(a, b int) int) int {
 	if n <= 0 {
 		return id
@@ -322,22 +303,9 @@ func ReduceIntW(workers, n int, id int, f func(i int) int, op func(a, b int) int
 	return acc
 }
 
-// SumInt returns the sum of f(i) over [0, n).
-func SumInt(n int, f func(i int) int) int { return SumIntW(0, n, f) }
-
-// SumIntW is SumInt with an explicit worker count.
+// SumIntW returns the sum of f(i) over [0, n).
 func SumIntW(workers, n int, f func(i int) int) int {
 	return ReduceIntW(workers, n, 0, f, func(a, b int) int { return a + b })
-}
-
-// MaxInt returns the maximum of f(i) over [0, n), or id if n <= 0.
-func MaxInt(n int, id int, f func(i int) int) int {
-	return ReduceInt(n, id, f, func(a, b int) int {
-		if a > b {
-			return a
-		}
-		return b
-	})
 }
 
 // Scan computes the exclusive prefix sum of src into a new slice of length
@@ -394,14 +362,8 @@ func ScanW(workers int, src []int) []int {
 	return out
 }
 
-// PrefixSumInt computes the exclusive prefix sum of src; see Scan.
-func PrefixSumInt(src []int) []int { return ScanW(0, src) }
-
-// FilterIndex returns, in increasing order, all i in [0, n) with keep(i).
+// FilterIndexW returns, in increasing order, all i in [0, n) with keep(i).
 // It uses a parallel count + prefix-sum + scatter, the standard PRAM pack.
-func FilterIndex(n int, keep func(i int) bool) []int { return FilterIndexW(0, n, keep) }
-
-// FilterIndexW is FilterIndex with an explicit worker count.
 func FilterIndexW(workers, n int, keep func(i int) bool) []int {
 	if n <= 0 {
 		return nil

@@ -81,9 +81,6 @@ func TestReduceFloat64WMinMatchesSequential(t *testing.T) {
 			t.Fatalf("workers=%d: min = %v, want %v", w, got, seqMin)
 		}
 	}
-	if got := MinFloat64(n, xs[0], func(i int) float64 { return xs[i] }); got != seqMin {
-		t.Fatalf("MinFloat64 = %v, want %v", got, seqMin)
-	}
 }
 
 func TestScanWEdgeSizesAcrossWorkers(t *testing.T) {

@@ -58,11 +58,13 @@ func TestDoSingle(t *testing.T) {
 }
 
 func TestSumInt(t *testing.T) {
-	for _, n := range []int{0, 1, 100, 10000} {
-		got := SumInt(n, func(i int) int { return i })
-		want := n * (n - 1) / 2
-		if got != want {
-			t.Fatalf("SumInt(%d) = %d, want %d", n, got, want)
+	for _, w := range workerSet {
+		for _, n := range []int{0, 1, 100, 10000, 3*reduceGrain + 17} {
+			got := SumIntW(w, n, func(i int) int { return i })
+			want := n * (n - 1) / 2
+			if got != want {
+				t.Fatalf("workers=%d: SumIntW(%d) = %d, want %d", w, n, got, want)
+			}
 		}
 	}
 }
@@ -85,19 +87,25 @@ func TestSumFloat64MatchesSequential(t *testing.T) {
 }
 
 func TestMaxInt(t *testing.T) {
-	xs := []int{3, 9, 2, 9, 1}
-	got := MaxInt(len(xs), -1, func(i int) int { return xs[i] })
-	if got != 9 {
-		t.Fatalf("MaxInt = %d, want 9", got)
+	maxOp := func(a, b int) int {
+		if a > b {
+			return a
+		}
+		return b
 	}
-	if got := MaxInt(0, -5, nil); got != -5 {
-		t.Fatalf("MaxInt empty = %d, want -5", got)
+	xs := []int{3, 9, 2, 9, 1}
+	got := ReduceIntW(0, len(xs), -1, func(i int) int { return xs[i] }, maxOp)
+	if got != 9 {
+		t.Fatalf("max = %d, want 9", got)
+	}
+	if got := ReduceIntW(0, 0, -5, nil, maxOp); got != -5 {
+		t.Fatalf("max of nothing = %d, want -5", got)
 	}
 }
 
 func TestPrefixSumIntSmall(t *testing.T) {
 	src := []int{3, 1, 4, 1, 5}
-	out := PrefixSumInt(src)
+	out := ScanW(0, src)
 	want := []int{0, 3, 4, 8, 9, 14}
 	for i := range want {
 		if out[i] != want[i] {
@@ -113,7 +121,7 @@ func TestPrefixSumIntLargeMatchesSequential(t *testing.T) {
 	for i := range src {
 		src[i] = rng.Intn(10)
 	}
-	out := PrefixSumInt(src)
+	out := ScanW(0, src)
 	acc := 0
 	for i := 0; i < n; i++ {
 		if out[i] != acc {
@@ -132,7 +140,7 @@ func TestPrefixSumProperty(t *testing.T) {
 		for i, v := range raw {
 			src[i] = int(v)
 		}
-		out := PrefixSumInt(src)
+		out := ScanW(0, src)
 		acc := 0
 		for i := range src {
 			if out[i] != acc {
@@ -148,21 +156,21 @@ func TestPrefixSumProperty(t *testing.T) {
 }
 
 func TestFilterIndex(t *testing.T) {
-	got := FilterIndex(10, func(i int) bool { return i%3 == 0 })
+	got := FilterIndexW(0, 10, func(i int) bool { return i%3 == 0 })
 	want := []int{0, 3, 6, 9}
 	if len(got) != len(want) {
-		t.Fatalf("FilterIndex = %v, want %v", got, want)
+		t.Fatalf("FilterIndexW = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("FilterIndex = %v, want %v", got, want)
+			t.Fatalf("FilterIndexW = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestFilterIndexLargeSortedAndComplete(t *testing.T) {
 	n := 100000
-	got := FilterIndex(n, func(i int) bool { return i%7 == 0 })
+	got := FilterIndexW(0, n, func(i int) bool { return i%7 == 0 })
 	want := 0
 	for i := 0; i < n; i += 7 {
 		if got[want] != i {
@@ -176,20 +184,23 @@ func TestFilterIndexLargeSortedAndComplete(t *testing.T) {
 }
 
 func TestFilterIndexEmpty(t *testing.T) {
-	if got := FilterIndex(0, nil); len(got) != 0 {
-		t.Fatalf("FilterIndex(0) = %v", got)
+	if got := FilterIndexW(0, 0, nil); len(got) != 0 {
+		t.Fatalf("FilterIndexW(n=0) = %v", got)
 	}
-	if got := FilterIndex(100000, func(int) bool { return false }); len(got) != 0 {
+	if got := FilterIndexW(0, 100000, func(int) bool { return false }); len(got) != 0 {
 		t.Fatalf("all-false filter returned %d elements", len(got))
 	}
 }
 
 func TestReduceIntDeterministic(t *testing.T) {
 	n := 500000
-	a := ReduceInt(n, 0, func(i int) int { return i % 17 }, func(a, b int) int { return a + b })
-	b := ReduceInt(n, 0, func(i int) int { return i % 17 }, func(a, b int) int { return a + b })
-	if a != b {
-		t.Fatalf("two identical reductions differ: %d vs %d", a, b)
+	f := func(i int) int { return i % 17 }
+	add := func(a, b int) int { return a + b }
+	a := ReduceIntW(1, n, 0, f, add)
+	for _, w := range workerSet {
+		if b := ReduceIntW(w, n, 0, f, add); a != b {
+			t.Fatalf("workers=%d: reduction %d differs from the sequential %d", w, b, a)
+		}
 	}
 }
 
@@ -210,7 +221,7 @@ func BenchmarkPrefixSum(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = PrefixSumInt(src)
+		_ = ScanW(0, src)
 	}
 }
 

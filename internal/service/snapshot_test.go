@@ -151,6 +151,7 @@ func TestCorruptSnapshotFallsBackToBuild(t *testing.T) {
 		{"older-version-resealed", chainio.ErrVersion, resealedVersion(4)},
 		{"v5-resealed", chainio.ErrVersion, resealedVersion(5)},
 		{"v6-resealed", chainio.ErrVersion, resealedVersion(6)},
+		{"v7-resealed", chainio.ErrVersion, resealedVersion(7)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := snapshotStore(t)

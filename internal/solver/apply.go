@@ -6,7 +6,6 @@ import (
 
 	"parlap/internal/matrix"
 	"parlap/internal/obs"
-	"parlap/internal/wd"
 )
 
 // The chain's apply recursion (rPCh, Lemmas 6.6–6.7) and the block PCG
@@ -39,7 +38,6 @@ func (c *Chain) solveLevelBlock(workers, i int, bs *matrix.Block, ws *workspace)
 	if i >= len(c.Levels) {
 		k := bs.K()
 		c.bottomSolves.Add(int64(k))
-		c.rec.Add(int64(k)*c.bottomSolveOps(), int64(c.Bottom.GroundedLen()))
 		t0 := time.Now()
 		c.Bottom.SolveBlockIntoW(workers, bs, &ws.bot.x, &ws.bot.g, ws.bot.scal)
 		ws.trace.BottomNS += time.Since(t0).Nanoseconds()
@@ -66,7 +64,6 @@ func (c *Chain) applyHBlock(workers, i int, r *matrix.Block, ws *workspace) *mat
 	lvl.Elim.BackSolveBlockIntoW(workers, xr, &l.fwdCarry, &l.backX)
 	matrix.ProjectOutConstantMaskedBlockIdxW(workers, &l.backX, lvl.CompIdx, l.scal)
 	ws.trace.BackNS[li] += time.Since(t1).Nanoseconds()
-	c.rec.Add(int64(r.K())*(int64(len(lvl.Elim.Ops))+int64(r.N())), int64(lvl.Elim.Rounds)+1)
 	return &l.backX
 }
 
@@ -83,9 +80,7 @@ func (c *Chain) applyHTopBlock(workers int, rs *matrix.Block, ws *workspace) *ma
 	t0 := time.Now()
 	var zs *matrix.Block
 	if len(c.Levels) == 0 {
-		c.Bottom.SolveBlockIntoW(workers, rs, &ws.bot.x, &ws.bot.g, ws.bot.scal)
-		zs = &ws.bot.x
-		ws.trace.BottomNS += time.Since(t0).Nanoseconds()
+		zs = c.solveLevelBlock(workers, 0, rs, ws)
 	} else {
 		zs = c.applyHBlock(workers, 0, rs, ws)
 	}
@@ -104,13 +99,11 @@ func (c *Chain) applyHTopBlock(workers int, rs *matrix.Block, ws *workspace) *ma
 // instead of four times. Keeping the recursion closure-free and the scratch
 // level-resident is what makes a steady-state application allocation-free.
 func (c *Chain) chebLevelBlock(workers, i int, bs *matrix.Block, ws *workspace) *matrix.Block {
-	k := bs.K()
 	l := &ws.lvl[i]
 	lvl := &c.Levels[i]
 	a := lvl.Lap
 	ci := lvl.CompIdx
 	x, r, p, ap := &l.chebX, &l.chebR, &l.chebP, &l.chebAp
-	n := a.N
 	// Stage timing: the sweep's own kernel time, EXCLUSIVE of the recursive
 	// preconditioner applications (those land in deeper levels' trace
 	// slots), so the per-level stage series partition the apply time.
@@ -128,7 +121,6 @@ func (c *Chain) chebLevelBlock(workers, i int, bs *matrix.Block, ws *workspace) 
 		alpha, beta, first := co.step(it)
 		matrix.ChebUpdateBlockW(workers, p, z, beta, x, alpha, first)
 		a.MulVecAxpyBlockW(workers, p, ap, -alpha, r)
-		c.rec.Add(int64(k)*int64(a.NNZ()+6*n), 2)
 	}
 	matrix.ProjectOutConstantMaskedBlockIdxW(workers, x, ci, l.scal)
 	ws.trace.ChebNS[obs.LevelIndex(i)] += time.Since(t0).Nanoseconds() - innerNS
@@ -164,8 +156,13 @@ func finishBlockLane(workers int, x *matrix.Block, lane int, ci *matrix.CompInde
 // out must be shaped n×k0 by the caller and is fully overwritten. stats
 // must hold k0 zeroed entries. All scratch comes from ws (ensureOuter), so
 // the Workers:1 steady state allocates nothing.
+//
+// Each lane's Work/Depth is the analytic cost of a width-1 solve of its
+// column: (nnz + 10n, 2) per iteration that passes the pap check, plus the
+// chain's one-lane apply cost (Chain.applyCost) per preconditioner
+// application the lane takes part in.
 func pcgFlexibleBlock(workers int, a *matrix.Sparse, chain *Chain, rhs *matrix.Block,
-	ci *matrix.CompIndex, tol float64, maxIter int, ws *workspace, rec *wd.Recorder,
+	ci *matrix.CompIndex, tol float64, maxIter int, ws *workspace,
 	out *matrix.Block, stats []SolveStats) {
 	n := a.N
 	k0 := rhs.K()
@@ -207,14 +204,7 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, chain *Chain, rhs *matrix.B
 		bnorms[lanes] = bnorms[c] // in-place compaction: lanes <= c always
 		lanes++
 	}
-	finish := func() {
-		w, dep := rec.Work(), rec.Depth()
-		for c := range stats {
-			stats[c].Work, stats[c].Depth = w, dep
-		}
-	}
 	if lanes == 0 {
-		finish()
 		return
 	}
 	if lanes < k0 {
@@ -225,6 +215,7 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, chain *Chain, rhs *matrix.B
 	X.Reshape(n, lanes)
 	X.Zero()
 	Z := chain.applyHTopBlock(workers, R, ws)
+	charge(stats, laneCol[:lanes], chain.applyWork, chain.applyDepth)
 	matrix.ProjectOutConstantMaskedBlockIdxW(workers, Z, ci, projScratch)
 	matrix.DotBlockIntoW(workers, R, Z, rzs, dotTmp)
 	P := &ws.pcgP
@@ -269,7 +260,7 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, chain *Chain, rhs *matrix.B
 		}
 		matrix.AxpyBlockW(workers, R, negAlphas[:lanes], AP, R)
 		matrix.Norm2BlockIntoW(workers, R, norms, dotTmp)
-		rec.Add(int64(lanes)*int64(a.NNZ()+10*n), 2)
+		charge(stats, laneCol[:lanes], int64(a.NNZ()+10*n), 2)
 		nk = 0
 		for j := 0; j < lanes; j++ {
 			res := norms[j] / bnorms[j]
@@ -291,6 +282,7 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, chain *Chain, rhs *matrix.B
 		}
 		// One chain pass for every still-active lane.
 		Z = chain.applyHTopBlock(workers, R, ws)
+		charge(stats, laneCol[:lanes], chain.applyWork, chain.applyDepth)
 		matrix.ProjectOutConstantMaskedBlockIdxW(workers, Z, ci, projScratch)
 		Diff.Reshape(n, lanes)
 		matrix.SubIntoBlockW(workers, Diff, R, PrevR)
@@ -328,7 +320,15 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, chain *Chain, rhs *matrix.B
 	for j := 0; j < lanes; j++ {
 		finishBlockLane(workers, X, j, ci, col, out, laneCol[j])
 	}
-	finish()
+}
+
+// charge adds one operation's analytic work and depth to the stats of every
+// live lane, each lane at its original column laneCol[j].
+func charge(stats []SolveStats, laneCol []int, work, depth int64) {
+	for _, c := range laneCol {
+		stats[c].Work += work
+		stats[c].Depth += depth
+	}
 }
 
 // compactLanes retires every lane NOT listed in keep — finishing its output

@@ -134,7 +134,9 @@ type Level struct {
 	Sampled int          // off-subgraph edges sampled into B_i (B_i itself is not kept)
 	Elim    *Elimination // partial Cholesky B_i → A_{i+1}
 	Kappa   float64      // condition target used for B_i
-	ChebIts int          // inner Chebyshev iterations ⌈√(EigHi/EigLo)⌉ when recursing
+	// The schedule below is set for levels i ≥ 1 only: the outer PCG
+	// iterates on level 0, which runs no sweep and keeps all zeros.
+	ChebIts int // inner Chebyshev iterations ⌈√(EigHi/EigLo)⌉ when recursing
 	// EigHi/EigLo bound spec(H⁻¹A) at this level. Both ends are MEASURED at
 	// construction time by the Lanczos estimator (spectral.go), padded by
 	// eigSafety; EigLo is additionally floored by the static theory envelope
@@ -225,8 +227,7 @@ func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 // solve-call-local buffers, so any number of goroutines may call
 // PrecondApplyIntoW (and the Solver's Solve methods above it) concurrently
 // on one Chain. The only mutating fields are internally synchronized: the
-// atomic bottomSolves and precondApplies counters, the (atomic) work/depth
-// recorder, and the ws workspace pool.
+// atomic bottomSolves and precondApplies counters and the ws workspace pool.
 type Chain struct {
 	Levels  []Level
 	Bottom  *matrix.LaplacianFactor
@@ -251,18 +252,54 @@ type Chain struct {
 	// apply that shares every chain pass across lanes counts once where k
 	// single applies would count k times.
 	precondApplies atomic.Int64
-	rec            *wd.Recorder
-	// ws pools per-solve workspaces for the public PrecondApplyIntoW entry
-	// point (the Solver keeps its own pool for full solves). Like the
-	// bottomSolves counter it is internally synchronized and exempt from
-	// the read-only-after-build contract.
+	// applyWork and applyDepth are applyCost, which every solve charges
+	// per top-level preconditioner application.
+	applyWork, applyDepth int64
+	// ws pools the per-solve workspaces every solve and PrecondApplyIntoW
+	// draws from. Like the bottomSolves counter it is internally
+	// synchronized and exempt from the read-only-after-build contract.
 	ws wsPool
 }
 
-// bottomSolveOps is the analytic work of one bottom solve: the forward and
-// backward sweeps over L plus the diagonal.
-func (c *Chain) bottomSolveOps() int64 {
-	return 2*int64(c.Bottom.NNZ()) + int64(c.Bottom.GroundedLen())
+// applyCost is the analytic (work, depth) of one top-level preconditioner
+// application to one lane: applyH(0), or a bottom solve for a chain with no
+// level. It follows the recursion the apply runs:
+//
+//	applyH(i)      = (|Ops_i| + n_i, Rounds_i + 1) + solve(i+1)
+//	solve(i)       = ChebIts_i · (applyH(i) + (nnz_i + 6n_i, 2))
+//	solve(bottom)  = (2·nnz(L) + grounded, grounded)
+func (c *Chain) applyCost() (work, depth int64) {
+	if len(c.Levels) == 0 {
+		return c.solveCost(0)
+	}
+	return c.applyHCost(0)
+}
+
+// applyHCost is the one-lane cost of applyHBlock(i).
+func (c *Chain) applyHCost(i int) (work, depth int64) {
+	el := c.Levels[i].Elim
+	work, depth = c.solveCost(i + 1)
+	return work + int64(len(el.Ops)+el.OrigN), depth + int64(el.Rounds) + 1
+}
+
+// solveCost is the one-lane cost of solveLevelBlock(i).
+func (c *Chain) solveCost(i int) (work, depth int64) {
+	if i >= len(c.Levels) {
+		g := int64(c.Bottom.GroundedLen())
+		return 2*int64(c.Bottom.NNZ()) + g, g
+	}
+	lvl := &c.Levels[i]
+	hw, hd := c.applyHCost(i)
+	its := int64(lvl.ChebIts)
+	return its * (hw + int64(lvl.Lap.NNZ()+6*lvl.Lap.N)), its * (hd + 2)
+}
+
+// ready finishes a built or restored chain: it sets the apply cost from the
+// final schedule and leaves one charged width-1 workspace in the pool, so a
+// MemoryBytes taken right after build or restore already counts it.
+func (c *Chain) ready() {
+	c.applyWork, c.applyDepth = c.applyCost()
+	c.ws.put(c.ws.get(c, 1))
 }
 
 // BottomSolves returns the number of bottom-level direct solves performed
@@ -277,7 +314,8 @@ func (c *Chain) PrecondApplies() int64 { return c.precondApplies.Load() }
 
 // BuildChain constructs the preconditioner chain for the Laplacian graph g
 // with the default execution policy. The recorder (optional) accumulates
-// construction work/depth.
+// construction work/depth: sparsification, elimination and the bottom
+// factorization (calibration's Lanczos applications are not charged).
 func BuildChain(g *graph.Graph, p ChainParams, rec *wd.Recorder) (*Chain, error) {
 	return BuildChainOpts(g, p, Options{}, rec)
 }
@@ -294,7 +332,7 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 	maxFill := int64(p.MaxBottomVertices) * int64(p.MaxBottomVertices) / 2
 	rng := rand.New(rand.NewSource(p.Seed))
 	bt := &BuildTimings{}
-	c := &Chain{Params: p, Opt: opt, rec: rec, Build: bt}
+	c := &Chain{Params: p, Opt: opt, Build: bt}
 	w := opt.Workers
 	tBuild := time.Now()
 	cur := mergeParallelW(w, g)
@@ -376,12 +414,10 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 				break // cannot shrink further; truncate here
 			}
 		}
-		its := min(int(math.Ceil(math.Sqrt(sp.Kappa*chebSlack))), maxChebIts)
 		lvl := Level{
 			G: cur, Lap: lap, Comp: comp, NumComp: k,
 			CompIdx: matrix.NewCompIndexW(w, comp, k),
 			Sampled: sampled, Elim: elim, Kappa: sp.Kappa,
-			ChebIts: its, EigHi: 1, EigLo: 1 / (sp.Kappa * chebSlack),
 		}
 		c.Levels = append(c.Levels, lvl)
 		lb.Rounds, lb.Ops = elim.Rounds, len(elim.Ops)
@@ -416,22 +452,24 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 	t0 = time.Now()
 	c.calibrate(rng)
 	bt.CalibrateMS = ms(time.Since(t0))
+	c.ready()
 	bt.TotalMS = ms(time.Since(tBuild))
 	return c, nil
 }
 
-// calibrate finalizes the chain's runtime schedule bottom-up, measuring
-// instead of assuming:
+// calibrate finalizes the runtime schedule of levels i ≥ 1 bottom-up,
+// measuring instead of assuming. Level 0 needs no schedule: the outer PCG
+// iterates on it and no Chebyshev sweep ever runs there.
 //
 //  1. Work balance. The theory affords ⌈√κᵢ⌉ recursive calls per level
 //     because its levels shrink by κ^Ω(1) ≫ √κ; at practical sizes the
 //     measured shrink is a small constant, so a √κ budget makes total work
 //     grow geometrically with depth. Each level's Chebyshev budget is
-//     capped at chebBudget × the measured shrink m_{i-1}/m_i (and by √κ
-//     and maxChebIts), which keeps one top-level preconditioner
-//     application at O(m) work — the near-linear-work discipline of
-//     Theorem 1.1 — and lets the adaptive outer iteration absorb the
-//     weaker inner solves.
+//     capped at chebBudget × the measured shrink m_{i-1}/m_i (and by the
+//     static ⌈√(κ·chebSlack)⌉ and maxChebIts), which keeps one top-level
+//     preconditioner application at O(m) work — the near-linear-work
+//     discipline of Theorem 1.1 — and lets the adaptive outer iteration
+//     absorb the weaker inner solves.
 //  2. Spectral bounds. Measure BOTH ends of each level's preconditioned
 //     spectrum spec(H⁻¹A) with the Lanczos estimator (spectral.go) and set
 //     the Chebyshev interval to the safety-padded measurement, floored by
@@ -449,26 +487,18 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 // sequential order and every kernel uses par's fixed reduction trees, so
 // the calibrated schedule is bitwise identical for every worker count.
 func (c *Chain) calibrate(rng *rand.Rand) {
-	if len(c.Levels) == 0 {
+	if len(c.Levels) < 2 {
 		return
 	}
 	w := c.Opt.Workers
 	p := &c.Params
-	ws := newWorkspace(c, 1)
-	// Work-balance budget per level from the measured shrink. lvl.ChebIts
-	// still holds the static ⌈√(κ·slack)⌉ cap from the build loop.
-	budget := make([]int, len(c.Levels))
-	for i := range c.Levels {
+	ws := c.ws.get(c, 1)
+	defer c.ws.put(ws)
+	for i := len(c.Levels) - 1; i >= 1; i-- {
 		lvl := &c.Levels[i]
-		prevM := lvl.G.M() // top level: budget vs itself (outer is adaptive)
-		if i > 0 {
-			prevM = c.Levels[i-1].G.M()
-		}
-		shrink := float64(prevM) / float64(lvl.G.M()+1)
-		budget[i] = min(max(int(math.Ceil(chebBudget*shrink)), p.MinChebIts), lvl.ChebIts)
-	}
-	for i := len(c.Levels) - 1; i >= 0; i-- {
-		lvl := &c.Levels[i]
+		shrink := float64(c.Levels[i-1].G.M()) / float64(lvl.G.M()+1)
+		static := min(int(math.Ceil(math.Sqrt(lvl.Kappa*chebSlack))), maxChebIts)
+		budget := min(max(int(math.Ceil(chebBudget*shrink)), p.MinChebIts), static)
 		lo, hi, ok := c.lanczosBounds(w, i, calibIters, rng, ws)
 		lvl.Calibrated = ok
 		if !ok {
@@ -477,7 +507,7 @@ func (c *Chain) calibrate(rng *rand.Rand) {
 			lvl.EigHi = eigSafety
 			lvl.EigLo = lvl.EigHi / (lvl.Kappa * chebSlack)
 			lvl.KappaMeasured = 0
-			lvl.ChebIts = budget[i]
+			lvl.ChebIts = budget
 			continue
 		}
 		lvl.KappaMeasured = hi / lo
@@ -495,17 +525,9 @@ func (c *Chain) calibrate(rng *rand.Rand) {
 			measLo = lvl.EigHi / 2 // keep a non-degenerate interval
 		}
 		lvl.EigLo = measLo
-		its := int(math.Ceil(math.Sqrt(lvl.EigHi / lvl.EigLo)))
-		if i > 0 {
-			its = min(its, budget[i])
-		}
+		its := min(int(math.Ceil(math.Sqrt(lvl.EigHi/lvl.EigLo))), budget)
 		lvl.ChebIts = max(min(its, maxChebIts), p.MinChebIts)
 	}
-	// Seed the chain's workspace pool with the calibration workspace (its
-	// footprint charged, so the build-time MemoryBytes snapshot the serving
-	// cache budgets against already includes the retained scratch) — the
-	// first PrecondApplyIntoW reuses it.
-	c.ws.seed(ws)
 }
 
 // mergeParallelW merges parallel edges (summing conductances) and drops
@@ -560,7 +582,7 @@ func (c *Chain) Top() (*matrix.Sparse, *matrix.CompIndex) {
 // MemoryBytes estimates the chain's retained footprint: per level the graph,
 // its Laplacian, the component index and the elimination log; at the bottom
 // the graph and the sparse factorization (and, for a chain with no level,
-// the bottom Laplacian). Each elimination's Reduced graph is the next
+// the bottom Laplacian); and the workspace pool's high-water mark. Each elimination's Reduced graph is the next
 // level's G (the same object), so it is counted exactly once.
 func (c *Chain) MemoryBytes() int64 {
 	var b int64
@@ -582,8 +604,8 @@ func (c *Chain) MemoryBytes() int64 {
 	if c.Bottom != nil {
 		b += c.Bottom.MemoryBytes()
 	}
-	// Workspace pool: the high-water estimate of per-solve scratch retained
-	// between GCs by the chain's own PrecondApplyIntoW pool.
+	// Workspace pool: the high-water estimate of the per-solve scratch
+	// every solve and PrecondApplyIntoW draws from, retained between GCs.
 	b += c.ws.PeakBytes()
 	return b
 }
@@ -592,7 +614,9 @@ func (c *Chain) MemoryBytes() int64 {
 // a serving layer exposes so κ-schedule behavior is observable in
 // production. KappaTarget is the nominal κ fed to the sparsifier;
 // KappaMeasured the measured condition number of the preconditioned
-// operator (0 when calibration fell back to the static envelope).
+// operator (0 when calibration fell back to the static envelope). Level 0
+// is the outer PCG's level: it runs no Chebyshev sweep, so its ChebIts,
+// EigLo, EigHi and KappaMeasured are 0 and Calibrated is false.
 type LevelSchedule struct {
 	Level         int     `json:"level"`
 	N             int     `json:"n"`

@@ -189,16 +189,20 @@ func TestBuildChainRejectsOversizedBottom(t *testing.T) {
 	}
 }
 
+// TestChainBottomSolvesCounted: every bottom solve counts, including the
+// direct solve that is the whole preconditioner of a chain with no level
+// (the 8² grid).
 func TestChainBottomSolvesCounted(t *testing.T) {
-	g := gen.Grid2D(32, 32)
-	ch, err := BuildChain(g, DefaultChainParams(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := ch.BottomSolves()
-	precondApply(ch, randRHS(g.N, 7))
-	if ch.BottomSolves() <= before {
-		t.Fatal("bottom solves not counted")
+	for _, g := range []*graph.Graph{gen.Grid2D(32, 32), gen.Grid2D(8, 8)} {
+		ch, err := BuildChain(g, DefaultChainParams(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ch.BottomSolves()
+		precondApply(ch, randRHS(g.N, 7))
+		if ch.BottomSolves() <= before {
+			t.Fatalf("n=%d, %d levels: bottom solves not counted", g.N, ch.Depth())
+		}
 	}
 }
 

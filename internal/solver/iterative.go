@@ -46,8 +46,9 @@ type SolveStats struct {
 	Iterations int
 	Converged  bool
 	Residual   float64 // final ‖b−Ax‖₂ / ‖b‖₂ (b projected onto range(A))
-	Work       int64
-	Depth      int64
+	// Work and Depth are this one solve's analytic PRAM cost (package wd);
+	// a lane of a block solve reports what a solve of its column alone costs.
+	Work, Depth int64
 }
 
 // pcgFlexible is a flexible (Polak–Ribière) preconditioned conjugate
@@ -55,7 +56,9 @@ type SolveStats struct {
 // recursive Chebyshev chain is in floating point. Stops when the relative
 // residual drops below tol or after maxIter iterations. workers selects the
 // vector-kernel parallelism. It drives the CG and Jacobi-PCG baselines; the
-// chain solves run the same iteration lane-wise in pcgFlexibleBlock.
+// chain solves run the same iteration lane-wise in pcgFlexibleBlock. The
+// stats count (nnz + 10n, 2) per iteration that passes the pap check (not the
+// preconditioner); rec, if any, is charged that total once at the end.
 func pcgFlexible(workers int, a *matrix.Sparse, b []float64, precond func([]float64) []float64,
 	ci *matrix.CompIndex, tol float64, maxIter int, rec *wd.Recorder) ([]float64, SolveStats) {
 	n := a.N
@@ -87,7 +90,8 @@ func pcgFlexible(workers int, a *matrix.Sparse, b []float64, precond func([]floa
 		matrix.AxpyIntoW(workers, r, -alpha, ap, r)
 		res := matrix.Norm2W(workers, r) / bnorm
 		st.Residual = res
-		rec.Add(int64(a.NNZ()+10*n), 2)
+		st.Work += int64(a.NNZ() + 10*n)
+		st.Depth += 2
 		if res <= tol {
 			st.Converged = true
 			break
@@ -109,7 +113,7 @@ func pcgFlexible(workers int, a *matrix.Sparse, b []float64, precond func([]floa
 		copy(prevR, r)
 	}
 	matrix.ProjectOutConstantMaskedIdxW(workers, x, ci)
-	st.Work, st.Depth = rec.Work(), rec.Depth()
+	rec.Add(st.Work, st.Depth)
 	return x, st
 }
 

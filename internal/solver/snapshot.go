@@ -2,7 +2,6 @@ package solver
 
 import (
 	"fmt"
-	"slices"
 
 	"parlap/internal/graph"
 	"parlap/internal/matrix"
@@ -12,22 +11,24 @@ import (
 // the byte-level container live in internal/chainio): a built Solver
 // deconstructs into SnapshotData — only the state that cannot be recomputed
 // cheaply and deterministically — and AssembleSnapshot reconstructs a Solver
-// from it. What is persisted: the input graph and the per-level graphs A_i
-// with exact float64 weight bits, each level's sampled-edge count, the
+// from it. What is persisted: the input graph and the graphs A_i below the
+// top with exact float64 weight bits, each level's sampled-edge count, the
 // elimination op logs, the calibrated Chebyshev schedule, the sparse bottom
 // factor with its elimination order, the truncation probes, ChainParams and
-// MaxIter. The sparsifier graphs B_i are not: a solve reads only their
-// elimination logs. What is recomputed on restore: the level (or, for a
-// chain with no level, bottom) Laplacian CSRs, connected components and
-// their sorted indexes, the eliminations' owner-computes reverse indexes,
-// the bottom grounding bookkeeping, and the workspace pools. Every
-// recomputation is one of the fixed-schedule deterministic passes the build
-// itself ran, so a restored chain solves bit-for-bit like the original for
-// every Workers setting — the invariant chainio's round-trip tests lock.
+// MaxIter. The top-level graph is not: it is the merged input graph, which
+// restore recomputes. Nor are the sparsifier graphs B_i: a solve reads only
+// their elimination logs. What is recomputed on restore: the top-level
+// graph, the level (or, for a chain with no level, bottom) Laplacian CSRs,
+// connected components and their sorted indexes, the eliminations'
+// owner-computes reverse indexes, the bottom grounding bookkeeping, and the
+// workspace pool. Every recomputation is one of the fixed-schedule
+// deterministic passes the build itself ran, so a restored chain solves
+// bit-for-bit like the original for every Workers setting — the invariant
+// chainio's round-trip tests lock.
 
 // SnapshotLevel is one chain level's persisted payload.
 type SnapshotLevel struct {
-	G        *graph.Graph // A_i (level 0: the merged input; else prior Reduced)
+	Reduced  *graph.Graph // A_{i+1}, what B_i's elimination keeps (the last level's is the bottom graph)
 	Sampled  int
 	Ops      []ElimOp // partial-Cholesky op log B_i -> A_{i+1}
 	RoundEnd []int
@@ -45,9 +46,8 @@ type SnapshotData struct {
 	MaxIter int
 	G       *graph.Graph // the registered input graph
 	Levels  []SnapshotLevel
-	BottomG *graph.Graph
-	// Bottom is the grounded sparse LDL^T of BottomG's Laplacian and
-	// BottomOrder its elimination order (position -> kept vertex).
+	// Bottom is the grounded sparse LDL^T of the bottom graph's Laplacian
+	// and BottomOrder its elimination order (position -> kept vertex).
 	Bottom      *matrix.SparseLDL
 	BottomOrder []int
 	// Probes and Stop are the build's truncation record (Chain.Probes/Stop).
@@ -64,7 +64,6 @@ func (s *Solver) Snapshot() *SnapshotData {
 		Params:  s.Chain.Params,
 		MaxIter: s.MaxIter,
 		G:       s.G,
-		BottomG: s.Chain.BottomG,
 		Bottom:  s.Chain.Bottom.Factor(), BottomOrder: s.Chain.Bottom.Order(),
 		Probes: s.Chain.Probes, Stop: s.Chain.Stop,
 		Levels: make([]SnapshotLevel, len(s.Chain.Levels)),
@@ -72,7 +71,7 @@ func (s *Solver) Snapshot() *SnapshotData {
 	for i := range s.Chain.Levels {
 		lvl := &s.Chain.Levels[i]
 		d.Levels[i] = SnapshotLevel{
-			G: lvl.G, Sampled: lvl.Sampled,
+			Reduced: lvl.Elim.Reduced, Sampled: lvl.Sampled,
 			Ops:      lvl.Elim.Ops,
 			RoundEnd: lvl.Elim.RoundEnd,
 			Kappa:    lvl.Kappa, ChebIts: lvl.ChebIts,
@@ -92,7 +91,7 @@ func (s *Solver) Snapshot() *SnapshotData {
 // that could panic or silently solve a different system.
 func AssembleSnapshot(d *SnapshotData, opt Options) (*Solver, error) {
 	w := opt.Workers
-	if d.G == nil || d.BottomG == nil || d.Bottom == nil {
+	if d.G == nil || d.Bottom == nil {
 		return nil, fmt.Errorf("solver: snapshot missing graph or bottom factor")
 	}
 	if d.G.N == 0 {
@@ -104,7 +103,20 @@ func AssembleSnapshot(d *SnapshotData, opt Options) (*Solver, error) {
 	if d.MaxIter < 1 {
 		return nil, fmt.Errorf("solver: snapshot MaxIter %d < 1", d.MaxIter)
 	}
-	c := &Chain{Params: d.Params, Opt: opt, BottomG: d.BottomG, Probes: d.Probes, Stop: d.Stop}
+	// gs[i] is A_i; gs[len(d.Levels)] is the bottom graph. The top one is
+	// the merged input graph, recomputed exactly as the build computed it.
+	gs := []*graph.Graph{mergeParallelW(w, d.G)}
+	for i := range d.Levels {
+		g := d.Levels[i].Reduced
+		if g == nil {
+			return nil, fmt.Errorf("solver: snapshot level %d missing graph", i+1)
+		}
+		if err := g.Validate(); err != nil {
+			return nil, fmt.Errorf("solver: snapshot level %d graph: %w", i+1, err)
+		}
+		gs = append(gs, g)
+	}
+	c := &Chain{Params: d.Params, Opt: opt, BottomG: gs[len(d.Levels)], Probes: d.Probes, Stop: d.Stop}
 	for _, pr := range d.Probes {
 		if pr.Level < 1 || pr.Level > len(d.Levels) {
 			return nil, fmt.Errorf("solver: snapshot truncation probe names level %d of a %d-level chain", pr.Level, len(d.Levels))
@@ -113,33 +125,27 @@ func AssembleSnapshot(d *SnapshotData, opt Options) (*Solver, error) {
 	c.Levels = make([]Level, len(d.Levels))
 	for i := range d.Levels {
 		sl := &d.Levels[i]
-		if sl.G == nil {
-			return nil, fmt.Errorf("solver: snapshot level %d missing graph", i)
-		}
-		if err := sl.G.Validate(); err != nil {
-			return nil, fmt.Errorf("solver: snapshot level %d graph: %w", i, err)
-		}
-		if sl.ChebIts < 1 || sl.ChebIts > 1<<20 {
+		g := gs[i]
+		// Level 0 runs no Chebyshev sweep (the outer PCG iterates on it), so
+		// only the levels below carry a schedule to check.
+		if i > 0 && (sl.ChebIts < 1 || sl.ChebIts > 1<<20) {
 			return nil, fmt.Errorf("solver: snapshot level %d has implausible ChebIts %d", i, sl.ChebIts)
 		}
-		if !(sl.EigLo > 0) || !(sl.EigHi >= sl.EigLo) {
+		if i > 0 && (!(sl.EigLo > 0) || !(sl.EigHi >= sl.EigLo)) {
 			return nil, fmt.Errorf("solver: snapshot level %d has invalid Chebyshev interval [%g, %g]", i, sl.EigLo, sl.EigHi)
 		}
-		el := &Elimination{OrigN: sl.G.N, Ops: sl.Ops, RoundEnd: sl.RoundEnd}
+		el := &Elimination{OrigN: g.N, Ops: sl.Ops, RoundEnd: sl.RoundEnd}
 		if err := el.ReindexW(w); err != nil {
 			return nil, fmt.Errorf("solver: snapshot level %d: %w", i, err)
 		}
-		next := d.BottomG
-		if i+1 < len(d.Levels) {
-			next = d.Levels[i+1].G
-		}
+		next := gs[i+1]
 		if len(el.Keep) != next.N {
 			return nil, fmt.Errorf("solver: snapshot level %d elimination keeps %d vertices, next level has %d", i, len(el.Keep), next.N)
 		}
 		el.Reduced = next
-		comp, k := sl.G.ConnectedComponents()
+		comp, k := g.ConnectedComponents()
 		c.Levels[i] = Level{
-			G: sl.G, Lap: matrix.LaplacianOfW(w, sl.G),
+			G: g, Lap: matrix.LaplacianOfW(w, g),
 			Comp: comp, NumComp: k,
 			CompIdx: matrix.NewCompIndexW(w, comp, k),
 			Sampled: sl.Sampled, Elim: el,
@@ -149,30 +155,15 @@ func AssembleSnapshot(d *SnapshotData, opt Options) (*Solver, error) {
 			Calibrated:    sl.Calibrated,
 		}
 	}
-	if err := d.BottomG.Validate(); err != nil {
-		return nil, fmt.Errorf("solver: snapshot bottom graph: %w", err)
-	}
-	// The Solver iterates on the chain's top-level operator, so the top
-	// graph must be exactly the merged input graph the id addresses.
-	top := d.BottomG
-	if len(d.Levels) > 0 {
-		top = d.Levels[0].G
-	}
-	if merged := mergeParallelW(w, d.G); top.N != merged.N || !slices.Equal(top.Edges, merged.Edges) {
-		return nil, fmt.Errorf("solver: snapshot top-level graph is not the merged input graph")
-	}
-	bComp, bk := d.BottomG.ConnectedComponents()
-	bf, err := matrix.NewLaplacianFactorFromParts(w, d.BottomG.N, bComp, bk, d.BottomOrder, d.Bottom)
+	bComp, bk := c.BottomG.ConnectedComponents()
+	bf, err := matrix.NewLaplacianFactorFromParts(w, c.BottomG.N, bComp, bk, d.BottomOrder, d.Bottom)
 	if err != nil {
 		return nil, fmt.Errorf("solver: snapshot bottom factor: %w", err)
 	}
 	c.Bottom = bf
 	if len(c.Levels) == 0 {
-		c.bottomLap = matrix.LaplacianOfW(w, d.BottomG)
+		c.bottomLap = matrix.LaplacianOfW(w, c.BottomG)
 	}
-	// Warm the chain's workspace pool exactly as calibrate does at build
-	// time, so the restored chain's first preconditioner application is
-	// allocation-free and MemoryBytes already accounts the retained scratch.
-	c.ws.seed(newWorkspace(c, 1))
-	return newSolver(d.G, c, opt, nil, d.MaxIter), nil
+	c.ready()
+	return newSolver(d.G, c, opt, d.MaxIter), nil
 }

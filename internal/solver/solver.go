@@ -26,20 +26,13 @@ type Solver struct {
 	NumComp int
 	CompIdx *matrix.CompIndex
 	Opt     Options
-
-	rec     *wd.Recorder
 	MaxIter int
-	// ws pools per-solve workspaces (chain scratch + outer PCG scratch)
-	// across Solve/SolveBatch/stream-window requests, making steady-state
-	// preconditioner applications allocation-free. Internally synchronized;
-	// exempt from the read-only-after-build contract like the chain's
-	// counters.
-	ws wsPool
 }
 
 // New builds a Solver for the Laplacian of g with the default execution
-// policy. The recorder is optional and accumulates analytical work/depth
-// across construction and solves.
+// policy. The recorder is optional and accumulates the analytical
+// work/depth of construction only; each solve reports its own in
+// SolveStats.
 func New(g *graph.Graph, p ChainParams, rec *wd.Recorder) (*Solver, error) {
 	return NewWithOptions(g, p, Options{}, rec)
 }
@@ -57,38 +50,33 @@ func NewWithOptions(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 	if err != nil {
 		return nil, err
 	}
-	return newSolver(g, ch, opt, rec, 10*int(math.Sqrt(float64(g.N))+100)), nil
+	return newSolver(g, ch, opt, 10*int(math.Sqrt(float64(g.N))+100)), nil
 }
 
 // newSolver wraps a built or restored chain over the input graph g. The
 // Solver's operator and component index are the chain's top-level objects.
-func newSolver(g *graph.Graph, ch *Chain, opt Options, rec *wd.Recorder, maxIter int) *Solver {
+func newSolver(g *graph.Graph, ch *Chain, opt Options, maxIter int) *Solver {
 	lap, ci := ch.Top()
 	return &Solver{
 		G: g, Lap: lap, Chain: ch,
 		Comp: ci.Comp, NumComp: ci.NumComp, CompIdx: ci,
-		Opt: opt, rec: rec, MaxIter: maxIter,
+		Opt: opt, MaxIter: maxIter,
 	}
 }
 
-// MemoryBytes estimates the solver's retained footprint — the input graph,
-// the whole preconditioner chain (which holds the operator and component
-// index the outer PCG reads), and the workspace pools' high-water scratch —
-// the per-entry cost a serving layer's byte-budgeted cache accounts for.
+// MemoryBytes estimates the solver's retained footprint — the input graph
+// and the whole preconditioner chain, which holds the operator and
+// component index the outer PCG reads and the one workspace pool every
+// solve draws from — the per-entry cost a serving layer's byte-budgeted
+// cache accounts for.
 func (s *Solver) MemoryBytes() int64 {
-	return s.G.MemoryBytes() + s.Chain.MemoryBytes() + s.ws.PeakBytes()
+	return s.G.MemoryBytes() + s.Chain.MemoryBytes()
 }
 
-// WorkspaceBytes reports the workspace pools' high-water footprint (solver
-// solve pool + the chain's PrecondApplyIntoW pool) — the scratch a serving
-// layer retains between GCs on top of the chain itself.
-func (s *Solver) WorkspaceBytes() int64 {
-	b := s.ws.PeakBytes()
-	if s.Chain != nil {
-		b += s.Chain.ws.PeakBytes()
-	}
-	return b
-}
+// WorkspaceBytes reports the high-water footprint of the chain's workspace
+// pool (chain scratch plus outer PCG scratch, per concurrent solve) — the
+// scratch a serving layer retains between GCs on top of the chain itself.
+func (s *Solver) WorkspaceBytes() int64 { return s.Chain.ws.PeakBytes() }
 
 // Solve returns x̃ with ‖x̃−L⁺b‖_L ≤ ~ε·‖L⁺b‖_L for the graph Laplacian L,
 // using flexible PCG with the chain preconditioner (the adaptive outer
@@ -207,16 +195,16 @@ func (s *Solver) SolveBlockTraced(rhs, out *matrix.Block, eps float64, opt Optio
 	out.Reshape(rhs.N(), k)
 	w := opt.Workers
 	t0 := time.Now()
-	ws := s.ws.get(s.Chain, k)
+	ws := s.Chain.ws.get(s.Chain, k)
 	ws.trace.WorkspaceNS = time.Since(t0).Nanoseconds()
 	ws.trace.Levels = len(s.Chain.Levels)
 	tOuter := time.Now()
-	pcgFlexibleBlock(w, s.Lap, s.Chain, rhs, s.CompIdx, eps, s.MaxIter, ws, s.rec, out, sts)
+	pcgFlexibleBlock(w, s.Lap, s.Chain, rhs, s.CompIdx, eps, s.MaxIter, ws, out, sts)
 	ws.trace.OuterNS = time.Since(tOuter).Nanoseconds()
 	if tr != nil {
 		*tr = ws.trace
 	}
-	s.ws.put(ws)
+	s.Chain.ws.put(ws)
 	return sts
 }
 

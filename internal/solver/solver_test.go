@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -470,6 +471,9 @@ func TestSDDSolverGeneral(t *testing.T) {
 	}
 }
 
+// TestSolverWorkDepthRecorded: the recorder passed to New counts
+// construction only, and a solve reports its own work and depth in
+// SolveStats without touching it.
 func TestSolverWorkDepthRecorded(t *testing.T) {
 	var rec wd.Recorder
 	g := gen.Grid2D(24, 24)
@@ -477,14 +481,17 @@ func TestSolverWorkDepthRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := rec.Work()
+	build, buildDepth := rec.Work(), rec.Depth()
 	if build == 0 {
 		t.Fatal("construction recorded no work")
 	}
 	b := randRHS(g.N, 25)
-	_, _ = s.Solve(b, 1e-6)
-	if rec.Work() <= build {
-		t.Fatal("solve recorded no work")
+	_, st := s.Solve(b, 1e-6)
+	if st.Work == 0 || st.Depth == 0 {
+		t.Fatalf("solve reported work %d depth %d", st.Work, st.Depth)
+	}
+	if rec.Work() != build || rec.Depth() != buildDepth {
+		t.Fatalf("solve charged the construction recorder: work %d -> %d", build, rec.Work())
 	}
 }
 
@@ -530,9 +537,8 @@ func TestSolveConstantRHSProjected(t *testing.T) {
 // TestSolverSharesChainTop: the Solver's operator and component index are
 // the chain's top-level objects, not a second copy — level 0's for a chain
 // with levels, the bottom graph's for a chain with none — on a built solver
-// and on one reassembled from its snapshot. Because the solver iterates on
-// that graph, a snapshot whose top graph is not the merged input graph
-// (here: one weight changed) is rejected.
+// and on one reassembled from its snapshot. The snapshot does not carry the
+// top-level graph: restore recomputes it from the input graph.
 func TestSolverSharesChainTop(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -564,16 +570,12 @@ func TestSolverSharesChainTop(t *testing.T) {
 					t.Fatal("Top is not level 0's operator")
 				}
 			}
-			d := built.Snapshot()
-			top := &d.BottomG
+			rtop := restored.Chain.BottomG
 			if tc.levels {
-				top = &d.Levels[0].G
+				rtop = restored.Chain.Levels[0].G
 			}
-			edges := append([]graph.Edge(nil), (*top).Edges...)
-			edges[0].W *= 2
-			*top = graph.FromEdges((*top).N, edges)
-			if _, err := AssembleSnapshot(d, Options{Workers: 1}); err == nil {
-				t.Fatal("snapshot with a top graph other than the merged input was accepted")
+			if want := mergeParallelW(0, tc.g); rtop.N != want.N || !slices.Equal(rtop.Edges, want.Edges) {
+				t.Fatal("restored top-level graph is not the merged input graph")
 			}
 		})
 	}

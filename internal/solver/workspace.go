@@ -12,9 +12,10 @@ import (
 // and the outer PCG driver: per level the Chebyshev recurrence blocks, the
 // elimination forward/back buffers, at the bottom the direct-solve pair, and
 // (lazily) the outer iteration's blocks. One workspace serves one
-// Solve/SolveBlock/stream-window at a time; a wsPool (sync.Pool) on the
-// Solver and on the Chain reuses them across requests, so steady-state
-// preconditioner applications allocate nothing.
+// Solve/SolveBlock/stream-window at a time; the Chain's wsPool (a
+// sync.Pool), which every solve and PrecondApplyIntoW draws from, reuses
+// them across requests, so steady-state preconditioner applications
+// allocate nothing.
 //
 // Every buffer is fully overwritten before it is read on each use — the
 // chain's kernels either copy into them or write every slot — so a recycled
@@ -226,16 +227,6 @@ func (p *wsPool) raise(cur int64) {
 			return
 		}
 	}
-}
-
-// seed places a pre-built workspace in the pool, charging its footprint to
-// the high-water estimate: the workspace is retained from the moment the
-// chain is built, and MemoryBytes snapshots taken right after build — the
-// service's cache-budget charge happens exactly then — must already see it.
-func (p *wsPool) seed(ws *workspace) {
-	ws.charged = ws.bytes()
-	p.raise(ws.charged)
-	p.pool.Put(ws)
 }
 
 // PeakBytes reports the pool's high-water footprint estimate.

@@ -62,7 +62,8 @@ type Solver = solver.Solver
 // SDDSolver solves general SDD systems via the Gremban reduction.
 type SDDSolver = solver.SDDSolver
 
-// SolveStats reports iterations, convergence and analytic work/depth.
+// SolveStats reports iterations, convergence and the analytic work/depth of
+// that one solve.
 type SolveStats = solver.SolveStats
 
 // ChainParams tunes preconditioner-chain construction; see DefaultOptions.
@@ -74,7 +75,9 @@ type ChainParams = solver.ChainParams
 // bitwise identical across settings (fixed reduction trees).
 type Options = solver.Options
 
-// Recorder accumulates analytic PRAM-style work/depth counters.
+// Recorder accumulates analytic PRAM-style work/depth counters. A recorder
+// passed to a solver constructor counts construction only; each solve
+// reports its own work and depth in SolveStats.
 type Recorder = wd.Recorder
 
 // DefaultOptions returns the chain parameters used by NewSolver.
