@@ -90,7 +90,7 @@ func TestSolverAgainstDenseOnWeightedGraphs(t *testing.T) {
 		g := gen.WithUniformWeights(gen.GNP(50, 0.1, seed), 0.5, 5, seed+1)
 		lap := matrix.LaplacianOf(g)
 		comp, k := g.ConnectedComponents()
-		lf, err := matrix.NewLaplacianFactor(lap, comp, k)
+		lf, err := matrix.NewLaplacianFactorW(0, lap, comp, k)
 		if err != nil {
 			return false
 		}
@@ -103,10 +103,10 @@ func TestSolverAgainstDenseOnWeightedGraphs(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		matrix.ProjectOutConstantMasked(b, comp, k)
+		matrix.ProjectOutConstantMaskedW(0, b, comp, k)
 		want := lf.Solve(b)
 		got, _ := s.Solve(b, 1e-10)
-		matrix.ProjectOutConstantMasked(got, comp, k)
+		matrix.ProjectOutConstantMaskedW(0, got, comp, k)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-5*(1+math.Abs(want[i])) {
 				return false

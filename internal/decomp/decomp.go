@@ -57,7 +57,7 @@ type Params struct {
 	// CountCoverage, when true, additionally computes for every vertex the
 	// number of (center, iteration) pairs whose radius-r(t) ball covers it
 	// (the quantity bounded by Lemma 4.4). This costs the paper's full
-	// O(m log² n) ball-growing work and is used only by experiment E3.
+	// O(m log² n) ball-growing work and is used only by Lemma 4.4's test.
 	CountCoverage bool
 	// Workers selects the goroutine count of the decomposition's parallel
 	// kernels (frontier expansion, coverage counting, cut validation):
@@ -535,13 +535,9 @@ type CutStats struct {
 	PerClass []int // indexed by class
 }
 
-// CountCut computes cut statistics for a decomposition. class[i] gives the
-// class of edge i in [0, k); pass nil for single-class graphs.
-func CountCut(g *graph.Graph, comp []int32, class []int, k int) CutStats {
-	return CountCutW(0, g, comp, class, k)
-}
-
-// CountCutW is CountCut with an explicit worker count.
+// CountCutW computes cut statistics for a decomposition on the given worker
+// count. class[i] gives the class of edge i in [0, k); pass nil for
+// single-class graphs.
 func CountCutW(workers int, g *graph.Graph, comp []int32, class []int, k int) CutStats {
 	if k < 1 {
 		k = 1

@@ -1,5 +1,5 @@
-// Package gen constructs the benchmark graph families used across the
-// experiment suite: meshes, random graphs, and pathological families from
+// Package gen constructs the graph families used across the tests,
+// benchmarks and CLIs: meshes, random graphs, and pathological families from
 // the solver literature. All generators are deterministic given their
 // arguments (random families take an explicit seed).
 package gen

@@ -67,7 +67,7 @@ func (p Params) tau(n int) int {
 
 // PaperParams returns the constants of Algorithm 5.1 (with c1 = 272 from
 // Theorem 4.1). These are astronomically conservative at practical n — they
-// exist so experiments can report the theory-faithful settings.
+// exist so the theory-faithful settings can still be run and tested.
 func PaperParams(n int) Params {
 	ln := math.Log2(float64(n))
 	if ln < 2 {
@@ -95,7 +95,8 @@ func PracticalParams() Params {
 	}
 }
 
-// Stats reports what an AKPW-family run did, for the experiment harness.
+// Stats reports what an AKPW-family run did, for tests and the lowstretch
+// CLI.
 type Stats struct {
 	Iterations  int
 	MaxClass    int   // highest populated weight class
@@ -216,7 +217,7 @@ func (st *akpwState) iterate(rho int, active func(curEdge int) bool, classLabel 
 //
 // The returned slice holds edge ids of g forming a spanning forest (a
 // spanning tree when g is connected). Stats captures per-iteration
-// measurements for the experiment harness.
+// measurements.
 func AKPW(g *graph.Graph, p Params, rng *rand.Rand, rec *wd.Recorder) ([]int, *Stats) {
 	st, maxClass := newAKPWState(p.Workers, g, p.Z)
 	stats := &Stats{MaxClass: maxClass}

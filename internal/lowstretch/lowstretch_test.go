@@ -63,18 +63,21 @@ func TestAKPWDisconnected(t *testing.T) {
 	checkSpanningForest(t, g, tree)
 }
 
+// TestAKPWStretchBounded is Theorem 5.1: the AKPW tree's average stretch
+// grows sub-polynomially in n. On unit grids 16²–64² it measures
+// 5.4/6.9/10.3, about 0.7–0.9·log₂n; the pin asks for 1.25·log₂n, a 1.2×
+// margin at 64². The code departs from the paper on weighted inputs: it
+// runs a fixed z = 32 where the theorem's z grows with n, and on the same
+// grids with 4 exponential weight classes the average reads 17/46/182,
+// growing like √n, so no bound is asserted there.
 func TestAKPWStretchBounded(t *testing.T) {
-	// On a modest grid the practical AKPW tree must achieve average stretch
-	// far below the trivial worst case (n).
-	g := gen.Grid2D(24, 24)
-	rng := rand.New(rand.NewSource(5))
-	tree, _ := AKPW(g, PracticalParams(), rng, nil)
-	_, st := TreeStretch(g, tree)
-	if math.IsInf(st.Max, 1) {
-		t.Fatal("infinite stretch: not spanning")
-	}
-	if st.Average > 50 {
-		t.Fatalf("average stretch %.1f suspiciously large for 24x24 grid", st.Average)
+	for _, side := range []int{16, 32, 64} {
+		g := gen.Grid2D(side, side)
+		tree, _ := AKPW(g, PracticalParams(), rand.New(rand.NewSource(1)), nil)
+		_, st := TreeStretch(g, tree)
+		if bound := 1.25 * math.Log2(float64(g.N)); st.Average > bound {
+			t.Fatalf("%d² grid: average stretch %.2f > 1.25·log₂n = %.1f", side, st.Average, bound)
+		}
 	}
 }
 
@@ -265,27 +268,50 @@ func TestSparseAKPWSurvivorsHaveStretchOne(t *testing.T) {
 	}
 }
 
+// TestWellSpaceBudget is Lemma 5.7: the well-spacing transform removes at
+// most θ·m edges, with no slack. It runs a θ × τ grid on two wide-range
+// graphs (48 and 40 weight classes at z = 4), and the sparsifier's own
+// settings (ParamsForBeta(n, 4, 2): z = 32, τ = 13, θ = 0.25) on the second,
+// where the classes do not fill one group of τ·⌈1/θ⌉ and nothing may go.
 func TestWellSpaceBudget(t *testing.T) {
-	g := gen.WithExponentialWeights(gen.GNP(400, 0.03, 19), 4, 40, 20)
-	theta := 0.25
-	ws := WellSpace(g, 4, 2, theta)
-	if len(ws.Removed) > int(theta*float64(g.M()))+g.M()/10 {
-		t.Fatalf("well-spacing removed %d of %d edges, budget θ=%v", len(ws.Removed), g.M(), theta)
+	check := func(g *graph.Graph, z float64, tau int, theta float64) *WellSpacing {
+		t.Helper()
+		ws := WellSpace(g, z, tau, theta)
+		if float64(len(ws.Removed)) > theta*float64(g.M()) {
+			t.Fatalf("z=%v τ=%d θ=%v: removed %d of %d edges, budget θ·m = %.0f",
+				z, tau, theta, len(ws.Removed), g.M(), theta*float64(g.M()))
+		}
+		for _, id := range ws.Removed {
+			if ws.Keep[id] {
+				t.Fatalf("edge %d both kept and removed", id)
+			}
+		}
+		// Special classes follow a removed window; they are increasing.
+		last := 0
+		for _, s := range ws.Special {
+			if s <= last {
+				t.Fatalf("special classes not increasing: %v", ws.Special)
+			}
+			last = s
+		}
+		return ws
 	}
-	for _, id := range ws.Removed {
-		if ws.Keep[id] {
-			t.Fatalf("edge %d both kept and removed", id)
+	small := gen.WithExponentialWeights(gen.GNP(400, 0.03, 19), 4, 40, 20)
+	for _, g := range []*graph.Graph{
+		gen.WithExponentialWeights(gen.GNP(3000, 6.0/3000, 1), 4, 48, 1),
+		small,
+	} {
+		for _, theta := range []float64{0.1, 0.25, 0.5} {
+			for _, tau := range []int{2, 4} {
+				if ws := check(g, 4, tau, theta); len(ws.Special) == 0 {
+					t.Fatalf("θ=%v τ=%d: 40+ classes gave no special class", theta, tau)
+				}
+			}
 		}
 	}
-	// Special classes must be preceded by τ removed (empty) classes — by
-	// construction they follow the removed window; verify they are sorted
-	// and in range.
-	last := 0
-	for _, s := range ws.Special {
-		if s <= last {
-			t.Fatalf("special classes not increasing: %v", ws.Special)
-		}
-		last = s
+	p := ParamsForBeta(small.N, 4, 2, false)
+	if ws := check(small, p.Z, p.tau(small.N), p.Theta); len(ws.Removed) != 0 {
+		t.Fatalf("sparsifier settings removed %d edges from a graph with less than one group of classes", len(ws.Removed))
 	}
 }
 
@@ -346,6 +372,10 @@ func sameComponents(a, b *graph.Graph) bool {
 
 func TestLSSubgraphBetaTradeoff(t *testing.T) {
 	// Theorem 5.9's knob: larger β ⇒ fewer extra edges (and higher stretch).
+	// Only the end points are compared: in practical mode β also sets
+	// z = 8β and θ = 1/β, which regroup the weight classes and the
+	// well-spacing windows, so the count need not fall at every step (on a
+	// 32² torus at λ = 2 it reads 108/65/89/12 for β = 2/4/8/16).
 	g := gen.WithExponentialWeights(gen.Torus2D(24, 24), 16, 8, 25)
 	extras := func(beta float64) int {
 		rng := rand.New(rand.NewSource(26))

@@ -135,10 +135,14 @@ type WellSpacing struct {
 }
 
 // WellSpace deletes at most θ·|E| edges so that the remaining classes are
-// (4τ/θ, τ)-well-spaced: classes are grouped into runs of ⌈τ/θ⌉, and within
-// each group the lightest-population window of τ consecutive classes is
-// removed, making the class after it "special" (Lemma 5.7). Runs in O(m)
-// work and O(log n)-style depth (a bucket count plus a prefix scan).
+// (4τ/θ, τ)-well-spaced (Lemma 5.7). Classes are grouped into runs of
+// τ·⌈1/θ⌉, each holding ⌈1/θ⌉ disjoint windows of τ consecutive classes;
+// within each group the lightest window is removed, making the class after
+// it "special". By averaging that window holds at most θ of the group's
+// edges, so the total stays within θ·|E|. A trailing run shorter than a
+// group joins the group before it, and a graph with fewer classes than one
+// group removes nothing: it needs no special class. Runs in O(m) work and
+// O(log n)-style depth (a bucket count plus a prefix scan).
 func WellSpace(g *graph.Graph, z float64, tau int, theta float64) *WellSpacing {
 	if theta <= 0 || theta >= 1 {
 		theta = 0.25
@@ -167,26 +171,16 @@ func WellSpace(g *graph.Graph, z float64, tau int, theta float64) *WellSpacing {
 	for _, c := range class {
 		count[c]++
 	}
-	groupLen := int(math.Ceil(float64(tau) / theta))
-	if groupLen < tau {
-		groupLen = tau
-	}
+	groupLen := tau * int(math.Ceil(1/theta))
 	ws := &WellSpacing{Keep: make([]bool, len(g.Edges))}
 	for i := range ws.Keep {
 		ws.Keep[i] = true
 	}
 	removedClass := make([]bool, maxClass+2)
-	for lo := 1; lo <= maxClass; lo += groupLen {
+	for lo := 1; lo+groupLen-1 <= maxClass; lo += groupLen {
 		hi := lo + groupLen - 1
-		if hi > maxClass {
-			hi = maxClass
-		}
-		if hi-lo+1 < tau {
-			continue // trailing stub group: too short to host a window
-		}
-		groupEdges := 0
-		for c := lo; c <= hi; c++ {
-			groupEdges += count[c]
+		if hi+groupLen > maxClass {
+			hi = maxClass // the trailing stub joins the last group
 		}
 		// Lightest window of τ consecutive classes within [lo, hi].
 		winSum := 0
@@ -200,11 +194,6 @@ func WellSpace(g *graph.Graph, z float64, tau int, theta float64) *WellSpacing {
 				best, bestAt = winSum, s
 			}
 		}
-		// By averaging, best ≤ θ·groupEdges whenever the group holds
-		// ⌊len/τ⌋ ≥ 1/θ disjoint windows; for stub-sized groups we still
-		// remove the lightest window (possibly above budget, still correct —
-		// removed edges are returned to Ĝ verbatim).
-		_ = groupEdges
 		for c := bestAt; c < bestAt+tau; c++ {
 			removedClass[c] = true
 		}

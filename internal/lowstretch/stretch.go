@@ -186,7 +186,7 @@ func TreeStretchW(workers int, g *graph.Graph, treeEdges []int) ([]float64, Stre
 // SubgraphStretchExact computes the exact stretch of every edge of g with
 // respect to the subgraph formed by edge ids sub, via a bounded Dijkstra per
 // edge. Exact but O(m · m̂ log n) in the worst case — intended for
-// correctness tests and small experiment instances.
+// correctness tests and small instances.
 func SubgraphStretchExact(g *graph.Graph, sub []int) ([]float64, StretchStats) {
 	h := subgraphOf(g, sub)
 	m := len(g.Edges)

@@ -447,14 +447,9 @@ func (lf *LaplacianFactor) MemoryBytes() int64 {
 		lf.compIdx.MemoryBytes() + lf.factor.MemoryBytes()
 }
 
-// NewLaplacianFactor prepares a direct pseudo-inverse solver for the
-// Laplacian a. comp must label a's connected components (as from
-// graph.ConnectedComponents on the underlying graph).
-func NewLaplacianFactor(a *Sparse, comp []int, numComp int) (*LaplacianFactor, error) {
-	return NewLaplacianFactorW(0, a, comp, numComp)
-}
-
-// NewLaplacianFactorW is NewLaplacianFactor with an explicit worker count.
+// NewLaplacianFactorW prepares a direct pseudo-inverse solver for the
+// Laplacian a on the given worker count. comp must label a's connected
+// components (as from graph.ConnectedComponents on the underlying graph).
 func NewLaplacianFactorW(workers int, a *Sparse, comp []int, numComp int) (*LaplacianFactor, error) {
 	s, _, err := AnalyzeLaplacian(a, comp, numComp, math.MaxInt64)
 	if err != nil {

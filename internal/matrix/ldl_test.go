@@ -22,7 +22,7 @@ func denseReferenceSolve(a *Sparse, comp []int, numComp int, b []float64) []floa
 	const prec = 256
 	n := a.N
 	x := append([]float64(nil), b...)
-	ProjectOutConstantMasked(x, comp, numComp)
+	ProjectOutConstantMaskedW(0, x, comp, numComp)
 	grounded := make([]int, numComp)
 	for v := 0; v < n; v++ {
 		grounded[comp[v]] = v
@@ -73,7 +73,7 @@ func denseReferenceSolve(a *Sparse, comp []int, numComp int, b []float64) []floa
 		sol[c] = s.Quo(s, m[c][c])
 		out[keep[c]], _ = sol[c].Float64()
 	}
-	ProjectOutConstantMasked(out, comp, numComp)
+	ProjectOutConstantMaskedW(0, out, comp, numComp)
 	return out
 }
 
@@ -138,7 +138,7 @@ func TestLaplacianFactorMatchesDenseReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			a := LaplacianOf(g)
 			comp, k := g.ConnectedComponents()
-			lf, err := NewLaplacianFactor(a, comp, k)
+			lf, err := NewLaplacianFactorW(0, a, comp, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,18 +151,18 @@ func TestLaplacianFactorMatchesDenseReference(t *testing.T) {
 			ref := denseReferenceSolve(a, comp, k, b)
 
 			pb := append([]float64(nil), b...)
-			ProjectOutConstantMasked(pb, comp, k)
+			ProjectOutConstantMaskedW(0, pb, comp, k)
 			r := a.Apply(x)
-			SubInto(r, r, pb)
+			SubIntoW(0, r, r, pb)
 			normA := 0.0
 			for _, d := range a.Diag {
 				normA = math.Max(normA, 2*d)
 			}
-			if back := Norm2(r) / (normA*Norm2(x) + Norm2(pb)); back > 1e-13 {
+			if back := Norm2W(0, r) / (normA*Norm2W(0, x) + Norm2W(0, pb)); back > 1e-13 {
 				t.Fatalf("backward error %.3e", back)
 			}
 			diff := make([]float64, g.N)
-			SubInto(diff, x, ref)
+			SubIntoW(0, diff, x, ref)
 			// The 1e±8 families are bounded by the representation, not the
 			// factor: assembling a float64 Laplacian already rounds away a
 			// weight 1e-16 below its vertex's largest, and the reference
@@ -175,7 +175,7 @@ func TestLaplacianFactorMatchesDenseReference(t *testing.T) {
 				t.Fatalf("energy-norm distance to the dense reference %.3e (reference energy %.3e)", e, scale)
 			}
 			for c, mu := range componentSums(x, comp, k) {
-				if math.Abs(mu) > 1e-9*(1+Norm2(x)) {
+				if math.Abs(mu) > 1e-9*(1+Norm2W(0, x)) {
 					t.Fatalf("component %d of the solution sums to %g", c, mu)
 				}
 			}
@@ -210,7 +210,7 @@ func TestSparseLDLSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf, err := NewLaplacianFactor(a, []int{0, 0, 0, 0}, 1)
+	lf, err := NewLaplacianFactorW(0, a, []int{0, 0, 0, 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestLaplacianFactorRejectsIndefinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewLaplacianFactor(a, []int{0, 0, 0}, 1); err == nil {
+	if _, err := NewLaplacianFactorW(0, a, []int{0, 0, 0}, 1); err == nil {
 		t.Fatal("indefinite matrix factored without error")
 	}
 }
@@ -271,7 +271,7 @@ func TestMinDegreeOrder(t *testing.T) {
 	for _, tc := range cases {
 		a := LaplacianOf(tc.g)
 		comp, k := tc.g.ConnectedComponents()
-		lf, err := NewLaplacianFactor(a, comp, k)
+		lf, err := NewLaplacianFactorW(0, a, comp, k)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -318,12 +318,12 @@ func TestLaplacianFactorWorkerBitwise(t *testing.T) {
 // the single solve of that lane, bit for bit, on a multi-component bottom.
 func TestLaplacianFactorBlockBitwise(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{
-		"connected": GraphOf(randLap(120, 9)),
+		"connected": GraphOfW(0, randLap(120, 9)),
 		"union":     wideWeights(disjointUnion(gen.Grid2D(7, 9), gen.Cycle(12), gen.Star(9)), 4),
 	} {
 		a := LaplacianOf(g)
 		comp, numComp := g.ConnectedComponents()
-		lf, err := NewLaplacianFactor(a, comp, numComp)
+		lf, err := NewLaplacianFactorW(0, a, comp, numComp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,7 +402,7 @@ func TestLaplacianFactorFromParts(t *testing.T) {
 	g := disjointUnion(gen.Grid2D(6, 7), gen.Cycle(8))
 	a := LaplacianOf(g)
 	comp, k := g.ConnectedComponents()
-	lf, err := NewLaplacianFactor(a, comp, k)
+	lf, err := NewLaplacianFactorW(0, a, comp, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestLaplacianFactorFromParts(t *testing.T) {
 func TestLaplacianFactorFromPartsSizeMismatch(t *testing.T) {
 	g := gen.Path(5)
 	comp, k := g.ConnectedComponents()
-	lf, err := NewLaplacianFactor(LaplacianOf(g), comp, k)
+	lf, err := NewLaplacianFactorW(0, LaplacianOf(g), comp, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestLaplacianQuadFormEqualsEdgeSum(t *testing.T) {
 
 func TestGraphOfRoundTrip(t *testing.T) {
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1.5}, {U: 1, V: 2, W: 2}, {U: 2, V: 3, W: 0.5}})
-	g2 := GraphOf(LaplacianOf(g))
+	g2 := GraphOfW(0, LaplacianOf(g))
 	if g2.N != g.N || g2.M() != g.M() {
 		t.Fatalf("round trip changed size: %d/%d vs %d/%d", g2.N, g2.M(), g.N, g.M())
 	}
@@ -148,24 +148,24 @@ func TestVectorKernels(t *testing.T) {
 	if d := Dot(x, y); d != 32 {
 		t.Fatalf("Dot = %v, want 32", d)
 	}
-	if n := Norm2([]float64{3, 4}); n != 5 {
+	if n := Norm2W(0, []float64{3, 4}); n != 5 {
 		t.Fatalf("Norm2 = %v, want 5", n)
 	}
 	dst := make([]float64, 3)
-	AxpyInto(dst, 2, x, y)
+	AxpyIntoW(0, dst, 2, x, y)
 	want := []float64{6, 9, 12}
 	for i := range want {
 		if dst[i] != want[i] {
 			t.Fatalf("Axpy[%d] = %v, want %v", i, dst[i], want[i])
 		}
 	}
-	SubInto(dst, y, x)
+	SubIntoW(0, dst, y, x)
 	for i := range dst {
 		if dst[i] != 3 {
 			t.Fatalf("Sub[%d] = %v, want 3", i, dst[i])
 		}
 	}
-	ScaleInto(dst, 10, x)
+	ScaleIntoW(0, dst, 10, x)
 	for i := range dst {
 		if dst[i] != 10*x[i] {
 			t.Fatalf("Scale[%d] = %v", i, dst[i])
@@ -184,7 +184,7 @@ func TestProjectOutConstant(t *testing.T) {
 func TestProjectOutConstantMasked(t *testing.T) {
 	x := []float64{1, 3, 10, 30}
 	comp := []int{0, 0, 1, 1}
-	ProjectOutConstantMasked(x, comp, 2)
+	ProjectOutConstantMaskedW(0, x, comp, 2)
 	if x[0] != -1 || x[1] != 1 || x[2] != -10 || x[3] != 10 {
 		t.Fatalf("masked projection wrong: %v", x)
 	}
@@ -194,7 +194,7 @@ func TestLaplacianFactorSolvesGrid(t *testing.T) {
 	g := pathGraph(6)
 	l := LaplacianOf(g)
 	comp, k := g.ConnectedComponents()
-	lf, err := NewLaplacianFactor(l, comp, k)
+	lf, err := NewLaplacianFactorW(0, l, comp, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestLaplacianFactorDisconnected(t *testing.T) {
 	if k != 2 {
 		t.Fatalf("components = %d", k)
 	}
-	lf, err := NewLaplacianFactor(l, comp, k)
+	lf, err := NewLaplacianFactorW(0, l, comp, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestLaplacianFactorProjectsOffRangeRHS(t *testing.T) {
 	g := pathGraph(4)
 	l := LaplacianOf(g)
 	comp, k := g.ConnectedComponents()
-	lf, _ := NewLaplacianFactor(l, comp, k)
+	lf, _ := NewLaplacianFactorW(0, l, comp, k)
 	// b with nonzero mean: solver should solve against the projected b.
 	b := []float64{5, 1, 1, 1}
 	x := lf.Solve(b)
@@ -255,7 +255,7 @@ func TestGrembanLaplacianInput(t *testing.T) {
 	// A Laplacian is SDD; the reduction must still work (slack = 0).
 	g := pathGraph(4)
 	l := LaplacianOf(g)
-	gr, err := NewGrembanReduction(l, 0)
+	gr, err := NewGrembanReductionW(0, l, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestGrembanLaplacianInput(t *testing.T) {
 	}
 	// Solve via the direct factor on the double cover and check A x = b.
 	comp, k := gr.G.ConnectedComponents()
-	lf, err := NewLaplacianFactor(gr.L, comp, k)
+	lf, err := NewLaplacianFactorW(0, gr.L, comp, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,12 +288,12 @@ func TestGrembanPositiveOffDiagonal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := NewGrembanReduction(a, 0)
+	gr, err := NewGrembanReductionW(0, a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	comp, k := gr.G.ConnectedComponents()
-	lf, err := NewLaplacianFactor(gr.L, comp, k)
+	lf, err := NewLaplacianFactorW(0, gr.L, comp, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestGrembanPositiveOffDiagonal(t *testing.T) {
 func TestGrembanRejectsNonSDD(t *testing.T) {
 	a, _ := NewSparseFromTriplets(2,
 		[]int{0, 0, 1, 1}, []int{0, 1, 0, 1}, []float64{1, -5, -5, 1})
-	if _, err := NewGrembanReduction(a, 0); err == nil {
+	if _, err := NewGrembanReductionW(0, a, 0); err == nil {
 		t.Fatal("non-SDD accepted")
 	}
 }
@@ -356,12 +356,12 @@ func TestGrembanRandomSDDProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gr, err := NewGrembanReduction(a, 0)
+		gr, err := NewGrembanReductionW(0, a, 0)
 		if err != nil {
 			return false
 		}
 		comp, k := gr.G.ConnectedComponents()
-		lf, err := NewLaplacianFactor(gr.L, comp, k)
+		lf, err := NewLaplacianFactorW(0, gr.L, comp, k)
 		if err != nil {
 			return false
 		}

@@ -25,14 +25,9 @@ type GrembanReduction struct {
 	L *Sparse
 }
 
-// NewGrembanReduction validates that a is SDD and constructs the double
-// cover. Entries smaller than dropTol (relative) are treated as zero.
-func NewGrembanReduction(a *Sparse, dropTol float64) (*GrembanReduction, error) {
-	return NewGrembanReductionW(0, a, dropTol)
-}
-
-// NewGrembanReductionW is NewGrembanReduction with an explicit worker count
-// for the double cover's CSR and Laplacian builds.
+// NewGrembanReductionW validates that a is SDD and constructs the double
+// cover, running its CSR and Laplacian builds on the given worker count.
+// Entries smaller than dropTol (relative) are treated as zero.
 func NewGrembanReductionW(workers int, a *Sparse, dropTol float64) (*GrembanReduction, error) {
 	if !a.IsSDD(1e-9) {
 		return nil, fmt.Errorf("matrix: input is not symmetric diagonally dominant")

@@ -196,12 +196,9 @@ func LaplacianOfW(workers int, g *graph.Graph) *Sparse {
 	})
 }
 
-// GraphOf recovers the weighted graph from a Laplacian-structured matrix
-// (strictly negative off-diagonals become edges). It inverts LaplacianOf up
-// to parallel-edge merging.
-func GraphOf(a *Sparse) *graph.Graph { return GraphOfW(0, a) }
-
-// GraphOfW is GraphOf with an explicit worker count for the CSR build.
+// GraphOfW recovers the weighted graph from a Laplacian-structured matrix
+// (strictly negative off-diagonals become edges), building its CSR on the
+// given worker count. It inverts LaplacianOf up to parallel-edge merging.
 func GraphOfW(workers int, a *Sparse) *graph.Graph {
 	var edges []graph.Edge
 	for r := 0; r < a.N; r++ {

@@ -6,10 +6,11 @@ import (
 	"parlap/internal/par"
 )
 
-// Every vector kernel comes in a plain form (default worker count) and a
-// W-suffixed form taking the solver's Options.Workers knob (0 = GOMAXPROCS,
-// 1 = sequential). Reductions use par's fixed-grain deterministic trees, so
-// the W forms return bitwise-identical values for every worker count.
+// Every vector kernel has a W-suffixed form taking the solver's
+// Options.Workers knob (0 = GOMAXPROCS, 1 = sequential); the ones callers
+// use without a worker count also keep a plain form. Reductions use par's
+// fixed-grain deterministic trees, so the W forms return bitwise-identical
+// values for every worker count.
 //
 // Each W kernel takes an explicit workers==1 fast path with inline loops:
 // the closures the parallel primitives require escape to the heap at every
@@ -47,16 +48,10 @@ func DotW(workers int, x, y []float64) float64 {
 	return par.SumFloat64W(workers, len(x), func(i int) float64 { return x[i] * y[i] })
 }
 
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
-
-// Norm2W is Norm2 with an explicit worker count.
+// Norm2W returns the Euclidean norm of x.
 func Norm2W(workers int, x []float64) float64 { return math.Sqrt(DotW(workers, x, x)) }
 
-// AxpyInto computes dst = a*x + y elementwise (dst may alias x or y).
-func AxpyInto(dst []float64, a float64, x, y []float64) { AxpyIntoW(0, dst, a, x, y) }
-
-// AxpyIntoW is AxpyInto with an explicit worker count.
+// AxpyIntoW computes dst = a*x + y elementwise (dst may alias x or y).
 func AxpyIntoW(workers int, dst []float64, a float64, x, y []float64) {
 	if par.Sequential(workers) {
 		for i := range dst {
@@ -71,10 +66,7 @@ func AxpyIntoW(workers int, dst []float64, a float64, x, y []float64) {
 	})
 }
 
-// ScaleInto computes dst = a*x.
-func ScaleInto(dst []float64, a float64, x []float64) { ScaleIntoW(0, dst, a, x) }
-
-// ScaleIntoW is ScaleInto with an explicit worker count.
+// ScaleIntoW computes dst = a*x.
 func ScaleIntoW(workers int, dst []float64, a float64, x []float64) {
 	if par.Sequential(workers) {
 		for i := range dst {
@@ -89,10 +81,7 @@ func ScaleIntoW(workers int, dst []float64, a float64, x []float64) {
 	})
 }
 
-// SubInto computes dst = x - y.
-func SubInto(dst, x, y []float64) { SubIntoW(0, dst, x, y) }
-
-// SubIntoW is SubInto with an explicit worker count.
+// SubIntoW computes dst = x - y.
 func SubIntoW(workers int, dst, x, y []float64) {
 	if par.Sequential(workers) {
 		for i := range dst {
@@ -166,16 +155,10 @@ func ProjectOutConstantW(workers int, x []float64) {
 	})
 }
 
-// ProjectOutConstantMasked subtracts the mean computed over each component
+// ProjectOutConstantMaskedW subtracts the mean computed over each component
 // of a partition: comp[v] gives the component of v and counts the component
 // sizes. Used when the Laplacian's graph is disconnected (null space is
-// per-component constants).
-func ProjectOutConstantMasked(x []float64, comp []int, numComp int) {
-	ProjectOutConstantMaskedW(0, x, comp, numComp)
-}
-
-// ProjectOutConstantMaskedW is ProjectOutConstantMasked with an explicit
-// worker count. The single-component case (the common one on solver hot
+// per-component constants). The single-component case (the common one on solver hot
 // paths) reduces with the deterministic parallel tree; the multi-component
 // case builds a component-sorted index and runs the flat segmented parallel
 // reduction of ProjectOutConstantMaskedIdxW. Hot paths that project against

@@ -18,8 +18,7 @@ import (
 type ChainParams struct {
 	Sparsify SparsifyParams
 	// BottomSizeEdges > 0 truncates the chain once a level has at most this
-	// many edges (§6.3's size rule; tests and experiments pin chain depth
-	// with it). ≤0, the default, selects the count-based rule instead: the
+	// many edges (§6.3's size rule; tests pin chain depth with it). ≤0, the default, selects the count-based rule instead: the
 	// chain stops at the first level i ≥ 1 whose sparse bottom factor
 	// satisfies 2·nnz(L_i) ≤ MinChebIts·nnz(Lap_i) — one direct solve there
 	// costs no more than the cheapest Chebyshev sweep that recursing through
@@ -295,15 +294,20 @@ func (c *Chain) solveCost(i int) (work, depth int64) {
 }
 
 // ready finishes a built or restored chain: it sets the apply cost from the
-// final schedule and leaves one charged width-1 workspace in the pool, so a
-// MemoryBytes taken right after build or restore already counts it.
+// final schedule, zeroes the counters calibration's applications advanced,
+// and leaves one charged width-1 workspace in the pool, so a MemoryBytes
+// taken right after build or restore already counts it.
 func (c *Chain) ready() {
 	c.applyWork, c.applyDepth = c.applyCost()
+	c.bottomSolves.Store(0)
+	c.precondApplies.Store(0)
 	c.ws.put(c.ws.get(c, 1))
 }
 
 // BottomSolves returns the number of bottom-level direct solves performed
-// so far — the quantity Π√κᵢ that Lemma 6.6's depth bound counts.
+// by solves so far — the quantity Π√κᵢ that Lemma 6.6's depth bound counts.
+// Calibration's build-time solves are not counted, so a built chain and the
+// same chain restored from a snapshot report the same numbers.
 func (c *Chain) BottomSolves() int64 { return c.bottomSolves.Load() }
 
 // PrecondApplies returns the number of top-level preconditioner applications

@@ -38,7 +38,7 @@ func TestChebyshevFixedIterationCountIsLinear(t *testing.T) {
 	}
 	alpha := 2.7
 	combo := make([]float64, n)
-	matrix.AxpyInto(combo, alpha, b1, b2)
+	matrix.AxpyIntoW(0, combo, alpha, b1, b2)
 	y1, y2, yc := apply(b1), apply(b2), apply(combo)
 	for i := range yc {
 		want := alpha*y1[i] + y2[i]
@@ -296,7 +296,7 @@ func TestEliminationDisconnectedGraph(t *testing.T) {
 		// 5, 6 isolated
 	})
 	rng := rand.New(rand.NewSource(9))
-	el := GreedyElimination(g, rng, nil)
+	el := GreedyEliminationW(0, g, rng, nil)
 	if el.Reduced.N != 0 {
 		t.Fatalf("everything is degree <= 2, reduced to %d", el.Reduced.N)
 	}
@@ -321,7 +321,7 @@ func TestEliminationWeightedSplice(t *testing.T) {
 	// 2·3/(2+3) = 1.2.
 	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}})
 	rng := rand.New(rand.NewSource(10))
-	el := GreedyElimination(g, rng, nil)
+	el := GreedyEliminationW(0, g, rng, nil)
 	// Everything is degree ≤ 2 so the graph empties, but the intermediate
 	// splice is exercised via the op log; verify solve correctness instead.
 	b := []float64{1, 0, -1}

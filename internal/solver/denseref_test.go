@@ -53,7 +53,7 @@ func denseSolve(t *testing.T, g *graph.Graph, b []float64) []float64 {
 	t.Helper()
 	lap := matrix.LaplacianOf(g)
 	comp, k := g.ConnectedComponents()
-	lf, err := matrix.NewLaplacianFactor(lap, comp, k)
+	lf, err := matrix.NewLaplacianFactorW(0, lap, comp, k)
 	if err != nil {
 		t.Fatalf("direct factor: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestDenseReferenceSelfConsistency(t *testing.T) {
 			x := denseSolve(t, g, b)
 			lx := lap.Apply(x)
 			pb := matrix.CopyVec(b)
-			matrix.ProjectOutConstantMasked(pb, comp, k)
+			matrix.ProjectOutConstantMaskedW(0, pb, comp, k)
 			num, den := 0.0, 1e-30
 			for i := range pb {
 				d := lx[i] - pb[i]

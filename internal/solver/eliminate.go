@@ -37,7 +37,7 @@ type ElimOp struct {
 	W1, W2 float64
 }
 
-// Elimination is the result of GreedyElimination: the reduced graph, the
+// Elimination is the result of GreedyEliminationW: the reduced graph, the
 // vertex mapping, and the replayable elimination log.
 //
 // Alongside the op log it carries an owner-computes reverse index: for each
@@ -89,13 +89,6 @@ type recvItem struct {
 	tgt  int32   // receiving vertex
 	op   int32   // global Ops index
 	coef float64 // forwarding coefficient for this (op, target) pair
-}
-
-// GreedyElimination performs the parallel partial Cholesky factorization of
-// Lemma 6.5 on a Laplacian graph with the default worker count; see
-// GreedyEliminationW.
-func GreedyElimination(g *graph.Graph, rng *rand.Rand, rec *wd.Recorder) *Elimination {
-	return GreedyEliminationW(0, g, rng, rec)
 }
 
 // GreedyEliminationW performs the parallel partial Cholesky factorization of

@@ -32,7 +32,7 @@ func exactElimSolve(t *testing.T, g *graph.Graph, el *Elimination, b []float64, 
 	var xr []float64
 	if len(el.Keep) > 0 {
 		comp, k := el.Reduced.ConnectedComponents()
-		lf, err := matrix.NewLaplacianFactor(matrix.LaplacianOf(el.Reduced), comp, k)
+		lf, err := matrix.NewLaplacianFactorW(0, matrix.LaplacianOf(el.Reduced), comp, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestEliminationParallelEdgesMergeToLeaf(t *testing.T) {
 		t.Fatalf("raw CSR degree of 0 = %d, want 2 half-edges", g.Degree(0))
 	}
 	rng := rand.New(rand.NewSource(5))
-	el := GreedyElimination(g, rng, nil)
+	el := GreedyEliminationW(0, g, rng, nil)
 	var op0 *ElimOp
 	for i := range el.Ops {
 		if el.Ops[i].V == 0 {
@@ -88,7 +88,7 @@ func TestEliminationCycleReflipRounds(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		g := gen.WithExponentialWeights(gen.Cycle(257), 4, 3, seed)
 		rng := rand.New(rand.NewSource(seed))
-		el := GreedyElimination(g, rng, nil)
+		el := GreedyEliminationW(0, g, rng, nil)
 		if el.Reduced.N > 2 {
 			t.Fatalf("seed %d: cycle reduced only to %d vertices", seed, el.Reduced.N)
 		}
@@ -172,7 +172,7 @@ func TestForwardRHSSharedNeighborHotspot(t *testing.T) {
 func TestEliminationEmptyAndEdgelessGraphs(t *testing.T) {
 	g := graph.FromEdges(5, nil)
 	rng := rand.New(rand.NewSource(3))
-	el := GreedyElimination(g, rng, nil)
+	el := GreedyEliminationW(0, g, rng, nil)
 	if el.Reduced.N != 0 || el.Rounds != 1 || len(el.Ops) != 5 {
 		t.Fatalf("edgeless: reduced %d, rounds %d, ops %d", el.Reduced.N, el.Rounds, len(el.Ops))
 	}
@@ -183,7 +183,7 @@ func TestEliminationEmptyAndEdgelessGraphs(t *testing.T) {
 		}
 	}
 	g0 := graph.FromEdges(0, nil)
-	el0 := GreedyElimination(g0, rand.New(rand.NewSource(4)), nil)
+	el0 := GreedyEliminationW(0, g0, rand.New(rand.NewSource(4)), nil)
 	if el0.Rounds != 0 || el0.Reduced.N != 0 {
 		t.Fatalf("empty graph: rounds %d, reduced %d", el0.Rounds, el0.Reduced.N)
 	}
@@ -199,7 +199,7 @@ func TestEliminationSpliceMergesOntoExistingEdge(t *testing.T) {
 		{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 2}, {U: 0, V: 2, W: 1},
 	})
 	rng := rand.New(rand.NewSource(21))
-	el := GreedyElimination(g, rng, nil)
+	el := GreedyEliminationW(0, g, rng, nil)
 	b := []float64{1, 0, -1}
 	exactElimSolve(t, g, el, b, 1e-9)
 	// However the coins landed, the log must stay within-round independent.

@@ -126,8 +126,8 @@ func TestSDDGrembanWorkerEquivalence(t *testing.T) {
 	// Direct residual on the original SDD system.
 	resOf := func(x []float64) float64 {
 		r := a.Apply(x)
-		matrix.SubInto(r, b, r)
-		return matrix.Norm2(r) / matrix.Norm2(b)
+		matrix.SubIntoW(0, r, b, r)
+		return matrix.Norm2W(0, r) / matrix.Norm2W(0, b)
 	}
 	if r := resOf(xRef); r > 100*eps {
 		t.Fatalf("sequential SDD residual %.3e", r)

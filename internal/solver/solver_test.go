@@ -24,14 +24,14 @@ func randRHS(n int, seed int64) []float64 {
 	return b
 }
 
-// --- GreedyElimination ---
+// --- GreedyEliminationW ---
 
 func TestEliminatePathToNothing(t *testing.T) {
 	// A path is all degree ≤ 2: elimination should reduce it to nothing
 	// (or nearly), in O(log n) rounds.
 	g := gen.Path(256)
 	rng := rand.New(rand.NewSource(1))
-	el := GreedyElimination(g, rng, nil)
+	el := GreedyEliminationW(0, g, rng, nil)
 	if el.Reduced.N > 2 {
 		t.Fatalf("path reduced to %d vertices", el.Reduced.N)
 	}
@@ -44,7 +44,7 @@ func TestEliminateLeavesHighDegreeCore(t *testing.T) {
 	// A 3-regular-ish core must survive: elimination removes only deg ≤ 2.
 	g := gen.Complete(6) // all degree 5
 	rng := rand.New(rand.NewSource(2))
-	el := GreedyElimination(g, rng, nil)
+	el := GreedyEliminationW(0, g, rng, nil)
 	if el.Reduced.N != 6 {
 		t.Fatalf("K6 lost vertices: %d", el.Reduced.N)
 	}
@@ -71,7 +71,7 @@ func TestEliminateTreePlusEdges(t *testing.T) {
 		}
 	}
 	g := graph.FromEdges(n, edges)
-	el := GreedyElimination(g, rng, nil)
+	el := GreedyEliminationW(0, g, rng, nil)
 	for v := 0; v < el.Reduced.N; v++ {
 		// Degrees in the reduced multigraph (parallels already merged).
 		if el.Reduced.Degree(v) <= 2 {
@@ -83,13 +83,45 @@ func TestEliminateTreePlusEdges(t *testing.T) {
 	}
 }
 
+// TestEliminationRoundsLogarithmic is Lemma 6.5: greedy elimination of a
+// graph with n vertices and n−1+j edges leaves at most 2j−2 vertices and
+// 3j−3 edges, in O(log n) rounds. On random trees plus j ∈ {0, 16, 64}
+// edges at n ∈ {256, 1024} the rounds measure 9–21 against the pinned
+// 3·log₂n = 24/30, a 1.4× margin at n = 1024; the reduced graphs measure
+// 0/15/73 and 0/18/81 vertices. The asserted sizes are 2j and 3j: the
+// lemma's −2 and −3 do not hold at j = 0, where the graph vanishes. Rounds
+// and sizes do not depend on the worker count.
 func TestEliminationRoundsLogarithmic(t *testing.T) {
-	// E7's shape: rounds grow like log n on paths.
+	workers := testWorkers(t)
+	// Rounds grow like log n on paths.
 	rng := rand.New(rand.NewSource(4))
-	r1 := GreedyElimination(gen.Path(1<<8), rng, nil).Rounds
-	r2 := GreedyElimination(gen.Path(1<<12), rng, nil).Rounds
+	r1 := GreedyEliminationW(workers, gen.Path(1<<8), rng, nil).Rounds
+	r2 := GreedyEliminationW(workers, gen.Path(1<<12), rng, nil).Rounds
 	if r2 > r1*4 {
 		t.Fatalf("rounds scaled badly: %d (n=2^8) vs %d (n=2^12)", r1, r2)
+	}
+	for _, n := range []int{256, 1024} {
+		for _, extra := range []int{0, 16, 64} {
+			rng := rand.New(rand.NewSource(1))
+			var edges []graph.Edge
+			for i := 1; i < n; i++ {
+				edges = append(edges, graph.Edge{U: rng.Intn(i), V: i, W: 1})
+			}
+			for i := 0; i < extra; i++ {
+				if u, v := rng.Intn(n), rng.Intn(n); u != v {
+					edges = append(edges, graph.Edge{U: u, V: v, W: 1})
+				}
+			}
+			j := len(edges) - (n - 1)
+			el := GreedyEliminationW(workers, graph.FromEdges(n, edges), rng, nil)
+			if bound := 3 * math.Log2(float64(n)); float64(el.Rounds) > bound {
+				t.Fatalf("n=%d j=%d: %d rounds > 3·log₂n = %.0f", n, j, el.Rounds, bound)
+			}
+			if el.Reduced.N > 2*j || el.Reduced.M() > 3*j {
+				t.Fatalf("n=%d j=%d: reduced to %d vertices, %d edges; want at most %d, %d",
+					n, j, el.Reduced.N, el.Reduced.M(), 2*j, 3*j)
+			}
+		}
 	}
 }
 
@@ -98,13 +130,13 @@ func TestEliminateBackSolveExact(t *testing.T) {
 	// the original system exactly.
 	g := gen.WithUniformWeights(gen.Grid2D(8, 8), 0.5, 2, 5)
 	rng := rand.New(rand.NewSource(6))
-	el := GreedyElimination(g, rng, nil)
+	el := GreedyEliminationW(0, g, rng, nil)
 	lap := matrix.LaplacianOf(g)
 	b := randRHS(g.N, 7)
 	red, carry := forwardRHS(el, 0, b)
 	// Exact reduced solve.
 	comp, k := el.Reduced.ConnectedComponents()
-	lf, err := matrix.NewLaplacianFactor(matrix.LaplacianOf(el.Reduced), comp, k)
+	lf, err := matrix.NewLaplacianFactorW(0, matrix.LaplacianOf(el.Reduced), comp, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,15 +154,15 @@ func TestEliminateBackSolveProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.WithUniformWeights(gen.GNP(80, 0.04, seed), 0.5, 4, seed+1)
-		el := GreedyElimination(g, rng, nil)
+		el := GreedyEliminationW(0, g, rng, nil)
 		lap := matrix.LaplacianOf(g)
 		b := randRHS(g.N, seed+2)
 		// Project b per component of g (null space of L).
 		comp, k := g.ConnectedComponents()
-		matrix.ProjectOutConstantMasked(b, comp, k)
+		matrix.ProjectOutConstantMaskedW(0, b, comp, k)
 		red, carry := forwardRHS(el, 0, b)
 		rcomp, rk := el.Reduced.ConnectedComponents()
-		lf, err := matrix.NewLaplacianFactor(matrix.LaplacianOf(el.Reduced), rcomp, rk)
+		lf, err := matrix.NewLaplacianFactorW(0, matrix.LaplacianOf(el.Reduced), rcomp, rk)
 		if err != nil {
 			return false
 		}
@@ -151,7 +183,7 @@ func TestEliminateBackSolveProperty(t *testing.T) {
 func TestEliminationOpsIndependentWithinRounds(t *testing.T) {
 	g := gen.Grid2D(12, 12)
 	rng := rand.New(rand.NewSource(8))
-	el := GreedyElimination(g, rng, nil)
+	el := GreedyEliminationW(0, g, rng, nil)
 	start := 0
 	for _, end := range el.RoundEnd {
 		touched := make(map[int32]bool)
@@ -210,18 +242,34 @@ func TestSparsifySpectralSandwich(t *testing.T) {
 	}
 }
 
+// TestSparsifyKappaTradeoff is Lemma 6.1's size bound: H holds Ĝ plus
+// O(S·log n/κ) sampled edges, S being the total stretch. On a 32² torus the
+// sampled count falls about as 1/κ — 407/148/37/9 at κ = 16/64/256/1024 —
+// and the pins ask that each 4× in κ at least halve it (measured
+// 2.8–4.1×) and that it stay under the expected count C·S·ln n/κ of the
+// oversampling rule, which it meets at 0.30–0.43 of that. The code departs
+// from the paper in its oversampling constant C = 0.15 (OversampleC),
+// tuned rather than the whp constant of the KMP analysis. The spectral
+// half of the lemma is TestSparsifySpectralSandwich.
 func TestSparsifyKappaTradeoff(t *testing.T) {
-	// Larger κ ⇒ fewer sampled edges (Lemma 6.1's S·log n/κ term).
-	g := gen.Torus2D(40, 40)
-	count := func(kappa float64) int {
-		rng := rand.New(rand.NewSource(11))
+	g := gen.Torus2D(32, 32)
+	prev := 0
+	for _, kappa := range []float64{16, 64, 256, 1024} {
 		p := DefaultSparsifyParams()
 		p.Kappa = kappa
-		return IncrementalSparsify(g, p, rng, nil).Sampled
-	}
-	lo, hi := count(8), count(256)
-	if hi >= lo {
-		t.Fatalf("κ=256 sampled %d ≥ κ=8's %d", hi, lo)
+		res := IncrementalSparsify(g, p, rand.New(rand.NewSource(1)), nil)
+		if res.H.M() != len(res.Subgraph)+res.Sampled {
+			t.Fatalf("κ=%v: |E(H)| = %d, want |E(Ĝ)| + sampled = %d + %d",
+				kappa, res.H.M(), len(res.Subgraph), res.Sampled)
+		}
+		total := res.StretchS * float64(g.M())
+		if want := p.OversampleC * total * math.Log(float64(g.N)) / kappa; float64(res.Sampled) > want {
+			t.Fatalf("κ=%v: sampled %d > C·S·ln n/κ = %.0f", kappa, res.Sampled, want)
+		}
+		if prev > 0 && 2*res.Sampled > prev {
+			t.Fatalf("κ=%v: sampled %d, more than half of %d at κ/4", kappa, res.Sampled, prev)
+		}
+		prev = res.Sampled
 	}
 }
 
@@ -262,7 +310,7 @@ func TestChainPrecondReducesError(t *testing.T) {
 	}
 	// A z should not be wildly off b in scale.
 	az := lap.Apply(z)
-	num := matrix.Dot(az, b) / (matrix.Norm2(az) * matrix.Norm2(b))
+	num := matrix.Dot(az, b) / (matrix.Norm2W(0, az) * matrix.Norm2W(0, b))
 	if num < 0.1 {
 		t.Fatalf("preconditioned direction nearly orthogonal to b: cos=%v", num)
 	}
@@ -321,7 +369,7 @@ func TestSolveDisconnected(t *testing.T) {
 	}
 	b := randRHS(g.N, 16)
 	comp, k := g.ConnectedComponents()
-	matrix.ProjectOutConstantMasked(b, comp, k)
+	matrix.ProjectOutConstantMaskedW(0, b, comp, k)
 	x, _ := s.Solve(b, 1e-8)
 	if res := s.Residual(x, b); res > 1e-6 {
 		t.Fatalf("disconnected residual %v", res)
@@ -336,7 +384,7 @@ func TestSolveMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	comp, k := g.ConnectedComponents()
-	lf, err := matrix.NewLaplacianFactor(matrix.LaplacianOf(g), comp, k)
+	lf, err := matrix.NewLaplacianFactorW(0, matrix.LaplacianOf(g), comp, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,18 +399,32 @@ func TestSolveMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestSolveEpsilonSweep is Theorem 1.1's log(1/ε) factor: on a 64² grid
+// the outer iterations grow linearly in the digits of accuracy, measuring
+// 29/51/72/93/115 at ε = 1e-2…1e-10. The pins ask for at most 40 at 1e-2
+// and for each further two digits to add 15–30 (measured 21–22).
+// Iteration counts do not depend on the worker count.
 func TestSolveEpsilonSweep(t *testing.T) {
-	// log(1/ε) scaling: tighter ε must not blow up iteration counts.
-	g := gen.Grid2D(32, 32)
-	s, err := New(g, DefaultChainParams(), nil)
+	g := gen.Grid2D(64, 64)
+	s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: testWorkers(t)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := randRHS(g.N, 19)
-	_, st1 := s.Solve(b, 1e-2)
-	_, st2 := s.Solve(b, 1e-10)
-	if st2.Iterations > 10*st1.Iterations+20 {
-		t.Fatalf("ε=1e-10 took %d iters vs %d for 1e-2: not log(1/ε)-like", st2.Iterations, st1.Iterations)
+	b := randRHS(g.N, 1)
+	prev := 0
+	for _, eps := range []float64{1e-2, 1e-4, 1e-6, 1e-8, 1e-10} {
+		_, st := s.Solve(b, eps)
+		if !st.Converged {
+			t.Fatalf("ε=%g: not converged after %d iterations", eps, st.Iterations)
+		}
+		if prev == 0 && st.Iterations > 40 {
+			t.Fatalf("ε=%g: %d iterations, want at most 40", eps, st.Iterations)
+		}
+		if d := st.Iterations - prev; prev > 0 && (d < 15 || d > 30) {
+			t.Fatalf("ε=%g: two more digits took %d more iterations (%d → %d), want 15–30",
+				eps, d, prev, st.Iterations)
+		}
+		prev = st.Iterations
 	}
 }
 
@@ -387,23 +449,30 @@ func TestBaselinesConverge(t *testing.T) {
 	}
 }
 
+// TestChainBeatsCGIterationsIllConditioned is Theorem 1.1's practical
+// face: on an ill-conditioned weighted grid (exponentially spread weight
+// classes — the regime where low-stretch structure matters), the
+// chain-preconditioned solver needs far fewer iterations than plain CG and
+// than Jacobi-PCG. Measured 85 chain against 4050 Jacobi-PCG and 11 895 CG
+// iterations; the pin asks for at most a tenth of Jacobi-PCG's, a 4.8×
+// margin.
 func TestChainBeatsCGIterationsIllConditioned(t *testing.T) {
-	// The headline practical claim: on an ill-conditioned weighted grid
-	// (exponentially spread weight classes — the regime where low-stretch
-	// structure matters), the chain-preconditioned solver needs far fewer
-	// iterations than plain CG.
 	g := gen.WithExponentialWeights(gen.Grid2D(40, 40), 8, 8, 21)
 	lap := matrix.LaplacianOf(g)
 	comp, k := g.ConnectedComponents()
 	b := randRHS(g.N, 22)
 	_, cgStats := CG(lap, b, comp, k, 1e-8, 20000, nil)
-	s, err := New(g, DefaultChainParams(), nil)
+	s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: testWorkers(t)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, chStats := s.Solve(b, 1e-8)
 	if chStats.Iterations >= cgStats.Iterations {
 		t.Fatalf("chain (%d iters) did not beat CG (%d iters)", chStats.Iterations, cgStats.Iterations)
+	}
+	_, jStats := JacobiPCG(lap, b, comp, k, 1e-8, 20000, nil)
+	if 10*chStats.Iterations > jStats.Iterations {
+		t.Fatalf("chain (%d iters) not within a tenth of Jacobi-PCG (%d iters)", chStats.Iterations, jStats.Iterations)
 	}
 }
 
