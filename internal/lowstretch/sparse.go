@@ -251,10 +251,28 @@ func LSSubgraph(g *graph.Graph, p Params, rng *rand.Rand, rec *wd.Recorder) (*Su
 		}
 		return math.MaxInt32
 	}
+	// With nothing removed and no special class there is one segment, its
+	// contraction of lighter classes is empty, and its graph would be g's
+	// copy minus self-loops: without self-loops, g itself is the segment
+	// (SparseAKPW only reads its input).
+	whole := len(ws.Removed) == 0 && len(ws.Special) == 0
+	for _, e := range g.Edges {
+		if e.U == e.V {
+			whole = false
+			break
+		}
+	}
 	fns := make([]func(), len(bounds))
 	for s := range bounds {
 		s := s
 		fns[s] = func() {
+			segRecs[s] = &wd.Recorder{}
+			srng := rand.New(rand.NewSource(segSeeds[s]))
+			if whole {
+				segSubs[s], _ = SparseAKPW(g, p, srng, segRecs[s])
+				segOrig[s] = identity(len(g.Edges))
+				return
+			}
 			lo, hi := bounds[s], segEnd(s)
 			// Starting supernodes: contract kept edges of classes < lo.
 			uf := graph.NewUnionFind(g.N)
@@ -278,8 +296,6 @@ func LSSubgraph(g *graph.Graph, p Params, rng *rand.Rand, rec *wd.Recorder) (*Su
 				orig = append(orig, id)
 			}
 			segG := graph.FromEdgesW(p.Workers, numSup, edges)
-			segRecs[s] = &wd.Recorder{}
-			srng := rand.New(rand.NewSource(segSeeds[s]))
 			sub, _ := SparseAKPW(segG, p, srng, segRecs[s])
 			segSubs[s] = sub
 			segOrig[s] = orig
@@ -320,6 +336,15 @@ func LSSubgraph(g *graph.Graph, p Params, rng *rand.Rand, rec *wd.Recorder) (*Su
 	stats.ExtraEdges = len(extra)
 	sort.Ints(tree)
 	return &Subgraph{Tree: tree, Extra: extra, Stats: stats}, stats
+}
+
+// identity returns the id map 0, 1, …, m−1.
+func identity(m int) []int {
+	ids := make([]int, m)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
 }
 
 // ParamsForBeta instantiates Theorem 5.9's parameter schedule for a target

@@ -92,6 +92,20 @@ func (b *Block) CopyFrom(src *Block) {
 	copy(b.data, src.data)
 }
 
+// CopyLanesFrom fills b, shaped n×k, with lanes lo … lo+k−1 of src (n×K,
+// K ≥ lo+k): pure data movement, so a lane group solved on b does the
+// arithmetic it would have done inside src.
+func (b *Block) CopyLanesFrom(src *Block, lo int) {
+	k, sk := b.k, src.k
+	if k == sk {
+		copy(b.data, src.data)
+		return
+	}
+	for v := 0; v < b.n; v++ {
+		copy(b.data[v*k:(v+1)*k], src.data[v*sk+lo:v*sk+lo+k])
+	}
+}
+
 // SetCol scatters the plain vector x (length n) into column c.
 func (b *Block) SetCol(c int, x []float64) {
 	k := b.k
@@ -135,6 +149,13 @@ func (b *Block) KeepLanes(keep []int) {
 	b.data = b.data[:b.n*newK]
 }
 
+// The block kernels below take a workers knob only for their k = 1 case,
+// which delegates to the single-vector W kernel (a lone right-hand side
+// still parallelizes inside each kernel). Wider blocks always run as one
+// sequential sweep: a block solve parallelizes by splitting its lanes into
+// groups (Solver.SolveBlockTraced), a far coarser grain than chunks of one
+// level's vertices, and a sweep allocates nothing.
+
 // MulVecBlockW computes y = A·x lane-wise: lane c of y is bitwise identical
 // to MulVecW on lane c of x. One CSR traversal serves all k lanes, and the
 // interleaved layout makes the k reads per visited column index adjacent.
@@ -145,19 +166,7 @@ func (a *Sparse) MulVecBlockW(workers int, x, y *Block) {
 		a.MulVecW(workers, x.Vec(), y.Vec())
 		return
 	}
-	// Named row helper, closure only on the parallel branch (sequential
-	// zero-alloc wall).
-	if par.Sequential(workers) {
-		a.mulVecBlockRows(x, y, k, 0, a.N)
-		return
-	}
-	par.ForChunkedW(workers, a.N, func(lo, hi int) {
-		a.mulVecBlockRows(x, y, k, lo, hi)
-	})
-}
-
-func (a *Sparse) mulVecBlockRows(x, y *Block, k, lo, hi int) {
-	for r := lo; r < hi; r++ {
+	for r := 0; r < a.N; r++ {
 		yr := y.data[r*k : (r+1)*k]
 		for c := range yr {
 			yr[c] = 0
@@ -186,20 +195,7 @@ func (a *Sparse) MulVecAxpyBlockW(workers int, x, ap *Block, alpha float64, y *B
 		AxpyIntoW(workers, y.Vec(), alpha, ap.Vec(), y.Vec())
 		return
 	}
-	// Named helper, closure only on the parallel branch: an escaping func
-	// value heap-allocates at its declaration, which would break the
-	// sequential path's zero-allocation guarantee.
-	if par.Sequential(workers) {
-		a.mulVecAxpyBlockRows(x, ap, alpha, y, k, 0, a.N)
-		return
-	}
-	par.ForChunkedW(workers, a.N, func(lo, hi int) {
-		a.mulVecAxpyBlockRows(x, ap, alpha, y, k, lo, hi)
-	})
-}
-
-func (a *Sparse) mulVecAxpyBlockRows(x, ap *Block, alpha float64, y *Block, k, lo, hi int) {
-	for r := lo; r < hi; r++ {
+	for r := 0; r < a.N; r++ {
 		apr := ap.data[r*k : (r+1)*k]
 		for c := range apr {
 			apr[c] = 0
@@ -221,9 +217,8 @@ func (a *Sparse) mulVecAxpyBlockRows(x, ap *Block, alpha float64, y *Block, k, l
 
 // DotBlockIntoW computes out[c] = x[:,c]·y[:,c] for every lane in one pass.
 // Each lane folds through exactly DotW's fixed-grain chunk tree, so out[c]
-// is bitwise identical to DotW on lane c. tmp (length >= k) is the
-// sequential path's chunk-partial scratch; out must hold k values. The
-// workers==1 path allocates nothing.
+// is bitwise identical to DotW on lane c. tmp (length >= k) holds the chunk
+// partials; out must hold k values. Nothing is allocated.
 func DotBlockIntoW(workers int, x, y *Block, out, tmp []float64) {
 	k := x.k
 	if k == 1 {
@@ -231,43 +226,35 @@ func DotBlockIntoW(workers int, x, y *Block, out, tmp []float64) {
 		return
 	}
 	n := x.n
-	if par.Sequential(workers) {
-		tmp = tmp[:k]
-		for lo := 0; lo < n; lo += par.ReduceGrain {
-			hi := lo + par.ReduceGrain
-			if hi > n {
-				hi = n
-			}
-			for c := range tmp {
-				tmp[c] = 0
-			}
-			for i := lo; i < hi; i++ {
-				xr := x.data[i*k : (i+1)*k]
-				yr := y.data[i*k : (i+1)*k]
-				for c := 0; c < k; c++ {
-					tmp[c] += xr[c] * yr[c]
-				}
-			}
-			if lo == 0 {
-				copy(out[:k], tmp)
-			} else {
-				for c := 0; c < k; c++ {
-					out[c] += tmp[c]
-				}
-			}
+	tmp = tmp[:k]
+	for lo := 0; lo < n; lo += par.ReduceGrain {
+		hi := lo + par.ReduceGrain
+		if hi > n {
+			hi = n
 		}
-		if n == 0 {
+		for c := range tmp {
+			tmp[c] = 0
+		}
+		for i := lo; i < hi; i++ {
+			xr := x.data[i*k : (i+1)*k]
+			yr := y.data[i*k : (i+1)*k]
 			for c := 0; c < k; c++ {
-				out[c] = 0
+				tmp[c] += xr[c] * yr[c]
 			}
 		}
-		return
+		if lo == 0 {
+			copy(out[:k], tmp)
+		} else {
+			for c := 0; c < k; c++ {
+				out[c] += tmp[c]
+			}
+		}
 	}
-	xd, yd := x.data, y.data
-	sums := par.SumFloat64BatchW(workers, n, k, func(i, c int) float64 {
-		return xd[i*k+c] * yd[i*k+c]
-	})
-	copy(out[:k], sums)
+	if n == 0 {
+		for c := 0; c < k; c++ {
+			out[c] = 0
+		}
+	}
 }
 
 // Norm2BlockIntoW computes each lane's Euclidean norm; see DotBlockIntoW
@@ -288,17 +275,7 @@ func AxpyBlockW(workers int, dst *Block, alphas []float64, x, y *Block) {
 		AxpyIntoW(workers, dst.Vec(), alphas[0], x.Vec(), y.Vec())
 		return
 	}
-	if par.Sequential(workers) {
-		axpyBlockRows(dst, alphas, x, y, k, 0, dst.n)
-		return
-	}
-	par.ForChunkedW(workers, dst.n, func(lo, hi int) {
-		axpyBlockRows(dst, alphas, x, y, k, lo, hi)
-	})
-}
-
-func axpyBlockRows(dst *Block, alphas []float64, x, y *Block, k, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < dst.n; i++ {
 		dr := dst.data[i*k : (i+1)*k]
 		xr := x.data[i*k : (i+1)*k]
 		yr := y.data[i*k : (i+1)*k]
@@ -315,17 +292,7 @@ func SubIntoBlockW(workers int, dst, x, y *Block) {
 		SubIntoW(workers, dst.Vec(), x.Vec(), y.Vec())
 		return
 	}
-	if par.Sequential(workers) {
-		subBlockRows(dst, x, y, k, 0, dst.n)
-		return
-	}
-	par.ForChunkedW(workers, dst.n, func(lo, hi int) {
-		subBlockRows(dst, x, y, k, lo, hi)
-	})
-}
-
-func subBlockRows(dst, x, y *Block, k, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < dst.n; i++ {
 		dr := dst.data[i*k : (i+1)*k]
 		xr := x.data[i*k : (i+1)*k]
 		yr := y.data[i*k : (i+1)*k]
@@ -352,17 +319,7 @@ func ChebUpdateBlockW(workers int, p, z *Block, beta float64, x *Block, alpha fl
 		AxpyIntoW(workers, x.Vec(), alpha, p.Vec(), x.Vec())
 		return
 	}
-	if par.Sequential(workers) {
-		chebUpdateBlockRows(p, z, beta, x, alpha, first, k, 0, p.n)
-		return
-	}
-	par.ForChunkedW(workers, p.n, func(lo, hi int) {
-		chebUpdateBlockRows(p, z, beta, x, alpha, first, k, lo, hi)
-	})
-}
-
-func chebUpdateBlockRows(p, z *Block, beta float64, x *Block, alpha float64, first bool, k, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < p.n; i++ {
 		pr := p.data[i*k : (i+1)*k]
 		zr := z.data[i*k : (i+1)*k]
 		xr := x.data[i*k : (i+1)*k]
@@ -382,9 +339,9 @@ func chebUpdateBlockRows(p, z *Block, beta float64, x *Block, alpha float64, fir
 // ProjectOutConstantMaskedBlockIdxW subtracts each lane's per-component
 // mean in place — lane c is bitwise identical to
 // ProjectOutConstantMaskedIdxW on that lane. scratch (length >= 2k) makes
-// the single-component workers==1 path allocation-free: scratch[:k] holds
-// the lane means, scratch[k:2k] the chunk partials of the mean reduction.
-// The multi-component path allocates its segmented sums, matching the
+// the single-component path allocation-free: scratch[:k] holds the lane
+// means, scratch[k:2k] the chunk partials of the mean reduction. The
+// multi-component path allocates its segmented sums, matching the
 // single-vector kernel's behaviour.
 func ProjectOutConstantMaskedBlockIdxW(workers int, x *Block, ci *CompIndex, scratch []float64) {
 	k := x.k
@@ -394,58 +351,42 @@ func ProjectOutConstantMaskedBlockIdxW(workers int, x *Block, ci *CompIndex, scr
 	}
 	n := x.n
 	if ci.NumComp == 1 {
-		if par.Sequential(workers) {
-			mus, tmp := scratch[:k], scratch[k:2*k]
-			for lo := 0; lo < n; lo += par.ReduceGrain {
-				hi := lo + par.ReduceGrain
-				if hi > n {
-					hi = n
-				}
-				for c := range tmp {
-					tmp[c] = 0
-				}
-				for i := lo; i < hi; i++ {
-					xr := x.data[i*k : (i+1)*k]
-					for c := 0; c < k; c++ {
-						tmp[c] += xr[c]
-					}
-				}
-				if lo == 0 {
-					copy(mus, tmp)
-				} else {
-					for c := 0; c < k; c++ {
-						mus[c] += tmp[c]
-					}
-				}
+		mus, tmp := scratch[:k], scratch[k:2*k]
+		for lo := 0; lo < n; lo += par.ReduceGrain {
+			hi := lo + par.ReduceGrain
+			if hi > n {
+				hi = n
 			}
-			for c := 0; c < k; c++ {
-				mus[c] /= float64(n)
+			for c := range tmp {
+				tmp[c] = 0
 			}
-			for i := 0; i < n; i++ {
+			for i := lo; i < hi; i++ {
 				xr := x.data[i*k : (i+1)*k]
 				for c := 0; c < k; c++ {
-					xr[c] -= mus[c]
+					tmp[c] += xr[c]
 				}
 			}
-			return
+			if lo == 0 {
+				copy(mus, tmp)
+			} else {
+				for c := 0; c < k; c++ {
+					mus[c] += tmp[c]
+				}
+			}
 		}
-		xd := x.data
-		mus := par.SumFloat64BatchW(workers, n, k, func(i, c int) float64 { return xd[i*k+c] })
-		for c := range mus {
+		for c := 0; c < k; c++ {
 			mus[c] /= float64(n)
 		}
-		par.ForChunkedW(workers, n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				xr := xd[i*k : (i+1)*k]
-				for c := 0; c < k; c++ {
-					xr[c] -= mus[c]
-				}
+		for i := 0; i < n; i++ {
+			xr := x.data[i*k : (i+1)*k]
+			for c := 0; c < k; c++ {
+				xr[c] -= mus[c]
 			}
-		})
+		}
 		return
 	}
 	xd := x.data
-	mus := par.SegmentedSumFloat64BatchW(workers, k, ci.SegOff, func(i, col int) float64 {
+	mus := par.SegmentedSumFloat64BatchW(1, k, ci.SegOff, func(i, col int) float64 {
 		return xd[ci.Order[i]*k+col]
 	})
 	for s := 0; s < ci.NumComp; s++ {
@@ -455,19 +396,11 @@ func ProjectOutConstantMaskedBlockIdxW(workers int, x *Block, ci *CompIndex, scr
 			}
 		}
 	}
-	comp := ci.Comp
-	body := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := xd[i*k : (i+1)*k]
-			mr := mus[comp[i]*k : (comp[i]+1)*k]
-			for c := 0; c < k; c++ {
-				xr[c] -= mr[c]
-			}
+	for i, ct := range ci.Comp {
+		xr := xd[i*k : (i+1)*k]
+		mr := mus[ct*k : (ct+1)*k]
+		for c := 0; c < k; c++ {
+			xr[c] -= mr[c]
 		}
 	}
-	if par.Sequential(workers) {
-		body(0, n)
-		return
-	}
-	par.ForChunkedW(workers, n, body)
 }

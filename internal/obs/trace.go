@@ -14,6 +14,10 @@ package obs
 // back-substitution, and BottomNS the direct bottom solves — so
 // ΣCheb + ΣFwd + ΣBack + Bottom ≈ PrecondNS, and the per-stage series
 // partition the apply time instead of double-counting the recursion.
+//
+// A block solve split into concurrent lane groups reports the groups'
+// traces summed slot by slot (Add): its slots are then worker time, not
+// wall time, and still partition as OuterNS ⊇ PrecondNS ⊇ stages.
 type SolveTrace struct {
 	// QueueNS is time spent waiting in the solve admission queue (filled by
 	// the serving layer, not the solver).
@@ -63,6 +67,26 @@ func LevelIndex(level int) int {
 
 // Reset zeroes the trace in place (no allocation).
 func (t *SolveTrace) Reset() { *t = SolveTrace{} }
+
+// Add sums u's time slots into t slot by slot — how a block solve split
+// into concurrent lane groups reports one trace, which is therefore worker
+// time, not wall time. Levels keeps the deeper of the two.
+func (t *SolveTrace) Add(u *SolveTrace) {
+	t.QueueNS += u.QueueNS
+	t.WorkspaceNS += u.WorkspaceNS
+	t.OuterNS += u.OuterNS
+	t.PrecondNS += u.PrecondNS
+	t.BottomNS += u.BottomNS
+	t.TotalNS += u.TotalNS
+	t.DecodeNS += u.DecodeNS
+	t.EncodeNS += u.EncodeNS
+	for i := range t.ChebNS {
+		t.ChebNS[i] += u.ChebNS[i]
+		t.FwdNS[i] += u.FwdNS[i]
+		t.BackNS[i] += u.BackNS[i]
+	}
+	t.Levels = max(t.Levels, u.Levels)
+}
 
 // Stage enumerates the serving path's timed stages.
 type Stage int

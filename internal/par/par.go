@@ -46,9 +46,9 @@ const ReduceGrain = reduceGrain
 // Workers returns the number of workers parallel primitives use by default.
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
-// resolve maps the workers knob to an actual worker count: 0 (or negative)
+// Resolve maps the workers knob to an actual worker count: 0 (or negative)
 // means GOMAXPROCS, anything else is taken literally.
-func resolve(workers int) int {
+func Resolve(workers int) int {
 	if workers <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -59,7 +59,7 @@ func resolve(workers int) int {
 // condition under which hot kernels take their inline (closure-free,
 // allocation-free) fast paths. The fast paths are bitwise identical to the
 // parallel schedules, so dispatching on the resolved count is safe.
-func Sequential(workers int) bool { return resolve(workers) == 1 }
+func Sequential(workers int) bool { return Resolve(workers) == 1 }
 
 // runTasks executes task(c) for every c in [0, numTasks) on up to p
 // goroutines, pulling task indices from a shared counter for load balance.
@@ -145,7 +145,7 @@ func ForChunkedW(workers, n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	p := resolve(workers)
+	p := Resolve(workers)
 	if n < SequentialThreshold || p == 1 {
 		body(0, n)
 		return
@@ -175,7 +175,7 @@ func ForChunkedW(workers, n int, body func(lo, hi int)) {
 // expansion, chunked scatter with per-task locals). Worker panics propagate
 // to the caller like every other primitive.
 func TasksW(workers, numTasks int, task func(c int)) {
-	runTasks(resolve(workers), numTasks, task)
+	runTasks(Resolve(workers), numTasks, task)
 }
 
 // Do runs the given functions concurrently and waits for all of them.
@@ -190,7 +190,7 @@ func DoW(workers int, fns ...func()) {
 		fns[0]()
 		return
 	}
-	runTasks(resolve(workers), len(fns), func(c int) { fns[c]() })
+	runTasks(Resolve(workers), len(fns), func(c int) { fns[c]() })
 }
 
 // ReduceFloat64W computes the reduction of f(i) over [0, n) with the
@@ -215,7 +215,7 @@ func ReduceFloat64W(workers, n int, id float64, f func(i int) float64, op func(a
 		return fold(0, n)
 	}
 	partial := make([]float64, numChunks)
-	runTasks(resolve(workers), numChunks, func(c int) {
+	runTasks(Resolve(workers), numChunks, func(c int) {
 		lo, hi := grainBounds(c, n)
 		partial[c] = fold(lo, hi)
 	})
@@ -232,46 +232,6 @@ func SumFloat64(n int, f func(i int) float64) float64 { return SumFloat64W(0, n,
 // SumFloat64W is SumFloat64 with an explicit worker count.
 func SumFloat64W(workers, n int, f func(i int) float64) float64 {
 	return ReduceFloat64W(workers, n, 0, f, func(a, b float64) float64 { return a + b })
-}
-
-// SumFloat64BatchW computes k sums in one pass over the index space:
-// out[c] = Σ_{i<n} f(i, c). Each column folds through exactly the same
-// fixed-grain chunk tree as SumFloat64W, so out[c] is bitwise identical to
-// SumFloat64W(workers, n, func(i int) float64 { return f(i, c) }) — the
-// batch form only shares the index traversal (and whatever memory traffic f
-// amortizes across columns), never the arithmetic.
-func SumFloat64BatchW(workers, n, k int, f func(i, c int) float64) []float64 {
-	out := make([]float64, k)
-	if n <= 0 || k == 0 {
-		return out
-	}
-	numChunks := grainChunks(n)
-	if numChunks == 1 {
-		for i := 0; i < n; i++ {
-			for c := 0; c < k; c++ {
-				out[c] += f(i, c)
-			}
-		}
-		return out
-	}
-	partial := make([]float64, numChunks*k)
-	runTasks(resolve(workers), numChunks, func(ch int) {
-		lo, hi := grainBounds(ch, n)
-		acc := partial[ch*k : (ch+1)*k]
-		for i := lo; i < hi; i++ {
-			for c := 0; c < k; c++ {
-				acc[c] += f(i, c)
-			}
-		}
-	})
-	copy(out, partial[:k])
-	for ch := 1; ch < numChunks; ch++ {
-		p := partial[ch*k : (ch+1)*k]
-		for c := 0; c < k; c++ {
-			out[c] += p[c]
-		}
-	}
-	return out
 }
 
 // ReduceIntW computes the reduction of f(i) over [0, n) with combiner op,
@@ -292,7 +252,7 @@ func ReduceIntW(workers, n int, id int, f func(i int) int, op func(a, b int) int
 		return fold(0, n)
 	}
 	partial := make([]int, numChunks)
-	runTasks(resolve(workers), numChunks, func(c int) {
+	runTasks(Resolve(workers), numChunks, func(c int) {
 		lo, hi := grainBounds(c, n)
 		partial[c] = fold(lo, hi)
 	})
@@ -331,7 +291,7 @@ func ScanW(workers int, src []int) []int {
 		out[n] = acc
 		return out
 	}
-	p := resolve(workers)
+	p := Resolve(workers)
 	sums := make([]int, numChunks)
 	// Pass 1: per-chunk totals.
 	runTasks(p, numChunks, func(c int) {
@@ -378,7 +338,7 @@ func FilterIndexW(workers, n int, keep func(i int) bool) []int {
 		}
 		return out
 	}
-	p := resolve(workers)
+	p := Resolve(workers)
 	counts := make([]int, numChunks)
 	runTasks(p, numChunks, func(c int) {
 		lo, hi := grainBounds(c, n)
@@ -424,7 +384,7 @@ func FilterIndexW(workers, n int, keep func(i int) bool) []int {
 func HalfEdgePackW(workers, n, m int, ends func(i int) (u, v int)) (off, pos []int) {
 	pos = make([]int, 2*m)
 	deg := make([]int, n)
-	p := resolve(workers)
+	p := Resolve(workers)
 	if p == 1 || m < SequentialThreshold {
 		for i := 0; i < m; i++ {
 			u, v := ends(i)
@@ -509,7 +469,7 @@ func HalfEdgePackW(workers, n, m int, ends func(i int) (u, v int)) (off, pos []i
 func PackByKeyW(workers, n, numKeys int, key func(i int) int) (off, order []int) {
 	order = make([]int, n)
 	cnt := make([]int, numKeys)
-	p := resolve(workers)
+	p := Resolve(workers)
 	if p == 1 || n < SequentialThreshold {
 		for i := 0; i < n; i++ {
 			cnt[key(i)]++
@@ -602,7 +562,7 @@ func SegmentedSumFloat64W(workers int, segOff []int, f func(i int) float64) []fl
 	// of segments it intersects, starting at segBase[c].
 	partial := make([][]float64, numChunks)
 	segBase := make([]int, numChunks)
-	runTasks(resolve(workers), numChunks, func(c int) {
+	runTasks(Resolve(workers), numChunks, func(c int) {
 		lo, hi := grainBounds(c, n)
 		s0 := findSeg(segOff, lo)
 		s1 := findSeg(segOff, hi-1)
@@ -650,7 +610,7 @@ func SegmentedSumFloat64BatchW(workers, k int, segOff []int, f func(i, col int) 
 	}
 	partial := make([][]float64, numChunks)
 	segBase := make([]int, numChunks)
-	runTasks(resolve(workers), numChunks, func(c int) {
+	runTasks(Resolve(workers), numChunks, func(c int) {
 		lo, hi := grainBounds(c, n)
 		s0 := findSeg(segOff, lo)
 		s1 := findSeg(segOff, hi-1)
@@ -735,7 +695,7 @@ func SortW[T any](workers int, xs []T, less func(a, b T) bool) {
 	numChunks := (m + sortGrain - 1) / sortGrain
 	// runTasks directly: the parallel grain here is the chunk count, which
 	// is far below the element-count SequentialThreshold that ForW applies.
-	p := resolve(workers)
+	p := Resolve(workers)
 	runTasks(p, numChunks, func(c int) {
 		lo := c * sortGrain
 		hi := min(lo+sortGrain, m)

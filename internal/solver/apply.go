@@ -142,31 +142,32 @@ func finishBlockLane(workers int, x *matrix.Block, lane int, ci *matrix.CompInde
 	out.SetCol(outCol, col)
 }
 
-// pcgFlexibleBlock runs pcgFlexible's flexible PCG iteration on the k0
-// lanes of rhs, sharing one preconditioner-chain pass per iteration across
-// all still-active lanes. Every lane follows the exact operation sequence of
-// the single-column driver — same kernels, same order, same break points —
-// so out's column c is bitwise identical to a width-1 solve of rhs's
-// column c. Lanes leave the
+// pcgFlexibleBlock runs pcgFlexible's flexible PCG iteration on lanes
+// lo … hi−1 of rhs, sharing one preconditioner-chain pass per iteration
+// across all still-active lanes. Every lane follows the exact operation
+// sequence of the single-column driver — same kernels, same order, same
+// break points — so out's column c is bitwise identical to a width-1 solve
+// of rhs's column c. Lanes leave the
 // active block via KeepLanes compaction (pure data movement — surviving
 // lanes' arithmetic is untouched) when they converge or the preconditioner
 // breaks down for them, exactly where pcgFlexible would have returned; a
 // retiring lane is finished (projected and written to out) at that moment.
 //
-// out must be shaped n×k0 by the caller and is fully overwritten. stats
-// must hold k0 zeroed entries. All scratch comes from ws (ensureOuter), so
-// the Workers:1 steady state allocates nothing.
+// out must be shaped like rhs and zeroed by the caller; only columns lo …
+// hi−1 are written, as are only stats[lo:hi], which must be zeroed. So
+// disjoint lane ranges may run concurrently on one rhs/out/stats, each on
+// its own workspace. All scratch comes from ws (ensureOuter), so the
+// Workers:1 steady state allocates nothing.
 //
 // Each lane's Work/Depth is the analytic cost of a width-1 solve of its
 // column: (nnz + 10n, 2) per iteration that passes the pap check, plus the
 // chain's one-lane apply cost (Chain.applyCost) per preconditioner
 // application the lane takes part in.
-func pcgFlexibleBlock(workers int, a *matrix.Sparse, chain *Chain, rhs *matrix.Block,
+func pcgFlexibleBlock(workers int, a *matrix.Sparse, chain *Chain, rhs *matrix.Block, lo, hi int,
 	ci *matrix.CompIndex, tol float64, maxIter int, ws *workspace,
 	out *matrix.Block, stats []SolveStats) {
 	n := a.N
-	k0 := rhs.K()
-	out.Zero()
+	k0 := hi - lo
 	ws.ensureOuter(n, k0)
 	// Per-lane scalar scratch: 13 k0-sized lanes packed into pcgScal.
 	scal := ws.pcgScal
@@ -188,20 +189,20 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, chain *Chain, rhs *matrix.B
 
 	R := &ws.pcgR
 	R.Reshape(n, k0)
-	R.CopyFrom(rhs)
+	R.CopyLanesFrom(rhs, lo)
 	matrix.ProjectOutConstantMaskedBlockIdxW(workers, R, ci, projScratch)
 	matrix.Norm2BlockIntoW(workers, R, bnorms, dotTmp)
 	// Zero right-hand sides converge immediately with x = 0, unprojected,
 	// like the single driver's early return; everything else becomes a lane.
 	lanes := 0
-	for c := 0; c < k0; c++ {
-		if bnorms[c] == 0 {
-			stats[c].Converged = true
+	for j := 0; j < k0; j++ {
+		if bnorms[j] == 0 {
+			stats[lo+j].Converged = true
 			continue
 		}
-		keep[lanes] = c
-		laneCol[lanes] = c
-		bnorms[lanes] = bnorms[c] // in-place compaction: lanes <= c always
+		keep[lanes] = j
+		laneCol[lanes] = lo + j
+		bnorms[lanes] = bnorms[j] // in-place compaction: lanes <= j always
 		lanes++
 	}
 	if lanes == 0 {

@@ -7,6 +7,7 @@ import (
 	"parlap/internal/gen"
 	"parlap/internal/graph"
 	"parlap/internal/matrix"
+	"parlap/internal/obs"
 )
 
 // The SolveBatch acceptance contract: k batched right-hand sides return
@@ -115,13 +116,15 @@ func TestSolveBatchZeroRHS(t *testing.T) {
 // TestSolveBatchSharesChainPasses verifies the amortization claim behind
 // SolveBatch: one preconditioner-chain pass per PCG iteration serves the
 // whole batch. The chain's PrecondApplies counter increments once per
-// top-level apply regardless of batch width, so the count consumed by a
-// batched solve must equal the iteration count of the slowest column (+1
-// for the init pass) — NOT k times it, which is what k independent solves
-// would cost.
+// top-level apply regardless of batch width, so at Workers:1 (one lane
+// group) the count consumed by a batched solve must equal the iteration
+// count of the slowest column (+1 for the init pass) — NOT k times it,
+// which is what k independent solves would cost. At p workers the k lanes
+// run as g = min(p, k) concurrent groups, each with its own passes, so the
+// bound becomes g·(maxIters+1).
 func TestSolveBatchSharesChainPasses(t *testing.T) {
 	g := gen.Grid2D(24, 24)
-	s, err := New(g, deepChainParams(g), nil)
+	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,31 +133,77 @@ func TestSolveBatchSharesChainPasses(t *testing.T) {
 	for c := range bs {
 		bs[c] = randRHS(g.N, int64(200+c))
 	}
-	before := s.Chain.PrecondApplies()
-	_, sts := s.SolveBatch(bs, 1e-7)
-	passes := int(s.Chain.PrecondApplies() - before)
-	maxIters := 0
-	for c := range sts {
-		if !sts[c].Converged {
-			t.Fatalf("column %d did not converge", c)
+	for _, w := range []int{1, 2, 4} {
+		before := s.Chain.PrecondApplies()
+		_, sts := s.SolveBatchOpts(bs, 1e-7, Options{Workers: w})
+		passes := int(s.Chain.PrecondApplies() - before)
+		maxIters, sumIters := 0, 0
+		for c := range sts {
+			if !sts[c].Converged {
+				t.Fatalf("workers=%d: column %d did not converge", w, c)
+			}
+			maxIters = max(maxIters, sts[c].Iterations)
+			sumIters += sts[c].Iterations
 		}
-		if sts[c].Iterations > maxIters {
-			maxIters = sts[c].Iterations
+		// Init pass + one pass per iteration that entered the precond step.
+		// Converging columns skip the precond of their final iteration, so
+		// a group's pass count is at most its slowest column's iterations
+		// (whose final iteration contributes none) + 1 for init.
+		groups := min(w, k)
+		if passes > groups*(maxIters+1) {
+			t.Fatalf("workers=%d: batch used %d chain passes for %d groups of max %d iterations — not shared within a group",
+				w, passes, groups, maxIters)
+		}
+		if groups == 1 && passes >= sumIters {
+			t.Fatalf("batch used %d chain passes vs %d summed column iterations — no amortization", passes, sumIters)
 		}
 	}
-	// Init pass + one pass per iteration that entered the precond step.
-	// Converging columns skip the precond of their final iteration, so the
-	// pass count is at most maxIters (the slowest column's final iteration
-	// contributes none) + 1 for init.
-	if passes > maxIters+1 {
-		t.Fatalf("batch used %d chain passes for max %d iterations — not shared across the batch", passes, maxIters)
+}
+
+// TestSolveBlockLaneGroups: at Workers p ≥ 2 a k-lane block solve splits
+// into min(p, k) contiguous lane groups, uneven when p does not divide k.
+// Every lane — a zero right-hand side included — and its SolveStats must be
+// bitwise what a Workers:1 solve of that column alone returns, and the
+// summed trace must still partition as OuterNS ⊇ PrecondNS ⊇ stages.
+func TestSolveBlockLaneGroups(t *testing.T) {
+	g := gen.PreferentialAttachment(800, 3, 17)
+	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sumIters := 0
-	for c := range sts {
-		sumIters += sts[c].Iterations
-	}
-	if k > 1 && passes >= sumIters {
-		t.Fatalf("batch used %d chain passes vs %d summed column iterations — no amortization", passes, sumIters)
+	const eps = 1e-7
+	seq := Options{Workers: 1}
+	for _, k := range []int{3, 5} {
+		bs := make([][]float64, k)
+		for c := range bs {
+			bs[c] = randRHS(g.N, int64(300+c))
+		}
+		bs[1] = make([]float64, g.N)
+		var rhs matrix.Block
+		rhs.Reshape(g.N, k)
+		for c, b := range bs {
+			rhs.SetCol(c, b)
+		}
+		for _, w := range []int{2, 4} {
+			var out matrix.Block
+			var tr obs.SolveTrace
+			sts := s.SolveBlockTraced(&rhs, &out, eps, Options{Workers: w}, &tr, nil)
+			x := make([]float64, g.N)
+			for c, b := range bs {
+				ref, refSt := s.SolveOpts(b, eps, seq)
+				out.ColInto(c, x)
+				label := fmt.Sprintf("k=%d workers=%d lane %d", k, w, c)
+				requireBitwiseVec(t, label, x, ref)
+				if sts[c] != refSt {
+					t.Fatalf("%s: stats %+v, single solve %+v", label, sts[c], refSt)
+				}
+			}
+			stages := tr.StageNS(obs.StageCheb) + tr.StageNS(obs.StageForward) +
+				tr.StageNS(obs.StageBack) + tr.StageNS(obs.StageBottom)
+			if tr.OuterNS < tr.PrecondNS || tr.PrecondNS < stages || stages <= 0 || tr.Levels != len(s.Chain.Levels) {
+				t.Fatalf("k=%d workers=%d: summed trace does not partition: %+v", k, w, tr)
+			}
+		}
 	}
 }
 

@@ -247,9 +247,10 @@ type Chain struct {
 	bottomLap    *matrix.Sparse
 	bottomSolves atomic.Int64
 	// precondApplies counts top-level preconditioner applications — one per
-	// applyHTopBlock call regardless of batch width, so a k-column block
-	// apply that shares every chain pass across lanes counts once where k
-	// single applies would count k times.
+	// applyHTopBlock call regardless of batch width, so a lane group that
+	// shares every chain pass across its lanes counts once per iteration
+	// where its lanes solved alone would count once each. A block solve
+	// split into g lane groups counts one pass per group per iteration.
 	precondApplies atomic.Int64
 	// applyWork and applyDepth are applyCost, which every solve charges
 	// per top-level preconditioner application.
@@ -311,9 +312,10 @@ func (c *Chain) ready() {
 func (c *Chain) BottomSolves() int64 { return c.bottomSolves.Load() }
 
 // PrecondApplies returns the number of top-level preconditioner applications
-// performed so far. A batched apply counts ONE regardless of its width —
-// the ratio of right-hand sides served to PrecondApplies is the chain-pass
-// sharing the batch engine exists for.
+// performed so far. A batched apply counts ONE regardless of its width, so
+// a block solve counts one pass per lane group per iteration (one group at
+// Workers:1, min(p, k) at p workers) — the ratio of right-hand sides served
+// to PrecondApplies is the chain-pass sharing the batch engine exists for.
 func (c *Chain) PrecondApplies() int64 { return c.precondApplies.Load() }
 
 // BuildChain constructs the preconditioner chain for the Laplacian graph g

@@ -586,8 +586,9 @@ func (el *Elimination) BackSolveIntoW(workers int, xReduced, carry, x []float64)
 // multi-vectors: b and work are OrigN×k, carry is len(Ops)×k (row = op
 // index), reduced is len(Keep)×k. One replay of the op log serves all k
 // lanes, with the k values per vertex/op adjacent in memory; lane c is
-// bitwise identical to ForwardRHSIntoW on lane c. At workers==1 the replay
-// runs as plain loops with no allocation.
+// bitwise identical to ForwardRHSIntoW on lane c. The workers knob reaches
+// only the k = 1 case: a wider replay runs as plain loops with no
+// allocation (block solves parallelize across lane groups instead).
 func (el *Elimination) ForwardRHSBlockIntoW(workers int, b, work, carry, reduced *matrix.Block) {
 	kcols := b.K()
 	if kcols == 1 {
@@ -595,124 +596,67 @@ func (el *Elimination) ForwardRHSBlockIntoW(workers int, b, work, carry, reduced
 		return
 	}
 	work.CopyFrom(b)
-	// The sequential fast path inlines every loop: a closure passed to
-	// par.ForChunkedW escapes and heap-allocates at its declaration even if
-	// that branch never runs, which would break the allocation wall.
-	seq := par.Sequential(workers)
 	for ri := 0; ri < el.Rounds; ri++ {
 		lo, hi := el.roundBounds(ri)
 		ops := el.Ops[lo:hi]
 		gLo, gHi := el.recvBounds(ri)
-		if seq {
-			for k := range ops {
-				copy(carry.Row(lo+k), work.Row(int(ops[k].V)))
-			}
-			for g := gLo; g < gHi; g++ {
-				wrow := work.Row(int(el.recvVert[g]))
-				iLo, iHi := el.itemBounds(g)
-				for it := iLo; it < iHi; it++ {
-					crow := carry.Row(int(el.recvOp[it]))
-					coef := el.recvCoef[it]
-					for c := 0; c < kcols; c++ {
-						wrow[c] += crow[c] * coef
-					}
+		for k := range ops {
+			copy(carry.Row(lo+k), work.Row(int(ops[k].V)))
+		}
+		for g := gLo; g < gHi; g++ {
+			wrow := work.Row(int(el.recvVert[g]))
+			iLo, iHi := el.itemBounds(g)
+			for it := iLo; it < iHi; it++ {
+				crow := carry.Row(int(el.recvOp[it]))
+				coef := el.recvCoef[it]
+				for c := 0; c < kcols; c++ {
+					wrow[c] += crow[c] * coef
 				}
 			}
-			continue
 		}
-		par.ForChunkedW(workers, len(ops), func(clo, chi int) {
-			for k := clo; k < chi; k++ {
-				copy(carry.Row(lo+k), work.Row(int(ops[k].V)))
-			}
-		})
-		par.ForChunkedW(workers, gHi-gLo, func(clo, chi int) {
-			for g := gLo + clo; g < gLo+chi; g++ {
-				wrow := work.Row(int(el.recvVert[g]))
-				iLo, iHi := el.itemBounds(g)
-				for it := iLo; it < iHi; it++ {
-					crow := carry.Row(int(el.recvOp[it]))
-					coef := el.recvCoef[it]
-					for c := 0; c < kcols; c++ {
-						wrow[c] += crow[c] * coef
-					}
-				}
-			}
-		})
 	}
-	if seq {
-		for j := range el.Keep {
-			copy(reduced.Row(j), work.Row(int(el.Keep[j])))
-		}
-		return
+	for j := range el.Keep {
+		copy(reduced.Row(j), work.Row(int(el.Keep[j])))
 	}
-	par.ForChunkedW(workers, len(el.Keep), func(clo, chi int) {
-		for j := clo; j < chi; j++ {
-			copy(reduced.Row(j), work.Row(int(el.Keep[j])))
-		}
-	})
 }
 
 // BackSolveBlockIntoW is BackSolveIntoW over contiguous matrix.Block
 // multi-vectors: xReduced is len(Keep)×k, carry is len(Ops)×k (from
 // ForwardRHSBlockIntoW for the same right-hand sides), x is OrigN×k, fully
-// overwritten. Lane c is bitwise identical to BackSolveIntoW on lane c; at
-// workers==1 the reverse replay runs as plain loops with no allocation.
+// overwritten. Lane c is bitwise identical to BackSolveIntoW on lane c; as
+// in ForwardRHSBlockIntoW, only k = 1 uses the workers knob and a wider
+// reverse replay runs as plain loops with no allocation.
 func (el *Elimination) BackSolveBlockIntoW(workers int, xReduced, carry, x *matrix.Block) {
 	kcols := xReduced.K()
 	if kcols == 1 {
 		el.BackSolveIntoW(workers, xReduced.Vec(), carry.Vec(), x.Vec())
 		return
 	}
-	// Closures only on the parallel branch: an escaping func value allocates
-	// at declaration, which the sequential allocation wall forbids.
-	seq := par.Sequential(workers)
-	if seq {
-		for j := range el.Keep {
-			copy(x.Row(int(el.Keep[j])), xReduced.Row(j))
-		}
-	} else {
-		par.ForChunkedW(workers, len(el.Keep), func(clo, chi int) {
-			for j := clo; j < chi; j++ {
-				copy(x.Row(int(el.Keep[j])), xReduced.Row(j))
-			}
-		})
+	for j := range el.Keep {
+		copy(x.Row(int(el.Keep[j])), xReduced.Row(j))
 	}
 	for ri := el.Rounds - 1; ri >= 0; ri-- {
 		lo, hi := el.roundBounds(ri)
-		ops := el.Ops[lo:hi]
-		if seq {
-			el.backSolveBlockOps(ops, lo, 0, len(ops), kcols, carry, x)
-			continue
-		}
-		par.ForChunkedW(workers, len(ops), func(clo, chi int) {
-			el.backSolveBlockOps(ops, lo, clo, chi, kcols, carry, x)
-		})
-	}
-}
-
-// backSolveBlockOps replays ops[clo:chi] of one elimination round across all
-// k lanes; shared by the sequential and chunk-parallel branches of
-// BackSolveBlockIntoW.
-func (el *Elimination) backSolveBlockOps(ops []ElimOp, lo, clo, chi, kcols int, carry, x *matrix.Block) {
-	for k := clo; k < chi; k++ {
-		op := &ops[k]
-		xv := x.Row(int(op.V))
-		switch op.Kind {
-		case ElimDeg0:
-			for c := 0; c < kcols; c++ {
-				xv[c] = 0
-			}
-		case ElimDeg1:
-			xa := x.Row(int(op.A))
-			crow := carry.Row(lo + k)
-			for c := 0; c < kcols; c++ {
-				xv[c] = xa[c] + crow[c]/op.W1
-			}
-		case ElimDeg2:
-			xa, xb := x.Row(int(op.A)), x.Row(int(op.B))
-			crow := carry.Row(lo + k)
-			for c := 0; c < kcols; c++ {
-				xv[c] = (op.W1*xa[c] + op.W2*xb[c] + crow[c]) / (op.W1 + op.W2)
+		for k := lo; k < hi; k++ {
+			op := &el.Ops[k]
+			xv := x.Row(int(op.V))
+			switch op.Kind {
+			case ElimDeg0:
+				for c := 0; c < kcols; c++ {
+					xv[c] = 0
+				}
+			case ElimDeg1:
+				xa := x.Row(int(op.A))
+				crow := carry.Row(k)
+				for c := 0; c < kcols; c++ {
+					xv[c] = xa[c] + crow[c]/op.W1
+				}
+			case ElimDeg2:
+				xa, xb := x.Row(int(op.A)), x.Row(int(op.B))
+				crow := carry.Row(k)
+				for c := 0; c < kcols; c++ {
+					xv[c] = (op.W1*xa[c] + op.W2*xb[c] + crow[c]) / (op.W1 + op.W2)
+				}
 			}
 		}
 	}

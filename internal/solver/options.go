@@ -15,6 +15,9 @@ type Options struct {
 	// Workers is the number of goroutines used by the solver's parallel
 	// kernels: 0 means runtime.GOMAXPROCS(0), 1 forces the sequential
 	// reference path (for the kernels listed above), and any other value is
-	// used literally.
+	// used literally. A solve of one right-hand side spends them inside each
+	// kernel; a block solve of k ≥ 2 spends them on min(Workers, k)
+	// concurrent lane groups, each running the sequential kernels, and its
+	// SolveTrace sums the groups' slots (worker time, not wall time).
 	Workers int
 }

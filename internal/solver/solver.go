@@ -8,6 +8,7 @@ import (
 	"parlap/internal/graph"
 	"parlap/internal/matrix"
 	"parlap/internal/obs"
+	"parlap/internal/par"
 	"parlap/internal/wd"
 )
 
@@ -167,15 +168,24 @@ func (s *Solver) SolveBatchTraced(bs [][]float64, eps float64, opt Options, tr *
 }
 
 // SolveBlockTraced is the allocation-free batched entry point: the k lanes
-// of rhs are solved in one block PCG run (one contiguous pass through the
+// of rhs are solved by block PCG (one contiguous pass through the
 // preconditioner chain per iteration serving every still-active lane) into
 // out, which is reshaped to rhs's shape and fully overwritten. Lane c is
 // bitwise identical to Solve on rhs's column c for every Workers setting.
 //
+// When opt.Workers resolves to p ≥ 2 and k ≥ 2, the lanes are split into
+// min(p, k) contiguous groups whose sizes differ by at most one, and each
+// group runs its own block PCG sequentially on its own pooled workspace,
+// concurrently with the others: parallelism comes from the lanes, which are
+// independent, not from inside each kernel. The trace then sums the groups'
+// slots, so it reads worker time rather than wall time. A lone lane (k = 1)
+// runs as one group whose kernels parallelize on the Workers knob.
+//
 // sts is reused for the returned stats when its capacity allows, so a
 // steady-state caller (the streaming driver) that holds rhs, out and sts
 // across windows performs zero heap allocations per solve at Workers:1 for
-// every k ≥ 1. Every chain solve runs here: SolveTraced is this at k = 1.
+// every k ≥ 1, and a bounded handful for the group fan-out otherwise.
+// Every chain solve runs here: SolveTraced is this at k = 1.
 func (s *Solver) SolveBlockTraced(rhs, out *matrix.Block, eps float64, opt Options, tr *obs.SolveTrace, sts []SolveStats) []SolveStats {
 	k := rhs.K()
 	if cap(sts) >= k {
@@ -193,19 +203,43 @@ func (s *Solver) SolveBlockTraced(rhs, out *matrix.Block, eps float64, opt Optio
 		eps = 1e-8
 	}
 	out.Reshape(rhs.N(), k)
-	w := opt.Workers
+	out.Zero()
+	groups := min(par.Resolve(opt.Workers), k)
+	if groups == 1 {
+		ws := s.solveLanes(opt.Workers, rhs, 0, k, eps, out, sts)
+		if tr != nil {
+			*tr = ws.trace
+		}
+		s.Chain.ws.put(ws)
+		return sts
+	}
+	wss := make([]*workspace, groups)
+	par.TasksW(groups, groups, func(g int) {
+		wss[g] = s.solveLanes(1, rhs, g*k/groups, (g+1)*k/groups, eps, out, sts)
+	})
+	var sum obs.SolveTrace
+	for _, ws := range wss {
+		sum.Add(&ws.trace)
+		s.Chain.ws.put(ws)
+	}
+	if tr != nil {
+		*tr = sum
+	}
+	return sts
+}
+
+// solveLanes solves lanes lo … hi−1 of rhs into their columns of out (zeroed
+// by the caller) and stats on a workspace drawn from the chain's pool, and
+// returns that workspace, its trace filled in, for the caller to release.
+func (s *Solver) solveLanes(workers int, rhs *matrix.Block, lo, hi int, eps float64, out *matrix.Block, sts []SolveStats) *workspace {
 	t0 := time.Now()
-	ws := s.Chain.ws.get(s.Chain, k)
+	ws := s.Chain.ws.get(s.Chain, hi-lo)
 	ws.trace.WorkspaceNS = time.Since(t0).Nanoseconds()
 	ws.trace.Levels = len(s.Chain.Levels)
 	tOuter := time.Now()
-	pcgFlexibleBlock(w, s.Lap, s.Chain, rhs, s.CompIdx, eps, s.MaxIter, ws, out, sts)
+	pcgFlexibleBlock(workers, s.Lap, s.Chain, rhs, lo, hi, s.CompIdx, eps, s.MaxIter, ws, out, sts)
 	ws.trace.OuterNS = time.Since(tOuter).Nanoseconds()
-	if tr != nil {
-		*tr = ws.trace
-	}
-	s.Chain.ws.put(ws)
-	return sts
+	return ws
 }
 
 // Residual returns ‖b − L x‖₂ / ‖b‖₂ with b projected per component.

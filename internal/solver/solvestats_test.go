@@ -6,6 +6,7 @@ import (
 
 	"parlap/internal/gen"
 	"parlap/internal/graph"
+	"parlap/internal/matrix"
 	"parlap/internal/wd"
 )
 
@@ -143,6 +144,36 @@ func TestOneWorkspacePool(t *testing.T) {
 				t.Fatalf("MemoryBytes %d, want input + chain %d", got, want)
 			}
 		})
+	}
+}
+
+// TestWorkspacePoolChargesGroupGrowth: the lane groups of one block solve
+// hold their workspaces at once, and each grows (to its width, and by the
+// outer PCG scratch) while checked out. The pool charges that growth when
+// it happens, so after one 2-group solve of a fresh solver the peak is the
+// sum of both grown workspaces — not one of them plus the other's
+// footprint at checkout.
+func TestWorkspacePoolChargesGroupGrowth(t *testing.T) {
+	g := gen.Grid2D(20, 20)
+	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 5 // groups of 2 and 3 lanes at Workers:2
+	var rhs, out matrix.Block
+	rhs.Reshape(g.N, k)
+	for c := 0; c < k; c++ {
+		rhs.SetCol(c, randRHS(g.N, int64(40+c)))
+	}
+	s.SolveBlockTraced(&rhs, &out, 1e-8, Options{Workers: 2}, nil, nil)
+	var want int64
+	for _, lanes := range []int{2, 3} {
+		ws := newWorkspace(s.Chain, lanes)
+		ws.ensureOuter(s.Lap.N, lanes)
+		want += ws.bytes()
+	}
+	if got := s.WorkspaceBytes(); got != want {
+		t.Fatalf("WorkspaceBytes %d after a 2-group solve, want both workspaces %d", got, want)
 	}
 }
 

@@ -38,8 +38,11 @@ type workspace struct {
 	lvl []levelWS
 	bot bottomWS
 
-	// charged is the byte footprint recorded by wsPool.get, so put can
-	// reconcile growth that happened while checked out (ensureOuter).
+	// pool is the wsPool the workspace is checked out of (nil for one held
+	// directly) and charged the footprint it has charged there. Growth
+	// while checked out (ensureOuter) is charged as it happens, so
+	// workspaces that grow while out together all show in the pool's peak.
+	pool    *wsPool
 	charged int64
 
 	// outer PCG scratch, built lazily by ensureOuter (chain-only workspaces
@@ -146,6 +149,9 @@ func (ws *workspace) ensureOuter(n, k int) {
 	ws.pcgScal = growFloats(ws.pcgScal, 13*k)
 	ws.pcgLane = growInts(ws.pcgLane, 2*k)
 	ws.pcgCol = growFloats(ws.pcgCol, n)
+	if ws.pool != nil {
+		ws.pool.charge(ws)
+	}
 }
 
 // bytes estimates the workspace's retained footprint (backing capacities —
@@ -201,21 +207,27 @@ func (p *wsPool) get(c *Chain, k int) *workspace {
 		ws.grow(k)
 	}
 	ws.trace.Reset()
-	ws.charged = ws.bytes()
-	p.raise(p.outstanding.Add(ws.charged))
+	ws.pool, ws.charged = p, 0
+	p.charge(ws)
 	return ws
 }
 
-// put returns a workspace to the pool, reconciling any growth that happened
-// while it was checked out (the outer driver's lazy ensureOuter): the
-// workspace is released at its CURRENT footprint, so outstanding never
-// drifts and peak reflects the scratch the pool really retains.
-func (p *wsPool) put(ws *workspace) {
-	b := ws.bytes()
-	if b != ws.charged {
+// charge brings outstanding (and so peak) up to date with ws's current
+// footprint.
+func (p *wsPool) charge(ws *workspace) {
+	if b := ws.bytes(); b != ws.charged {
 		p.raise(p.outstanding.Add(b - ws.charged))
+		ws.charged = b
 	}
-	p.outstanding.Add(-b)
+}
+
+// put returns a workspace to the pool, releasing the footprint it charged.
+// Every growth while checked out was charged when it happened, so
+// outstanding never drifts and peak reflects the scratch the pool really
+// retains.
+func (p *wsPool) put(ws *workspace) {
+	p.outstanding.Add(-ws.charged)
+	ws.pool = nil
 	p.pool.Put(ws)
 }
 
