@@ -55,7 +55,7 @@ func SpectralSparsifier(g *graph.Graph, q, jlDims int, seed int64) (*graph.Graph
 	}
 	// Approximate leverage scores w_e·R_eff(e) = w_e·‖Z(χ_u − χ_v)‖².
 	lev := make([]float64, m)
-	par.ForChunked(m, func(lo, hi int) {
+	par.ForChunkedW(0, m, func(lo, hi int) {
 		for eIdx := lo; eIdx < hi; eIdx++ {
 			e := g.Edges[eIdx]
 			r := 0.0

@@ -8,8 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,17 +61,7 @@ type Router struct {
 	start  time.Time
 
 	counters map[string]*nodeCounters
-
-	ridSeq    atomic.Int64
-	ridPrefix string
-
-	mu   sync.Mutex
-	http map[routeCode]int64
-}
-
-type routeCode struct {
-	route string
-	code  int
+	reqs     *obs.Requests // request ids, route/status counter, request log
 }
 
 // NewRouter validates cfg, builds the ring, and starts the health prober.
@@ -98,15 +86,14 @@ func NewRouter(cfg Config) (*Router, error) {
 		log = slog.Default()
 	}
 	rt := &Router{
-		ring:      ring,
-		prober:    NewProber(ring.Nodes(), cfg.Probe, client, log),
-		cfg:       cfg,
-		client:    client,
-		log:       log,
-		start:     time.Now(),
-		counters:  make(map[string]*nodeCounters, len(cfg.Nodes)),
-		ridPrefix: fmt.Sprintf("rtr%d", time.Now().UnixNano()%1e9),
-		http:      make(map[routeCode]int64),
+		ring:     ring,
+		prober:   NewProber(ring.Nodes(), cfg.Probe, client, log),
+		cfg:      cfg,
+		client:   client,
+		log:      log,
+		start:    time.Now(),
+		counters: make(map[string]*nodeCounters, len(cfg.Nodes)),
+		reqs:     obs.NewRequests(fmt.Sprintf("rtr%d", time.Now().UnixNano()%1e9), "router_request", log),
 	}
 	for _, n := range ring.Nodes() {
 		rt.counters[n.Name] = &nodeCounters{}
@@ -128,121 +115,17 @@ func (rt *Router) Ring() *Ring { return rt.ring }
 // router answers /healthz, /metrics and /ring itself.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /graphs", rt.route("register", rt.handleRegister))
-	mux.HandleFunc("GET /graphs", rt.route("list", rt.handleListMerge))
-	mux.HandleFunc("/graphs/{id}", rt.route("graph", rt.handleGraph))
-	mux.HandleFunc("/graphs/{id}/{rest...}", rt.route("graph", rt.handleGraph))
-	mux.HandleFunc("GET /healthz", rt.route("healthz", rt.handleHealthz))
-	mux.HandleFunc("GET /metrics", rt.route("metrics", rt.handleMetrics))
-	mux.HandleFunc("GET /ring", rt.route("ring", rt.handleRing))
-	mux.HandleFunc("/", rt.route("not_found", func(w http.ResponseWriter, r *http.Request) {
-		rt.writeError(w, r, http.StatusNotFound, "no such route: %s %s", r.Method, r.URL.Path)
+	mux.HandleFunc("POST /graphs", rt.reqs.Route("register", rt.handleRegister))
+	mux.HandleFunc("GET /graphs", rt.reqs.Route("list", rt.handleListMerge))
+	mux.HandleFunc("/graphs/{id}", rt.reqs.Route("graph", rt.handleGraph))
+	mux.HandleFunc("/graphs/{id}/{rest...}", rt.reqs.Route("graph", rt.handleGraph))
+	mux.HandleFunc("GET /healthz", rt.reqs.Route("healthz", rt.handleHealthz))
+	mux.HandleFunc("GET /metrics", rt.reqs.Route("metrics", rt.handleMetrics))
+	mux.HandleFunc("GET /ring", rt.reqs.Route("ring", rt.handleRing))
+	mux.HandleFunc("/", rt.reqs.Route("not_found", func(w http.ResponseWriter, r *http.Request) {
+		obs.WriteError(w, r, http.StatusNotFound, "no such route: %s %s", r.Method, r.URL.Path)
 	}))
 	return mux
-}
-
-// --- request plumbing (mirrors the service's route wrapper) ---
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-func (w *statusWriter) code() int {
-	if w.status == 0 {
-		return http.StatusOK
-	}
-	return w.status
-}
-
-// ValidRequestID reports whether an inbound X-Request-ID is safe to adopt:
-// bounded length, conservative charset (it lands in logs and headers
-// verbatim).
-func ValidRequestID(rid string) bool {
-	if rid == "" || len(rid) > 64 {
-		return false
-	}
-	for i := 0; i < len(rid); i++ {
-		c := rid[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
-		case c == '-' || c == '_' || c == '.':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// route wraps a handler with request-id adoption/minting, the route/status
-// counter, and one structured log line per request. An inbound X-Request-ID
-// (from a client correlating its own calls) is kept if it is sane; the
-// proxy path forwards it to the shard, so one id names the request across
-// router and node logs.
-func (rt *Router) route(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rid := r.Header.Get("X-Request-ID")
-		if !ValidRequestID(rid) {
-			rid = fmt.Sprintf("%s-%06d", rt.ridPrefix, rt.ridSeq.Add(1))
-			r.Header.Set("X-Request-ID", rid)
-		}
-		w.Header().Set("X-Request-ID", rid)
-		sw := &statusWriter{ResponseWriter: w}
-		t0 := time.Now()
-		h(sw, r)
-		code := sw.code()
-		rt.mu.Lock()
-		rt.http[routeCode{name, code}]++
-		rt.mu.Unlock()
-		rt.log.Info("router_request",
-			"request_id", rid,
-			"route", name,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", code,
-			"duration_ms", float64(time.Since(t0).Microseconds())/1000,
-		)
-	}
-}
-
-type errorResponse struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (rt *Router) writeError(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{
-		Error:     fmt.Sprintf(format, args...),
-		RequestID: r.Header.Get("X-Request-ID"),
-	})
 }
 
 // --- proxying ---
@@ -322,7 +205,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, key string, body
 		}
 		req, err := http.NewRequestWithContext(r.Context(), r.Method, n.URL+r.URL.RequestURI(), rdr)
 		if err != nil {
-			rt.writeError(w, r, http.StatusInternalServerError, "building upstream request: %v", err)
+			obs.WriteError(w, r, http.StatusInternalServerError, "building upstream request: %v", err)
 			return
 		}
 		copyProxyHeaders(req.Header, r.Header)
@@ -348,7 +231,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, key string, body
 		rt.relay(w, resp)
 		return
 	}
-	rt.writeError(w, r, http.StatusBadGateway,
+	obs.WriteError(w, r, http.StatusBadGateway,
 		"upstream %s unreachable: %v", lastNode, lastErr)
 }
 
@@ -391,17 +274,17 @@ const maxRegisterBytes = 1 << 29
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxRegisterBytes+1))
 	if err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, "reading request body: %v", err)
+		obs.WriteError(w, r, http.StatusBadRequest, "reading request body: %v", err)
 		return
 	}
 	if len(body) > maxRegisterBytes {
-		rt.writeError(w, r, http.StatusRequestEntityTooLarge,
+		obs.WriteError(w, r, http.StatusRequestEntityTooLarge,
 			"request body exceeds %d bytes", int64(maxRegisterBytes))
 		return
 	}
 	key, err := rt.cfg.RegisterKey(body)
 	if err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, "bad graph payload: %v", err)
+		obs.WriteError(w, r, http.StatusBadRequest, "bad graph payload: %v", err)
 		return
 	}
 	rt.proxy(w, r, key, body, true, nil)
@@ -432,7 +315,7 @@ func (rt *Router) handleGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	body, replayable, err := rt.readForRetry(r.Body)
 	if err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, "reading request body: %v", err)
+		obs.WriteError(w, r, http.StatusBadRequest, "reading request body: %v", err)
 		return
 	}
 	if !replayable {
@@ -451,7 +334,7 @@ func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, key string
 	c := rt.counters[n.Name]
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, n.URL+r.URL.RequestURI(), r.Body)
 	if err != nil {
-		rt.writeError(w, r, http.StatusInternalServerError, "building upstream request: %v", err)
+		obs.WriteError(w, r, http.StatusInternalServerError, "building upstream request: %v", err)
 		return
 	}
 	copyProxyHeaders(req.Header, r.Header)
@@ -461,7 +344,7 @@ func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, key string
 	if err != nil {
 		c.errors.Add(1)
 		rt.prober.ReportFailure(n.Name, err)
-		rt.writeError(w, r, http.StatusBadGateway, "upstream %s unreachable: %v", n.Name, err)
+		obs.WriteError(w, r, http.StatusBadGateway, "upstream %s unreachable: %v", n.Name, err)
 		return
 	}
 	rt.relay(w, resp)
@@ -507,14 +390,14 @@ func (rt *Router) handleListMerge(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if asked == 0 {
-		rt.writeError(w, r, http.StatusBadGateway, "no shard reachable")
+		obs.WriteError(w, r, http.StatusBadGateway, "no shard reachable")
 		return
 	}
 	sort.Strings(merged)
 	if merged == nil {
 		merged = []string{}
 	}
-	writeJSON(w, http.StatusOK, map[string][]string{"graphs": merged})
+	obs.WriteJSON(w, http.StatusOK, map[string][]string{"graphs": merged})
 }
 
 // ringInfo is the GET /ring reply.
@@ -538,7 +421,7 @@ func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
 			info.Order = append(info.Order, n.Name)
 		}
 	}
-	writeJSON(w, http.StatusOK, info)
+	obs.WriteJSON(w, http.StatusOK, info)
 }
 
 // routerHealth is the GET /healthz reply.
@@ -560,7 +443,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	writeJSON(w, http.StatusOK, routerHealth{
+	obs.WriteJSON(w, http.StatusOK, routerHealth{
 		Status:    status,
 		UptimeSec: time.Since(rt.start).Seconds(),
 		Nodes:     nodes,
@@ -600,26 +483,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		e.Int("parlap_router_node_up", []obs.Label{{K: "node", V: n.Name}}, up)
 	}
 
-	rt.mu.Lock()
-	keys := make([]routeCode, 0, len(rt.http))
-	counts := make(map[routeCode]int64, len(rt.http))
-	for k, v := range rt.http {
-		keys = append(keys, k)
-		counts[k] = v
-	}
-	rt.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].route != keys[j].route {
-			return keys[i].route < keys[j].route
-		}
-		return keys[i].code < keys[j].code
-	})
-	e.Header("parlap_router_http_requests_total", "Finished router HTTP requests by route and status.", "counter")
-	for _, k := range keys {
-		e.Int("parlap_router_http_requests_total",
-			[]obs.Label{{K: "route", V: k.route}, {K: "code", V: strconv.Itoa(k.code)}},
-			counts[k])
-	}
+	rt.reqs.WriteCounts(e, "parlap_router_http_requests_total", "Finished router HTTP requests by route and status.")
 	if err := e.Flush(); err != nil {
 		rt.log.Warn("metrics_write_failed", "err", err)
 	}

@@ -124,7 +124,7 @@ func (g *Graph) Neighbors(u int, fn func(v int, w float64, id int)) {
 
 // TotalWeight returns the sum of all edge weights.
 func (g *Graph) TotalWeight() float64 {
-	return par.SumFloat64(len(g.Edges), func(i int) float64 { return g.Edges[i].W })
+	return par.SumFloat64W(0, len(g.Edges), func(i int) float64 { return g.Edges[i].W })
 }
 
 // Clone returns a deep copy of the graph.

@@ -387,68 +387,12 @@ func TestMSTKruskalSimple(t *testing.T) {
 	}
 }
 
-func TestMSTBoruvkaMatchesKruskal(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		n := 50 + rng.Intn(100)
-		var edges []Edge
-		for i := 1; i < n; i++ {
-			edges = append(edges, Edge{rng.Intn(i), i, 1 + rng.Float64()*10})
-		}
-		for i := 0; i < n; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				edges = append(edges, Edge{u, v, 1 + rng.Float64()*10})
-			}
-		}
-		g := FromEdges(n, edges)
-		wk := mstWeight(g, g.MSTKruskal())
-		wb := mstWeight(g, g.MSTBoruvka(nil))
-		if math.Abs(wk-wb) > 1e-9 {
-			t.Fatalf("trial %d: Kruskal %v vs Borůvka %v", trial, wk, wb)
-		}
-	}
-}
-
-func TestMSTBoruvkaForest(t *testing.T) {
-	// Two disjoint triangles: MSF has 4 edges.
-	g := FromEdges(6, []Edge{
-		{0, 1, 1}, {1, 2, 2}, {0, 2, 3},
-		{3, 4, 1}, {4, 5, 2}, {3, 5, 3},
-	})
-	tree := g.MSTBoruvka(nil)
-	if len(tree) != 4 {
-		t.Fatalf("forest size = %d, want 4", len(tree))
-	}
-	if w := mstWeight(g, tree); w != 6 {
-		t.Fatalf("forest weight = %v, want 6", w)
-	}
-}
-
 func TestMSTEqualWeights(t *testing.T) {
-	// All weights equal: any spanning tree is minimal; algorithms must
-	// terminate and produce n-1 edges.
+	// All weights equal: any spanning tree is minimal; Kruskal must
+	// produce n-1 edges.
 	g := FromEdges(5, []Edge{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {4, 0, 1}, {0, 2, 1}})
 	if len(g.MSTKruskal()) != 4 {
 		t.Fatal("Kruskal wrong size on equal weights")
-	}
-	if len(g.MSTBoruvka(nil)) != 4 {
-		t.Fatal("Borůvka wrong size on equal weights")
-	}
-}
-
-func TestSpanningForestEdges(t *testing.T) {
-	g := FromEdges(6, []Edge{{0, 1, 1}, {1, 2, 1}, {0, 2, 1}, {3, 4, 1}})
-	forest := g.SpanningForestEdges()
-	if len(forest) != 3 { // 2 for the triangle component + 1 for {3,4}
-		t.Fatalf("forest size = %d, want 3", len(forest))
-	}
-	uf := NewUnionFind(6)
-	for _, id := range forest {
-		e := g.Edges[id]
-		if !uf.Union(e.U, e.V) {
-			t.Fatal("forest contains a cycle")
-		}
 	}
 }
 

@@ -1,11 +1,6 @@
 package graph
 
-import (
-	"sort"
-
-	"parlap/internal/par"
-	"parlap/internal/wd"
-)
+import "sort"
 
 // MSTKruskal returns the edge ids of a minimum spanning forest (weights as
 // lengths), computed by Kruskal's algorithm. Deterministic: ties broken by
@@ -20,122 +15,6 @@ func (g *Graph) MSTKruskal() []int {
 			tree = append(tree, id)
 			if len(tree) == g.N-1 {
 				break
-			}
-		}
-	}
-	sort.Ints(tree)
-	return tree
-}
-
-// MSTBoruvka returns the edge ids of a minimum spanning forest using
-// Borůvka's algorithm with parallel minimum-edge selection per component —
-// the classically parallel MST with O(log n) rounds. Ties are broken by
-// (weight, edge id), which also guarantees termination on equal weights.
-//
-// The recorder is charged work = half-edges scanned per round and depth = 1
-// per round.
-func (g *Graph) MSTBoruvka(rec *wd.Recorder) []int {
-	n := len(g.Edges)
-	uf := NewUnionFind(g.N)
-	inTree := make([]bool, n)
-	comp := make([]int32, g.N) // root label per vertex, refreshed each round
-	type cand struct {
-		w  float64
-		id int32
-	}
-	better := func(a cand, b cand) bool {
-		return a.w < b.w || (a.w == b.w && a.id < b.id)
-	}
-	for round := 0; ; round++ {
-		// Refresh read-only component labels so the parallel scan does not
-		// race on union-find path compression.
-		for v := 0; v < g.N; v++ {
-			comp[v] = int32(uf.Find(v))
-		}
-		if uf.Count() <= 1 || n == 0 {
-			break
-		}
-		// Lightest outgoing edge per component root: chunk-local minima
-		// merged sequentially (deterministic tie-break by edge id).
-		chunks := par.Workers() * 4
-		if chunks > n {
-			chunks = n
-		}
-		chunk := (n + chunks - 1) / chunks
-		numChunks := (n + chunk - 1) / chunk
-		locals := make([]map[int32]cand, numChunks)
-		par.For(numChunks, func(c int) {
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			l := make(map[int32]cand)
-			for id := lo; id < hi; id++ {
-				e := g.Edges[id]
-				cu, cv := comp[e.U], comp[e.V]
-				if cu == cv {
-					continue
-				}
-				cd := cand{e.W, int32(id)}
-				for _, side := range [2]int32{cu, cv} {
-					if best, ok := l[side]; !ok || better(cd, best) {
-						l[side] = cd
-					}
-				}
-			}
-			locals[c] = l
-		})
-		cheapest := make(map[int32]cand)
-		for _, l := range locals {
-			for c, cd := range l {
-				if best, ok := cheapest[c]; !ok || better(cd, best) {
-					cheapest[c] = cd
-				}
-			}
-		}
-		rec.Add(int64(n), 1)
-		progress := false
-		for _, cd := range cheapest {
-			e := g.Edges[cd.id]
-			if uf.Union(e.U, e.V) {
-				inTree[cd.id] = true
-				progress = true
-			}
-		}
-		if !progress {
-			break // remaining components are mutually disconnected
-		}
-	}
-	var tree []int
-	for id, in := range inTree {
-		if in {
-			tree = append(tree, id)
-		}
-	}
-	return tree
-}
-
-// SpanningForestEdges returns edge ids of an arbitrary spanning forest
-// (BFS-based), useful where minimality is not needed.
-func (g *Graph) SpanningForestEdges() []int {
-	visited := make([]bool, g.N)
-	var tree []int
-	for s := 0; s < g.N; s++ {
-		if visited[s] {
-			continue
-		}
-		visited[s] = true
-		stack := []int{s}
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for i := g.Off[u]; i < g.Off[u+1]; i++ {
-				v := g.Adj[i]
-				if !visited[v] {
-					visited[v] = true
-					tree = append(tree, g.EdgeID[i])
-					stack = append(stack, v)
-				}
 			}
 		}
 	}

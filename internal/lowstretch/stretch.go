@@ -191,7 +191,7 @@ func SubgraphStretchExact(g *graph.Graph, sub []int) ([]float64, StretchStats) {
 	h := subgraphOf(g, sub)
 	m := len(g.Edges)
 	str := make([]float64, m)
-	par.ForChunked(m, func(lo, hi int) {
+	par.ForChunkedW(0, m, func(lo, hi int) {
 		buf := h.NewDistBuffer() // one epoch-stamped scratch per chunk
 		for i := lo; i < hi; i++ {
 			e := g.Edges[i]
@@ -217,7 +217,7 @@ func SubgraphStretchSampled(g *graph.Graph, sub []int, k int, rng *rand.Rand) St
 	}
 	idx := rng.Perm(m)[:k]
 	str := make([]float64, k)
-	par.ForChunked(k, func(lo, hi int) {
+	par.ForChunkedW(0, k, func(lo, hi int) {
 		buf := h.NewDistBuffer() // one epoch-stamped scratch per chunk
 		for i := lo; i < hi; i++ {
 			e := g.Edges[idx[i]]

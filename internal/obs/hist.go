@@ -1,10 +1,13 @@
 // Package obs is the telemetry layer: log-bucketed latency histograms with
-// lock-free sharded atomic recording, fixed-slot per-solve stage traces, and
-// a hand-rolled Prometheus text exposition writer. Everything is stdlib-only
-// and allocation-free on the record path, so the solver's zero-alloc
-// steady-state apply path can carry stage timers and the serving layer can
-// observe every solve without perturbing either arithmetic (telemetry never
-// touches data values) or the allocation wall.
+// lock-free sharded atomic recording, fixed-slot per-solve stage traces, a
+// hand-rolled Prometheus text exposition writer, and the HTTP request
+// pipeline (request ids, route/status counts, request logs, the error
+// envelope) that the service and the cluster router share. Everything is
+// stdlib-only, and the histograms and traces are allocation-free on the
+// record path, so the solver's zero-alloc steady-state apply path can carry
+// stage timers and the serving layer can observe every solve without
+// perturbing either arithmetic (telemetry never touches data values) or the
+// allocation wall.
 package obs
 
 import (

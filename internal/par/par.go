@@ -2,12 +2,10 @@
 // parallel for-loops, reductions, prefix sums (scans) and chunked map
 // operations.
 //
-// Every primitive comes in two forms: the plain form (For, SumFloat64, ...)
-// which uses runtime.GOMAXPROCS(0) workers, and a W-suffixed form
-// (ForW, SumFloat64W, ...) taking an explicit worker count as its first
-// argument — 0 means GOMAXPROCS, 1 forces sequential execution. The solver
-// threads its Options.Workers knob through the W forms, which is what makes
-// parallel/sequential equivalence testable.
+// Every primitive (ForW, SumFloat64W, ...) takes an explicit worker count as
+// its first argument — 0 means GOMAXPROCS, 1 forces sequential execution.
+// The solver threads its Options.Workers knob through it, which is what
+// makes parallel/sequential equivalence testable.
 //
 // All primitives are deterministic with respect to their results: reductions
 // and scans fold fixed-size chunks (reduceGrain elements) in chunk order, so
@@ -122,11 +120,8 @@ func grainBounds(c, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// For runs body(i) for every i in [0, n) using the default worker count.
-// body must be safe to call concurrently for distinct i.
-func For(n int, body func(i int)) { ForW(0, n, body) }
-
-// ForW is For with an explicit worker count (0 = GOMAXPROCS, 1 = sequential).
+// ForW runs body(i) for every i in [0, n). body must be safe to call
+// concurrently for distinct i.
 func ForW(workers, n int, body func(i int)) {
 	ForChunkedW(workers, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -135,12 +130,9 @@ func ForW(workers, n int, body func(i int)) {
 	})
 }
 
-// ForChunked splits [0, n) into contiguous chunks and runs body(lo, hi) on
+// ForChunkedW splits [0, n) into contiguous chunks and runs body(lo, hi) on
 // each chunk in parallel. It is the preferred form when the body has
 // per-chunk setup cost (e.g. a local buffer).
-func ForChunked(n int, body func(lo, hi int)) { ForChunkedW(0, n, body) }
-
-// ForChunkedW is ForChunked with an explicit worker count.
 func ForChunkedW(workers, n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -178,10 +170,7 @@ func TasksW(workers, numTasks int, task func(c int)) {
 	runTasks(Resolve(workers), numTasks, task)
 }
 
-// Do runs the given functions concurrently and waits for all of them.
-func Do(fns ...func()) { DoW(0, fns...) }
-
-// DoW is Do with an explicit worker count.
+// DoW runs the given functions concurrently and waits for all of them.
 func DoW(workers int, fns ...func()) {
 	if len(fns) == 0 {
 		return
@@ -226,10 +215,7 @@ func ReduceFloat64W(workers, n int, id float64, f func(i int) float64, op func(a
 	return acc
 }
 
-// SumFloat64 returns the sum of f(i) over [0, n).
-func SumFloat64(n int, f func(i int) float64) float64 { return SumFloat64W(0, n, f) }
-
-// SumFloat64W is SumFloat64 with an explicit worker count.
+// SumFloat64W returns the sum of f(i) over [0, n).
 func SumFloat64W(workers, n int, f func(i int) float64) float64 {
 	return ReduceFloat64W(workers, n, 0, f, func(a, b float64) float64 { return a + b })
 }
@@ -268,13 +254,10 @@ func SumIntW(workers, n int, f func(i int) int) int {
 	return ReduceIntW(workers, n, 0, f, func(a, b int) int { return a + b })
 }
 
-// Scan computes the exclusive prefix sum of src into a new slice of length
+// ScanW computes the exclusive prefix sum of src into a new slice of length
 // len(src)+1: out[0]=0, out[i+1]=out[i]+src[i]. The final element is the
 // total. This is the paper's plus-scan; it runs in O(n) work and two-pass
 // O(n/p + p) depth.
-func Scan(src []int) []int { return ScanW(0, src) }
-
-// ScanW is Scan with an explicit worker count.
 func ScanW(workers int, src []int) []int {
 	n := len(src)
 	out := make([]int, n+1)
@@ -716,9 +699,6 @@ func SortW[T any](workers int, xs []T, less func(a, b T) bool) {
 		copy(xs, src)
 	}
 }
-
-// Sort is SortW with the default worker count.
-func Sort[T any](xs []T, less func(a, b T) bool) { SortW(0, xs, less) }
 
 // sortGrain is the leaf size of SortW's parallel merge sort; sortRun the
 // length of the insertion-sorted runs each leaf starts from.

@@ -10,7 +10,7 @@ import (
 func TestForCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 7, SequentialThreshold - 1, SequentialThreshold, 100000} {
 		seen := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&seen[i], 1) })
+		ForW(0, n, func(i int) { atomic.AddInt32(&seen[i], 1) })
 		for i, c := range seen {
 			if c != 1 {
 				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
@@ -22,7 +22,7 @@ func TestForCoversAllIndices(t *testing.T) {
 func TestForChunkedPartition(t *testing.T) {
 	n := 50000
 	seen := make([]int32, n)
-	ForChunked(n, func(lo, hi int) {
+	ForChunkedW(0, n, func(lo, hi int) {
 		if lo < 0 || hi > n || lo > hi {
 			t.Errorf("bad chunk [%d,%d)", lo, hi)
 		}
@@ -39,21 +39,21 @@ func TestForChunkedPartition(t *testing.T) {
 
 func TestDoRunsAll(t *testing.T) {
 	var a, b, c int32
-	Do(
+	DoW(0,
 		func() { atomic.StoreInt32(&a, 1) },
 		func() { atomic.StoreInt32(&b, 2) },
 		func() { atomic.StoreInt32(&c, 3) },
 	)
 	if a != 1 || b != 2 || c != 3 {
-		t.Fatalf("Do did not run all functions: %d %d %d", a, b, c)
+		t.Fatalf("DoW did not run all functions: %d %d %d", a, b, c)
 	}
 }
 
 func TestDoSingle(t *testing.T) {
 	ran := false
-	Do(func() { ran = true })
+	DoW(0, func() { ran = true })
 	if !ran {
-		t.Fatal("single Do did not run")
+		t.Fatal("single DoW did not run")
 	}
 }
 
@@ -76,7 +76,7 @@ func TestSumFloat64MatchesSequential(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.Float64()
 	}
-	got := SumFloat64(n, func(i int) float64 { return xs[i] })
+	got := SumFloat64W(0, n, func(i int) float64 { return xs[i] })
 	seq := 0.0
 	for _, v := range xs {
 		seq += v
@@ -209,7 +209,7 @@ func BenchmarkParallelFor(b *testing.B) {
 	dst := make([]float64, n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		For(n, func(j int) { dst[j] = float64(j) * 1.5 })
+		ForW(0, n, func(j int) { dst[j] = float64(j) * 1.5 })
 	}
 }
 

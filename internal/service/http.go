@@ -133,46 +133,26 @@ func solveTimingsJSON(tr *obs.SolveTrace) *SolveTimings {
 	return out
 }
 
-// errorResponse is the uniform JSON error envelope: every error path of
-// every route returns it, carrying the request id the route wrapper minted
-// so clients and logs can be joined.
-type errorResponse struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
 // Handler returns the service's HTTP handler. Every route runs through
-// s.route, which mints the request id, counts the request in /metrics, and
-// writes one structured log line. Unmatched paths get the JSON error
-// envelope from the catch-all (which also means a wrong-method request gets
-// a JSON 404 rather than the mux's plain-text 405 — the envelope is the
-// API's contract).
+// s.reqs (obs.Requests), which adopts or mints the request id, counts the
+// request in /metrics, and writes one "http_request" log line; every error
+// path returns obs.ErrorResponse, the JSON envelope carrying that id.
+// Unmatched paths get the envelope from the catch-all (which also means a
+// wrong-method request gets a JSON 404 rather than the mux's plain-text 405
+// — the envelope is the API's contract).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /graphs", s.route("register", s.handleRegister))
-	mux.HandleFunc("GET /graphs", s.route("list", s.handleList))
-	mux.HandleFunc("POST /graphs/{id}/solve", s.route("solve", s.handleSolve))
-	mux.HandleFunc("POST /graphs/{id}/solve/stream", s.route("solve_stream", s.handleSolveStream))
-	mux.HandleFunc("GET /graphs/{id}/stats", s.route("stats", s.handleStats))
-	mux.HandleFunc("GET /healthz", s.route("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /metrics", s.route("metrics", s.handleMetrics))
-	mux.HandleFunc("/", s.route("not_found", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, r, http.StatusNotFound, "no such route: %s %s", r.Method, r.URL.Path)
+	mux.HandleFunc("POST /graphs", s.reqs.Route("register", s.handleRegister))
+	mux.HandleFunc("GET /graphs", s.reqs.Route("list", s.handleList))
+	mux.HandleFunc("POST /graphs/{id}/solve", s.reqs.Route("solve", s.handleSolve))
+	mux.HandleFunc("POST /graphs/{id}/solve/stream", s.reqs.Route("solve_stream", s.handleSolveStream))
+	mux.HandleFunc("GET /graphs/{id}/stats", s.reqs.Route("stats", s.handleStats))
+	mux.HandleFunc("GET /healthz", s.reqs.Route("healthz", s.handleHealthz))
+	mux.HandleFunc("GET /metrics", s.reqs.Route("metrics", s.handleMetrics))
+	mux.HandleFunc("/", s.reqs.Route("not_found", func(w http.ResponseWriter, r *http.Request) {
+		obs.WriteError(w, r, http.StatusNotFound, "no such route: %s %s", r.Method, r.URL.Path)
 	}))
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{
-		Error:     fmt.Sprintf(format, args...),
-		RequestID: requestID(r.Context()),
-	})
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -241,11 +221,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	g, source, err := graphFromRequest(&req)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "bad graph payload: %v", err)
+		obs.WriteError(w, r, http.StatusBadRequest, "bad graph payload: %v", err)
 		return
 	}
 	if g.N == 0 {
-		writeError(w, r, http.StatusBadRequest, "empty graph")
+		obs.WriteError(w, r, http.StatusBadRequest, "empty graph")
 		return
 	}
 	e, cached, err := s.Register(r.Context(), g, source)
@@ -253,19 +233,19 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		var tl *TooLargeError
 		switch {
 		case errors.As(err, &tl):
-			writeError(w, r, http.StatusBadRequest, "%v", err)
+			obs.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		case errors.Is(err, ErrBuildAborted):
-			writeError(w, r, http.StatusServiceUnavailable, "%v", err)
+			obs.WriteError(w, r, http.StatusServiceUnavailable, "%v", err)
 		case errors.Is(err, r.Context().Err()) && r.Context().Err() != nil:
-			writeError(w, r, http.StatusServiceUnavailable, "request expired in build queue: %v", err)
+			obs.WriteError(w, r, http.StatusServiceUnavailable, "request expired in build queue: %v", err)
 		default:
-			writeError(w, r, http.StatusInternalServerError, "chain build failed: %v", err)
+			obs.WriteError(w, r, http.StatusInternalServerError, "chain build failed: %v", err)
 		}
 		return
 	}
 	// e.levels, not e.solver.Chain.Depth(): the entry may already have been
 	// evicted and its solver reclaimed by the time the response is written.
-	writeJSON(w, http.StatusOK, RegisterResponse{
+	obs.WriteJSON(w, http.StatusOK, RegisterResponse{
 		ID: e.id, N: e.n, M: e.m, Cached: cached,
 		BuildMS: float64(e.buildDur.Microseconds()) / 1000,
 		Levels:  e.levels,
@@ -273,7 +253,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]string{"graphs": s.List()})
+	obs.WriteJSON(w, http.StatusOK, map[string][]string{"graphs": s.List()})
 }
 
 // handleSolve serves POST /graphs/{id}/solve (the codec is in wire.go).
@@ -290,7 +270,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	bs, eps, single, err := decodeSolveBody(*buf)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
+		obs.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	decodeNS := time.Since(tStart).Nanoseconds()
@@ -300,13 +280,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		var nf *NotFoundError
 		switch {
 		case errors.As(err, &nf):
-			writeError(w, r, http.StatusNotFound, "%v", err)
+			obs.WriteError(w, r, http.StatusNotFound, "%v", err)
 		case errors.Is(err, ErrBuildAborted):
-			writeError(w, r, http.StatusServiceUnavailable, "%v", err)
+			obs.WriteError(w, r, http.StatusServiceUnavailable, "%v", err)
 		case errors.Is(err, r.Context().Err()) && r.Context().Err() != nil:
-			writeError(w, r, http.StatusServiceUnavailable, "request expired in admission queue: %v", err)
+			obs.WriteError(w, r, http.StatusServiceUnavailable, "request expired in admission queue: %v", err)
 		default:
-			writeError(w, r, http.StatusBadRequest, "%v", err)
+			obs.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
@@ -328,15 +308,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var nf *NotFoundError
 		if errors.As(err, &nf) {
-			writeError(w, r, http.StatusNotFound, "%v", err)
+			obs.WriteError(w, r, http.StatusNotFound, "%v", err)
 			return
 		}
-		writeError(w, r, http.StatusInternalServerError, "%v", err)
+		obs.WriteError(w, r, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	obs.WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Health())
+	obs.WriteJSON(w, http.StatusOK, s.Health())
 }

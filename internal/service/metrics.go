@@ -1,13 +1,10 @@
 package service
 
 import (
-	"context"
-	"fmt"
 	"net/http"
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,8 +16,8 @@ import (
 // observation-only: counters and histograms record around the solve path,
 // never inside the arithmetic, so the bitwise determinism and zero-alloc
 // contracts of the solver are untouched. The hot-path cost is a handful of
-// atomic adds per solve; the mutex below guards only the HTTP route/code
-// table, touched once per request after the response is written.
+// atomic adds per solve; the HTTP route/status table lives in obs.Requests
+// and is touched once per request, after the response is written.
 
 // metrics is the server-wide telemetry state. Per-graph series live on the
 // entry (they must die with the eviction); everything global lives here.
@@ -40,24 +37,6 @@ type metrics struct {
 
 	streamWindows atomic.Int64
 	streamRows    atomic.Int64
-
-	mu   sync.Mutex
-	http map[routeCode]int64 // finished HTTP requests by route and status
-}
-
-type routeCode struct {
-	route string
-	code  int
-}
-
-func newMetrics() *metrics {
-	return &metrics{http: make(map[routeCode]int64)}
-}
-
-func (m *metrics) countHTTP(route string, code int) {
-	m.mu.Lock()
-	m.http[routeCode{route, code}]++
-	m.mu.Unlock()
 }
 
 // observeSolve records one finished solve (or stream window): end-to-end
@@ -86,115 +65,6 @@ func (s *Server) observeSolve(e *entry, tr *obs.SolveTrace, rhs int) {
 		e.stageNS[st].Add(ns)
 	}
 	e.stageNS[obs.StageTotal].Add(tr.TotalNS)
-}
-
-// --- request IDs ---
-
-type ridKey struct{}
-
-// nextRequestID mints a process-unique request id: a per-boot prefix (the
-// start time, so ids never collide across restarts in interleaved logs) and
-// a sequence number.
-func (s *Server) nextRequestID() string {
-	return fmt.Sprintf("%s-%06d", s.ridPrefix, s.ridSeq.Add(1))
-}
-
-// requestID extracts the request id the route wrapper stored in ctx; empty
-// when the call did not come through the HTTP layer.
-func requestID(ctx context.Context) string {
-	rid, _ := ctx.Value(ridKey{}).(string)
-	return rid
-}
-
-// --- route instrumentation ---
-
-// statusWriter records the status code a handler writes. It forwards Flush
-// so the ndjson streaming path keeps its per-row flushes, and Unwrap so
-// http.ResponseController sees through it.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-func (w *statusWriter) code() int {
-	if w.status == 0 {
-		return http.StatusOK
-	}
-	return w.status
-}
-
-// validRequestID reports whether an inbound X-Request-ID is safe to adopt:
-// bounded length and a conservative charset, since it is echoed into logs,
-// headers, and error envelopes verbatim.
-func validRequestID(rid string) bool {
-	if rid == "" || len(rid) > 64 {
-		return false
-	}
-	for i := 0; i < len(rid); i++ {
-		c := rid[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
-		case c == '-' || c == '_' || c == '.':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// route wraps a handler with the per-request plumbing: a request id (stored
-// in the context, echoed in the X-Request-ID header, stamped into every
-// error envelope), the route/status counter behind
-// parlap_http_requests_total, and one structured log line per request. A
-// sane inbound X-Request-ID — from the cluster router, or a client
-// correlating its own calls — is adopted rather than replaced, so one id
-// names the request across every hop's logs; anything else gets a minted
-// id. The route name is passed explicitly because the Go 1.22 mux does not
-// expose the matched pattern to the handler.
-func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rid := r.Header.Get("X-Request-ID")
-		if !validRequestID(rid) {
-			rid = s.nextRequestID()
-		}
-		r = r.WithContext(context.WithValue(r.Context(), ridKey{}, rid))
-		w.Header().Set("X-Request-ID", rid)
-		sw := &statusWriter{ResponseWriter: w}
-		t0 := time.Now()
-		h(sw, r)
-		code := sw.code()
-		s.met.countHTTP(name, code)
-		s.log.Info("http_request",
-			"request_id", rid,
-			"route", name,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", code,
-			"duration_ms", float64(time.Since(t0).Microseconds())/1000,
-		)
-	}
 }
 
 // --- /metrics exposition ---
@@ -399,28 +269,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// HTTP traffic.
-	s.met.mu.Lock()
-	keys := make([]routeCode, 0, len(s.met.http))
-	for k := range s.met.http {
-		keys = append(keys, k)
-	}
-	counts := make(map[routeCode]int64, len(keys))
-	for k, v := range s.met.http {
-		counts[k] = v
-	}
-	s.met.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].route != keys[j].route {
-			return keys[i].route < keys[j].route
-		}
-		return keys[i].code < keys[j].code
-	})
-	e.Header("parlap_http_requests_total", "Finished HTTP requests by route and status.", "counter")
-	for _, k := range keys {
-		e.Int("parlap_http_requests_total",
-			[]obs.Label{{K: "route", V: k.route}, {K: "code", V: fmt.Sprintf("%d", k.code)}},
-			counts[k])
-	}
+	s.reqs.WriteCounts(e, "parlap_http_requests_total", "Finished HTTP requests by route and status.")
 
 	// Go runtime.
 	var ms runtime.MemStats

@@ -86,8 +86,10 @@ type Config struct {
 	// snapshot blobs (see internal/chainio): a registration whose chain is
 	// missing from the cache first tries to restore it from the store —
 	// bit-identical to a fresh build at a fraction of the cost — and falls
-	// back to building on any miss or corruption. RestoreAll / SnapshotAll
-	// bulk-load and bulk-persist the cache around process restarts.
+	// back to building on any miss or corruption; a solve or stats read for
+	// a graph not in the cache restores it on demand. RestoreAll /
+	// SnapshotAll bulk-load and bulk-persist the cache around process
+	// restarts.
 	Snapshots chainio.BlobStore
 	// SnapshotOnBuild writes a snapshot (write-behind, off the registration's
 	// critical path) after every successful fresh build. Without it only
@@ -121,9 +123,11 @@ type Server struct {
 	log *slog.Logger
 	met *metrics
 
-	// ridPrefix/ridSeq mint per-request ids (see nextRequestID).
-	ridPrefix string
-	ridSeq    atomic.Int64
+	// reqs is the HTTP request pipeline: request ids (a per-boot prefix —
+	// the start time, so ids never collide across restarts in interleaved
+	// logs — and a sequence number), the route/status counter and the
+	// per-request log line.
+	reqs *obs.Requests
 
 	start        time.Time
 	registers    atomic.Int64 // POST /graphs requests accepted
@@ -140,13 +144,14 @@ type Server struct {
 	snapErrors atomic.Int64   // snapshot encode/decode/IO failures (all fell back safely)
 }
 
-// entry is one cached graph + its built solver. The build runs exactly once
-// (the first registrar builds; concurrent registrars of the same hash wait
-// on built), and the solver is read-only afterwards, so solves need no
-// entry-level locking — only lifecycle does: an eviction may not reclaim
-// the solver (and its pooled workspaces) while a solve or streaming window
-// is executing against it, so users of e.solver pin the entry through
-// lookupRef/release and reclamation waits for the last reference.
+// entry is one cached graph + its built solver. The load runs exactly once
+// (the caller that inserts the entry loads it; every concurrent caller for
+// the same id waits on built — see load), and the solver is read-only
+// afterwards, so solves need no entry-level locking — only lifecycle does:
+// an eviction may not reclaim the solver (and its pooled workspaces) while
+// a solve or streaming window is executing against it, so users of
+// e.solver pin the entry through lookupRef/release and reclamation waits
+// for the last reference.
 type entry struct {
 	id     string
 	source string
@@ -221,16 +226,16 @@ func New(cfg Config) *Server {
 	}
 	now := time.Now()
 	return &Server{
-		cfg:       cfg,
-		chain:     chain,
-		entries:   make(map[string]*entry),
-		lru:       list.New(),
-		admit:     newAdmitter(cfg.MaxInflight, cfg.MaxInflightPerGraph),
-		buildSem:  make(chan struct{}, cfg.MaxConcurrentBuilds),
-		log:       logger,
-		met:       newMetrics(),
-		ridPrefix: fmt.Sprintf("%08x", uint32(now.UnixNano())),
-		start:     now,
+		cfg:      cfg,
+		chain:    chain,
+		entries:  make(map[string]*entry),
+		lru:      list.New(),
+		admit:    newAdmitter(cfg.MaxInflight, cfg.MaxInflightPerGraph),
+		buildSem: make(chan struct{}, cfg.MaxConcurrentBuilds),
+		log:      logger,
+		met:      &metrics{},
+		reqs:     obs.NewRequests(fmt.Sprintf("%08x", uint32(now.UnixNano())), "http_request", logger),
+		start:    now,
 	}
 }
 
@@ -263,10 +268,11 @@ type TooLargeError struct{ msg string }
 
 func (e *TooLargeError) Error() string { return e.msg }
 
-// ErrBuildAborted marks an entry whose registrar left the build queue
-// before a build ever started (context expiry). Waiters that inherited the
-// entry should treat it as transient: the entry is removed from the cache
-// before this error is published, so re-registering retries cleanly.
+// ErrBuildAborted marks an entry whose loader — a registration, or a solve
+// or stats read restoring on demand — left the build queue before a build
+// ever started (context expiry). Waiters that inherited the entry should
+// treat it as transient: the entry is removed from the cache before this
+// error is published, so re-registering retries cleanly.
 var ErrBuildAborted = errors.New("service: chain build aborted before it started; re-register to retry")
 
 // Register inserts g into the cache (building its chain if absent) and
@@ -281,42 +287,80 @@ func (s *Server) Register(ctx context.Context, g *graph.Graph, source string) (e
 	if g.M() > s.cfg.MaxGraphEdges {
 		return nil, false, &TooLargeError{fmt.Sprintf("service: graph has %d edges, limit %d", g.M(), s.cfg.MaxGraphEdges)}
 	}
-	id := GraphID(g)
 	s.registers.Add(1)
-	s.mu.Lock()
-	if e, ok := s.entries[id]; ok {
-		s.lru.MoveToFront(e.elem)
-		s.mu.Unlock()
-		select {
-		case <-e.built:
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-		if e.buildErr != nil {
-			// Not a hit: the build this registration would have reused
-			// never produced a chain.
-			return e, true, e.buildErr
-		}
+	e, cached, err = s.load(ctx, GraphID(g), g, source)
+	if err != nil {
+		return nil, cached, err
+	}
+	s.release(e) // the registration reads only fields that survive reclaim
+	if cached {
 		e.hits.Add(1)
 		s.cacheHits.Add(1)
-		return e, true, nil
 	}
-	e = &entry{
-		id:     id,
-		source: source,
-		n:      g.N,
-		m:      g.M(),
-		built:  make(chan struct{}),
-	}
-	e.elem = s.lru.PushFront(e)
-	s.entries[id] = e
-	s.evictLocked(e)
-	s.mu.Unlock()
+	return e, cached, nil
+}
 
-	// First registrar builds (under the build-slot bound); everyone else
-	// (register or solve) waits on e.built. Construction is the expensive,
-	// latency-insensitive step, so an admitted build gets the whole worker
-	// budget rather than a solve slot's share.
+// load is the one path into the chain cache: it returns id's finished entry
+// with a reference held (pair it with release), creating the entry when it
+// is absent. found reports that the entry already existed. A creator first
+// inserts a placeholder under s.mu, so every later caller for id —
+// registration, solve, stats read or boot pass — waits on e.built instead
+// of loading a second copy; then it takes one build slot, restores the
+// chain from the snapshot store (bit-identical to a fresh build, at a
+// fraction of the cost) and, on a miss, builds it from g. With g nil
+// (restore-only: solves, stats reads and RestoreAll) a miss is a
+// NotFoundError. A registrar that waited on a restore-only miss retries
+// with its own graph rather than returning that failure.
+func (s *Server) load(ctx context.Context, id string, g *graph.Graph, source string) (e *entry, found bool, err error) {
+	for {
+		if e, ok := s.lookupRef(id); ok {
+			select {
+			case <-e.built:
+			case <-ctx.Done():
+				s.release(e)
+				return nil, true, ctx.Err()
+			}
+			if e.buildErr == nil {
+				return e, true, nil
+			}
+			s.release(e)
+			var nf *NotFoundError
+			if g != nil && errors.As(e.buildErr, &nf) {
+				continue // the failed attempt had no graph; this caller has one
+			}
+			return nil, true, e.buildErr
+		}
+		if g == nil && s.cfg.Snapshots == nil {
+			return nil, false, &NotFoundError{ID: id}
+		}
+		s.mu.Lock()
+		if _, raced := s.entries[id]; raced {
+			s.mu.Unlock()
+			continue
+		}
+		e = &entry{id: id, source: source, built: make(chan struct{}), refs: 1}
+		if g != nil {
+			e.n, e.m = g.N, g.M()
+		}
+		e.elem = s.lru.PushFront(e)
+		s.entries[id] = e
+		s.mu.Unlock()
+		if err := s.fill(ctx, e, g); err != nil {
+			s.release(e)
+			return nil, false, err
+		}
+		return e, false, nil
+	}
+}
+
+// fill loads the chain of the placeholder e (which its caller just
+// inserted) and publishes the result by closing e.built: the entry's
+// footprint is charged and the cache trimmed on success, the entry removed
+// on failure so it never poisons the key.
+func (s *Server) fill(ctx context.Context, e *entry, g *graph.Graph) error {
+	// Construction is the expensive, latency-insensitive step, so an
+	// admitted build gets the whole worker budget rather than a solve
+	// slot's share.
 	s.buildWaiting.Add(1)
 	select {
 	case s.buildSem <- struct{}{}:
@@ -325,93 +369,97 @@ func (s *Server) Register(ctx context.Context, g *graph.Graph, source string) (e
 		s.buildWaiting.Add(-1)
 		// Remove the entry BEFORE publishing the abort, so concurrent
 		// waiters that re-register get a fresh entry (and a fresh build)
-		// rather than inheriting this registrar's cancellation.
-		e.buildErr = fmt.Errorf("%w (registrar: %v)", ErrBuildAborted, ctx.Err())
+		// rather than inheriting this caller's cancellation.
+		e.buildErr = fmt.Errorf("%w (%v)", ErrBuildAborted, ctx.Err())
 		s.removeFailed(e)
 		close(e.built)
-		return nil, false, e.buildErr
+		return e.buildErr
 	}
 	t0 := time.Now()
-	// Restore-on-miss: a persisted snapshot of this exact graph (same
-	// content address) reassembles into a chain that solves bit-identically
-	// to the one a fresh build would produce, at a fraction of the cost.
-	// Any failure — missing blob, corruption, version skew — falls back to
-	// building; a snapshot store can make the server faster, never wronger.
-	sv, restored := s.tryRestore(id)
-	if sv == nil {
+	// Any restore failure — missing blob, corruption, version skew — falls
+	// back to building; a snapshot store can make the server faster, never
+	// wronger.
+	sv, restored := s.tryRestore(e.id)
+	var err error
+	switch {
+	case sv != nil:
+	case g != nil:
 		sv, err = solver.NewWithOptions(g, s.chain, solver.Options{Workers: s.cfg.Workers}, nil)
+	default:
+		err = &NotFoundError{ID: e.id}
 	}
 	<-s.buildSem
 	e.buildDur = time.Since(t0)
-	e.solver, e.buildErr, e.restored = sv, err, restored
-	if err == nil {
-		s.builds.Add(1)
-		s.buildNanos.Add(e.buildDur.Nanoseconds())
+	if sv != nil && g == nil {
+		e.n, e.m = sv.G.N, sv.G.M()
 	}
-	logAttrs := []any{
-		"request_id", requestID(ctx),
-		"graph", id,
-		"n", g.N, "m", g.M(),
-		"restored", restored,
-		"duration_ms", float64(e.buildDur.Microseconds()) / 1000,
-		"err", err,
-	}
-	if err == nil {
-		// Where the chain stops and why (the truncation rule's decision).
-		bi := sv.Chain.BottomInfo()
-		logAttrs = append(logAttrs, "levels", bi.Level, "bottom_n", bi.N, "bottom_nnz_l", bi.NNZL, "stop", bi.Stop)
-		// Where the build time went (absent on a restore, which builds nothing).
-		if bt := sv.Chain.Build; bt != nil {
-			for _, ph := range bt.Phases() {
-				logAttrs = append(logAttrs, ph.Name+"_ms", ph.MS)
+	if sv != nil || g != nil { // a restore-only miss is a 404, not a build
+		logAttrs := []any{
+			"request_id", obs.RequestID(ctx),
+			"graph", e.id,
+			"source", e.source,
+			"n", e.n, "m", e.m,
+			"restored", restored,
+			"duration_ms", float64(e.buildDur.Microseconds()) / 1000,
+			"err", err,
+		}
+		if err == nil {
+			// Where the chain stops and why (the truncation rule's decision).
+			bi := sv.Chain.BottomInfo()
+			logAttrs = append(logAttrs, "levels", bi.Level, "bottom_n", bi.N, "bottom_nnz_l", bi.NNZL, "stop", bi.Stop)
+			// Where the build time went (absent on a restore, which builds nothing).
+			if bt := sv.Chain.Build; bt != nil {
+				for _, ph := range bt.Phases() {
+					logAttrs = append(logAttrs, ph.Name+"_ms", ph.MS)
+				}
 			}
 		}
+		s.log.Info("chain_build", logAttrs...)
 	}
-	s.log.Info("chain_build", logAttrs...)
 	if err != nil {
-		// A failed build must not poison the cache key.
+		e.buildErr = err
 		s.removeFailed(e)
+		close(e.built)
+		return err
 	}
-	if err == nil {
-		// Charge the entry's footprint before publishing it, so eviction
-		// never sees a finished entry with unaccounted bytes.
-		e.levels = sv.Chain.Depth()
-		e.bytes = sv.MemoryBytes()
-		s.mu.Lock()
-		s.cacheBytes += e.bytes
-		s.mu.Unlock()
-		if !restored && s.cfg.SnapshotOnBuild && s.cfg.Snapshots != nil {
-			// Write-behind: persisting the freshly built chain must not hold
-			// up the registration (or the waiters on e.built). The goroutine
-			// captures sv directly — the solver is read-only and outlives any
-			// later eviction of the entry. The registration's request id rides
-			// along so the snapshot log line joins the request's trail.
-			rid := requestID(ctx)
-			s.snapWG.Add(1)
-			go func() {
-				defer s.snapWG.Done()
-				t0 := time.Now()
-				serr := s.snapshotOne(id, sv)
-				s.log.Info("snapshot_write_behind",
-					"request_id", rid,
-					"graph", id,
-					"duration_ms", float64(time.Since(t0).Microseconds())/1000,
-					"err", serr,
-				)
-			}()
-		}
+	s.builds.Add(1)
+	s.buildNanos.Add(e.buildDur.Nanoseconds())
+	e.solver, e.restored = sv, restored
+	// Charge the entry's footprint before publishing it, so eviction never
+	// sees a finished entry with unaccounted bytes.
+	e.levels = sv.Chain.Depth()
+	e.bytes = sv.MemoryBytes()
+	s.mu.Lock()
+	s.cacheBytes += e.bytes
+	s.mu.Unlock()
+	if !restored && s.cfg.SnapshotOnBuild && s.cfg.Snapshots != nil {
+		// Write-behind: persisting the freshly built chain must not hold up
+		// the registration (or the waiters on e.built). The goroutine
+		// captures sv directly — the solver is read-only and outlives any
+		// later eviction of the entry. The registration's request id rides
+		// along so the snapshot log line joins the request's trail.
+		rid := obs.RequestID(ctx)
+		s.snapWG.Add(1)
+		go func() {
+			defer s.snapWG.Done()
+			t0 := time.Now()
+			serr := s.snapshotOne(e.id, sv)
+			s.log.Info("snapshot_write_behind",
+				"request_id", rid,
+				"graph", e.id,
+				"duration_ms", float64(time.Since(t0).Microseconds())/1000,
+				"err", serr,
+			)
+		}()
 	}
 	close(e.built)
-	if err == nil {
-		// Finished builds can now be eviction victims; trim any overshoot
-		// (count or bytes) the in-flight-build exemption allowed. The
-		// freshly built entry is exempt — its registrar is about to return
-		// 200 with this id.
-		s.mu.Lock()
-		s.evictLocked(e)
-		s.mu.Unlock()
-	}
-	return e, false, err
+	// Finished entries can now be eviction victims; trim any overshoot
+	// (count or bytes) the in-flight-build exemption allowed. The new entry
+	// is exempt — its caller is about to hand out its id.
+	s.mu.Lock()
+	s.evictLocked(e)
+	s.mu.Unlock()
+	return nil
 }
 
 // removeFailed drops an entry whose build did not produce a solver.
@@ -481,75 +529,19 @@ func (s *Server) lookupRef(id string) (*entry, bool) {
 	return e, ok
 }
 
-// lookupOrRestoreRef is lookupRef with a snapshot-store fallback: a solve
-// (or stats read) for a graph this process has never built can still be
-// served if a peer — or a previous life of this process — persisted the
-// chain. This is what makes failover cheap in a multi-node deployment: the
-// replica that inherits a graph after its owner dies warms the chain from
-// the shared store on the first solve instead of answering 404 until
-// someone re-registers. Restores are bounded by the build semaphore (a
-// decode materializes a full chain's memory) and count as builds in the
-// telemetry, with source "snapshot". On success the entry is returned with
-// one reference held, exactly like lookupRef; the caller must release it.
+// lookupOrRestoreRef is lookupRef with a snapshot-store fallback, and it
+// returns only a finished entry: a solve (or stats read) for a graph this
+// process has never built can still be served if a peer — or a previous
+// life of this process — persisted the chain. This is what makes failover
+// cheap in a multi-node deployment: the replica that inherits a graph after
+// its owner dies warms the chain from the shared store on the first solve
+// instead of answering 404 until someone re-registers. Concurrent callers
+// share one restore (see load), which counts as a build in the telemetry,
+// with source "snapshot". On success the entry is returned with one
+// reference held, exactly like lookupRef; the caller must release it.
 func (s *Server) lookupOrRestoreRef(ctx context.Context, id string) (*entry, error) {
-	if e, ok := s.lookupRef(id); ok {
-		return e, nil
-	}
-	if s.cfg.Snapshots == nil {
-		return nil, &NotFoundError{ID: id}
-	}
-	s.buildWaiting.Add(1)
-	select {
-	case s.buildSem <- struct{}{}:
-		s.buildWaiting.Add(-1)
-	case <-ctx.Done():
-		s.buildWaiting.Add(-1)
-		return nil, ctx.Err()
-	}
-	t0 := time.Now()
-	sv, ok := s.tryRestore(id)
-	<-s.buildSem
-	if !ok {
-		return nil, &NotFoundError{ID: id}
-	}
-	dur := time.Since(t0)
-	s.builds.Add(1)
-	s.buildNanos.Add(dur.Nanoseconds())
-	e := &entry{
-		id:       id,
-		source:   "snapshot",
-		n:        sv.G.N,
-		m:        sv.G.M(),
-		built:    make(chan struct{}),
-		solver:   sv,
-		restored: true,
-		levels:   sv.Chain.Depth(),
-		buildDur: dur,
-		bytes:    sv.MemoryBytes(),
-	}
-	close(e.built)
-	s.mu.Lock()
-	if cur, raced := s.entries[id]; raced {
-		// A concurrent registration or restore won the insert; drop our
-		// decode and use the cache's entry (which may still be building —
-		// the caller waits on built as usual).
-		s.lru.MoveToFront(cur.elem)
-		cur.refs++
-		s.mu.Unlock()
-		return cur, nil
-	}
-	e.elem = s.lru.PushFront(e)
-	s.entries[id] = e
-	s.cacheBytes += e.bytes
-	e.refs++
-	s.evictLocked(e)
-	s.mu.Unlock()
-	s.log.Info("chain_restore_on_demand",
-		"request_id", requestID(ctx),
-		"graph", id,
-		"duration_ms", float64(dur.Microseconds())/1000,
-	)
-	return e, nil
+	e, _, err := s.load(ctx, id, nil, "snapshot")
+	return e, err
 }
 
 // release drops a lookupRef reference, reclaiming the solver if the entry
@@ -622,14 +614,6 @@ func (s *Server) solveTraced(ctx context.Context, id string, bs [][]float64, eps
 		return fail(err)
 	}
 	defer s.release(e)
-	select {
-	case <-e.built:
-	case <-ctx.Done():
-		return fail(ctx.Err())
-	}
-	if e.buildErr != nil {
-		return fail(e.buildErr)
-	}
 	if len(bs) == 0 {
 		return fail(fmt.Errorf("service: empty right-hand-side batch"))
 	}
@@ -753,14 +737,6 @@ func (s *Server) Stats(ctx context.Context, id string) (*GraphStats, error) {
 		return nil, err
 	}
 	defer s.release(e)
-	select {
-	case <-e.built:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if e.buildErr != nil {
-		return nil, e.buildErr
-	}
 	st := &GraphStats{
 		ID: e.id, Source: e.source, N: e.n, M: e.m,
 		BuildMS:        float64(e.buildDur.Microseconds()) / 1000,
@@ -826,9 +802,9 @@ type ServerStats struct {
 	CacheHits     int64 `json:"cache_hits"`
 	Evictions     int64 `json:"evictions"`
 	// Snapshot counters (all zero when no snapshot store is configured):
-	// hits are chains restored instead of rebuilt (boot-time RestoreAll and
-	// registration-time restore-on-miss both count), misses are restore
-	// attempts that fell back to a build, writes are blobs persisted, and
+	// hits are chains restored instead of rebuilt (boot-time RestoreAll,
+	// registrations and restores on demand all count), misses are restore
+	// attempts that found no usable blob, writes are blobs persisted, and
 	// errors are encode/decode/IO failures — every one of which degraded to
 	// a fresh build or a skipped write, never an outage.
 	SnapshotHits   int64 `json:"snapshot_hits"`

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"parlap/internal/chainio"
 	"parlap/internal/solver"
@@ -14,10 +13,12 @@ import (
 // chains are the server's only expensive state — everything else (HTTP,
 // admission, the cache index) is cheap to rebuild — so persisting them is
 // what turns a process restart from a rebuild stampede into a warm start.
-// Three paths feed the store: write-behind after a fresh build (Register),
-// the bulk shutdown pass (SnapshotAll, via Shutdown), and three paths drain
-// it: restore-on-miss inside Register, the bulk boot pass (RestoreAll), and
-// nothing else — solves never touch the store.
+// Two paths feed the store: write-behind after a fresh build, and the bulk
+// shutdown pass (SnapshotAll, via Shutdown). One path drains it: the
+// server's load path (Server.load), which tries the store before building
+// whenever a graph enters the cache — on a registration, on a solve or
+// stats read for a graph this process has not loaded (restore on demand),
+// and for every blob in the boot pass (RestoreAll).
 
 // tryRestore attempts to restore graph id's chain from the snapshot store.
 // It returns (nil, false) whenever a fresh build is required: no store
@@ -119,11 +120,13 @@ func (s *Server) SnapshotAll(ctx context.Context) (int, error) {
 }
 
 // RestoreAll loads every snapshot in the configured store into the cache —
-// the boot-time warm start. Each successful restore counts as a snapshot
-// hit; unusable blobs are skipped (counted as errors) and left for
-// restore-on-miss or a fresh build to supersede. The cache is trimmed to
-// its usual bounds afterwards, so a store holding more chains than
-// MaxGraphs/MaxCacheBytes warm-starts the most recently restored ones.
+// the boot-time warm start — through the same load path a registration or
+// solve takes, so each restore counts as a snapshot hit and a build.
+// Graphs already cached are skipped; unusable blobs are skipped (counted as
+// errors) and left for a later restore or a fresh build to supersede. The
+// cache is trimmed to its usual bounds after each restore, so a store
+// holding more chains than MaxGraphs/MaxCacheBytes warm-starts the most
+// recently restored ones.
 func (s *Server) RestoreAll(ctx context.Context) (int, error) {
 	if s.cfg.Snapshots == nil {
 		return 0, nil
@@ -147,38 +150,24 @@ func (s *Server) RestoreAll(ctx context.Context) (int, error) {
 		if exists {
 			continue
 		}
-		sv, ok := s.tryRestore(id)
-		if !ok {
+		e, found, err := s.load(ctx, id, nil, "snapshot")
+		if err != nil {
+			var nf *NotFoundError
+			if errors.As(err, &nf) {
+				err = fmt.Errorf("service: snapshot %s unusable; skipped", id)
+			}
 			if firstErr == nil {
-				firstErr = fmt.Errorf("service: snapshot %s unusable; skipped", id)
+				firstErr = err
 			}
 			continue
 		}
-		t0 := time.Now()
-		e := &entry{
-			id:       id,
-			source:   "snapshot",
-			n:        sv.G.N,
-			m:        sv.G.M(),
-			built:    make(chan struct{}),
-			solver:   sv,
-			restored: true,
-			levels:   sv.Chain.Depth(),
-			bytes:    sv.MemoryBytes(),
-		}
-		e.buildDur = time.Since(t0)
-		close(e.built)
 		s.mu.Lock()
-		if _, raced := s.entries[id]; raced {
-			s.mu.Unlock()
-			continue // a concurrent registration beat us; keep its entry
-		}
-		e.elem = s.lru.PushFront(e)
-		s.entries[id] = e
-		s.cacheBytes += e.bytes
 		s.evictLocked(nil)
 		s.mu.Unlock()
-		restored++
+		s.release(e)
+		if !found { // else a concurrent caller loaded it; keep its entry
+			restored++
+		}
 	}
 	return restored, firstErr
 }

@@ -54,14 +54,6 @@ func (s *Server) solveStream(ctx context.Context, id string, eps float64,
 		return 0, err
 	}
 	defer s.release(e)
-	select {
-	case <-e.built:
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-	if e.buildErr != nil {
-		return 0, e.buildErr
-	}
 	if eps <= 0 {
 		eps = s.cfg.DefaultEps
 	}
@@ -176,7 +168,7 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	eps, err := queryEps(r)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
+		obs.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// The stream interleaves reading RHS rows with writing solution rows on
@@ -235,7 +227,7 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 		// Mid-stream failure: the status line is gone; report in-band.
 		_ = json.NewEncoder(w).Encode(streamErrorRow{
 			Error:     err.Error(),
-			RequestID: requestID(r.Context()),
+			RequestID: obs.RequestID(r.Context()),
 			Rows:      rows,
 		})
 		return
@@ -243,12 +235,12 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 	var nf *NotFoundError
 	switch {
 	case errors.As(err, &nf):
-		writeError(w, r, http.StatusNotFound, "%v", err)
+		obs.WriteError(w, r, http.StatusNotFound, "%v", err)
 	case errors.Is(err, ErrBuildAborted):
-		writeError(w, r, http.StatusServiceUnavailable, "%v", err)
+		obs.WriteError(w, r, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, r.Context().Err()) && r.Context().Err() != nil:
-		writeError(w, r, http.StatusServiceUnavailable, "request expired: %v", err)
+		obs.WriteError(w, r, http.StatusServiceUnavailable, "request expired: %v", err)
 	default:
-		writeError(w, r, http.StatusBadRequest, "%v", err)
+		obs.WriteError(w, r, http.StatusBadRequest, "%v", err)
 	}
 }

@@ -75,11 +75,11 @@ func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error
 func writeBodyError(w http.ResponseWriter, r *http.Request, err error) {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		writeError(w, r, http.StatusRequestEntityTooLarge,
+		obs.WriteError(w, r, http.StatusRequestEntityTooLarge,
 			"request body exceeds %d bytes; split the batch across requests", int64(maxBodyBytes))
 		return
 	}
-	writeError(w, r, http.StatusBadRequest, "bad request body: %v", err)
+	obs.WriteError(w, r, http.StatusBadRequest, "bad request body: %v", err)
 }
 
 // queryEps reads the optional ?eps= tolerance (0 = the server default).

@@ -9,8 +9,9 @@ import (
 )
 
 // The chain's apply recursion (rPCh, Lemmas 6.6–6.7) and the block PCG
-// driver above it. Every chain solve runs here at its batch width k — a
-// single right-hand side is a k = 1 block — and every stage (the
+// driver above it, which the CG and Jacobi-PCG baselines run too (at k = 1,
+// with their own preconditioner). Every chain solve runs here at its batch
+// width k — a single right-hand side is a k = 1 block — and every stage (the
 // elimination-log replays, the per-level Chebyshev sweeps, the CSR
 // mat-vecs, the bottom direct solve) operates on one contiguous n×k
 // matrix.Block, amortizing every traversal of the chain's (large, shared)
@@ -128,10 +129,10 @@ func (c *Chain) chebLevelBlock(workers, i int, bs *matrix.Block, ws *workspace) 
 }
 
 // finishBlockLane retires one lane of the outer driver's iterate block: its
-// column is gathered into the plain scratch vector col, given the single
-// driver's final projection, and scattered into the caller-owned output
-// column. Using the single-vector projection kernel on a contiguous copy
-// keeps the finished value bitwise identical to pcgFlexible's exit path.
+// column is gathered into the plain scratch vector col, given the
+// single-vector final projection, and scattered into the caller-owned
+// output column. Using the single-vector projection kernel on a contiguous
+// copy keeps the finished value bitwise identical to a width-1 solve's.
 func finishBlockLane(workers int, x *matrix.Block, lane int, ci *matrix.CompIndex, col []float64, out *matrix.Block, outCol int) {
 	k := x.K()
 	xd := x.Data()
@@ -142,33 +143,51 @@ func finishBlockLane(workers int, x *matrix.Block, lane int, ci *matrix.CompInde
 	out.SetCol(outCol, col)
 }
 
-// pcgFlexibleBlock runs pcgFlexible's flexible PCG iteration on lanes
-// lo … hi−1 of rhs, sharing one preconditioner-chain pass per iteration
-// across all still-active lanes. Every lane follows the exact operation
-// sequence of the single-column driver — same kernels, same order, same
-// break points — so out's column c is bitwise identical to a width-1 solve
-// of rhs's column c. Lanes leave the
-// active block via KeepLanes compaction (pure data movement — surviving
-// lanes' arithmetic is untouched) when they converge or the preconditioner
-// breaks down for them, exactly where pcgFlexible would have returned; a
-// retiring lane is finished (projected and written to out) at that moment.
+// preconditioner is what the outer PCG driver applies once per iteration:
+// the chain's whole-chain H (Chain) or a baseline's diagonal (diagPrecond).
+type preconditioner interface {
+	// applyHTopBlock applies the preconditioner to the lanes of rs and
+	// returns the result in a block the preconditioner owns; the driver may
+	// overwrite it until the next call.
+	applyHTopBlock(workers int, rs *matrix.Block, ws *workspace) *matrix.Block
+	// laneCost is the analytic (work, depth) one application charges each
+	// lane it serves.
+	laneCost() (work, depth int64)
+}
+
+// laneCost charges Chain.applyCost per top-level application.
+func (c *Chain) laneCost() (work, depth int64) { return c.applyWork, c.applyDepth }
+
+// pcgFlexibleBlock is the one outer iteration: a flexible (Polak–Ribière)
+// preconditioned conjugate gradient, which tolerates the mildly nonlinear
+// preconditioner a recursive Chebyshev chain is in floating point. It runs
+// on lanes lo … hi−1 of rhs, sharing one preconditioner application per
+// iteration across all still-active lanes, and stops a lane when its
+// relative residual drops below tol, when its preconditioner breaks
+// positive-definiteness, or after maxIter iterations. Every lane follows
+// the operation sequence of a width-1 solve — same kernels (the k = 1 block
+// kernels are the single-vector ones), same order, same break points — so
+// out's column c is bitwise identical to a width-1 solve of rhs's column c.
+// Lanes leave the active block via KeepLanes compaction (pure data movement
+// — surviving lanes' arithmetic is untouched) and are finished (projected
+// and written to out) at that moment.
 //
 // out must be shaped like rhs and zeroed by the caller; only columns lo …
 // hi−1 are written, as are only stats[lo:hi], which must be zeroed. So
 // disjoint lane ranges may run concurrently on one rhs/out/stats, each on
-// its own workspace. All scratch comes from ws (ensureOuter), so the
+// its own workspace. All driver scratch comes from ws (ensureOuter), so the
 // Workers:1 steady state allocates nothing.
 //
 // Each lane's Work/Depth is the analytic cost of a width-1 solve of its
-// column: (nnz + 10n, 2) per iteration that passes the pap check, plus the
-// chain's one-lane apply cost (Chain.applyCost) per preconditioner
-// application the lane takes part in.
-func pcgFlexibleBlock(workers int, a *matrix.Sparse, chain *Chain, rhs *matrix.Block, lo, hi int,
+// column: (nnz + 10n, 2) per iteration that passes the pap check, plus
+// pc.laneCost per preconditioner application the lane takes part in.
+func pcgFlexibleBlock(workers int, a *matrix.Sparse, pc preconditioner, rhs *matrix.Block, lo, hi int,
 	ci *matrix.CompIndex, tol float64, maxIter int, ws *workspace,
 	out *matrix.Block, stats []SolveStats) {
 	n := a.N
 	k0 := hi - lo
 	ws.ensureOuter(n, k0)
+	applyWork, applyDepth := pc.laneCost()
 	// Per-lane scalar scratch: 13 k0-sized lanes packed into pcgScal.
 	scal := ws.pcgScal
 	bnorms := scal[0:k0]
@@ -192,8 +211,8 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, chain *Chain, rhs *matrix.B
 	R.CopyLanesFrom(rhs, lo)
 	matrix.ProjectOutConstantMaskedBlockIdxW(workers, R, ci, projScratch)
 	matrix.Norm2BlockIntoW(workers, R, bnorms, dotTmp)
-	// Zero right-hand sides converge immediately with x = 0, unprojected,
-	// like the single driver's early return; everything else becomes a lane.
+	// Zero right-hand sides converge immediately with x = 0, unprojected;
+	// everything else becomes a lane.
 	lanes := 0
 	for j := 0; j < k0; j++ {
 		if bnorms[j] == 0 {
@@ -215,8 +234,8 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, chain *Chain, rhs *matrix.B
 	X := &ws.pcgX
 	X.Reshape(n, lanes)
 	X.Zero()
-	Z := chain.applyHTopBlock(workers, R, ws)
-	charge(stats, laneCol[:lanes], chain.applyWork, chain.applyDepth)
+	Z := pc.applyHTopBlock(workers, R, ws)
+	charge(stats, laneCol[:lanes], applyWork, applyDepth)
 	matrix.ProjectOutConstantMaskedBlockIdxW(workers, Z, ci, projScratch)
 	matrix.DotBlockIntoW(workers, R, Z, rzs, dotTmp)
 	P := &ws.pcgP
@@ -236,8 +255,8 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, chain *Chain, rhs *matrix.B
 		a.MulVecBlockW(workers, P, AP)
 		matrix.DotBlockIntoW(workers, P, AP, paps, dotTmp)
 		// Lanes whose preconditioner broke positive-definiteness stop here,
-		// with x as of BEFORE this iteration's update (the single driver's
-		// break point). Survivors get their step size.
+		// with x as of BEFORE this iteration's update. Survivors get their
+		// step size.
 		nk := 0
 		for j := 0; j < lanes; j++ {
 			pap := paps[j]
@@ -281,9 +300,9 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, chain *Chain, rhs *matrix.B
 				break
 			}
 		}
-		// One chain pass for every still-active lane.
-		Z = chain.applyHTopBlock(workers, R, ws)
-		charge(stats, laneCol[:lanes], chain.applyWork, chain.applyDepth)
+		// One preconditioner pass for every still-active lane.
+		Z = pc.applyHTopBlock(workers, R, ws)
+		charge(stats, laneCol[:lanes], applyWork, applyDepth)
 		matrix.ProjectOutConstantMaskedBlockIdxW(workers, Z, ci, projScratch)
 		Diff.Reshape(n, lanes)
 		matrix.SubIntoBlockW(workers, Diff, R, PrevR)
@@ -309,7 +328,7 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, chain *Chain, rhs *matrix.B
 			for fi := 0; fi < nfall; fi++ {
 				j := keep[fi]
 				rzs[j] = rrs[j]
-				for v := 0; v < n; v++ { // z lane j ← r lane j (Z is chain scratch)
+				for v := 0; v < n; v++ { // z lane j ← r lane j (Z is precond scratch)
 					zd[v*zk+j] = rd[v*zk+j]
 				}
 			}

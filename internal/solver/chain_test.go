@@ -52,7 +52,7 @@ func TestPCGZeroRHS(t *testing.T) {
 	g := gen.Grid2D(5, 5)
 	lap := matrix.LaplacianOf(g)
 	comp, k := g.ConnectedComponents()
-	x, st := pcgFlexible(0, lap, make([]float64, g.N), matrix.CopyVec, matrix.NewCompIndex(comp, k), 1e-10, 100, nil)
+	x, st := CG(lap, make([]float64, g.N), comp, k, 1e-10, 100, nil)
 	if !st.Converged || st.Iterations != 0 {
 		t.Fatalf("zero rhs: %+v", st)
 	}
@@ -68,7 +68,7 @@ func TestPCGMaxIterRespected(t *testing.T) {
 	lap := matrix.LaplacianOf(g)
 	comp, k := g.ConnectedComponents()
 	b := randRHS(g.N, 5)
-	_, st := pcgFlexible(0, lap, b, matrix.CopyVec, matrix.NewCompIndex(comp, k), 1e-14, 7, nil)
+	_, st := CG(lap, b, comp, k, 1e-14, 7, nil)
 	if st.Iterations > 7 {
 		t.Fatalf("iterations %d exceed maxIter", st.Iterations)
 	}

@@ -1,8 +1,6 @@
 package solver
 
 import (
-	"math"
-
 	"parlap/internal/matrix"
 	"parlap/internal/wd"
 )
@@ -51,75 +49,49 @@ type SolveStats struct {
 	Work, Depth int64
 }
 
-// pcgFlexible is a flexible (Polak–Ribière) preconditioned conjugate
-// gradient: it tolerates the mildly nonlinear preconditioner that a
-// recursive Chebyshev chain is in floating point. Stops when the relative
-// residual drops below tol or after maxIter iterations. workers selects the
-// vector-kernel parallelism. It drives the CG and Jacobi-PCG baselines; the
-// chain solves run the same iteration lane-wise in pcgFlexibleBlock. The
-// stats count (nnz + 10n, 2) per iteration that passes the pap check (not the
-// preconditioner); rec, if any, is charged that total once at the end.
-func pcgFlexible(workers int, a *matrix.Sparse, b []float64, precond func([]float64) []float64,
-	ci *matrix.CompIndex, tol float64, maxIter int, rec *wd.Recorder) ([]float64, SolveStats) {
-	n := a.N
-	x := make([]float64, n)
-	r, p, ap := make([]float64, n), make([]float64, n), make([]float64, n)
-	prevR, diff := make([]float64, n), make([]float64, n)
-	copy(r, b)
-	matrix.ProjectOutConstantMaskedIdxW(workers, r, ci)
-	bnorm := matrix.Norm2W(workers, r)
-	st := SolveStats{}
-	if bnorm == 0 {
-		st.Converged = true
-		return x, st
+// diagPrecond is the baselines' preconditioner: z = r for CG (inv nil), or
+// z[i] = inv[i]·r[i] for Jacobi-PCG, into a block it owns. Its cost is
+// zero, so a baseline's Work/Depth count the outer iteration alone.
+type diagPrecond struct {
+	inv []float64
+	z   matrix.Block
+}
+
+func (d *diagPrecond) applyHTopBlock(_ int, rs *matrix.Block, _ *workspace) *matrix.Block {
+	d.z.Reshape(rs.N(), rs.K())
+	if d.inv == nil {
+		d.z.CopyFrom(rs)
+		return &d.z
 	}
-	z := precond(r)
-	matrix.ProjectOutConstantMaskedIdxW(workers, z, ci)
-	copy(p, z)
-	rz := matrix.DotW(workers, r, z)
-	copy(prevR, r)
-	for k := 0; k < maxIter; k++ {
-		st.Iterations = k + 1
-		a.MulVecW(workers, p, ap)
-		pap := matrix.DotW(workers, p, ap)
-		if pap <= 0 || math.IsNaN(pap) {
-			break // preconditioner broke positive-definiteness; stop
+	k := rs.K()
+	zd, rd := d.z.Data(), rs.Data()
+	for i, inv := range d.inv {
+		for j := i * k; j < (i+1)*k; j++ {
+			zd[j] = inv * rd[j]
 		}
-		alpha := rz / pap
-		matrix.AxpyIntoW(workers, x, alpha, p, x)
-		matrix.AxpyIntoW(workers, r, -alpha, ap, r)
-		res := matrix.Norm2W(workers, r) / bnorm
-		st.Residual = res
-		st.Work += int64(a.NNZ() + 10*n)
-		st.Depth += 2
-		if res <= tol {
-			st.Converged = true
-			break
-		}
-		z = precond(r)
-		matrix.ProjectOutConstantMaskedIdxW(workers, z, ci)
-		// Polak–Ribière: β = z·(r − r_prev) / rz_old (flexible variant).
-		matrix.SubIntoW(workers, diff, r, prevR)
-		beta := matrix.DotW(workers, z, diff) / rz
-		if beta < 0 || math.IsNaN(beta) {
-			beta = 0 // restart
-		}
-		rz = matrix.DotW(workers, r, z)
-		if rz <= 0 || math.IsNaN(rz) {
-			rz = matrix.DotW(workers, r, r) // fall back to unpreconditioned direction
-			copy(z, r)                      // z is precond scratch: safe to overwrite
-		}
-		matrix.AxpyIntoW(workers, p, beta, p, z)
-		copy(prevR, r)
 	}
-	matrix.ProjectOutConstantMaskedIdxW(workers, x, ci)
-	rec.Add(st.Work, st.Depth)
-	return x, st
+	return &d.z
+}
+
+func (*diagPrecond) laneCost() (work, depth int64) { return 0, 0 }
+
+// baselinePCG runs the outer PCG driver preconditioned by pc on one
+// right-hand side at workers 0, on a workspace with no chain, and charges
+// the solve's Work/Depth to rec once.
+func baselinePCG(a *matrix.Sparse, b []float64, pc *diagPrecond, comp []int, numComp int,
+	tol float64, maxIter int, rec *wd.Recorder) ([]float64, SolveStats) {
+	x := make([]float64, a.N)
+	rhs, out := matrix.VecBlock(b), matrix.VecBlock(x)
+	var st [1]SolveStats
+	pcgFlexibleBlock(0, a, pc, &rhs, 0, 1, matrix.NewCompIndex(comp, numComp), tol, maxIter,
+		&workspace{}, &out, st[:])
+	rec.Add(st[0].Work, st[0].Depth)
+	return x, st[0]
 }
 
 // CG is the unpreconditioned conjugate-gradient baseline.
 func CG(a *matrix.Sparse, b []float64, comp []int, numComp int, tol float64, maxIter int, rec *wd.Recorder) ([]float64, SolveStats) {
-	return pcgFlexible(0, a, b, matrix.CopyVec, matrix.NewCompIndex(comp, numComp), tol, maxIter, rec)
+	return baselinePCG(a, b, &diagPrecond{}, comp, numComp, tol, maxIter, rec)
 }
 
 // JacobiPCG is the diagonally preconditioned CG baseline.
@@ -130,12 +102,5 @@ func JacobiPCG(a *matrix.Sparse, b []float64, comp []int, numComp int, tol float
 			inv[i] = 1 / d
 		}
 	}
-	precond := func(r []float64) []float64 {
-		z := make([]float64, len(r))
-		for i := range z {
-			z[i] = inv[i] * r[i]
-		}
-		return z
-	}
-	return pcgFlexible(0, a, b, precond, matrix.NewCompIndex(comp, numComp), tol, maxIter, rec)
+	return baselinePCG(a, b, &diagPrecond{inv: inv}, comp, numComp, tol, maxIter, rec)
 }
