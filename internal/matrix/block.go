@@ -155,31 +155,28 @@ func (b *Block) KeepLanes(keep []int) {
 // sequential sweep: a block solve parallelizes by splitting its lanes into
 // groups (Solver.SolveBlockTraced), a far coarser grain than chunks of one
 // level's vertices, and a sweep allocates nothing.
+//
+// Widths 2 and 4 — the lane groups an 8-lane call splits into on 4 and 2
+// cores — run fixed-width bodies: lane accumulators live in locals, a
+// gathered row is the constant-length slice x[j : j+k : j+k] (one bounds
+// check, none per lane), and streamed rows are walked with a stride-k
+// index. The generic per-lane loop serves every other width (3 after lane
+// dropout, 5 and up). Kernels whose per-element operation is the same in
+// every lane (SubIntoBlockW, ChebUpdateBlockW) sweep the backing flat at
+// every width. Whatever the body, lane c performs the single-vector
+// kernel's float operations in the same order and expression shape, so the
+// bits do not depend on which body ran.
 
 // MulVecBlockW computes y = A·x lane-wise: lane c of y is bitwise identical
 // to MulVecW on lane c of x. One CSR traversal serves all k lanes, and the
 // interleaved layout makes the k reads per visited column index adjacent.
 // y must not alias x.
 func (a *Sparse) MulVecBlockW(workers int, x, y *Block) {
-	k := x.k
-	if k == 1 {
+	if x.k == 1 {
 		a.MulVecW(workers, x.Vec(), y.Vec())
 		return
 	}
-	for r := 0; r < a.N; r++ {
-		yr := y.data[r*k : (r+1)*k]
-		for c := range yr {
-			yr[c] = 0
-		}
-		for i := a.Off[r]; i < a.Off[r+1]; i++ {
-			v := a.Val[i]
-			at := int(a.Col[i]) * k
-			xr := x.data[at : at+k]
-			for c := 0; c < k; c++ {
-				yr[c] += v * xr[c]
-			}
-		}
-	}
+	mulVecAxpyRows(a, x.k, x.data, y.data, 0, nil)
 }
 
 // MulVecAxpyBlockW fuses the Chebyshev residual update into the mat-vec:
@@ -189,28 +186,92 @@ func (a *Sparse) MulVecBlockW(workers int, x, y *Block) {
 // so the fusion is bitwise identical to MulVec followed by Axpy per lane.
 // ap and y must not alias x or each other.
 func (a *Sparse) MulVecAxpyBlockW(workers int, x, ap *Block, alpha float64, y *Block) {
-	k := x.k
-	if k == 1 {
+	if x.k == 1 {
 		a.MulVecW(workers, x.Vec(), ap.Vec())
 		AxpyIntoW(workers, y.Vec(), alpha, ap.Vec(), y.Vec())
 		return
 	}
+	mulVecAxpyRows(a, x.k, x.data, ap.data, alpha, y.data)
+}
+
+// mulVecAxpyRows is the k ≥ 2 sweep of MulVecBlockW (y == nil) and
+// MulVecAxpyBlockW over n×k interleaved backings: ap = A·x, then
+// y = alpha·ap + y when y is given.
+func mulVecAxpyRows(a *Sparse, k int, x, ap []float64, alpha float64, y []float64) {
+	switch k {
+	case 2:
+		mulVecAxpyRows2(a, x, ap, alpha, y)
+		return
+	case 4:
+		mulVecAxpyRows4(a, x, ap, alpha, y)
+		return
+	}
 	for r := 0; r < a.N; r++ {
-		apr := ap.data[r*k : (r+1)*k]
+		apr := ap[r*k : (r+1)*k]
 		for c := range apr {
 			apr[c] = 0
 		}
 		for i := a.Off[r]; i < a.Off[r+1]; i++ {
 			v := a.Val[i]
 			at := int(a.Col[i]) * k
-			xr := x.data[at : at+k]
+			xr := x[at : at+k]
 			for c := 0; c < k; c++ {
 				apr[c] += v * xr[c]
 			}
 		}
-		yr := y.data[r*k : (r+1)*k]
-		for c := 0; c < k; c++ {
-			yr[c] = alpha*apr[c] + yr[c]
+		if y != nil {
+			yr := y[r*k : (r+1)*k]
+			for c := 0; c < k; c++ {
+				yr[c] = alpha*apr[c] + yr[c]
+			}
+		}
+	}
+}
+
+// mulVecAxpyRows2 is mulVecAxpyRows at width 2.
+func mulVecAxpyRows2(a *Sparse, x, ap []float64, alpha float64, y []float64) {
+	off, cols, vals := a.Off, a.Col, a.Val
+	for r := 0; r < a.N; r++ {
+		rv := vals[off[r]:off[r+1]]
+		rc := cols[off[r]:off[r+1]]
+		rc = rc[:len(rv)]
+		var s0, s1 float64
+		for q, v := range rv {
+			j := int(rc[q]) * 2
+			xr := x[j : j+2 : j+2]
+			s0 += v * xr[0]
+			s1 += v * xr[1]
+		}
+		apr := ap[r*2 : r*2+2 : r*2+2]
+		apr[0], apr[1] = s0, s1
+		if y != nil {
+			yr := y[r*2 : r*2+2 : r*2+2]
+			yr[0], yr[1] = alpha*s0+yr[0], alpha*s1+yr[1]
+		}
+	}
+}
+
+// mulVecAxpyRows4 is mulVecAxpyRows2 at width 4.
+func mulVecAxpyRows4(a *Sparse, x, ap []float64, alpha float64, y []float64) {
+	off, cols, vals := a.Off, a.Col, a.Val
+	for r := 0; r < a.N; r++ {
+		rv := vals[off[r]:off[r+1]]
+		rc := cols[off[r]:off[r+1]]
+		rc = rc[:len(rv)]
+		var s0, s1, s2, s3 float64
+		for q, v := range rv {
+			j := int(rc[q]) * 4
+			xr := x[j : j+4 : j+4]
+			s0 += v * xr[0]
+			s1 += v * xr[1]
+			s2 += v * xr[2]
+			s3 += v * xr[3]
+		}
+		apr := ap[r*4 : r*4+4 : r*4+4]
+		apr[0], apr[1], apr[2], apr[3] = s0, s1, s2, s3
+		if y != nil {
+			yr := y[r*4 : r*4+4 : r*4+4]
+			yr[0], yr[1], yr[2], yr[3] = alpha*s0+yr[0], alpha*s1+yr[1], alpha*s2+yr[2], alpha*s3+yr[3]
 		}
 	}
 }
@@ -220,12 +281,18 @@ func (a *Sparse) MulVecAxpyBlockW(workers int, x, ap *Block, alpha float64, y *B
 // is bitwise identical to DotW on lane c. tmp (length >= k) holds the chunk
 // partials; out must hold k values. Nothing is allocated.
 func DotBlockIntoW(workers int, x, y *Block, out, tmp []float64) {
-	k := x.k
-	if k == 1 {
+	k, n := x.k, x.n
+	switch k {
+	case 1:
 		out[0] = DotW(workers, x.Vec(), y.Vec())
 		return
+	case 2:
+		out[0], out[1] = dotBlock2(x.data, y.data)
+		return
+	case 4:
+		out[0], out[1], out[2], out[3] = dotBlock4(x.data, y.data)
+		return
 	}
-	n := x.n
 	tmp = tmp[:k]
 	for lo := 0; lo < n; lo += par.ReduceGrain {
 		hi := lo + par.ReduceGrain
@@ -257,6 +324,53 @@ func DotBlockIntoW(workers int, x, y *Block, out, tmp []float64) {
 	}
 }
 
+// dotBlock2 is DotBlockIntoW's body at width 2: DotW's chunk tree per lane
+// over the n×2 backings x and y.
+func dotBlock2(x, y []float64) (a0, a1 float64) {
+	const span = 2 * par.ReduceGrain
+	for lo := 0; lo < len(x); lo += span {
+		xs := x[lo:min(lo+span, len(x))]
+		ys := y[lo : lo+len(xs)]
+		var s0, s1 float64
+		for i := 1; i < len(xs); i += 2 {
+			s0 += xs[i-1] * ys[i-1]
+			s1 += xs[i] * ys[i]
+		}
+		if lo == 0 {
+			a0, a1 = s0, s1
+		} else {
+			a0 += s0
+			a1 += s1
+		}
+	}
+	return a0, a1
+}
+
+// dotBlock4 is dotBlock2 at width 4.
+func dotBlock4(x, y []float64) (a0, a1, a2, a3 float64) {
+	const span = 4 * par.ReduceGrain
+	for lo := 0; lo < len(x); lo += span {
+		xs := x[lo:min(lo+span, len(x))]
+		ys := y[lo : lo+len(xs)]
+		var s0, s1, s2, s3 float64
+		for i := 3; i < len(xs); i += 4 {
+			s0 += xs[i-3] * ys[i-3]
+			s1 += xs[i-2] * ys[i-2]
+			s2 += xs[i-1] * ys[i-1]
+			s3 += xs[i] * ys[i]
+		}
+		if lo == 0 {
+			a0, a1, a2, a3 = s0, s1, s2, s3
+		} else {
+			a0 += s0
+			a1 += s1
+			a2 += s2
+			a3 += s3
+		}
+	}
+	return a0, a1, a2, a3
+}
+
 // Norm2BlockIntoW computes each lane's Euclidean norm; see DotBlockIntoW
 // for the scratch contract.
 func Norm2BlockIntoW(workers int, x *Block, out, tmp []float64) {
@@ -275,31 +389,40 @@ func AxpyBlockW(workers int, dst *Block, alphas []float64, x, y *Block) {
 		AxpyIntoW(workers, dst.Vec(), alphas[0], x.Vec(), y.Vec())
 		return
 	}
-	for i := 0; i < dst.n; i++ {
-		dr := dst.data[i*k : (i+1)*k]
-		xr := x.data[i*k : (i+1)*k]
-		yr := y.data[i*k : (i+1)*k]
-		for c := 0; c < k; c++ {
-			dr[c] = alphas[c]*xr[c] + yr[c]
+	d := dst.data
+	xd, yd := x.data[:len(d)], y.data[:len(d)]
+	switch k {
+	case 2:
+		a0, a1 := alphas[0], alphas[1]
+		for i := 1; i < len(d); i += 2 {
+			d[i-1], d[i] = a0*xd[i-1]+yd[i-1], a1*xd[i]+yd[i]
+		}
+	case 4:
+		a0, a1, a2, a3 := alphas[0], alphas[1], alphas[2], alphas[3]
+		for i := 3; i < len(d); i += 4 {
+			d[i-3], d[i-2] = a0*xd[i-3]+yd[i-3], a1*xd[i-2]+yd[i-2]
+			d[i-1], d[i] = a2*xd[i-1]+yd[i-1], a3*xd[i]+yd[i]
+		}
+	default:
+		for i := 0; i < dst.n; i++ {
+			dr := d[i*k : (i+1)*k]
+			xr := xd[i*k : (i+1)*k]
+			yr := yd[i*k : (i+1)*k]
+			for c := 0; c < k; c++ {
+				dr[c] = alphas[c]*xr[c] + yr[c]
+			}
 		}
 	}
 }
 
-// SubIntoBlockW computes dst = x − y lane-wise.
+// SubIntoBlockW computes dst = x − y lane-wise. The operation is the same
+// in every lane, so the block is one flat vector of n·k elements.
 func SubIntoBlockW(workers int, dst, x, y *Block) {
-	k := dst.k
-	if k == 1 {
+	if dst.k == 1 {
 		SubIntoW(workers, dst.Vec(), x.Vec(), y.Vec())
 		return
 	}
-	for i := 0; i < dst.n; i++ {
-		dr := dst.data[i*k : (i+1)*k]
-		xr := x.data[i*k : (i+1)*k]
-		yr := y.data[i*k : (i+1)*k]
-		for c := 0; c < k; c++ {
-			dr[c] = xr[c] - yr[c]
-		}
-	}
+	SubIntoW(1, dst.data, x.data, y.data)
 }
 
 // ChebUpdateBlockW fuses the Chebyshev direction and iterate updates into
@@ -307,10 +430,10 @@ func SubIntoBlockW(workers int, dst, x, y *Block) {
 // x = alpha·p + x. Both updates are elementwise with p's new value read by
 // x's update at the same element, so the fusion performs per element
 // exactly the float ops of the two separate kernels in the same order —
-// bitwise identical, one sweep of the n×k working set instead of two.
+// bitwise identical, one sweep of the n×k working set instead of two. The
+// scalars are shared by all lanes, so the sweep is flat at every width.
 func ChebUpdateBlockW(workers int, p, z *Block, beta float64, x *Block, alpha float64, first bool) {
-	k := p.k
-	if k == 1 {
+	if p.k == 1 {
 		if first {
 			copy(p.Vec(), z.Vec())
 		} else {
@@ -319,20 +442,14 @@ func ChebUpdateBlockW(workers int, p, z *Block, beta float64, x *Block, alpha fl
 		AxpyIntoW(workers, x.Vec(), alpha, p.Vec(), x.Vec())
 		return
 	}
-	for i := 0; i < p.n; i++ {
-		pr := p.data[i*k : (i+1)*k]
-		zr := z.data[i*k : (i+1)*k]
-		xr := x.data[i*k : (i+1)*k]
-		if first {
-			copy(pr, zr)
-		} else {
-			for c := 0; c < k; c++ {
-				pr[c] = beta*pr[c] + zr[c]
-			}
+	pd := p.data
+	zd, xd := z.data[:len(pd)], x.data[:len(pd)]
+	for i, pi := range zd {
+		if !first {
+			pi = beta*pd[i] + pi
 		}
-		for c := 0; c < k; c++ {
-			xr[c] = alpha*pr[c] + xr[c]
-		}
+		pd[i] = pi
+		xd[i] = alpha*pi + xd[i]
 	}
 }
 
@@ -351,6 +468,14 @@ func ProjectOutConstantMaskedBlockIdxW(workers int, x *Block, ci *CompIndex, scr
 	}
 	n := x.n
 	if ci.NumComp == 1 {
+		switch k {
+		case 2:
+			projectOutMean2(x.data)
+			return
+		case 4:
+			projectOutMean4(x.data)
+			return
+		}
 		mus, tmp := scratch[:k], scratch[k:2*k]
 		for lo := 0; lo < n; lo += par.ReduceGrain {
 			hi := lo + par.ReduceGrain
@@ -402,5 +527,61 @@ func ProjectOutConstantMaskedBlockIdxW(workers int, x *Block, ci *CompIndex, scr
 		for c := 0; c < k; c++ {
 			xr[c] -= mr[c]
 		}
+	}
+}
+
+// projectOutMean2 is the single-component path of
+// ProjectOutConstantMaskedBlockIdxW at width 2 over the n×2 backing x:
+// MeanW's chunk tree per lane, then one subtraction sweep.
+func projectOutMean2(x []float64) {
+	const span = 2 * par.ReduceGrain
+	var m0, m1 float64
+	for lo := 0; lo < len(x); lo += span {
+		xs := x[lo:min(lo+span, len(x))]
+		var s0, s1 float64
+		for i := 1; i < len(xs); i += 2 {
+			s0 += xs[i-1]
+			s1 += xs[i]
+		}
+		if lo == 0 {
+			m0, m1 = s0, s1
+		} else {
+			m0 += s0
+			m1 += s1
+		}
+	}
+	n := float64(len(x) / 2)
+	m0, m1 = m0/n, m1/n
+	for i := 1; i < len(x); i += 2 {
+		x[i-1], x[i] = x[i-1]-m0, x[i]-m1
+	}
+}
+
+// projectOutMean4 is projectOutMean2 at width 4.
+func projectOutMean4(x []float64) {
+	const span = 4 * par.ReduceGrain
+	var m0, m1, m2, m3 float64
+	for lo := 0; lo < len(x); lo += span {
+		xs := x[lo:min(lo+span, len(x))]
+		var s0, s1, s2, s3 float64
+		for i := 3; i < len(xs); i += 4 {
+			s0 += xs[i-3]
+			s1 += xs[i-2]
+			s2 += xs[i-1]
+			s3 += xs[i]
+		}
+		if lo == 0 {
+			m0, m1, m2, m3 = s0, s1, s2, s3
+		} else {
+			m0 += s0
+			m1 += s1
+			m2 += s2
+			m3 += s3
+		}
+	}
+	n := float64(len(x) / 4)
+	m0, m1, m2, m3 = m0/n, m1/n, m2/n, m3/n
+	for i := 3; i < len(x); i += 4 {
+		x[i-3], x[i-2], x[i-1], x[i] = x[i-3]-m0, x[i-2]-m1, x[i-1]-m2, x[i]-m3
 	}
 }

@@ -63,7 +63,10 @@ func blockFromCols(xs [][]float64) *Block {
 	return b
 }
 
-var blockTestWidths = []int{1, 2, 5, 8}
+// blockTestWidths covers the single-vector delegation (1), both
+// fixed-width bodies (2, 4) and the generic loop on either side of each
+// (3, 5, 8).
+var blockTestWidths = []int{1, 2, 3, 4, 5, 8}
 var blockTestWorkers = []int{1, 2, 4}
 
 func TestBlockRoundTrip(t *testing.T) {
@@ -224,6 +227,16 @@ func TestAxpySubChebBlockBitwise(t *testing.T) {
 				dst.ColInto(c, got)
 				requireBitwise(t, fmt.Sprintf("axpy k=%d w=%d col %d", k, w, c), got, want)
 			}
+			// In place, as the PCG driver calls it: dst aliases y.
+			yy := blockFromCols(ys)
+			AxpyBlockW(w, yy, alphas, x, yy)
+			for c := 0; c < k; c++ {
+				want := CopyVec(ys[c])
+				AxpyIntoW(w, want, alphas[c], xs[c], want)
+				got := make([]float64, n)
+				yy.ColInto(c, got)
+				requireBitwise(t, fmt.Sprintf("axpy in place k=%d w=%d col %d", k, w, c), got, want)
+			}
 			SubIntoBlockW(w, dst, x, y)
 			for c := 0; c < k; c++ {
 				want := make([]float64, n)
@@ -258,22 +271,23 @@ func TestAxpySubChebBlockBitwise(t *testing.T) {
 
 func TestProjectBlockBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	n := 2*par.ReduceGrain + 31
-	for _, numComp := range []int{1, 3} {
-		comp := randomPartition(rng, n, numComp)
-		ci := NewCompIndexW(0, comp, numComp)
-		for _, k := range blockTestWidths {
-			xs := randCols(n, k, int64(14+numComp))
-			for _, w := range blockTestWorkers {
-				x := blockFromCols(xs)
-				scratch := make([]float64, 2*k)
-				ProjectOutConstantMaskedBlockIdxW(w, x, ci, scratch)
-				for c := 0; c < k; c++ {
-					want := CopyVec(xs[c])
-					ProjectOutConstantMaskedIdxW(w, want, ci)
-					got := make([]float64, n)
-					x.ColInto(c, got)
-					requireBitwise(t, fmt.Sprintf("proj comps=%d k=%d w=%d col %d", numComp, k, w, c), got, want)
+	for _, n := range []int{5, par.ReduceGrain, par.ReduceGrain + 1, 2*par.ReduceGrain + 31} {
+		for _, numComp := range []int{1, 3} {
+			comp := randomPartition(rng, n, numComp)
+			ci := NewCompIndexW(0, comp, numComp)
+			for _, k := range blockTestWidths {
+				xs := randCols(n, k, int64(14+numComp))
+				for _, w := range blockTestWorkers {
+					x := blockFromCols(xs)
+					scratch := make([]float64, 2*k)
+					ProjectOutConstantMaskedBlockIdxW(w, x, ci, scratch)
+					for c := 0; c < k; c++ {
+						want := CopyVec(xs[c])
+						ProjectOutConstantMaskedIdxW(w, want, ci)
+						got := make([]float64, n)
+						x.ColInto(c, got)
+						requireBitwise(t, fmt.Sprintf("proj n=%d comps=%d k=%d w=%d col %d", n, numComp, k, w, c), got, want)
+					}
 				}
 			}
 		}

@@ -100,8 +100,17 @@ func (f *SparseLDL) solveInPlace(x []float64) {
 // solveBlockInPlace is solveInPlace over a contiguous n×k Block: lane c
 // performs exactly solveInPlace's operations on lane c's values in the same
 // order (only the L-entry loads are shared), so it is bitwise identical.
+// Widths 2 and 4 run fixed-width bodies (see the block kernels in block.go).
 func (f *SparseLDL) solveBlockInPlace(x *Block) {
 	n, k := len(f.D), x.K()
+	switch k {
+	case 2:
+		f.solveBlock2(x.data)
+		return
+	case 4:
+		f.solveBlock4(x.data)
+		return
+	}
 	for j := 0; j < n; j++ {
 		lo, hi := f.ColPtr[j], f.ColPtr[j+1]
 		rows, vals := f.RowPos[lo:hi], f.L[lo:hi]
@@ -126,6 +135,75 @@ func (f *SparseLDL) solveBlockInPlace(x *Block) {
 				xj[c] -= l * xr[c]
 			}
 		}
+	}
+}
+
+// solveBlock2 is solveBlockInPlace's body at width 2 over the n×2 backing
+// x: the pivot row's lanes are held in locals through each column sweep.
+func (f *SparseLDL) solveBlock2(x []float64) {
+	colPtr, rowPos, lv, d := f.ColPtr, f.RowPos, f.L, f.D
+	for j := range d {
+		vals := lv[colPtr[j]:colPtr[j+1]]
+		rows := rowPos[colPtr[j]:colPtr[j+1]]
+		rows = rows[:len(vals)]
+		xj := x[j*2 : j*2+2 : j*2+2]
+		x0, x1 := xj[0], xj[1]
+		for q, l := range vals {
+			r := int(rows[q]) * 2
+			xr := x[r : r+2 : r+2]
+			xr[0] -= l * x0
+			xr[1] -= l * x1
+		}
+	}
+	for j := len(d) - 1; j >= 0; j-- {
+		vals := lv[colPtr[j]:colPtr[j+1]]
+		rows := rowPos[colPtr[j]:colPtr[j+1]]
+		rows = rows[:len(vals)]
+		xj := x[j*2 : j*2+2 : j*2+2]
+		s0, s1 := xj[0]/d[j], xj[1]/d[j]
+		for q, l := range vals {
+			r := int(rows[q]) * 2
+			xr := x[r : r+2 : r+2]
+			s0 -= l * xr[0]
+			s1 -= l * xr[1]
+		}
+		xj[0], xj[1] = s0, s1
+	}
+}
+
+// solveBlock4 is solveBlock2 at width 4.
+func (f *SparseLDL) solveBlock4(x []float64) {
+	colPtr, rowPos, lv, d := f.ColPtr, f.RowPos, f.L, f.D
+	for j := range d {
+		vals := lv[colPtr[j]:colPtr[j+1]]
+		rows := rowPos[colPtr[j]:colPtr[j+1]]
+		rows = rows[:len(vals)]
+		xj := x[j*4 : j*4+4 : j*4+4]
+		x0, x1, x2, x3 := xj[0], xj[1], xj[2], xj[3]
+		for q, l := range vals {
+			r := int(rows[q]) * 4
+			xr := x[r : r+4 : r+4]
+			xr[0] -= l * x0
+			xr[1] -= l * x1
+			xr[2] -= l * x2
+			xr[3] -= l * x3
+		}
+	}
+	for j := len(d) - 1; j >= 0; j-- {
+		vals := lv[colPtr[j]:colPtr[j+1]]
+		rows := rowPos[colPtr[j]:colPtr[j+1]]
+		rows = rows[:len(vals)]
+		xj := x[j*4 : j*4+4 : j*4+4]
+		s0, s1, s2, s3 := xj[0]/d[j], xj[1]/d[j], xj[2]/d[j], xj[3]/d[j]
+		for q, l := range vals {
+			r := int(rows[q]) * 4
+			xr := x[r : r+4 : r+4]
+			s0 -= l * xr[0]
+			s1 -= l * xr[1]
+			s2 -= l * xr[2]
+			s3 -= l * xr[3]
+		}
+		xj[0], xj[1], xj[2], xj[3] = s0, s1, s2, s3
 	}
 }
 

@@ -327,7 +327,7 @@ func TestLaplacianFactorBlockBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []int{1, 2, 5, 8} {
+		for _, k := range blockTestWidths {
 			bs := randCols(a.N, k, 10)
 			b, x, gb := NewBlock(a.N, k), NewBlock(a.N, k), NewBlock(lf.GroundedLen(), k)
 			for c := range bs {

@@ -124,7 +124,7 @@ func TestSolveBlockTracedZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{4, 1} {
+	for _, k := range []int{4, 2, 1} {
 		tr := requireSolveBlockZeroAllocs(t, s, k, fmt.Sprintf("k=%d block solve", k))
 		if tr.OuterNS <= 0 || tr.PrecondNS <= 0 {
 			t.Fatalf("k=%d: trace not populated: %+v", k, tr)
@@ -194,21 +194,43 @@ func TestSolveBlockTracedGroupAllocs(t *testing.T) {
 }
 
 // BenchmarkPrecondApply reports ns/op and (via ReportAllocs) allocs/op for
-// the public pooled entry point — the CI-visible record of the
-// allocation-free apply path.
+// the public pooled entry point (k=1) and for one block application through
+// applyHTopBlock at each fixed-width body's lane count (k=2, k=4), all at
+// Workers 1 — the CI-visible record of the allocation-free apply path and
+// of what a lane group saves per right-hand side (ns/rhs).
 func BenchmarkPrecondApply(b *testing.B) {
 	g := gen.Grid2D(64, 64)
 	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := randRHS(g.N, 7)
-	dst := make([]float64, g.N)
-	s.Chain.PrecondApplyIntoW(1, r, dst) // warm the pool
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Chain.PrecondApplyIntoW(1, r, dst)
+	b.Run("k=1", func(b *testing.B) {
+		r := randRHS(g.N, 7)
+		dst := make([]float64, g.N)
+		s.Chain.PrecondApplyIntoW(1, r, dst) // warm the pool
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Chain.PrecondApplyIntoW(1, r, dst)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/rhs")
+	})
+	for _, k := range []int{2, 4} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			var rs matrix.Block
+			rs.Reshape(g.N, k)
+			for j := 0; j < k; j++ {
+				rs.SetCol(j, randRHS(g.N, int64(7+j)))
+			}
+			ws := newWorkspace(s.Chain, k)
+			s.Chain.applyHTopBlock(1, &rs, ws) // warm up (lazy growth done)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Chain.applyHTopBlock(1, &rs, ws)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/rhs")
+		})
 	}
 }
 
@@ -270,7 +292,7 @@ func TestSolveBlockTracedZeroAllocsVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range []int{4, 1} {
+			for _, k := range []int{4, 2, 1} {
 				requireSolveBlockZeroAllocs(t, s, k, fmt.Sprintf("%s k=%d block solve", v.name, k))
 			}
 		})

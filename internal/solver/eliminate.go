@@ -588,7 +588,8 @@ func (el *Elimination) BackSolveIntoW(workers int, xReduced, carry, x []float64)
 // lanes, with the k values per vertex/op adjacent in memory; lane c is
 // bitwise identical to ForwardRHSIntoW on lane c. The workers knob reaches
 // only the k = 1 case: a wider replay runs as plain loops with no
-// allocation (block solves parallelize across lane groups instead).
+// allocation (block solves parallelize across lane groups instead), and
+// widths 2 and 4 run fixed-width bodies like matrix's block kernels.
 func (el *Elimination) ForwardRHSBlockIntoW(workers int, b, work, carry, reduced *matrix.Block) {
 	kcols := b.K()
 	if kcols == 1 {
@@ -596,6 +597,14 @@ func (el *Elimination) ForwardRHSBlockIntoW(workers int, b, work, carry, reduced
 		return
 	}
 	work.CopyFrom(b)
+	switch kcols {
+	case 2:
+		el.forwardBlock2(work.Data(), carry.Data(), reduced.Data())
+		return
+	case 4:
+		el.forwardBlock4(work.Data(), carry.Data(), reduced.Data())
+		return
+	}
 	for ri := 0; ri < el.Rounds; ri++ {
 		lo, hi := el.roundBounds(ri)
 		ops := el.Ops[lo:hi]
@@ -625,11 +634,19 @@ func (el *Elimination) ForwardRHSBlockIntoW(workers int, b, work, carry, reduced
 // ForwardRHSBlockIntoW for the same right-hand sides), x is OrigN×k, fully
 // overwritten. Lane c is bitwise identical to BackSolveIntoW on lane c; as
 // in ForwardRHSBlockIntoW, only k = 1 uses the workers knob and a wider
-// reverse replay runs as plain loops with no allocation.
+// reverse replay runs as plain loops with no allocation (fixed-width
+// bodies at widths 2 and 4).
 func (el *Elimination) BackSolveBlockIntoW(workers int, xReduced, carry, x *matrix.Block) {
 	kcols := xReduced.K()
-	if kcols == 1 {
+	switch kcols {
+	case 1:
 		el.BackSolveIntoW(workers, xReduced.Vec(), carry.Vec(), x.Vec())
+		return
+	case 2:
+		el.backBlock2(xReduced.Data(), carry.Data(), x.Data())
+		return
+	case 4:
+		el.backBlock4(xReduced.Data(), carry.Data(), x.Data())
 		return
 	}
 	for j := range el.Keep {
@@ -657,6 +674,134 @@ func (el *Elimination) BackSolveBlockIntoW(workers int, xReduced, carry, x *matr
 				for c := 0; c < kcols; c++ {
 					xv[c] = (op.W1*xa[c] + op.W2*xb[c] + crow[c]) / (op.W1 + op.W2)
 				}
+			}
+		}
+	}
+}
+
+// forwardBlock2 is ForwardRHSBlockIntoW's replay at width 2 over the
+// interleaved backings (work already holds b): each receiving vertex's
+// lanes accumulate in locals and are written once. The reverse-index items
+// of consecutive groups are consecutive, so one cursor walks them all.
+func (el *Elimination) forwardBlock2(work, carry, reduced []float64) {
+	verts, ends, from, coefs := el.recvVert, el.recvItemEnd, el.recvOp, el.recvCoef
+	it := int32(0)
+	for ri := 0; ri < el.Rounds; ri++ {
+		lo, hi := el.roundBounds(ri)
+		for k, op := range el.Ops[lo:hi] {
+			v, c := int(op.V)*2, (lo+k)*2
+			wr, cr := work[v:v+2:v+2], carry[c:c+2:c+2]
+			cr[0], cr[1] = wr[0], wr[1]
+		}
+		gLo, gHi := el.recvBounds(ri)
+		for g := gLo; g < gHi; g++ {
+			v := int(verts[g]) * 2
+			w := work[v : v+2 : v+2]
+			a0, a1 := w[0], w[1]
+			for ; it < ends[g]; it++ {
+				c := int(from[it]) * 2
+				cr, coef := carry[c:c+2:c+2], coefs[it]
+				a0 += cr[0] * coef
+				a1 += cr[1] * coef
+			}
+			w[0], w[1] = a0, a1
+		}
+	}
+	for j, v := range el.Keep {
+		rr, wr := reduced[j*2:j*2+2:j*2+2], work[v*2:v*2+2:v*2+2]
+		rr[0], rr[1] = wr[0], wr[1]
+	}
+}
+
+// forwardBlock4 is forwardBlock2 at width 4.
+func (el *Elimination) forwardBlock4(work, carry, reduced []float64) {
+	verts, ends, from, coefs := el.recvVert, el.recvItemEnd, el.recvOp, el.recvCoef
+	it := int32(0)
+	for ri := 0; ri < el.Rounds; ri++ {
+		lo, hi := el.roundBounds(ri)
+		for k, op := range el.Ops[lo:hi] {
+			v, c := int(op.V)*4, (lo+k)*4
+			wr, cr := work[v:v+4:v+4], carry[c:c+4:c+4]
+			cr[0], cr[1], cr[2], cr[3] = wr[0], wr[1], wr[2], wr[3]
+		}
+		gLo, gHi := el.recvBounds(ri)
+		for g := gLo; g < gHi; g++ {
+			v := int(verts[g]) * 4
+			w := work[v : v+4 : v+4]
+			a0, a1, a2, a3 := w[0], w[1], w[2], w[3]
+			for ; it < ends[g]; it++ {
+				c := int(from[it]) * 4
+				cr, coef := carry[c:c+4:c+4], coefs[it]
+				a0 += cr[0] * coef
+				a1 += cr[1] * coef
+				a2 += cr[2] * coef
+				a3 += cr[3] * coef
+			}
+			w[0], w[1], w[2], w[3] = a0, a1, a2, a3
+		}
+	}
+	for j, v := range el.Keep {
+		rr, wr := reduced[j*4:j*4+4:j*4+4], work[v*4:v*4+4:v*4+4]
+		rr[0], rr[1], rr[2], rr[3] = wr[0], wr[1], wr[2], wr[3]
+	}
+}
+
+// backBlock2 is BackSolveBlockIntoW's reverse replay at width 2 over the
+// interleaved backings.
+func (el *Elimination) backBlock2(xReduced, carry, x []float64) {
+	for j, v := range el.Keep {
+		xv, xr := x[v*2:v*2+2:v*2+2], xReduced[j*2:j*2+2:j*2+2]
+		xv[0], xv[1] = xr[0], xr[1]
+	}
+	for ri := el.Rounds - 1; ri >= 0; ri-- {
+		lo, hi := el.roundBounds(ri)
+		for k := lo; k < hi; k++ {
+			op := &el.Ops[k]
+			v, c := int(op.V)*2, k*2
+			xv, cr := x[v:v+2:v+2], carry[c:c+2:c+2]
+			switch op.Kind {
+			case ElimDeg0:
+				xv[0], xv[1] = 0, 0
+			case ElimDeg1:
+				a, w1 := int(op.A)*2, op.W1
+				xa := x[a : a+2 : a+2]
+				xv[0], xv[1] = xa[0]+cr[0]/w1, xa[1]+cr[1]/w1
+			case ElimDeg2:
+				a, b, w1, w2 := int(op.A)*2, int(op.B)*2, op.W1, op.W2
+				xa, xb := x[a:a+2:a+2], x[b:b+2:b+2]
+				xv[0] = (w1*xa[0] + w2*xb[0] + cr[0]) / (w1 + w2)
+				xv[1] = (w1*xa[1] + w2*xb[1] + cr[1]) / (w1 + w2)
+			}
+		}
+	}
+}
+
+// backBlock4 is backBlock2 at width 4.
+func (el *Elimination) backBlock4(xReduced, carry, x []float64) {
+	for j, v := range el.Keep {
+		xv, xr := x[v*4:v*4+4:v*4+4], xReduced[j*4:j*4+4:j*4+4]
+		xv[0], xv[1], xv[2], xv[3] = xr[0], xr[1], xr[2], xr[3]
+	}
+	for ri := el.Rounds - 1; ri >= 0; ri-- {
+		lo, hi := el.roundBounds(ri)
+		for k := lo; k < hi; k++ {
+			op := &el.Ops[k]
+			v, c := int(op.V)*4, k*4
+			xv, cr := x[v:v+4:v+4], carry[c:c+4:c+4]
+			switch op.Kind {
+			case ElimDeg0:
+				xv[0], xv[1], xv[2], xv[3] = 0, 0, 0, 0
+			case ElimDeg1:
+				a, w1 := int(op.A)*4, op.W1
+				xa := x[a : a+4 : a+4]
+				xv[0], xv[1], xv[2], xv[3] = xa[0]+cr[0]/w1, xa[1]+cr[1]/w1, xa[2]+cr[2]/w1, xa[3]+cr[3]/w1
+			case ElimDeg2:
+				a, b, w1, w2 := int(op.A)*4, int(op.B)*4, op.W1, op.W2
+				xa, xb := x[a:a+4:a+4], x[b:b+4:b+4]
+				xv[0] = (w1*xa[0] + w2*xb[0] + cr[0]) / (w1 + w2)
+				xv[1] = (w1*xa[1] + w2*xb[1] + cr[1]) / (w1 + w2)
+				xv[2] = (w1*xa[2] + w2*xb[2] + cr[2]) / (w1 + w2)
+				xv[3] = (w1*xa[3] + w2*xb[3] + cr[3]) / (w1 + w2)
 			}
 		}
 	}

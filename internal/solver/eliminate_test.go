@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,6 +23,50 @@ func backSolve(el *Elimination, workers int, xReduced, carry []float64) []float6
 	x := make([]float64, el.OrigN)
 	el.BackSolveIntoW(workers, xReduced, carry, x)
 	return x
+}
+
+// requireBlockReplaysBitwise runs ForwardRHSBlockIntoW and then
+// BackSolveBlockIntoW (on a random reduced solution and the block's carry)
+// at k ∈ {2, 3, 4} — both fixed-width bodies and the generic loop between
+// them — with b as lane 0, and requires every lane to equal the single
+// replays of its column bit for bit, at Workers 1 and 4.
+func requireBlockReplaysBitwise(t *testing.T, el *Elimination, b []float64) {
+	t.Helper()
+	nk := len(el.Keep)
+	for _, k := range []int{2, 3, 4} {
+		bs, xrs := [][]float64{b}, make([][]float64, k)
+		for c := 1; c < k; c++ {
+			bs = append(bs, randRHS(el.OrigN, int64(12+c)))
+		}
+		var bb, work, carry, red, xr, x matrix.Block
+		bb.Reshape(el.OrigN, k)
+		xr.Reshape(nk, k)
+		for c := range bs {
+			bb.SetCol(c, bs[c])
+			xrs[c] = randRHS(nk, int64(40+c))
+			xr.SetCol(c, xrs[c])
+		}
+		work.Reshape(el.OrigN, k)
+		carry.Reshape(len(el.Ops), k)
+		red.Reshape(nk, k)
+		x.Reshape(el.OrigN, k)
+		lane := func(blk *matrix.Block, c int) []float64 {
+			col := make([]float64, blk.N())
+			blk.ColInto(c, col)
+			return col
+		}
+		for _, w := range []int{1, 4} {
+			el.ForwardRHSBlockIntoW(w, &bb, &work, &carry, &red)
+			el.BackSolveBlockIntoW(w, &xr, &carry, &x)
+			for c := range bs {
+				redC, carryC := forwardRHS(el, 1, bs[c])
+				label := fmt.Sprintf("workers=%d k=%d lane %d", w, k, c)
+				requireBitwiseVec(t, label+" reduced", lane(&red, c), redC)
+				requireBitwiseVec(t, label+" carry", lane(&carry, c), carryC)
+				requireBitwiseVec(t, label+" back-solve", lane(&x, c), backSolve(el, 1, xrs[c], carryC))
+			}
+		}
+	}
 }
 
 // exactElimSolve eliminates g, solves the reduced system directly, and
@@ -104,6 +149,7 @@ func TestEliminationCycleReflipRounds(t *testing.T) {
 		}
 		b := randRHS(g.N, seed+100)
 		exactElimSolve(t, g, el, b, 1e-7)
+		requireBlockReplaysBitwise(t, el, b)
 	}
 }
 
@@ -135,36 +181,8 @@ func TestForwardRHSSharedNeighborHotspot(t *testing.T) {
 			}
 		}
 	}
-	// The block form must reproduce the same columns bitwise.
-	bs := [][]float64{b, randRHS(g.N, 13), randRHS(g.N, 14)}
-	k := len(bs)
-	var bb, work, carry, red matrix.Block
-	bb.Reshape(g.N, k)
-	for c := range bs {
-		bb.SetCol(c, bs[c])
-	}
-	work.Reshape(el.OrigN, k)
-	carry.Reshape(len(el.Ops), k)
-	red.Reshape(len(el.Keep), k)
-	for _, w := range []int{1, 4} {
-		el.ForwardRHSBlockIntoW(w, &bb, &work, &carry, &red)
-		for c := range bs {
-			redC, carryC := forwardRHS(el, 1, bs[c])
-			gotRed, gotCarry := make([]float64, len(redC)), make([]float64, len(carryC))
-			red.ColInto(c, gotRed)
-			carry.ColInto(c, gotCarry)
-			for i := range redC {
-				if gotRed[i] != redC[i] {
-					t.Fatalf("workers=%d: block column %d reduced diverges at %d", w, c, i)
-				}
-			}
-			for i := range carryC {
-				if gotCarry[i] != carryC[i] {
-					t.Fatalf("workers=%d: block column %d carry diverges at %d", w, c, i)
-				}
-			}
-		}
-	}
+	// The block forms must reproduce the same columns bitwise.
+	requireBlockReplaysBitwise(t, el, b)
 	exactElimSolve(t, g, el, b, 1e-7)
 }
 

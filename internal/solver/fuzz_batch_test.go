@@ -27,7 +27,7 @@ func TestFuzzBatchLaneEquivalence(t *testing.T) {
 		sweeps = 6
 		eps    = 1e-8
 	)
-	widths := []int{1, 2, 5, 8}
+	widths := []int{1, 2, 3, 4, 5, 8}
 	workersList := []int{2, 4}
 	rng := rand.New(rand.NewSource(20260808))
 	dropouts := 0
