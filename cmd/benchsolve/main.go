@@ -17,6 +17,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -166,9 +167,10 @@ func main() {
 		// each speedup isolates the chain-pass sharing (per-RHS convergence
 		// variance cancels: each column costs identical iterations either
 		// way). The sweep widths cover the streaming window sizes the block
-		// engine targets; the legacy batch_* fields report the -batch width.
-		ks := []int{1, 4, 8, 16}
-		if *batchK != 1 && *batchK != 4 && *batchK != 8 && *batchK != 16 {
+		// engine targets and k = 3, which runs as one 4-wide block with a
+		// zero pad lane; the legacy batch_* fields report the -batch width.
+		ks := []int{1, 3, 4, 8, 16}
+		if !slices.Contains(ks, *batchK) {
 			ks = append(ks, *batchK)
 		}
 		var sweep []batchRow

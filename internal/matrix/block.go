@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 
 	"parlap/internal/par"
@@ -92,17 +93,20 @@ func (b *Block) CopyFrom(src *Block) {
 	copy(b.data, src.data)
 }
 
-// CopyLanesFrom fills b, shaped n×k, with lanes lo … lo+k−1 of src (n×K,
-// K ≥ lo+k): pure data movement, so a lane group solved on b does the
-// arithmetic it would have done inside src.
-func (b *Block) CopyLanesFrom(src *Block, lo int) {
+// CopyLanesFrom fills the first lanes lanes of b (n×k, k ≥ lanes) with
+// lanes lo … lo+lanes−1 of src and zeroes the rest: pure data movement, so
+// a lane group solved on b does the arithmetic it would have done inside
+// src, and a pad lane (see KeepLanes) starts exactly zero.
+func (b *Block) CopyLanesFrom(src *Block, lo, lanes int) {
 	k, sk := b.k, src.k
-	if k == sk {
+	if k == sk && lanes == k {
 		copy(b.data, src.data)
 		return
 	}
 	for v := 0; v < b.n; v++ {
-		copy(b.data[v*k:(v+1)*k], src.data[v*sk+lo:v*sk+lo+k])
+		row := b.data[v*k : (v+1)*k]
+		copy(row, src.data[v*sk+lo:v*sk+lo+lanes])
+		clear(row[lanes:])
 	}
 }
 
@@ -122,31 +126,34 @@ func (b *Block) ColInto(c int, dst []float64) {
 	}
 }
 
-// KeepLanes compacts the block in place to the lanes listed in keep, which
-// must be strictly ascending: lane j of the result is lane keep[j] of the
-// input. Surviving lanes' values are MOVED, never recomputed — compaction
-// is pure data movement, so it cannot perturb any lane's arithmetic (the
-// active-column dropout guarantee of the batched PCG driver). The in-place
-// front-to-back sweep is safe because ascending keep makes every write land
-// at or before the position it reads (v*newK+j <= v*oldK+keep[j]).
-func (b *Block) KeepLanes(keep []int) {
-	oldK, newK := b.k, len(keep)
-	if newK == oldK {
+// KeepLanes compacts the block in place to width k, len(keep) ≤ k ≤ K():
+// lane j of the result is lane keep[j] of the input, keep strictly
+// ascending, and lanes len(keep) … k−1 are zeroed — the pad that lets a
+// block of 3 live lanes run at width 4. Surviving lanes' values are MOVED,
+// never recomputed — compaction is pure data movement, so it cannot perturb
+// any lane's arithmetic (the active-column dropout guarantee of the batched
+// PCG driver). The in-place front-to-back sweep is safe because ascending
+// keep and k ≤ K() make every write land at or before the position it reads
+// (v*k+j <= v*K()+keep[j]), and a row's pad is written after its reads.
+func (b *Block) KeepLanes(k int, keep []int) {
+	oldK := b.k
+	if len(keep) == oldK {
 		return // ascending keep of full width is the identity
 	}
-	if newK == 0 {
+	if k == 0 {
 		b.k, b.data = 0, b.data[:0] // nothing moves: skip the row walk
 		return
 	}
 	for v := 0; v < b.n; v++ {
 		src := b.data[v*oldK:]
-		dst := b.data[v*newK:]
+		dst := b.data[v*k : (v+1)*k]
 		for j, kj := range keep {
 			dst[j] = src[kj]
 		}
+		clear(dst[len(keep):])
 	}
-	b.k = newK
-	b.data = b.data[:b.n*newK]
+	b.k = k
+	b.data = b.data[:b.n*k]
 }
 
 // The block kernels below take a workers knob only for their k = 1 case,
@@ -156,16 +163,26 @@ func (b *Block) KeepLanes(keep []int) {
 // groups (Solver.SolveBlockTraced), a far coarser grain than chunks of one
 // level's vertices, and a sweep allocates nothing.
 //
-// Widths 2 and 4 — the lane groups an 8-lane call splits into on 4 and 2
-// cores — run fixed-width bodies: lane accumulators live in locals, a
-// gathered row is the constant-length slice x[j : j+k : j+k] (one bounds
-// check, none per lane), and streamed rows are walked with a stride-k
-// index. The generic per-lane loop serves every other width (3 after lane
-// dropout, 5 and up). Kernels whose per-element operation is the same in
-// every lane (SubIntoBlockW, ChebUpdateBlockW) sweep the backing flat at
-// every width. Whatever the body, lane c performs the single-vector
-// kernel's float operations in the same order and expression shape, so the
-// bits do not depend on which body ran.
+// A block solve hands its kernels widths 1, 2 and 4 only: it splits its
+// lanes into groups of at most four and runs a group of three as a 4-wide
+// block whose fourth lane is zero. So apart from the delegation at k = 1,
+// a kernel has exactly two bodies, each written for its width: lane
+// accumulators live in locals, a gathered row is the constant-length slice
+// x[j : j+k : j+k] (one bounds check, none per lane), and streamed rows are
+// walked with a stride-k index. A kernel panics on any other width — except
+// the CSR sweep behind MulVecBlockW and MulVecAxpyBlockW, which keeps a
+// per-lane loop for every other width. Kernels whose per-element operation
+// is the same in every lane (SubIntoBlockW, ChebUpdateBlockW) sweep the
+// backing flat at every width. Whatever the body, lane c performs the
+// single-vector kernel's float operations in the same order and expression
+// shape, so the bits do not depend on which body ran; and every kernel is
+// linear in each lane and divides by no lane value, so a zero pad lane
+// stays exactly zero.
+
+// panicWidth rejects a block width a kernel has no body for.
+func panicWidth(kernel string, k int) {
+	panic(fmt.Sprintf("matrix: %s on a %d-lane block (block kernels run 1, 2 or 4 lanes)", kernel, k))
+}
 
 // MulVecBlockW computes y = A·x lane-wise: lane c of y is bitwise identical
 // to MulVecW on lane c of x. One CSR traversal serves all k lanes, and the
@@ -196,7 +213,8 @@ func (a *Sparse) MulVecAxpyBlockW(workers int, x, ap *Block, alpha float64, y *B
 
 // mulVecAxpyRows is the k ≥ 2 sweep of MulVecBlockW (y == nil) and
 // MulVecAxpyBlockW over n×k interleaved backings: ap = A·x, then
-// y = alpha·ap + y when y is given.
+// y = alpha·ap + y when y is given. Widths other than 2 and 4 run the
+// per-lane loop (the solver never hands it one, but callers outside it do).
 func mulVecAxpyRows(a *Sparse, k int, x, ap []float64, alpha float64, y []float64) {
 	switch k {
 	case 2:
@@ -278,49 +296,18 @@ func mulVecAxpyRows4(a *Sparse, x, ap []float64, alpha float64, y []float64) {
 
 // DotBlockIntoW computes out[c] = x[:,c]·y[:,c] for every lane in one pass.
 // Each lane folds through exactly DotW's fixed-grain chunk tree, so out[c]
-// is bitwise identical to DotW on lane c. tmp (length >= k) holds the chunk
-// partials; out must hold k values. Nothing is allocated.
-func DotBlockIntoW(workers int, x, y *Block, out, tmp []float64) {
-	k, n := x.k, x.n
-	switch k {
+// is bitwise identical to DotW on lane c. out must hold k values. Nothing
+// is allocated.
+func DotBlockIntoW(workers int, x, y *Block, out []float64) {
+	switch x.k {
 	case 1:
 		out[0] = DotW(workers, x.Vec(), y.Vec())
-		return
 	case 2:
 		out[0], out[1] = dotBlock2(x.data, y.data)
-		return
 	case 4:
 		out[0], out[1], out[2], out[3] = dotBlock4(x.data, y.data)
-		return
-	}
-	tmp = tmp[:k]
-	for lo := 0; lo < n; lo += par.ReduceGrain {
-		hi := lo + par.ReduceGrain
-		if hi > n {
-			hi = n
-		}
-		for c := range tmp {
-			tmp[c] = 0
-		}
-		for i := lo; i < hi; i++ {
-			xr := x.data[i*k : (i+1)*k]
-			yr := y.data[i*k : (i+1)*k]
-			for c := 0; c < k; c++ {
-				tmp[c] += xr[c] * yr[c]
-			}
-		}
-		if lo == 0 {
-			copy(out[:k], tmp)
-		} else {
-			for c := 0; c < k; c++ {
-				out[c] += tmp[c]
-			}
-		}
-	}
-	if n == 0 {
-		for c := 0; c < k; c++ {
-			out[c] = 0
-		}
+	default:
+		panicWidth("DotBlockIntoW", x.k)
 	}
 }
 
@@ -371,10 +358,9 @@ func dotBlock4(x, y []float64) (a0, a1, a2, a3 float64) {
 	return a0, a1, a2, a3
 }
 
-// Norm2BlockIntoW computes each lane's Euclidean norm; see DotBlockIntoW
-// for the scratch contract.
-func Norm2BlockIntoW(workers int, x *Block, out, tmp []float64) {
-	DotBlockIntoW(workers, x, x, out, tmp)
+// Norm2BlockIntoW computes each lane's Euclidean norm into out (k values).
+func Norm2BlockIntoW(workers int, x *Block, out []float64) {
+	DotBlockIntoW(workers, x, x, out)
 	for c := 0; c < x.k; c++ {
 		out[c] = math.Sqrt(out[c])
 	}
@@ -404,14 +390,7 @@ func AxpyBlockW(workers int, dst *Block, alphas []float64, x, y *Block) {
 			d[i-1], d[i] = a2*xd[i-1]+yd[i-1], a3*xd[i]+yd[i]
 		}
 	default:
-		for i := 0; i < dst.n; i++ {
-			dr := d[i*k : (i+1)*k]
-			xr := xd[i*k : (i+1)*k]
-			yr := yd[i*k : (i+1)*k]
-			for c := 0; c < k; c++ {
-				dr[c] = alphas[c]*xr[c] + yr[c]
-			}
-		}
+		panicWidth("AxpyBlockW", k)
 	}
 }
 
@@ -455,58 +434,24 @@ func ChebUpdateBlockW(workers int, p, z *Block, beta float64, x *Block, alpha fl
 
 // ProjectOutConstantMaskedBlockIdxW subtracts each lane's per-component
 // mean in place — lane c is bitwise identical to
-// ProjectOutConstantMaskedIdxW on that lane. scratch (length >= 2k) makes
-// the single-component path allocation-free: scratch[:k] holds the lane
-// means, scratch[k:2k] the chunk partials of the mean reduction. The
-// multi-component path allocates its segmented sums, matching the
-// single-vector kernel's behaviour.
-func ProjectOutConstantMaskedBlockIdxW(workers int, x *Block, ci *CompIndex, scratch []float64) {
+// ProjectOutConstantMaskedIdxW on that lane. The single-component path
+// allocates nothing; the multi-component path allocates its segmented
+// sums, matching the single-vector kernel's behaviour.
+func ProjectOutConstantMaskedBlockIdxW(workers int, x *Block, ci *CompIndex) {
 	k := x.k
-	if k == 1 {
+	switch k {
+	case 1:
 		ProjectOutConstantMaskedIdxW(workers, x.Vec(), ci)
 		return
+	case 2, 4:
+	default:
+		panicWidth("ProjectOutConstantMaskedBlockIdxW", k)
 	}
-	n := x.n
 	if ci.NumComp == 1 {
-		switch k {
-		case 2:
+		if k == 2 {
 			projectOutMean2(x.data)
-			return
-		case 4:
+		} else {
 			projectOutMean4(x.data)
-			return
-		}
-		mus, tmp := scratch[:k], scratch[k:2*k]
-		for lo := 0; lo < n; lo += par.ReduceGrain {
-			hi := lo + par.ReduceGrain
-			if hi > n {
-				hi = n
-			}
-			for c := range tmp {
-				tmp[c] = 0
-			}
-			for i := lo; i < hi; i++ {
-				xr := x.data[i*k : (i+1)*k]
-				for c := 0; c < k; c++ {
-					tmp[c] += xr[c]
-				}
-			}
-			if lo == 0 {
-				copy(mus, tmp)
-			} else {
-				for c := 0; c < k; c++ {
-					mus[c] += tmp[c]
-				}
-			}
-		}
-		for c := 0; c < k; c++ {
-			mus[c] /= float64(n)
-		}
-		for i := 0; i < n; i++ {
-			xr := x.data[i*k : (i+1)*k]
-			for c := 0; c < k; c++ {
-				xr[c] -= mus[c]
-			}
 		}
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"parlap/internal/gen"
 	"parlap/internal/graph"
 	"parlap/internal/par"
 )
@@ -63,10 +64,16 @@ func blockFromCols(xs [][]float64) *Block {
 	return b
 }
 
-// blockTestWidths covers the single-vector delegation (1), both
-// fixed-width bodies (2, 4) and the generic loop on either side of each
-// (3, 5, 8).
-var blockTestWidths = []int{1, 2, 3, 4, 5, 8}
+// blockTestWidths covers the widths the block kernels run: the
+// single-vector delegation (1) and both fixed-width bodies (2, 4).
+var blockTestWidths = []int{1, 2, 4}
+
+// mulVecTestWidths adds, for the CSR sweep that keeps a per-lane loop for
+// every other width, the widths on either side of each body (3, 5, 8).
+var mulVecTestWidths = []int{1, 2, 3, 4, 5, 8}
+
+// otherWidths are block widths every kernel but the CSR sweep rejects.
+var otherWidths = []int{3, 5, 8}
 var blockTestWorkers = []int{1, 2, 4}
 
 func TestBlockRoundTrip(t *testing.T) {
@@ -120,7 +127,7 @@ func TestBlockKeepLanes(t *testing.T) {
 		}
 		b := blockFromCols(xs)
 		base := &b.Data()[0]
-		b.KeepLanes(keep)
+		b.KeepLanes(len(keep), keep)
 		if b.K() != len(keep) || len(b.Data()) != n*len(keep) {
 			t.Fatalf("shape %dx%d (%d values) after KeepLanes(%v)", b.N(), b.K(), len(b.Data()), keep)
 		}
@@ -138,9 +145,101 @@ func TestBlockKeepLanes(t *testing.T) {
 	}
 }
 
+// TestBlockKeepLanesPad: compacting to a width wider than the survivors
+// zeroes the pad lanes in place — 4 lanes dropping to 3 keep width 4 on the
+// same backing with lane 3 zero — while compacting to the survivors' own
+// width (4 → 2, 2 → 1) is the plain compaction.
+func TestBlockKeepLanesPad(t *testing.T) {
+	const n = 37
+	for _, tc := range []struct {
+		k, width int
+		keep     []int
+	}{
+		{4, 4, []int{0, 2, 3}},
+		{4, 4, []int{1, 2, 3}},
+		{4, 2, []int{1, 3}},
+		{2, 1, []int{1}},
+	} {
+		xs := randCols(n, tc.k, int64(tc.k+len(tc.keep)))
+		b := blockFromCols(xs)
+		base := &b.Data()[0]
+		b.KeepLanes(tc.width, tc.keep)
+		if b.K() != tc.width || len(b.Data()) != n*tc.width || &b.Data()[0] != base {
+			t.Fatalf("KeepLanes(%d, %v) of %d lanes: got %dx%d (%d values) or a new backing",
+				tc.width, tc.keep, tc.k, b.N(), b.K(), len(b.Data()))
+		}
+		got := make([]float64, n)
+		for j, c := range tc.keep {
+			b.ColInto(j, got)
+			requireBitwise(t, fmt.Sprintf("KeepLanes(%d, %v) lane %d<-%d", tc.width, tc.keep, j, c), got, xs[c])
+		}
+		for j := len(tc.keep); j < tc.width; j++ {
+			b.ColInto(j, got)
+			requireBitwise(t, fmt.Sprintf("KeepLanes(%d, %v) pad lane %d", tc.width, tc.keep, j), got, make([]float64, n))
+		}
+	}
+}
+
+// TestBlockCopyLanesFromPad: copying 3 lanes into a 4-wide block fills
+// lanes 0–2 from the source and zeroes lane 3, whatever it held before.
+func TestBlockCopyLanesFromPad(t *testing.T) {
+	const n, lo = 29, 2
+	xs := randCols(n, 6, 3)
+	src := blockFromCols(xs)
+	dst := blockFromCols(randCols(n, 4, 4)) // stale values in every lane
+	dst.CopyLanesFrom(src, lo, 3)
+	got := make([]float64, n)
+	for j := 0; j < 3; j++ {
+		dst.ColInto(j, got)
+		requireBitwise(t, fmt.Sprintf("lane %d", j), got, xs[lo+j])
+	}
+	dst.ColInto(3, got)
+	requireBitwise(t, "pad lane", got, make([]float64, n))
+}
+
+// requirePanics fails the test unless f panics.
+func requirePanics(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestBlockKernelsRejectOtherWidths: the block kernels run widths 1, 2 and
+// 4 only and panic on any other, except the CSR sweep (MulVecBlockW,
+// MulVecAxpyBlockW), which TestMulVecBlockBitwise holds bitwise at every
+// width in mulVecTestWidths.
+func TestBlockKernelsRejectOtherWidths(t *testing.T) {
+	const n = 50
+	ci := NewCompIndexW(1, make([]int, n), 1)
+	g := gen.Grid2D(5, 10)
+	comp, numComp := g.ConnectedComponents()
+	lf, err := NewLaplacianFactorW(1, LaplacianOf(g), comp, numComp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range otherWidths {
+		x, y := blockFromCols(randCols(n, k, 1)), blockFromCols(randCols(n, k, 2))
+		out := make([]float64, k)
+		gb := NewBlock(lf.GroundedLen(), k)
+		for name, f := range map[string]func(){
+			"DotBlockIntoW":                     func() { DotBlockIntoW(1, x, y, out) },
+			"Norm2BlockIntoW":                   func() { Norm2BlockIntoW(1, x, out) },
+			"AxpyBlockW":                        func() { AxpyBlockW(1, y, out, x, y) },
+			"ProjectOutConstantMaskedBlockIdxW": func() { ProjectOutConstantMaskedBlockIdxW(1, x, ci) },
+			"LaplacianFactor.SolveBlockIntoW":   func() { lf.SolveBlockIntoW(1, x, y, gb) },
+		} {
+			requirePanics(t, fmt.Sprintf("%s at width %d", name, k), f)
+		}
+	}
+}
+
 func TestMulVecBlockBitwise(t *testing.T) {
 	a := randLap(700, 1)
-	for _, k := range blockTestWidths {
+	for _, k := range mulVecTestWidths {
 		xs := randCols(a.N, k, 2)
 		for _, w := range blockTestWorkers {
 			x := blockFromCols(xs)
@@ -159,7 +258,7 @@ func TestMulVecBlockBitwise(t *testing.T) {
 
 func TestMulVecAxpyBlockBitwise(t *testing.T) {
 	a := randLap(650, 3)
-	for _, k := range blockTestWidths {
+	for _, k := range mulVecTestWidths {
 		xs := randCols(a.N, k, 4)
 		ys := randCols(a.N, k, 5)
 		alpha := -0.37
@@ -190,14 +289,13 @@ func TestDotNorm2BlockBitwise(t *testing.T) {
 			for _, w := range blockTestWorkers {
 				x, y := blockFromCols(xs), blockFromCols(ys)
 				out := make([]float64, k)
-				tmp := make([]float64, k)
-				DotBlockIntoW(w, x, y, out, tmp)
+				DotBlockIntoW(w, x, y, out)
 				for c := 0; c < k; c++ {
 					if want := DotW(w, xs[c], ys[c]); out[c] != want {
 						t.Fatalf("dot n=%d k=%d w=%d col %d: %g vs %g", n, k, w, c, out[c], want)
 					}
 				}
-				Norm2BlockIntoW(w, x, out, tmp)
+				Norm2BlockIntoW(w, x, out)
 				for c := 0; c < k; c++ {
 					if want := Norm2W(w, xs[c]); out[c] != want {
 						t.Fatalf("norm n=%d k=%d w=%d col %d: %g vs %g", n, k, w, c, out[c], want)
@@ -279,8 +377,7 @@ func TestProjectBlockBitwise(t *testing.T) {
 				xs := randCols(n, k, int64(14+numComp))
 				for _, w := range blockTestWorkers {
 					x := blockFromCols(xs)
-					scratch := make([]float64, 2*k)
-					ProjectOutConstantMaskedBlockIdxW(w, x, ci, scratch)
+					ProjectOutConstantMaskedBlockIdxW(w, x, ci)
 					for c := 0; c < k; c++ {
 						want := CopyVec(xs[c])
 						ProjectOutConstantMaskedIdxW(w, want, ci)
@@ -322,9 +419,9 @@ func TestDotNormBatchBitwise(t *testing.T) {
 	ys := randCols(n, k, 4)
 	x, y := blockFromCols(xs), blockFromCols(ys)
 	for _, w := range []int{1, 0, 2} {
-		dots, norms, tmp := make([]float64, k), make([]float64, k), make([]float64, k)
-		DotBlockIntoW(w, x, y, dots, tmp)
-		Norm2BlockIntoW(w, x, norms, tmp)
+		dots, norms := make([]float64, k), make([]float64, k)
+		DotBlockIntoW(w, x, y, dots)
+		Norm2BlockIntoW(w, x, norms)
 		for c := 0; c < k; c++ {
 			if dots[c] != DotW(1, xs[c], ys[c]) {
 				t.Fatalf("dot column %d differs under workers=%d", c, w)
@@ -336,23 +433,23 @@ func TestDotNormBatchBitwise(t *testing.T) {
 	}
 }
 
-// TestDotBatchIntoBitwise reuses one out/tmp pair across every call, the
-// way the solver's per-iteration reductions do: stale partials left in tmp
-// by a wider or longer call must never leak into the next one.
+// TestDotBatchIntoBitwise reuses one out buffer across every call, the way
+// the solver's per-iteration reductions do: values left in it by a wider or
+// longer call must never leak into the next one.
 func TestDotBatchIntoBitwise(t *testing.T) {
-	out, tmp := make([]float64, 8), make([]float64, 8)
+	out := make([]float64, 4)
 	for _, n := range []int{1, par.ReduceGrain + 1, 3*par.ReduceGrain + 17} {
 		for _, k := range blockTestWidths {
 			xs, ys := randCols(n, k, 8), randCols(n, k, 9)
 			x, y := blockFromCols(xs), blockFromCols(ys)
 			for _, w := range blockTestWorkers {
-				DotBlockIntoW(w, x, y, out[:k], tmp[:k])
+				DotBlockIntoW(w, x, y, out[:k])
 				for c := 0; c < k; c++ {
 					if want := DotW(w, xs[c], ys[c]); out[c] != want {
 						t.Fatalf("dot n=%d k=%d w=%d col %d: %g vs %g", n, k, w, c, out[c], want)
 					}
 				}
-				Norm2BlockIntoW(w, x, out[:k], tmp[:k])
+				Norm2BlockIntoW(w, x, out[:k])
 				for c := 0; c < k; c++ {
 					if want := Norm2W(w, xs[c]); out[c] != want {
 						t.Fatalf("norm n=%d k=%d w=%d col %d: %g vs %g", n, k, w, c, out[c], want)
@@ -364,10 +461,10 @@ func TestDotBatchIntoBitwise(t *testing.T) {
 }
 
 func TestAxpySubBatchBitwise(t *testing.T) {
-	n, k := 4000, 3
+	n, k := 4000, 4
 	xs := randCols(n, k, 5)
 	ys := randCols(n, k, 6)
-	alphas := []float64{0.5, -1.25, 3.75}
+	alphas := []float64{0.5, -1.25, 3.75, -0.625}
 	x, y := blockFromCols(xs), blockFromCols(ys)
 	dst, diff := NewBlock(n, k), NewBlock(n, k)
 	AxpyBlockW(0, dst, alphas, x, y)
@@ -387,7 +484,7 @@ func TestAxpySubBatchBitwise(t *testing.T) {
 // TestProjectBatchBitwise checks the block projection against the
 // comp-array single-vector projection (no CompIndex on the reference side).
 func TestProjectBatchBitwise(t *testing.T) {
-	n, k := 6000, 3
+	n, k := 6000, 4
 	comp := make([]int, n)
 	for _, tc := range []struct {
 		name    string
@@ -404,7 +501,7 @@ func TestProjectBatchBitwise(t *testing.T) {
 		}
 		xs := randCols(n, k, tc.seed)
 		x := blockFromCols(xs)
-		ProjectOutConstantMaskedBlockIdxW(tc.workers, x, NewCompIndexW(0, comp, tc.numComp), make([]float64, 2*k))
+		ProjectOutConstantMaskedBlockIdxW(tc.workers, x, NewCompIndexW(0, comp, tc.numComp))
 		got := make([]float64, n)
 		for c := 0; c < k; c++ {
 			ProjectOutConstantMaskedW(1, xs[c], comp, tc.numComp)
@@ -419,7 +516,7 @@ func TestProjectBatchBitwise(t *testing.T) {
 // a lane or segment mix-up in the segmented sums shows as a wrong mean.
 func TestProjectOutConstantMaskedBatchColumnParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	n, numComp, cols := 7000, 6, 5
+	n, numComp, cols := 7000, 6, 4
 	comp := randomPartition(rng, n, numComp)
 	ci := NewCompIndexW(0, comp, numComp)
 	xs := make([][]float64, cols)
@@ -430,7 +527,7 @@ func TestProjectOutConstantMaskedBatchColumnParity(t *testing.T) {
 		}
 	}
 	x := blockFromCols(xs)
-	ProjectOutConstantMaskedBlockIdxW(2, x, ci, make([]float64, 2*cols))
+	ProjectOutConstantMaskedBlockIdxW(2, x, ci)
 	got := make([]float64, n)
 	for c := range xs {
 		ProjectOutConstantMaskedIdxW(1, xs[c], ci)

@@ -97,44 +97,18 @@ func (f *SparseLDL) solveInPlace(x []float64) {
 	}
 }
 
-// solveBlockInPlace is solveInPlace over a contiguous n×k Block: lane c
-// performs exactly solveInPlace's operations on lane c's values in the same
-// order (only the L-entry loads are shared), so it is bitwise identical.
-// Widths 2 and 4 run fixed-width bodies (see the block kernels in block.go).
+// solveBlockInPlace is solveInPlace over a contiguous n×k Block at width 2
+// or 4: lane c performs exactly solveInPlace's operations on lane c's
+// values in the same order (only the L-entry loads are shared), so it is
+// bitwise identical. Other widths panic (see the block kernels in block.go).
 func (f *SparseLDL) solveBlockInPlace(x *Block) {
-	n, k := len(f.D), x.K()
-	switch k {
+	switch x.K() {
 	case 2:
 		f.solveBlock2(x.data)
-		return
 	case 4:
 		f.solveBlock4(x.data)
-		return
-	}
-	for j := 0; j < n; j++ {
-		lo, hi := f.ColPtr[j], f.ColPtr[j+1]
-		rows, vals := f.RowPos[lo:hi], f.L[lo:hi]
-		xj := x.Row(j)
-		for q, r := range rows {
-			l, xr := vals[q], x.Row(int(r))
-			for c := 0; c < k; c++ {
-				xr[c] -= l * xj[c]
-			}
-		}
-	}
-	for j := n - 1; j >= 0; j-- {
-		lo, hi := f.ColPtr[j], f.ColPtr[j+1]
-		rows, vals := f.RowPos[lo:hi], f.L[lo:hi]
-		xj, d := x.Row(j), f.D[j]
-		for c := 0; c < k; c++ {
-			xj[c] /= d
-		}
-		for q, r := range rows {
-			l, xr := vals[q], x.Row(int(r))
-			for c := 0; c < k; c++ {
-				xj[c] -= l * xr[c]
-			}
-		}
+	default:
+		panicWidth("SparseLDL block solve", x.K())
 	}
 }
 
@@ -641,19 +615,18 @@ func (lf *LaplacianFactor) N() int { return lf.n }
 // solve costs 2·NNZ multiply-adds.
 func (lf *LaplacianFactor) NNZ() int { return lf.factor.NNZ() }
 
-// SolveBlockIntoW is SolveIntoW over a contiguous n×k Block: lane c is
-// bitwise identical to SolveIntoW on lane c. x (n×k, fully overwritten) and
-// the grounded scratch g (GroundedLen()×k) must not alias b; scratch
-// (length >= 2k) serves the in-place projections. Nothing is allocated for
-// a connected bottom graph.
-func (lf *LaplacianFactor) SolveBlockIntoW(workers int, b, x, g *Block, scratch []float64) {
+// SolveBlockIntoW is SolveIntoW over a contiguous n×k Block, k ∈ {1, 2, 4}:
+// lane c is bitwise identical to SolveIntoW on lane c. x (n×k, fully
+// overwritten) and the grounded scratch g (GroundedLen()×k) must not alias
+// b. Nothing is allocated for a connected bottom graph.
+func (lf *LaplacianFactor) SolveBlockIntoW(workers int, b, x, g *Block) {
 	k := b.K()
 	if k == 1 {
 		lf.SolveIntoW(workers, b.Vec(), x.Vec(), g.Vec())
 		return
 	}
 	x.CopyFrom(b)
-	ProjectOutConstantMaskedBlockIdxW(workers, x, lf.compIdx, scratch)
+	ProjectOutConstantMaskedBlockIdxW(workers, x, lf.compIdx)
 	for i, v := range lf.keep {
 		copy(g.Row(i), x.Row(v))
 	}
@@ -666,5 +639,5 @@ func (lf *LaplacianFactor) SolveBlockIntoW(workers int, b, x, g *Block, scratch 
 	for i, v := range lf.keep {
 		copy(x.Row(v), g.Row(i))
 	}
-	ProjectOutConstantMaskedBlockIdxW(workers, x, lf.compIdx, scratch)
+	ProjectOutConstantMaskedBlockIdxW(workers, x, lf.compIdx)
 }

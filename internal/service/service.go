@@ -628,26 +628,46 @@ func (s *Server) solveTraced(ctx context.Context, id string, bs [][]float64, eps
 	if eps <= 0 {
 		eps = s.cfg.DefaultEps
 	}
-	tQueue := time.Now()
-	if err := s.admit.Acquire(ctx, e.id); err != nil {
+	var xs [][]float64
+	queueNS, sts, err := s.admittedSolve(ctx, e, func(opt solver.Options) []solver.SolveStats {
+		var sts []solver.SolveStats
+		xs, sts = e.solver.SolveBatchTraced(bs, eps, opt, tr)
+		return sts
+	})
+	if err != nil {
 		return fail(err)
 	}
-	queueNS := time.Since(tQueue).Nanoseconds()
+	tr.QueueNS = queueNS
+	return e, xs, sts, nil
+}
+
+// admittedSolve is the one path by which a request or a stream window
+// solves on entry e: it waits for an admission slot (or ctx), runs solve
+// with the per-slot share of the worker budget, counts the solve, its
+// right-hand sides and their iterations on e, and recharges e's footprint
+// (the solve may have grown the workspace pool). The slot is released
+// under defer, so a panicking solve neither leaks it nor skews the
+// occupancy split. It returns the admission queue wait and solve's stats.
+func (s *Server) admittedSolve(ctx context.Context, e *entry,
+	solve func(opt solver.Options) []solver.SolveStats) (queueNS int64, sts []solver.SolveStats, err error) {
+	tQueue := time.Now()
+	if err := s.admit.Acquire(ctx, e.id); err != nil {
+		return 0, nil, err
+	}
+	queueNS = time.Since(tQueue).Nanoseconds()
 	occupancy := s.inflight.Add(1)
 	defer func() {
 		s.inflight.Add(-1)
 		s.admit.Release(e.id)
 	}()
-	opt := solver.Options{Workers: s.workersForOccupancy(occupancy)}
-	xs, sts := e.solver.SolveBatchTraced(bs, eps, opt, tr)
-	tr.QueueNS = queueNS
+	sts = solve(solver.Options{Workers: s.workersForOccupancy(occupancy)})
 	e.solves.Add(1)
-	e.rhsServed.Add(int64(len(bs)))
+	e.rhsServed.Add(int64(len(sts)))
 	for _, st := range sts {
 		e.iterations.Add(int64(st.Iterations))
 	}
 	s.recharge(e)
-	return e, xs, sts, nil
+	return queueNS, sts, nil
 }
 
 // NotFoundError reports an unknown (or evicted) graph id.

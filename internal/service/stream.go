@@ -94,35 +94,20 @@ func (s *Server) solveStream(ctx context.Context, id string, eps float64,
 			// and each window records one trace (queue wait included), so a
 			// long stream shows up in the latency histograms window by window.
 			tWin := time.Now()
-			if err := s.admit.Acquire(ctx, e.id); err != nil {
-				return done, err
-			}
-			queueNS := time.Since(tWin).Nanoseconds()
 			var tr obs.SolveTrace
 			rhsBlk.Reshape(e.n, len(bs))
 			for c, b := range bs {
 				rhsBlk.SetCol(c, b)
 			}
-			sts := func() []solver.SolveStats {
-				occupancy := s.inflight.Add(1)
-				// Release under defer (like Server.Solve): a panicking solve
-				// must not leak the slot or skew the occupancy split.
-				defer func() {
-					s.inflight.Add(-1)
-					s.admit.Release(e.id)
-				}()
-				opt := solver.Options{Workers: s.workersForOccupancy(occupancy)}
+			queueNS, sts, err := s.admittedSolve(ctx, e, func(opt solver.Options) []solver.SolveStats {
 				return e.solver.SolveBlockTraced(&rhsBlk, &outBlk, eps, opt, &tr, stsBuf)
-			}()
-			stsBuf = sts[:0]
-			e.solves.Add(1)
-			e.rhsServed.Add(int64(len(bs)))
-			for _, st := range sts {
-				e.iterations.Add(int64(st.Iterations))
+			})
+			if err != nil {
+				return done, err
 			}
+			stsBuf = sts[:0]
 			s.met.streamWindows.Add(1)
 			s.met.streamRows.Add(int64(len(bs)))
-			s.recharge(e)
 			tEncode := time.Now()
 			emitted, emitErr := 0, error(nil)
 			for ; emitted < len(sts) && emitErr == nil; emitted++ {

@@ -39,10 +39,10 @@ func requireApplyZeroAllocs(t *testing.T, c *Chain, n, k int, what string) {
 	for j := 0; j < k; j++ {
 		rs.SetCol(j, randRHS(n, int64(7+j)))
 	}
-	ws := newWorkspace(c, k)     // held directly: immune to pool/GC interplay
-	c.applyHTopBlock(1, &rs, ws) // warm up (lazy growth done)
+	ws := newWorkspace(c, k)        // held directly: immune to pool/GC interplay
+	c.applyHTopBlock(1, &rs, k, ws) // warm up (lazy growth done)
 	allocs := testing.AllocsPerRun(20, func() {
-		c.applyHTopBlock(1, &rs, ws)
+		c.applyHTopBlock(1, &rs, k, ws)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state %s allocated %.1f objects/op, want 0", what, allocs)
@@ -102,14 +102,15 @@ func TestSolveTracedNoExtraAllocs(t *testing.T) {
 // steady-state k-wide preconditioner application at Workers:1 must perform
 // ZERO heap allocations — the block workspace reshapes in place, every
 // block kernel takes its sequential fast path, and lane compaction is pure
-// data movement. Width 1 is covered above; this is the k = 8 pass.
+// data movement. Width 1 is covered above; this is the k = 4 pass, the
+// widest a lane group hands the chain.
 func TestPrecondApplyBlockZeroAllocs(t *testing.T) {
 	g := gen.Grid2D(48, 48)
 	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireApplyZeroAllocs(t, s.Chain, g.N, 8, "block preconditioner application")
+	requireApplyZeroAllocs(t, s.Chain, g.N, 4, "block preconditioner application")
 }
 
 // The full traced block solve must also be allocation-free at steady state
@@ -118,13 +119,15 @@ func TestPrecondApplyBlockZeroAllocs(t *testing.T) {
 // warm pool, and the trace copy-out is a struct assignment. This is the
 // wall the streaming driver (internal/service/stream.go) relies on — a long
 // stream's windows after the first must not allocate inside the solver.
+// k = 3 runs one padded 4-wide group and k = 8 two 4-lane groups one after
+// another, each returning its workspace before the next takes it.
 func TestSolveBlockTracedZeroAllocs(t *testing.T) {
 	g := gen.Grid2D(32, 32)
 	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{4, 2, 1} {
+	for _, k := range []int{8, 4, 3, 2, 1} {
 		tr := requireSolveBlockZeroAllocs(t, s, k, fmt.Sprintf("k=%d block solve", k))
 		if tr.OuterNS <= 0 || tr.PrecondNS <= 0 {
 			t.Fatalf("k=%d: trace not populated: %+v", k, tr)
@@ -223,11 +226,11 @@ func BenchmarkPrecondApply(b *testing.B) {
 				rs.SetCol(j, randRHS(g.N, int64(7+j)))
 			}
 			ws := newWorkspace(s.Chain, k)
-			s.Chain.applyHTopBlock(1, &rs, ws) // warm up (lazy growth done)
+			s.Chain.applyHTopBlock(1, &rs, k, ws) // warm up (lazy growth done)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.Chain.applyHTopBlock(1, &rs, ws)
+				s.Chain.applyHTopBlock(1, &rs, k, ws)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/rhs")
 		})
@@ -279,7 +282,7 @@ func TestPrecondApplyBlockZeroAllocsVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireApplyZeroAllocs(t, s.Chain, v.g.N, 8, v.name+" block application")
+			requireApplyZeroAllocs(t, s.Chain, v.g.N, 4, v.name+" block application")
 		})
 	}
 }

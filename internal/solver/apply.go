@@ -23,7 +23,9 @@ import (
 // solve is bitwise identical to a solve of that column alone. Lanes that
 // converge (or break down) are compacted out of the block — pure data
 // movement via Block.KeepLanes — exactly where a lone solve of the column
-// would have stopped.
+// would have stopped. A block runs at width 1, 2 or 4 (blockWidth): three
+// live lanes carry a fourth, zero pad lane, which every kernel keeps
+// exactly zero and the driver never treats as a lane.
 //
 // Scratch lives in the per-solve workspace (each buffer a Block reshaped to
 // the batch width), so steady-state applications reuse backing arrays
@@ -37,10 +39,9 @@ import (
 // workspace-resident block, valid until the level's scratch is next used.
 func (c *Chain) solveLevelBlock(workers, i int, bs *matrix.Block, ws *workspace) *matrix.Block {
 	if i >= len(c.Levels) {
-		k := bs.K()
-		c.bottomSolves.Add(int64(k))
+		c.bottomSolves.Add(int64(ws.lanes))
 		t0 := time.Now()
-		c.Bottom.SolveBlockIntoW(workers, bs, &ws.bot.x, &ws.bot.g, ws.bot.scal)
+		c.Bottom.SolveBlockIntoW(workers, bs, &ws.bot.x, &ws.bot.g)
 		ws.trace.BottomNS += time.Since(t0).Nanoseconds()
 		return &ws.bot.x
 	}
@@ -63,20 +64,21 @@ func (c *Chain) applyHBlock(workers, i int, r *matrix.Block, ws *workspace) *mat
 	xr := c.solveLevelBlock(workers, i+1, &l.fwdRed, ws)
 	t1 := time.Now()
 	lvl.Elim.BackSolveBlockIntoW(workers, xr, &l.fwdCarry, &l.backX)
-	matrix.ProjectOutConstantMaskedBlockIdxW(workers, &l.backX, lvl.CompIdx, l.scal)
+	matrix.ProjectOutConstantMaskedBlockIdxW(workers, &l.backX, lvl.CompIdx)
 	ws.trace.BackNS[li] += time.Since(t1).Nanoseconds()
 	return &l.backX
 }
 
 // applyHTopBlock applies the whole-chain preconditioner to the k lanes of rs
-// into ws and returns the workspace-resident block. It reshapes the chain
-// scratch to rs's width when the batch narrowed (lane dropout in the outer
-// driver), which on a warm workspace is slice-header work only.
-func (c *Chain) applyHTopBlock(workers int, rs *matrix.Block, ws *workspace) *matrix.Block {
-	k := rs.K()
-	if ws.cols != k {
+// (the first lanes of them live, any other a zero pad) into ws and returns
+// the workspace-resident block. It reshapes the chain scratch to rs's width
+// when the batch narrowed (lane dropout in the outer driver), which on a
+// warm workspace is slice-header work only.
+func (c *Chain) applyHTopBlock(workers int, rs *matrix.Block, lanes int, ws *workspace) *matrix.Block {
+	if k := rs.K(); ws.cols != k {
 		ws.grow(k)
 	}
+	ws.lanes = lanes
 	c.precondApplies.Add(1)
 	t0 := time.Now()
 	var zs *matrix.Block
@@ -112,18 +114,18 @@ func (c *Chain) chebLevelBlock(workers, i int, bs *matrix.Block, ws *workspace) 
 	var innerNS int64
 	x.Zero()
 	r.CopyFrom(bs)
-	matrix.ProjectOutConstantMaskedBlockIdxW(workers, r, ci, l.scal)
+	matrix.ProjectOutConstantMaskedBlockIdxW(workers, r, ci)
 	co := newChebCoeffs(lvl.EigLo, lvl.EigHi)
 	for it := 0; it < lvl.ChebIts; it++ {
 		ta := time.Now()
 		z := c.applyHBlock(workers, i, r, ws)
 		innerNS += time.Since(ta).Nanoseconds()
-		matrix.ProjectOutConstantMaskedBlockIdxW(workers, z, ci, l.scal)
+		matrix.ProjectOutConstantMaskedBlockIdxW(workers, z, ci)
 		alpha, beta, first := co.step(it)
 		matrix.ChebUpdateBlockW(workers, p, z, beta, x, alpha, first)
 		a.MulVecAxpyBlockW(workers, p, ap, -alpha, r)
 	}
-	matrix.ProjectOutConstantMaskedBlockIdxW(workers, x, ci, l.scal)
+	matrix.ProjectOutConstantMaskedBlockIdxW(workers, x, ci)
 	ws.trace.ChebNS[obs.LevelIndex(i)] += time.Since(t0).Nanoseconds() - innerNS
 	return x
 }
@@ -146,10 +148,11 @@ func finishBlockLane(workers int, x *matrix.Block, lane int, ci *matrix.CompInde
 // preconditioner is what the outer PCG driver applies once per iteration:
 // the chain's whole-chain H (Chain) or a baseline's diagonal (diagPrecond).
 type preconditioner interface {
-	// applyHTopBlock applies the preconditioner to the lanes of rs and
-	// returns the result in a block the preconditioner owns; the driver may
-	// overwrite it until the next call.
-	applyHTopBlock(workers int, rs *matrix.Block, ws *workspace) *matrix.Block
+	// applyHTopBlock applies the preconditioner to rs, whose first lanes
+	// lanes are live and any further lane a zero pad, and returns the
+	// result in a block the preconditioner owns; the driver may overwrite
+	// it until the next call.
+	applyHTopBlock(workers int, rs *matrix.Block, lanes int, ws *workspace) *matrix.Block
 	// laneCost is the analytic (work, depth) one application charges each
 	// lane it serves.
 	laneCost() (work, depth int64)
@@ -158,19 +161,33 @@ type preconditioner interface {
 // laneCost charges Chain.applyCost per top-level application.
 func (c *Chain) laneCost() (work, depth int64) { return c.applyWork, c.applyDepth }
 
+// blockWidth is the width a block of the given live lanes (at most
+// maxGroupLanes) runs at: three lanes carry a zero fourth, so the block
+// kernels see widths 1, 2 and 4 only. The pad is exact: every kernel is
+// linear in each lane and divides by no lane value, so a zero lane stays
+// zero, and the driver's per-lane loops stop at the live lanes.
+func blockWidth(lanes int) int {
+	if lanes == 3 {
+		return 4
+	}
+	return lanes
+}
+
 // pcgFlexibleBlock is the one outer iteration: a flexible (Polak–Ribière)
 // preconditioned conjugate gradient, which tolerates the mildly nonlinear
 // preconditioner a recursive Chebyshev chain is in floating point. It runs
-// on lanes lo … hi−1 of rhs, sharing one preconditioner application per
-// iteration across all still-active lanes, and stops a lane when its
-// relative residual drops below tol, when its preconditioner breaks
-// positive-definiteness, or after maxIter iterations. Every lane follows
-// the operation sequence of a width-1 solve — same kernels (the k = 1 block
-// kernels are the single-vector ones), same order, same break points — so
-// out's column c is bitwise identical to a width-1 solve of rhs's column c.
-// Lanes leave the active block via KeepLanes compaction (pure data movement
-// — surviving lanes' arithmetic is untouched) and are finished (projected
-// and written to out) at that moment.
+// on lanes lo … hi−1 of rhs (at most maxGroupLanes), sharing one
+// preconditioner application per iteration across all still-active lanes,
+// and stops a lane when its relative residual drops below tol, when its
+// preconditioner breaks positive-definiteness, or after maxIter
+// iterations. Every lane follows the operation sequence of a width-1 solve
+// — same kernels (the k = 1 block kernels are the single-vector ones), same
+// order, same break points — so out's column c is bitwise identical to a
+// width-1 solve of rhs's column c. Lanes leave the active block via
+// KeepLanes compaction (pure data movement — surviving lanes' arithmetic is
+// untouched) and are finished (projected and written to out) at that
+// moment. The blocks run at blockWidth(lanes); the scalar slots a kernel
+// reads at a pad lane (alphas, negAlphas, betas) are 0.
 //
 // out must be shaped like rhs and zeroed by the caller; only columns lo …
 // hi−1 are written, as are only stats[lo:hi], which must be zeroed. So
@@ -186,31 +203,30 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, pc preconditioner, rhs *mat
 	out *matrix.Block, stats []SolveStats) {
 	n := a.N
 	k0 := hi - lo
-	ws.ensureOuter(n, k0)
+	w0 := blockWidth(k0)
+	ws.ensureOuter(n, w0)
 	applyWork, applyDepth := pc.laneCost()
-	// Per-lane scalar scratch: 13 k0-sized lanes packed into pcgScal.
+	// Per-lane scalar scratch: 10 w0-sized lanes packed into pcgScal.
 	scal := ws.pcgScal
-	bnorms := scal[0:k0]
-	rzs := scal[k0 : 2*k0]
-	alphas := scal[2*k0 : 3*k0]
-	negAlphas := scal[3*k0 : 4*k0]
-	paps := scal[4*k0 : 5*k0]
-	norms := scal[5*k0 : 6*k0]
-	betas := scal[6*k0 : 7*k0]
-	zdiffs := scal[7*k0 : 8*k0]
-	newRzs := scal[8*k0 : 9*k0]
-	rrs := scal[9*k0 : 10*k0]
-	dotTmp := scal[10*k0 : 11*k0]
-	projScratch := scal[11*k0 : 13*k0]
-	laneCol := ws.pcgLane[0:k0] // original output column of each live lane
-	keep := ws.pcgLane[k0 : 2*k0]
+	bnorms := scal[0:w0]
+	rzs := scal[w0 : 2*w0]
+	alphas := scal[2*w0 : 3*w0]
+	negAlphas := scal[3*w0 : 4*w0]
+	paps := scal[4*w0 : 5*w0]
+	norms := scal[5*w0 : 6*w0]
+	betas := scal[6*w0 : 7*w0]
+	zdiffs := scal[7*w0 : 8*w0]
+	newRzs := scal[8*w0 : 9*w0]
+	rrs := scal[9*w0 : 10*w0]
+	laneCol := ws.pcgLane[0:w0] // original output column of each live lane
+	keep := ws.pcgLane[w0 : 2*w0]
 	col := ws.pcgCol[:n]
 
 	R := &ws.pcgR
-	R.Reshape(n, k0)
-	R.CopyLanesFrom(rhs, lo)
-	matrix.ProjectOutConstantMaskedBlockIdxW(workers, R, ci, projScratch)
-	matrix.Norm2BlockIntoW(workers, R, bnorms, dotTmp)
+	R.Reshape(n, w0)
+	R.CopyLanesFrom(rhs, lo, k0)
+	matrix.ProjectOutConstantMaskedBlockIdxW(workers, R, ci)
+	matrix.Norm2BlockIntoW(workers, R, bnorms)
 	// Zero right-hand sides converge immediately with x = 0, unprojected;
 	// everything else becomes a lane.
 	lanes := 0
@@ -228,21 +244,22 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, pc preconditioner, rhs *mat
 		return
 	}
 	if lanes < k0 {
-		R.KeepLanes(keep[:lanes])
+		R.KeepLanes(blockWidth(lanes), keep[:lanes])
 	}
+	width := R.K()
 
 	X := &ws.pcgX
-	X.Reshape(n, lanes)
+	X.Reshape(n, width)
 	X.Zero()
-	Z := pc.applyHTopBlock(workers, R, ws)
+	Z := pc.applyHTopBlock(workers, R, lanes, ws)
 	charge(stats, laneCol[:lanes], applyWork, applyDepth)
-	matrix.ProjectOutConstantMaskedBlockIdxW(workers, Z, ci, projScratch)
-	matrix.DotBlockIntoW(workers, R, Z, rzs, dotTmp)
+	matrix.ProjectOutConstantMaskedBlockIdxW(workers, Z, ci)
+	matrix.DotBlockIntoW(workers, R, Z, rzs)
 	P := &ws.pcgP
-	P.Reshape(n, lanes)
+	P.Reshape(n, width)
 	P.CopyFrom(Z)
 	PrevR := &ws.pcgPrev
-	PrevR.Reshape(n, lanes)
+	PrevR.Reshape(n, width)
 	PrevR.CopyFrom(R)
 	AP := &ws.pcgAp
 	Diff := &ws.pcgDiff
@@ -251,9 +268,9 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, pc preconditioner, rhs *mat
 		for j := 0; j < lanes; j++ {
 			stats[laneCol[j]].Iterations = it + 1
 		}
-		AP.Reshape(n, lanes)
+		AP.Reshape(n, width)
 		a.MulVecBlockW(workers, P, AP)
-		matrix.DotBlockIntoW(workers, P, AP, paps, dotTmp)
+		matrix.DotBlockIntoW(workers, P, AP, paps)
 		// Lanes whose preconditioner broke positive-definiteness stop here,
 		// with x as of BEFORE this iteration's update. Survivors get their
 		// step size.
@@ -273,13 +290,16 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, pc preconditioner, rhs *mat
 			if lanes == 0 {
 				break
 			}
+			width = R.K()
 		}
-		matrix.AxpyBlockW(workers, X, alphas[:lanes], P, X)
+		clear(alphas[lanes:width])
+		matrix.AxpyBlockW(workers, X, alphas[:width], P, X)
 		for j := 0; j < lanes; j++ {
 			negAlphas[j] = -alphas[j]
 		}
-		matrix.AxpyBlockW(workers, R, negAlphas[:lanes], AP, R)
-		matrix.Norm2BlockIntoW(workers, R, norms, dotTmp)
+		clear(negAlphas[lanes:width])
+		matrix.AxpyBlockW(workers, R, negAlphas[:width], AP, R)
+		matrix.Norm2BlockIntoW(workers, R, norms)
 		charge(stats, laneCol[:lanes], int64(a.NNZ()+10*n), 2)
 		nk = 0
 		for j := 0; j < lanes; j++ {
@@ -299,15 +319,16 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, pc preconditioner, rhs *mat
 			if lanes == 0 {
 				break
 			}
+			width = R.K()
 		}
 		// One preconditioner pass for every still-active lane.
-		Z = pc.applyHTopBlock(workers, R, ws)
+		Z = pc.applyHTopBlock(workers, R, lanes, ws)
 		charge(stats, laneCol[:lanes], applyWork, applyDepth)
-		matrix.ProjectOutConstantMaskedBlockIdxW(workers, Z, ci, projScratch)
-		Diff.Reshape(n, lanes)
+		matrix.ProjectOutConstantMaskedBlockIdxW(workers, Z, ci)
+		Diff.Reshape(n, width)
 		matrix.SubIntoBlockW(workers, Diff, R, PrevR)
-		matrix.DotBlockIntoW(workers, Z, Diff, zdiffs, dotTmp)
-		matrix.DotBlockIntoW(workers, R, Z, newRzs, dotTmp)
+		matrix.DotBlockIntoW(workers, Z, Diff, zdiffs)
+		matrix.DotBlockIntoW(workers, R, Z, newRzs)
 		nfall := 0 // lanes needing the unpreconditioned fallback direction
 		for j := 0; j < lanes; j++ {
 			beta := zdiffs[j] / rzs[j]
@@ -321,19 +342,19 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, pc preconditioner, rhs *mat
 				nfall++
 			}
 		}
+		clear(betas[lanes:width])
 		if nfall > 0 {
-			matrix.DotBlockIntoW(workers, R, R, rrs, dotTmp)
+			matrix.DotBlockIntoW(workers, R, R, rrs)
 			zd, rd := Z.Data(), R.Data()
-			zk := Z.K()
 			for fi := 0; fi < nfall; fi++ {
 				j := keep[fi]
 				rzs[j] = rrs[j]
 				for v := 0; v < n; v++ { // z lane j ← r lane j (Z is precond scratch)
-					zd[v*zk+j] = rd[v*zk+j]
+					zd[v*width+j] = rd[v*width+j]
 				}
 			}
 		}
-		matrix.AxpyBlockW(workers, P, betas[:lanes], P, Z)
+		matrix.AxpyBlockW(workers, P, betas[:width], P, Z)
 		PrevR.CopyFrom(R)
 	}
 	// maxIter exhausted: remaining lanes finish with their current iterate.
@@ -354,7 +375,8 @@ func charge(stats []SolveStats, laneCol []int, work, depth int64) {
 // compactLanes retires every lane NOT listed in keep — finishing its output
 // column — and compacts the listed blocks and per-lane scalars down to the
 // survivors via KeepLanes (pure data movement; surviving lanes' values are
-// untouched). keep must be ascending. Returns the new lane count.
+// untouched) at their blockWidth. keep must be ascending. Returns the new
+// lane count.
 func compactLanes(workers int, keep []int, lanes int, x *matrix.Block, ci *matrix.CompIndex,
 	col []float64, out *matrix.Block, laneCol []int, rzs, bnorms []float64,
 	blocks ...*matrix.Block) int {
@@ -366,9 +388,10 @@ func compactLanes(workers int, keep []int, lanes int, x *matrix.Block, ci *matri
 		}
 		finishBlockLane(workers, x, j, ci, col, out, laneCol[j])
 	}
-	x.KeepLanes(keep)
+	width := blockWidth(len(keep))
+	x.KeepLanes(width, keep)
 	for _, b := range blocks {
-		b.KeepLanes(keep)
+		b.KeepLanes(width, keep)
 	}
 	for i, j := range keep {
 		laneCol[i] = laneCol[j]

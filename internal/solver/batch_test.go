@@ -117,11 +117,11 @@ func TestSolveBatchZeroRHS(t *testing.T) {
 // SolveBatch: one preconditioner-chain pass per PCG iteration serves the
 // whole batch. The chain's PrecondApplies counter increments once per
 // top-level apply regardless of batch width, so at Workers:1 (one lane
-// group) the count consumed by a batched solve must equal the iteration
-// count of the slowest column (+1 for the init pass) — NOT k times it,
-// which is what k independent solves would cost. At p workers the k lanes
-// run as g = min(p, k) concurrent groups, each with its own passes, so the
-// bound becomes g·(maxIters+1).
+// group for k = 4) the count consumed by a batched solve must equal the
+// iteration count of the slowest column (+1 for the init pass) — NOT k
+// times it, which is what k independent solves would cost. At p workers
+// the k lanes run as g = max(min(p, k), ⌈k/4⌉) groups, each with its own
+// passes, so the bound becomes g·(maxIters+1).
 func TestSolveBatchSharesChainPasses(t *testing.T) {
 	g := gen.Grid2D(24, 24)
 	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
@@ -149,7 +149,7 @@ func TestSolveBatchSharesChainPasses(t *testing.T) {
 		// Converging columns skip the precond of their final iteration, so
 		// a group's pass count is at most its slowest column's iterations
 		// (whose final iteration contributes none) + 1 for init.
-		groups := min(w, k)
+		groups := max(min(w, k), (k+maxGroupLanes-1)/maxGroupLanes)
 		if passes > groups*(maxIters+1) {
 			t.Fatalf("workers=%d: batch used %d chain passes for %d groups of max %d iterations — not shared within a group",
 				w, passes, groups, maxIters)
@@ -160,11 +160,15 @@ func TestSolveBatchSharesChainPasses(t *testing.T) {
 	}
 }
 
-// TestSolveBlockLaneGroups: at Workers p ≥ 2 a k-lane block solve splits
-// into min(p, k) contiguous lane groups, uneven when p does not divide k.
-// Every lane — a zero right-hand side included — and its SolveStats must be
-// bitwise what a Workers:1 solve of that column alone returns, and the
-// summed trace must still partition as OuterNS ⊇ PrecondNS ⊇ stages.
+// TestSolveBlockLaneGroups: a k-lane block solve splits into
+// max(min(p, k), ⌈k/4⌉) contiguous lane groups, uneven when the count does
+// not divide k, and runs a 3-lane group as a padded 4-wide block: at
+// Workers 1 k = 3 is one padded group, k = 5 groups of 2 and 3 and k = 8
+// two groups of 4, one after another; at Workers 2 and 4 the groups run
+// concurrently. Every lane — a zero right-hand side
+// included — and its SolveStats must be bitwise what a Workers:1 solve of
+// that column alone returns, and the summed trace must still partition as
+// OuterNS ⊇ PrecondNS ⊇ stages.
 func TestSolveBlockLaneGroups(t *testing.T) {
 	g := gen.PreferentialAttachment(800, 3, 17)
 	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
@@ -173,7 +177,7 @@ func TestSolveBlockLaneGroups(t *testing.T) {
 	}
 	const eps = 1e-7
 	seq := Options{Workers: 1}
-	for _, k := range []int{3, 5} {
+	for _, k := range []int{3, 5, 8} {
 		bs := make([][]float64, k)
 		for c := range bs {
 			bs[c] = randRHS(g.N, int64(300+c))
@@ -184,7 +188,7 @@ func TestSolveBlockLaneGroups(t *testing.T) {
 		for c, b := range bs {
 			rhs.SetCol(c, b)
 		}
-		for _, w := range []int{2, 4} {
+		for _, w := range []int{1, 2, 4} {
 			var out matrix.Block
 			var tr obs.SolveTrace
 			sts := s.SolveBlockTraced(&rhs, &out, eps, Options{Workers: w}, &tr, nil)
@@ -207,24 +211,40 @@ func TestSolveBlockLaneGroups(t *testing.T) {
 	}
 }
 
-// TestPrecondApplyBatchBitwise pins a k-wide pass of the apply recursion to
-// width-1 passes (PrecondApplyIntoW), column by column.
+// TestPrecondApplyBatchBitwise pins a padded pass of the apply recursion —
+// three lanes at width 4, lane 3 all zero — to width-1 passes
+// (PrecondApplyIntoW), column by column, and requires the pad to come out
+// exactly zero: the replays, the Chebyshev sweeps, the projections and the
+// bottom LDLᵀ solve all keep a zero lane zero. The bottom-solve counter
+// counts the three live lanes only.
 func TestPrecondApplyBatchBitwise(t *testing.T) {
 	g := gen.WithExponentialWeights(gen.Grid2D(20, 20), 6, 3, 7)
 	s, err := New(g, deepChainParams(g), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s.Chain.Depth() < 2 {
+		t.Fatalf("chain has %d levels, want >= 2 so a Chebyshev sweep runs", s.Chain.Depth())
+	}
 	rs := [][]float64{randRHS(g.N, 11), randRHS(g.N, 12), randRHS(g.N, 13)}
 	var rb matrix.Block
-	rb.Reshape(g.N, len(rs))
+	rb.Reshape(g.N, 4)
+	rb.Zero()
 	for c, r := range rs {
 		rb.SetCol(c, r)
 	}
-	zs := s.Chain.applyHTopBlock(0, &rb, newWorkspace(s.Chain, len(rs)))
+	b0 := s.Chain.BottomSolves()
+	zs := s.Chain.applyHTopBlock(0, &rb, len(rs), newWorkspace(s.Chain, 4))
+	padded := s.Chain.BottomSolves() - b0
 	z := make([]float64, g.N)
+	b0 = s.Chain.BottomSolves()
 	for c := range rs {
 		zs.ColInto(c, z)
 		requireBitwiseVec(t, fmt.Sprintf("column %d", c), z, precondApply(s.Chain, rs[c]))
 	}
+	if single := s.Chain.BottomSolves() - b0; padded != single {
+		t.Fatalf("padded pass counted %d bottom solves, three single passes %d", padded, single)
+	}
+	zs.ColInto(3, z)
+	requireBitwiseVec(t, "pad lane", z, make([]float64, g.N))
 }

@@ -313,8 +313,9 @@ func (c *Chain) BottomSolves() int64 { return c.bottomSolves.Load() }
 
 // PrecondApplies returns the number of top-level preconditioner applications
 // performed so far. A batched apply counts ONE regardless of its width, so
-// a block solve counts one pass per lane group per iteration (one group at
-// Workers:1, min(p, k) at p workers) — the ratio of right-hand sides served
+// a block solve counts one pass per lane group per iteration
+// (max(min(p, k), ⌈k/4⌉) groups at p workers, so ⌈k/4⌉ at Workers:1; see
+// Solver.SolveBlockTraced) — the ratio of right-hand sides served
 // to PrecondApplies is the chain-pass sharing the batch engine exists for.
 func (c *Chain) PrecondApplies() int64 { return c.precondApplies.Load() }
 
@@ -714,6 +715,6 @@ func (c *Chain) EdgeCounts() []int {
 func (c *Chain) PrecondApplyIntoW(workers int, r, dst []float64) {
 	ws := c.ws.get(c, 1)
 	rb := matrix.VecBlock(r)
-	copy(dst, c.applyHTopBlock(workers, &rb, ws).Vec())
+	copy(dst, c.applyHTopBlock(workers, &rb, 1, ws).Vec())
 	c.ws.put(ws)
 }

@@ -583,99 +583,45 @@ func (el *Elimination) BackSolveIntoW(workers int, xReduced, carry, x []float64)
 }
 
 // ForwardRHSBlockIntoW is ForwardRHSIntoW over contiguous matrix.Block
-// multi-vectors: b and work are OrigN×k, carry is len(Ops)×k (row = op
-// index), reduced is len(Keep)×k. One replay of the op log serves all k
-// lanes, with the k values per vertex/op adjacent in memory; lane c is
-// bitwise identical to ForwardRHSIntoW on lane c. The workers knob reaches
-// only the k = 1 case: a wider replay runs as plain loops with no
-// allocation (block solves parallelize across lane groups instead), and
-// widths 2 and 4 run fixed-width bodies like matrix's block kernels.
+// multi-vectors of width 1, 2 or 4: b and work are OrigN×k, carry is
+// len(Ops)×k (row = op index), reduced is len(Keep)×k. One replay of the op
+// log serves all k lanes, with the k values per vertex/op adjacent in
+// memory; lane c is bitwise identical to ForwardRHSIntoW on lane c. The
+// workers knob reaches only the k = 1 case: a wider replay runs a
+// fixed-width body like matrix's block kernels, with no allocation (block
+// solves parallelize across lane groups instead). Other widths panic.
 func (el *Elimination) ForwardRHSBlockIntoW(workers int, b, work, carry, reduced *matrix.Block) {
-	kcols := b.K()
-	if kcols == 1 {
+	switch b.K() {
+	case 1:
 		el.ForwardRHSIntoW(workers, b.Vec(), work.Vec(), carry.Vec(), reduced.Vec())
-		return
-	}
-	work.CopyFrom(b)
-	switch kcols {
 	case 2:
+		work.CopyFrom(b)
 		el.forwardBlock2(work.Data(), carry.Data(), reduced.Data())
-		return
 	case 4:
+		work.CopyFrom(b)
 		el.forwardBlock4(work.Data(), carry.Data(), reduced.Data())
-		return
-	}
-	for ri := 0; ri < el.Rounds; ri++ {
-		lo, hi := el.roundBounds(ri)
-		ops := el.Ops[lo:hi]
-		gLo, gHi := el.recvBounds(ri)
-		for k := range ops {
-			copy(carry.Row(lo+k), work.Row(int(ops[k].V)))
-		}
-		for g := gLo; g < gHi; g++ {
-			wrow := work.Row(int(el.recvVert[g]))
-			iLo, iHi := el.itemBounds(g)
-			for it := iLo; it < iHi; it++ {
-				crow := carry.Row(int(el.recvOp[it]))
-				coef := el.recvCoef[it]
-				for c := 0; c < kcols; c++ {
-					wrow[c] += crow[c] * coef
-				}
-			}
-		}
-	}
-	for j := range el.Keep {
-		copy(reduced.Row(j), work.Row(int(el.Keep[j])))
+	default:
+		panic(fmt.Sprintf("solver: forward replay on a %d-lane block (want 1, 2 or 4)", b.K()))
 	}
 }
 
 // BackSolveBlockIntoW is BackSolveIntoW over contiguous matrix.Block
-// multi-vectors: xReduced is len(Keep)×k, carry is len(Ops)×k (from
-// ForwardRHSBlockIntoW for the same right-hand sides), x is OrigN×k, fully
-// overwritten. Lane c is bitwise identical to BackSolveIntoW on lane c; as
-// in ForwardRHSBlockIntoW, only k = 1 uses the workers knob and a wider
-// reverse replay runs as plain loops with no allocation (fixed-width
-// bodies at widths 2 and 4).
+// multi-vectors of width 1, 2 or 4: xReduced is len(Keep)×k, carry is
+// len(Ops)×k (from ForwardRHSBlockIntoW for the same right-hand sides), x
+// is OrigN×k, fully overwritten. Lane c is bitwise identical to
+// BackSolveIntoW on lane c; as in ForwardRHSBlockIntoW, only k = 1 uses the
+// workers knob, a wider reverse replay runs a fixed-width body with no
+// allocation, and other widths panic.
 func (el *Elimination) BackSolveBlockIntoW(workers int, xReduced, carry, x *matrix.Block) {
-	kcols := xReduced.K()
-	switch kcols {
+	switch xReduced.K() {
 	case 1:
 		el.BackSolveIntoW(workers, xReduced.Vec(), carry.Vec(), x.Vec())
-		return
 	case 2:
 		el.backBlock2(xReduced.Data(), carry.Data(), x.Data())
-		return
 	case 4:
 		el.backBlock4(xReduced.Data(), carry.Data(), x.Data())
-		return
-	}
-	for j := range el.Keep {
-		copy(x.Row(int(el.Keep[j])), xReduced.Row(j))
-	}
-	for ri := el.Rounds - 1; ri >= 0; ri-- {
-		lo, hi := el.roundBounds(ri)
-		for k := lo; k < hi; k++ {
-			op := &el.Ops[k]
-			xv := x.Row(int(op.V))
-			switch op.Kind {
-			case ElimDeg0:
-				for c := 0; c < kcols; c++ {
-					xv[c] = 0
-				}
-			case ElimDeg1:
-				xa := x.Row(int(op.A))
-				crow := carry.Row(k)
-				for c := 0; c < kcols; c++ {
-					xv[c] = xa[c] + crow[c]/op.W1
-				}
-			case ElimDeg2:
-				xa, xb := x.Row(int(op.A)), x.Row(int(op.B))
-				crow := carry.Row(k)
-				for c := 0; c < kcols; c++ {
-					xv[c] = (op.W1*xa[c] + op.W2*xb[c] + crow[c]) / (op.W1 + op.W2)
-				}
-			}
-		}
+	default:
+		panic(fmt.Sprintf("solver: back-substitution on a %d-lane block (want 1, 2 or 4)", xReduced.K()))
 	}
 }
 

@@ -27,13 +27,28 @@ func backSolve(el *Elimination, workers int, xReduced, carry []float64) []float6
 
 // requireBlockReplaysBitwise runs ForwardRHSBlockIntoW and then
 // BackSolveBlockIntoW (on a random reduced solution and the block's carry)
-// at k ∈ {2, 3, 4} — both fixed-width bodies and the generic loop between
-// them — with b as lane 0, and requires every lane to equal the single
-// replays of its column bit for bit, at Workers 1 and 4.
+// at k ∈ {2, 4} — both fixed-width bodies — with b as lane 0, and requires
+// every lane to equal the single replays of its column bit for bit, at
+// Workers 1 and 4. Both replays must panic at the widths they have no body
+// for.
 func requireBlockReplaysBitwise(t *testing.T, el *Elimination, b []float64) {
 	t.Helper()
 	nk := len(el.Keep)
-	for _, k := range []int{2, 3, 4} {
+	for _, k := range []int{3, 5, 8} {
+		var bb, work, carry, red, x matrix.Block
+		bb.Reshape(el.OrigN, k)
+		work.Reshape(el.OrigN, k)
+		carry.Reshape(len(el.Ops), k)
+		red.Reshape(nk, k)
+		x.Reshape(el.OrigN, k)
+		requireReplayPanics(t, fmt.Sprintf("forward replay at width %d", k), func() {
+			el.ForwardRHSBlockIntoW(1, &bb, &work, &carry, &red)
+		})
+		requireReplayPanics(t, fmt.Sprintf("back-substitution at width %d", k), func() {
+			el.BackSolveBlockIntoW(1, &red, &carry, &x)
+		})
+	}
+	for _, k := range []int{2, 4} {
 		bs, xrs := [][]float64{b}, make([][]float64, k)
 		for c := 1; c < k; c++ {
 			bs = append(bs, randRHS(el.OrigN, int64(12+c)))
@@ -67,6 +82,17 @@ func requireBlockReplaysBitwise(t *testing.T, el *Elimination, b []float64) {
 			}
 		}
 	}
+}
+
+// requireReplayPanics fails the test unless f panics.
+func requireReplayPanics(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
 }
 
 // exactElimSolve eliminates g, solves the reduced system directly, and

@@ -57,7 +57,7 @@ type diagPrecond struct {
 	z   matrix.Block
 }
 
-func (d *diagPrecond) applyHTopBlock(_ int, rs *matrix.Block, _ *workspace) *matrix.Block {
+func (d *diagPrecond) applyHTopBlock(_ int, rs *matrix.Block, _ int, _ *workspace) *matrix.Block {
 	d.z.Reshape(rs.N(), rs.K())
 	if d.inv == nil {
 		d.z.CopyFrom(rs)

@@ -16,8 +16,9 @@ type Options struct {
 	// kernels: 0 means runtime.GOMAXPROCS(0), 1 forces the sequential
 	// reference path (for the kernels listed above), and any other value is
 	// used literally. A solve of one right-hand side spends them inside each
-	// kernel; a block solve of k ≥ 2 spends them on min(Workers, k)
-	// concurrent lane groups, each running the sequential kernels, and its
-	// SolveTrace sums the groups' slots (worker time, not wall time).
+	// kernel; a block solve of k ≥ 2 splits into max(min(Workers, k), ⌈k/4⌉)
+	// lane groups of at most four lanes, runs up to Workers of them
+	// concurrently, each on the sequential kernels, and its SolveTrace sums
+	// the groups' slots (worker time, not wall time).
 	Workers int
 }

@@ -173,13 +173,18 @@ func (s *Solver) SolveBatchTraced(bs [][]float64, eps float64, opt Options, tr *
 // out, which is reshaped to rhs's shape and fully overwritten. Lane c is
 // bitwise identical to Solve on rhs's column c for every Workers setting.
 //
-// When opt.Workers resolves to p ≥ 2 and k ≥ 2, the lanes are split into
-// min(p, k) contiguous groups whose sizes differ by at most one, and each
-// group runs its own block PCG sequentially on its own pooled workspace,
-// concurrently with the others: parallelism comes from the lanes, which are
-// independent, not from inside each kernel. The trace then sums the groups'
-// slots, so it reads worker time rather than wall time. A lone lane (k = 1)
-// runs as one group whose kernels parallelize on the Workers knob.
+// The lanes are split into g = max(min(p, k), ⌈k/4⌉) contiguous groups
+// whose sizes differ by at most one, p being opt.Workers resolved, and each
+// group runs its own block PCG on its own pooled workspace. A group has at
+// most maxGroupLanes lanes, and one of three runs as a 4-wide block with a
+// zero pad lane (blockWidth), so the block kernels run widths 1, 2 and 4
+// only. At p = 1 the groups run one after another in the caller's
+// goroutine; at p ≥ 2 (and k ≥ 2) up to min(p, g) of them run
+// concurrently, each on the sequential kernels: parallelism comes from the
+// lanes, which are independent, not from inside each kernel. A lone lane
+// (k = 1) runs as one group whose kernels parallelize on the Workers knob.
+// Each group returns its workspace to the pool as it finishes. The trace
+// sums the groups' slots, so it reads worker time rather than wall time.
 //
 // sts is reused for the returned stats when its capacity allows, so a
 // steady-state caller (the streaming driver) that holds rhs, out and sts
@@ -204,23 +209,25 @@ func (s *Solver) SolveBlockTraced(rhs, out *matrix.Block, eps float64, opt Optio
 	}
 	out.Reshape(rhs.N(), k)
 	out.Zero()
-	groups := min(par.Resolve(opt.Workers), k)
-	if groups == 1 {
-		ws := s.solveLanes(opt.Workers, rhs, 0, k, eps, out, sts)
-		if tr != nil {
-			*tr = ws.trace
-		}
-		s.Chain.ws.put(ws)
-		return sts
-	}
-	wss := make([]*workspace, groups)
-	par.TasksW(groups, groups, func(g int) {
-		wss[g] = s.solveLanes(1, rhs, g*k/groups, (g+1)*k/groups, eps, out, sts)
-	})
+	p := par.Resolve(opt.Workers)
+	groups := max(min(p, k), (k+maxGroupLanes-1)/maxGroupLanes)
 	var sum obs.SolveTrace
-	for _, ws := range wss {
-		sum.Add(&ws.trace)
-		s.Chain.ws.put(ws)
+	if p == 1 || groups == 1 {
+		for g := 0; g < groups; g++ {
+			ws := s.solveLanes(opt.Workers, rhs, g*k/groups, (g+1)*k/groups, eps, out, sts)
+			sum.Add(&ws.trace)
+			s.Chain.ws.put(ws)
+		}
+	} else {
+		traces := make([]obs.SolveTrace, groups)
+		par.TasksW(min(p, groups), groups, func(g int) {
+			ws := s.solveLanes(1, rhs, g*k/groups, (g+1)*k/groups, eps, out, sts)
+			traces[g] = ws.trace
+			s.Chain.ws.put(ws)
+		})
+		for i := range traces {
+			sum.Add(&traces[i])
+		}
 	}
 	if tr != nil {
 		*tr = sum
@@ -228,12 +235,16 @@ func (s *Solver) SolveBlockTraced(rhs, out *matrix.Block, eps float64, opt Optio
 	return sts
 }
 
+// maxGroupLanes caps the lanes of one group of a block solve (see
+// SolveBlockTraced and blockWidth).
+const maxGroupLanes = 4
+
 // solveLanes solves lanes lo … hi−1 of rhs into their columns of out (zeroed
 // by the caller) and stats on a workspace drawn from the chain's pool, and
 // returns that workspace, its trace filled in, for the caller to release.
 func (s *Solver) solveLanes(workers int, rhs *matrix.Block, lo, hi int, eps float64, out *matrix.Block, sts []SolveStats) *workspace {
 	t0 := time.Now()
-	ws := s.Chain.ws.get(s.Chain, hi-lo)
+	ws := s.Chain.ws.get(s.Chain, blockWidth(hi-lo))
 	ws.trace.WorkspaceNS = time.Since(t0).Nanoseconds()
 	ws.trace.Levels = len(s.Chain.Levels)
 	tOuter := time.Now()

@@ -45,9 +45,14 @@ type workspace struct {
 	pool    *wsPool
 	charged int64
 
+	// lanes is how many lanes of the pass in flight are live (applyHTopBlock
+	// sets it); a block wider than that carries a zero pad lane, which the
+	// bottom-solve counter does not count.
+	lanes int
+
 	// outer PCG scratch, built lazily by ensureOuter (chain-only workspaces
 	// never pay for it). pcgScal packs the block driver's per-lane scalar
-	// scratch (dots, norms, step sizes, projection partials); pcgLane its
+	// scratch (dots, norms, step sizes); pcgLane its
 	// lane bookkeeping (original column per lane + the compaction keep
 	// list); pcgCol a single plain column for finishing dropped lanes.
 	outerN                                    int
@@ -66,14 +71,12 @@ type levelWS struct {
 	fwdCarry                    matrix.Block // len(Elim.Ops) × k
 	fwdRed                      matrix.Block // len(Elim.Keep) × k
 	backX                       matrix.Block // n_i × k
-	scal                        []float64    // 2k projection scratch
 }
 
 // bottomWS is the bottom direct solve's scratch: the solution block and the
 // grounded right-hand side.
 type bottomWS struct {
 	x, g matrix.Block
-	scal []float64 // 2k projection scratch
 }
 
 // growFloats returns buf resized to length k, reusing its backing when
@@ -123,18 +126,16 @@ func (ws *workspace) grow(k int) {
 		l.fwdCarry.Reshape(len(lvl.Elim.Ops), k)
 		l.fwdRed.Reshape(len(lvl.Elim.Keep), k)
 		l.backX.Reshape(lvl.Elim.OrigN, k)
-		l.scal = growFloats(l.scal, 2*k)
 	}
 	ws.bot.x.Reshape(c.Bottom.N(), k)
 	ws.bot.g.Reshape(c.Bottom.GroundedLen(), k)
-	ws.bot.scal = growFloats(ws.bot.scal, 2*k)
 	ws.cols = k
 }
 
 // ensureOuter equips the workspace with the outer PCG scratch for a k-column
 // solve over vectors of length n (the solver's top-level system size).
-// Blocks are reshaped in place; the scalar scratch packs 13 k-sized lanes
-// (see pcgFlexibleBlock) plus the 2k projection partials.
+// Blocks are reshaped in place; the scalar scratch packs 10 k-sized lanes
+// (see pcgFlexibleBlock).
 func (ws *workspace) ensureOuter(n, k int) {
 	if n < ws.outerN {
 		n = ws.outerN
@@ -146,7 +147,7 @@ func (ws *workspace) ensureOuter(n, k int) {
 	ws.pcgPrev.Reshape(n, k)
 	ws.pcgDiff.Reshape(n, k)
 	ws.pcgP.Reshape(n, k)
-	ws.pcgScal = growFloats(ws.pcgScal, 13*k)
+	ws.pcgScal = growFloats(ws.pcgScal, 10*k)
 	ws.pcgLane = growInts(ws.pcgLane, 2*k)
 	ws.pcgCol = growFloats(ws.pcgCol, n)
 	if ws.pool != nil {
@@ -171,11 +172,9 @@ func (ws *workspace) bytes() int64 {
 		blk(&l.fwdCarry)
 		blk(&l.fwdRed)
 		blk(&l.backX)
-		n += int64(cap(l.scal)) * 8
 	}
 	blk(&ws.bot.x)
 	blk(&ws.bot.g)
-	n += int64(cap(ws.bot.scal)) * 8
 	blk(&ws.pcgX)
 	blk(&ws.pcgR)
 	blk(&ws.pcgAp)
