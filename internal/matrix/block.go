@@ -156,26 +156,31 @@ func (b *Block) KeepLanes(k int, keep []int) {
 	b.data = b.data[:b.n*k]
 }
 
-// The block kernels below take a workers knob only for their k = 1 case,
-// which delegates to the single-vector W kernel (a lone right-hand side
-// still parallelizes inside each kernel). Wider blocks always run as one
-// sequential sweep: a block solve parallelizes by splitting its lanes into
-// groups (Solver.SolveBlockTraced), a far coarser grain than chunks of one
-// level's vertices, and a sweep allocates nothing.
+// The block kernels below take a workers knob only for their k = 1 case
+// (a lone right-hand side still parallelizes inside each kernel), which
+// delegates to the single-vector W kernels — except that the three fused
+// outer-PCG kernels (MulVecDotBlockW, AxpyPairNormBlockW,
+// ProjectDotsBlockW) run their own width-1 body at Workers 1. Wider blocks
+// always run as one sequential sweep: a block solve parallelizes by
+// splitting its lanes into groups (Solver.SolveBlockTraced), a far coarser
+// grain than chunks of one level's vertices, and a sweep allocates
+// nothing.
 //
 // A block solve hands its kernels widths 1, 2 and 4 only: it splits its
 // lanes into groups of at most four and runs a group of three as a 4-wide
 // block whose fourth lane is zero. So apart from the delegation at k = 1,
-// a kernel has exactly two bodies, each written for its width: lane
-// accumulators live in locals, a gathered row is the constant-length slice
-// x[j : j+k : j+k] (one bounds check, none per lane), and streamed rows are
-// walked with a stride-k index. A kernel panics on any other width — except
-// the CSR sweep behind MulVecBlockW and MulVecAxpyBlockW, which keeps a
-// per-lane loop for every other width. Kernels whose per-element operation
-// is the same in every lane (SubIntoBlockW, ChebUpdateBlockW) sweep the
-// backing flat at every width. Whatever the body, lane c performs the
-// single-vector kernel's float operations in the same order and expression
-// shape, so the bits do not depend on which body ran; and every kernel is
+// a kernel has exactly two bodies (a fused kernel three), each written for
+// its width: lane accumulators live in locals, a gathered row is the
+// constant-length slice x[j : j+k : j+k] (one bounds check, none per
+// lane), and streamed rows are walked with a stride-k index. A kernel
+// panics on any other width — except the CSR sweep behind MulVecBlockW and
+// MulVecAxpyBlockW, which keeps a per-lane loop for every other width.
+// ChebUpdateBlockW, whose per-element operation is the same in every lane,
+// sweeps the backing flat at every width. Whatever the body, lane c
+// performs the single-vector kernel's float operations in the same order
+// and expression shape — a fused kernel those of the kernel sequence it
+// replaces, each reduction folding the same ReduceGrain chunks in chunk
+// order — so the bits do not depend on which body ran; and every kernel is
 // linear in each lane and divides by no lane value, so a zero pad lane
 // stays exactly zero.
 
@@ -218,10 +223,10 @@ func (a *Sparse) MulVecAxpyBlockW(workers int, x, ap *Block, alpha float64, y *B
 func mulVecAxpyRows(a *Sparse, k int, x, ap []float64, alpha float64, y []float64) {
 	switch k {
 	case 2:
-		mulVecAxpyRows2(a, x, ap, alpha, y)
+		mulVecAxpyRows2(a, x, ap, alpha, y, 0, a.N)
 		return
 	case 4:
-		mulVecAxpyRows4(a, x, ap, alpha, y)
+		mulVecAxpyRows4(a, x, ap, alpha, y, 0, a.N)
 		return
 	}
 	for r := 0; r < a.N; r++ {
@@ -246,10 +251,10 @@ func mulVecAxpyRows(a *Sparse, k int, x, ap []float64, alpha float64, y []float6
 	}
 }
 
-// mulVecAxpyRows2 is mulVecAxpyRows at width 2.
-func mulVecAxpyRows2(a *Sparse, x, ap []float64, alpha float64, y []float64) {
+// mulVecAxpyRows2 is mulVecAxpyRows at width 2, over rows lo … hi−1.
+func mulVecAxpyRows2(a *Sparse, x, ap []float64, alpha float64, y []float64, lo, hi int) {
 	off, cols, vals := a.Off, a.Col, a.Val
-	for r := 0; r < a.N; r++ {
+	for r := lo; r < hi; r++ {
 		rv := vals[off[r]:off[r+1]]
 		rc := cols[off[r]:off[r+1]]
 		rc = rc[:len(rv)]
@@ -270,9 +275,9 @@ func mulVecAxpyRows2(a *Sparse, x, ap []float64, alpha float64, y []float64) {
 }
 
 // mulVecAxpyRows4 is mulVecAxpyRows2 at width 4.
-func mulVecAxpyRows4(a *Sparse, x, ap []float64, alpha float64, y []float64) {
+func mulVecAxpyRows4(a *Sparse, x, ap []float64, alpha float64, y []float64, lo, hi int) {
 	off, cols, vals := a.Off, a.Col, a.Val
-	for r := 0; r < a.N; r++ {
+	for r := lo; r < hi; r++ {
 		rv := vals[off[r]:off[r+1]]
 		rc := cols[off[r]:off[r+1]]
 		rc = rc[:len(rv)]
@@ -394,16 +399,6 @@ func AxpyBlockW(workers int, dst *Block, alphas []float64, x, y *Block) {
 	}
 }
 
-// SubIntoBlockW computes dst = x − y lane-wise. The operation is the same
-// in every lane, so the block is one flat vector of n·k elements.
-func SubIntoBlockW(workers int, dst, x, y *Block) {
-	if dst.k == 1 {
-		SubIntoW(workers, dst.Vec(), x.Vec(), y.Vec())
-		return
-	}
-	SubIntoW(1, dst.data, x.data, y.data)
-}
-
 // ChebUpdateBlockW fuses the Chebyshev direction and iterate updates into
 // one pass over the block: p = z (first iteration) or p = beta·p + z, then
 // x = alpha·p + x. Both updates are elementwise with p's new value read by
@@ -479,8 +474,24 @@ func ProjectOutConstantMaskedBlockIdxW(workers int, x *Block, ci *CompIndex) {
 // ProjectOutConstantMaskedBlockIdxW at width 2 over the n×2 backing x:
 // MeanW's chunk tree per lane, then one subtraction sweep.
 func projectOutMean2(x []float64) {
+	m0, m1 := laneMeans2(x)
+	for i := 1; i < len(x); i += 2 {
+		x[i-1], x[i] = x[i-1]-m0, x[i]-m1
+	}
+}
+
+// projectOutMean4 is projectOutMean2 at width 4.
+func projectOutMean4(x []float64) {
+	m0, m1, m2, m3 := laneMeans4(x)
+	for i := 3; i < len(x); i += 4 {
+		x[i-3], x[i-2], x[i-1], x[i] = x[i-3]-m0, x[i-2]-m1, x[i-1]-m2, x[i]-m3
+	}
+}
+
+// laneMeans2 returns the mean of each lane of the n×2 backing x, folded
+// through MeanW's chunk tree.
+func laneMeans2(x []float64) (m0, m1 float64) {
 	const span = 2 * par.ReduceGrain
-	var m0, m1 float64
 	for lo := 0; lo < len(x); lo += span {
 		xs := x[lo:min(lo+span, len(x))]
 		var s0, s1 float64
@@ -496,16 +507,12 @@ func projectOutMean2(x []float64) {
 		}
 	}
 	n := float64(len(x) / 2)
-	m0, m1 = m0/n, m1/n
-	for i := 1; i < len(x); i += 2 {
-		x[i-1], x[i] = x[i-1]-m0, x[i]-m1
-	}
+	return m0 / n, m1 / n
 }
 
-// projectOutMean4 is projectOutMean2 at width 4.
-func projectOutMean4(x []float64) {
+// laneMeans4 is laneMeans2 at width 4.
+func laneMeans4(x []float64) (m0, m1, m2, m3 float64) {
 	const span = 4 * par.ReduceGrain
-	var m0, m1, m2, m3 float64
 	for lo := 0; lo < len(x); lo += span {
 		xs := x[lo:min(lo+span, len(x))]
 		var s0, s1, s2, s3 float64
@@ -525,8 +532,321 @@ func projectOutMean4(x []float64) {
 		}
 	}
 	n := float64(len(x) / 4)
-	m0, m1, m2, m3 = m0/n, m1/n, m2/n, m3/n
-	for i := 3; i < len(x); i += 4 {
-		x[i-3], x[i-2], x[i-1], x[i] = x[i-3]-m0, x[i-2]-m1, x[i-1]-m2, x[i]-m3
+	return m0 / n, m1 / n, m2 / n, m3 / n
+}
+
+// The outer PCG iteration's vector work (pcgFlexibleBlock in package
+// solver) runs as three fused kernels, each one pass over its blocks in
+// place of the kernel sequence it names. Only the sequential bodies fuse:
+// at k = 1 and Workers ≥ 2 a fused kernel runs the sequence it replaces,
+// on the parallel single-vector kernels, so that path — which the CG and
+// Jacobi-PCG baselines take at Workers 0 — keeps the work and speed it
+// had.
+
+// MulVecDotBlockW computes ap = A·p and, per lane, paps[c] = p[:,c]·ap[:,c]:
+// each ReduceGrain chunk of rows is multiplied and its dot term taken at
+// once, while the chunk is still in cache. Lane c is bitwise identical to
+// MulVecBlockW followed by DotBlockIntoW(p, ap). ap must not alias p; paps
+// must hold k values.
+func (a *Sparse) MulVecDotBlockW(workers int, p, ap *Block, paps []float64) {
+	k, pd, apd := p.k, p.data, ap.data
+	if k != 1 && k != 2 && k != 4 {
+		panicWidth("MulVecDotBlockW", k)
 	}
+	if k == 1 && !par.Sequential(workers) {
+		a.MulVecW(workers, pd, apd)
+		paps[0] = DotW(workers, pd, apd)
+		return
+	}
+	d := mulVecDotRows(a, k, pd, apd)
+	copy(paps, d[:k])
+}
+
+// mulVecDotRows is MulVecDotBlockW's sequential body at width k: it writes
+// ap and returns each lane's p·ap, folded in ReduceGrain chunks.
+func mulVecDotRows(a *Sparse, k int, p, ap []float64) (acc [4]float64) {
+	for c := 0; c < a.N; c += par.ReduceGrain {
+		e := min(c+par.ReduceGrain, a.N)
+		ps, aps := p[c*k:e*k], ap[c*k:e*k]
+		var s [4]float64
+		switch k {
+		case 1:
+			mulVecRows(a, p, ap, c, e)
+			s[0] = DotW(1, ps, aps)
+		case 2:
+			mulVecAxpyRows2(a, p, ap, 0, nil, c, e)
+			s[0], s[1] = dotBlock2(ps, aps)
+		case 4:
+			mulVecAxpyRows4(a, p, ap, 0, nil, c, e)
+			s[0], s[1], s[2], s[3] = dotBlock4(ps, aps)
+		}
+		for l := 0; l < k; l++ {
+			if c == 0 {
+				acc[l] = s[l]
+			} else {
+				acc[l] += s[l]
+			}
+		}
+	}
+	return acc
+}
+
+// AxpyPairNormBlockW takes the PCG step in one sweep: per lane c,
+// x = alphas[c]·p + x and r = (−alphas[c])·ap + r, and norms[c] = ‖r[:,c]‖
+// of the updated r. Lane c is bitwise identical to AxpyBlockW(x, alphas,
+// p, x), AxpyBlockW(r, −alphas, ap, r) and Norm2BlockIntoW(r). x and r must
+// not alias p, ap or each other; norms must hold k values.
+func AxpyPairNormBlockW(workers int, x, r *Block, alphas []float64, p, ap *Block, norms []float64) {
+	xd, rd, pd, apd := x.data, r.data, p.data, ap.data
+	switch x.k {
+	case 1:
+		if !par.Sequential(workers) {
+			AxpyIntoW(workers, xd, alphas[0], pd, xd)
+			AxpyIntoW(workers, rd, -alphas[0], apd, rd)
+			norms[0] = Norm2W(workers, rd)
+			return
+		}
+		norms[0] = axpyPairNorm1(xd, rd, alphas[0], pd, apd)
+	case 2:
+		norms[0], norms[1] = axpyPairNorm2(xd, rd, alphas, pd, apd)
+	case 4:
+		norms[0], norms[1], norms[2], norms[3] = axpyPairNorm4(xd, rd, alphas, pd, apd)
+	default:
+		panicWidth("AxpyPairNormBlockW", x.k)
+	}
+	for c := 0; c < x.k; c++ {
+		norms[c] = math.Sqrt(norms[c])
+	}
+}
+
+// axpyPairNorm1 is AxpyPairNormBlockW's sequential body at width 1; it
+// returns r·r, folded in ReduceGrain chunks.
+func axpyPairNorm1(x, r []float64, alpha float64, p, ap []float64) (acc float64) {
+	na := -alpha
+	for c := 0; c < len(x); c += par.ReduceGrain {
+		e := min(c+par.ReduceGrain, len(x))
+		xs, rs, ps, aps := x[c:e], r[c:e], p[c:e], ap[c:e]
+		rs, ps, aps = rs[:len(xs)], ps[:len(xs)], aps[:len(xs)]
+		var s float64
+		for i := range xs {
+			xs[i] = alpha*ps[i] + xs[i]
+			ri := na*aps[i] + rs[i]
+			rs[i] = ri
+			s += ri * ri
+		}
+		if c == 0 {
+			acc = s
+		} else {
+			acc += s
+		}
+	}
+	return acc
+}
+
+// axpyPairNorm2 is AxpyPairNormBlockW's body at width 2; it returns each
+// lane's r·r.
+func axpyPairNorm2(x, r, alphas, p, ap []float64) (d0, d1 float64) {
+	const span = 2 * par.ReduceGrain
+	a0, a1 := alphas[0], alphas[1]
+	n0, n1 := -a0, -a1
+	for lo := 0; lo < len(x); lo += span {
+		xs := x[lo:min(lo+span, len(x))]
+		rs, ps, aps := r[lo:lo+len(xs)], p[lo:lo+len(xs)], ap[lo:lo+len(xs)]
+		var s0, s1 float64
+		for i := 1; i < len(xs); i += 2 {
+			xs[i-1], xs[i] = a0*ps[i-1]+xs[i-1], a1*ps[i]+xs[i]
+			r0, r1 := n0*aps[i-1]+rs[i-1], n1*aps[i]+rs[i]
+			rs[i-1], rs[i] = r0, r1
+			s0 += r0 * r0
+			s1 += r1 * r1
+		}
+		if lo == 0 {
+			d0, d1 = s0, s1
+		} else {
+			d0 += s0
+			d1 += s1
+		}
+	}
+	return d0, d1
+}
+
+// axpyPairNorm4 is axpyPairNorm2 at width 4.
+func axpyPairNorm4(x, r, alphas, p, ap []float64) (d0, d1, d2, d3 float64) {
+	const span = 4 * par.ReduceGrain
+	a0, a1, a2, a3 := alphas[0], alphas[1], alphas[2], alphas[3]
+	n0, n1, n2, n3 := -a0, -a1, -a2, -a3
+	for lo := 0; lo < len(x); lo += span {
+		xs := x[lo:min(lo+span, len(x))]
+		rs, ps, aps := r[lo:lo+len(xs)], p[lo:lo+len(xs)], ap[lo:lo+len(xs)]
+		var s0, s1, s2, s3 float64
+		for i := 3; i < len(xs); i += 4 {
+			xs[i-3], xs[i-2] = a0*ps[i-3]+xs[i-3], a1*ps[i-2]+xs[i-2]
+			xs[i-1], xs[i] = a2*ps[i-1]+xs[i-1], a3*ps[i]+xs[i]
+			r0, r1 := n0*aps[i-3]+rs[i-3], n1*aps[i-2]+rs[i-2]
+			r2, r3 := n2*aps[i-1]+rs[i-1], n3*aps[i]+rs[i]
+			rs[i-3], rs[i-2], rs[i-1], rs[i] = r0, r1, r2, r3
+			s0 += r0 * r0
+			s1 += r1 * r1
+			s2 += r2 * r2
+			s3 += r3 * r3
+		}
+		if lo == 0 {
+			d0, d1, d2, d3 = s0, s1, s2, s3
+		} else {
+			d0 += s0
+			d1 += s1
+			d2 += s2
+			d3 += s3
+		}
+	}
+	return d0, d1, d2, d3
+}
+
+// ProjectDotsBlockW projects z as ProjectOutConstantMaskedBlockIdxW does
+// and, in the same sweep, computes per lane zdiffs[c] = z[:,c]·(r[:,c] −
+// prev[:,c]) and rzs[c] = r[:,c]·z[:,c] of the projected z, then sets
+// prev ← r. Lane c is bitwise identical to that projection, then
+// SubIntoW(diff, r, prev), DotW(z, diff), DotW(r, z) and a copy of r into
+// prev. With one component the sweep subtracts each lane's mean, taken in
+// a first pass; with several it runs after the projection's own segmented
+// pass and subtracts zero, which changes no bit. z, r and prev must not
+// alias; zdiffs and rzs must hold k values.
+func ProjectDotsBlockW(workers int, z *Block, ci *CompIndex, r, prev *Block, zdiffs, rzs []float64) {
+	k := z.k
+	if k != 1 && k != 2 && k != 4 {
+		panicWidth("ProjectDotsBlockW", k)
+	}
+	one := ci.NumComp == 1
+	if !one {
+		ProjectOutConstantMaskedBlockIdxW(workers, z, ci)
+	}
+	zd, rd, pd := z.data, r.data, prev.data
+	switch k {
+	case 1:
+		if !par.Sequential(workers) {
+			if one {
+				ProjectOutConstantW(workers, zd)
+			}
+			zdiffs[0] = par.SumFloat64W(workers, len(zd), func(i int) float64 { return zd[i] * (rd[i] - pd[i]) })
+			rzs[0] = DotW(workers, rd, zd)
+			copy(pd, rd)
+			return
+		}
+		var m float64
+		if one {
+			m = MeanW(1, zd)
+		}
+		zdiffs[0], rzs[0] = projectDots1(zd, rd, pd, m)
+	case 2:
+		var m [2]float64
+		if one {
+			m[0], m[1] = laneMeans2(zd)
+		}
+		zdiffs[0], zdiffs[1], rzs[0], rzs[1] = projectDots2(zd, rd, pd, m)
+	case 4:
+		var m [4]float64
+		if one {
+			m[0], m[1], m[2], m[3] = laneMeans4(zd)
+		}
+		d, e := projectDots4(zd, rd, pd, m)
+		copy(zdiffs, d[:])
+		copy(rzs, e[:])
+	}
+}
+
+// projectDots1 is ProjectDotsBlockW's sequential sweep at width 1 with
+// mean m; it returns z·(r − prev) and r·z, each folded in ReduceGrain
+// chunks.
+func projectDots1(z, r, prev []float64, m float64) (zd, rz float64) {
+	for c := 0; c < len(z); c += par.ReduceGrain {
+		e := min(c+par.ReduceGrain, len(z))
+		zs, rs, ps := z[c:e], r[c:e], prev[c:e]
+		rs, ps = rs[:len(zs)], ps[:len(zs)]
+		var s0, s1 float64
+		for i, zi := range zs {
+			zi -= m
+			zs[i] = zi
+			ri := rs[i]
+			s0 += zi * (ri - ps[i])
+			s1 += ri * zi
+			ps[i] = ri
+		}
+		if c == 0 {
+			zd, rz = s0, s1
+		} else {
+			zd += s0
+			rz += s1
+		}
+	}
+	return zd, rz
+}
+
+// projectDots2 is ProjectDotsBlockW's sweep at width 2 with lane means m.
+func projectDots2(z, r, prev []float64, m [2]float64) (zd0, zd1, rz0, rz1 float64) {
+	const span = 2 * par.ReduceGrain
+	m0, m1 := m[0], m[1]
+	for lo := 0; lo < len(z); lo += span {
+		zs := z[lo:min(lo+span, len(z))]
+		rs, ps := r[lo:lo+len(zs)], prev[lo:lo+len(zs)]
+		var s0, s1, t0, t1 float64
+		for i := 1; i < len(zs); i += 2 {
+			z0, z1 := zs[i-1]-m0, zs[i]-m1
+			zs[i-1], zs[i] = z0, z1
+			r0, r1 := rs[i-1], rs[i]
+			s0 += z0 * (r0 - ps[i-1])
+			s1 += z1 * (r1 - ps[i])
+			t0 += r0 * z0
+			t1 += r1 * z1
+			ps[i-1], ps[i] = r0, r1
+		}
+		if lo == 0 {
+			zd0, zd1, rz0, rz1 = s0, s1, t0, t1
+		} else {
+			zd0 += s0
+			zd1 += s1
+			rz0 += t0
+			rz1 += t1
+		}
+	}
+	return zd0, zd1, rz0, rz1
+}
+
+// projectDots4 is projectDots2 at width 4; it returns the lanes' z·(r −
+// prev) and r·z.
+func projectDots4(z, r, prev []float64, m [4]float64) (zd, rz [4]float64) {
+	const span = 4 * par.ReduceGrain
+	m0, m1, m2, m3 := m[0], m[1], m[2], m[3]
+	for lo := 0; lo < len(z); lo += span {
+		zs := z[lo:min(lo+span, len(z))]
+		rs, ps := r[lo:lo+len(zs)], prev[lo:lo+len(zs)]
+		var s0, s1, s2, s3, t0, t1, t2, t3 float64
+		for i := 3; i < len(zs); i += 4 {
+			z0, z1, z2, z3 := zs[i-3]-m0, zs[i-2]-m1, zs[i-1]-m2, zs[i]-m3
+			zs[i-3], zs[i-2], zs[i-1], zs[i] = z0, z1, z2, z3
+			r0, r1, r2, r3 := rs[i-3], rs[i-2], rs[i-1], rs[i]
+			s0 += z0 * (r0 - ps[i-3])
+			s1 += z1 * (r1 - ps[i-2])
+			s2 += z2 * (r2 - ps[i-1])
+			s3 += z3 * (r3 - ps[i])
+			t0 += r0 * z0
+			t1 += r1 * z1
+			t2 += r2 * z2
+			t3 += r3 * z3
+			ps[i-3], ps[i-2], ps[i-1], ps[i] = r0, r1, r2, r3
+		}
+		if lo == 0 {
+			zd = [4]float64{s0, s1, s2, s3}
+			rz = [4]float64{t0, t1, t2, t3}
+		} else {
+			zd[0] += s0
+			zd[1] += s1
+			zd[2] += s2
+			zd[3] += s3
+			rz[0] += t0
+			rz[1] += t1
+			rz[2] += t2
+			rz[3] += t3
+		}
+	}
+	return zd, rz
 }

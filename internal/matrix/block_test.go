@@ -221,9 +221,11 @@ func TestBlockKernelsRejectOtherWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := LaplacianOf(g)
 	for _, k := range otherWidths {
 		x, y := blockFromCols(randCols(n, k, 1)), blockFromCols(randCols(n, k, 2))
-		out := make([]float64, k)
+		z, w := blockFromCols(randCols(n, k, 3)), blockFromCols(randCols(n, k, 4))
+		out, out2 := make([]float64, k), make([]float64, k)
 		gb := NewBlock(lf.GroundedLen(), k)
 		for name, f := range map[string]func(){
 			"DotBlockIntoW":                     func() { DotBlockIntoW(1, x, y, out) },
@@ -231,6 +233,9 @@ func TestBlockKernelsRejectOtherWidths(t *testing.T) {
 			"AxpyBlockW":                        func() { AxpyBlockW(1, y, out, x, y) },
 			"ProjectOutConstantMaskedBlockIdxW": func() { ProjectOutConstantMaskedBlockIdxW(1, x, ci) },
 			"LaplacianFactor.SolveBlockIntoW":   func() { lf.SolveBlockIntoW(1, x, y, gb) },
+			"MulVecDotBlockW":                   func() { a.MulVecDotBlockW(1, x, y, out) },
+			"AxpyPairNormBlockW":                func() { AxpyPairNormBlockW(1, x, y, out2, z, w, out) },
+			"ProjectDotsBlockW":                 func() { ProjectDotsBlockW(1, x, ci, y, z, out, out2) },
 		} {
 			requirePanics(t, fmt.Sprintf("%s at width %d", name, k), f)
 		}
@@ -335,14 +340,6 @@ func TestAxpySubChebBlockBitwise(t *testing.T) {
 				yy.ColInto(c, got)
 				requireBitwise(t, fmt.Sprintf("axpy in place k=%d w=%d col %d", k, w, c), got, want)
 			}
-			SubIntoBlockW(w, dst, x, y)
-			for c := 0; c < k; c++ {
-				want := make([]float64, n)
-				SubIntoW(w, want, xs[c], ys[c])
-				got := make([]float64, n)
-				dst.ColInto(c, got)
-				requireBitwise(t, fmt.Sprintf("sub k=%d w=%d col %d", k, w, c), got, want)
-			}
 			for _, first := range []bool{true, false} {
 				p, z, xb := blockFromCols(ys), blockFromCols(zs), blockFromCols(xs)
 				const beta, alpha = 0.83, -1.21
@@ -385,6 +382,69 @@ func TestProjectBlockBitwise(t *testing.T) {
 						x.ColInto(c, got)
 						requireBitwise(t, fmt.Sprintf("proj n=%d comps=%d k=%d w=%d col %d", n, numComp, k, w, c), got, want)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestFusedPCGKernelsBitwise holds each fused outer-PCG kernel to the
+// kernel sequence it replaces, bitwise, in every output: MulVecDotBlockW
+// to MulVecBlockW + DotBlockIntoW; AxpyPairNormBlockW to two AxpyBlockW
+// and Norm2BlockIntoW; ProjectDotsBlockW to the projection, r − prev, the
+// two dots and prev ← r. It covers widths 1, 2 and 4, lengths on either
+// side of the ReduceGrain chunk boundaries, one and three components, and
+// Workers 1, 2 and 4 (only k = 1 parallelizes; the wider bodies ignore it).
+func TestFusedPCGKernelsBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{5, par.ReduceGrain, par.ReduceGrain + 1, 2*par.ReduceGrain + 31} {
+		a := randLap(n, int64(n))
+		for _, numComp := range []int{1, 3} {
+			ci := NewCompIndexW(1, randomPartition(rng, n, numComp), numComp)
+			for _, k := range blockTestWidths {
+				p, q, r, z := randCols(n, k, 30), randCols(n, k, 31), randCols(n, k, 32), randCols(n, k, 33)
+				alphas := randCols(k, 1, 34)[0]
+				negAlphas := make([]float64, k)
+				for c, al := range alphas {
+					negAlphas[c] = -al
+				}
+				for _, w := range blockTestWorkers {
+					label := fmt.Sprintf("n=%d comps=%d k=%d w=%d", n, numComp, k, w)
+					want, got := make([]float64, k), make([]float64, k)
+					want2, got2 := make([]float64, k), make([]float64, k)
+
+					pb, apWant, apGot := blockFromCols(p), NewBlock(n, k), blockFromCols(q)
+					a.MulVecBlockW(w, pb, apWant)
+					DotBlockIntoW(w, pb, apWant, want)
+					a.MulVecDotBlockW(w, pb, apGot, got)
+					requireBitwise(t, label+" MulVecDot ap", apGot.Data(), apWant.Data())
+					requireBitwise(t, label+" MulVecDot paps", got, want)
+
+					xWant, rWant := blockFromCols(q), blockFromCols(r)
+					xGot, rGot := blockFromCols(q), blockFromCols(r)
+					apb := blockFromCols(z)
+					AxpyBlockW(w, xWant, alphas, pb, xWant)
+					AxpyBlockW(w, rWant, negAlphas, apb, rWant)
+					Norm2BlockIntoW(w, rWant, want)
+					AxpyPairNormBlockW(w, xGot, rGot, alphas, pb, apb, got)
+					requireBitwise(t, label+" AxpyPairNorm x", xGot.Data(), xWant.Data())
+					requireBitwise(t, label+" AxpyPairNorm r", rGot.Data(), rWant.Data())
+					requireBitwise(t, label+" AxpyPairNorm norms", got, want)
+
+					rb := blockFromCols(r)
+					zWant, prevWant := blockFromCols(z), blockFromCols(q)
+					zGot, prevGot := blockFromCols(z), blockFromCols(q)
+					diff := NewBlock(n, k)
+					ProjectOutConstantMaskedBlockIdxW(w, zWant, ci)
+					SubIntoW(1, diff.Data(), rb.Data(), prevWant.Data())
+					DotBlockIntoW(w, zWant, diff, want)
+					DotBlockIntoW(w, rb, zWant, want2)
+					prevWant.CopyFrom(rb)
+					ProjectDotsBlockW(w, zGot, ci, rb, prevGot, got, got2)
+					requireBitwise(t, label+" ProjectDots z", zGot.Data(), zWant.Data())
+					requireBitwise(t, label+" ProjectDots prev", prevGot.Data(), prevWant.Data())
+					requireBitwise(t, label+" ProjectDots zdiffs", got, want)
+					requireBitwise(t, label+" ProjectDots rzs", got2, want2)
 				}
 			}
 		}
@@ -466,18 +526,14 @@ func TestAxpySubBatchBitwise(t *testing.T) {
 	ys := randCols(n, k, 6)
 	alphas := []float64{0.5, -1.25, 3.75, -0.625}
 	x, y := blockFromCols(xs), blockFromCols(ys)
-	dst, diff := NewBlock(n, k), NewBlock(n, k)
+	dst := NewBlock(n, k)
 	AxpyBlockW(0, dst, alphas, x, y)
-	SubIntoBlockW(0, diff, x, y)
 	got := make([]float64, n)
 	for c := 0; c < k; c++ {
 		ref := make([]float64, n)
 		AxpyIntoW(1, ref, alphas[c], xs[c], ys[c])
 		dst.ColInto(c, got)
 		requireBitwise(t, "axpy", got, ref)
-		SubIntoW(1, ref, xs[c], ys[c])
-		diff.ColInto(c, got)
-		requireBitwise(t, "sub", got, ref)
 	}
 }
 

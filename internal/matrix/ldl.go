@@ -75,23 +75,25 @@ func (f *SparseLDL) validate() error {
 // solveInPlace solves L·D·Lᵀ x = b over x (holding b on entry). Nothing is
 // allocated.
 func (f *SparseLDL) solveInPlace(x []float64) {
-	n := len(f.D)
+	colPtr, rowPos, lv, d := f.ColPtr, f.RowPos, f.L, f.D
+	x = x[:len(d)]
 	// Forward solve L y = b, column-oriented.
-	for j := 0; j < n; j++ {
-		lo, hi := f.ColPtr[j], f.ColPtr[j+1]
-		rows, vals := f.RowPos[lo:hi], f.L[lo:hi]
-		xj := x[j]
-		for q, r := range rows {
-			x[r] -= vals[q] * xj
+	for j, xj := range x {
+		vals := lv[colPtr[j]:colPtr[j+1]]
+		rows := rowPos[colPtr[j]:colPtr[j+1]]
+		rows = rows[:len(vals)]
+		for q, l := range vals {
+			x[rows[q]] -= l * xj
 		}
 	}
 	// Diagonal solve fused into the backward solve Lᵀ x = D⁻¹ y.
-	for j := n - 1; j >= 0; j-- {
-		lo, hi := f.ColPtr[j], f.ColPtr[j+1]
-		rows, vals := f.RowPos[lo:hi], f.L[lo:hi]
-		s := x[j] / f.D[j]
-		for q, r := range rows {
-			s -= vals[q] * x[r]
+	for j := len(d) - 1; j >= 0; j-- {
+		vals := lv[colPtr[j]:colPtr[j+1]]
+		rows := rowPos[colPtr[j]:colPtr[j+1]]
+		rows = rows[:len(vals)]
+		s := x[j] / d[j]
+		for q, l := range vals {
+			s -= l * x[rows[q]]
 		}
 		x[j] = s
 	}

@@ -232,12 +232,18 @@ func (a *Sparse) MulVecW(workers int, x, y []float64) {
 // parallel chunk (named, not a closure: the sequential call must not
 // allocate).
 func mulVecRows(a *Sparse, x, y []float64, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		s := 0.0
-		for i := a.Off[r]; i < a.Off[r+1]; i++ {
-			s += a.Val[i] * x[a.Col[i]]
+	off, cols, vals := a.Off, a.Col, a.Val
+	y = y[lo:hi]
+	for i := range y {
+		r := lo + i
+		rv := vals[off[r]:off[r+1]]
+		rc := cols[off[r]:off[r+1]]
+		rc = rc[:len(rv)]
+		var s float64
+		for q, v := range rv {
+			s += v * x[rc[q]]
 		}
-		y[r] = s
+		y[i] = s
 	}
 }
 

@@ -237,6 +237,28 @@ func BenchmarkPrecondApply(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveSingle times whole k = 1 solves at Workers 1 on the
+// grid_expw benchmark workload's graph (grid 96², conductances
+// gen.WithExponentialWeights(g, 8, 8, 1), default chain, eps 1e-6): the
+// outer PCG driver's own passes included, which BenchmarkPrecondApply
+// leaves out. ns/op is one solve; the steady state allocates nothing.
+func BenchmarkSolveSingle(b *testing.B) {
+	g := gen.WithExponentialWeights(gen.Grid2D(96, 96), 8, 8, 1)
+	s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: 1}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rhs, out := matrix.VecBlock(randRHS(g.N, 7)), matrix.NewBlock(g.N, 1)
+	opt := Options{Workers: 1}
+	sts := s.SolveBlockTraced(&rhs, out, 1e-6, opt, nil, nil) // warm the pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sts = s.SolveBlockTraced(&rhs, out, 1e-6, opt, nil, sts)
+	}
+	b.ReportMetric(float64(sts[0].Iterations), "iterations")
+}
+
 // The allocation walls above, re-run on chain shapes whose apply path takes
 // other branches than the deep unit-weight grid: the count-based default
 // chain (one level over a sparse LDLᵀ bottom factor), exponentially spread

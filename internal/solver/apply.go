@@ -19,8 +19,16 @@ import (
 // vertex from adjacent memory (the vertex-major interleaved layout). Lane
 // arithmetic is never mixed: each block kernel performs, per lane, exactly
 // the floating-point operations of its single-vector form in the same
-// order (at k = 1 it IS the single-vector kernel), so lane c of a k-wide
-// solve is bitwise identical to a solve of that column alone. Lanes that
+// order (at k = 1 most of them ARE the single-vector kernel), so lane c of
+// a k-wide solve is bitwise identical to a solve of that column alone. The
+// outer driver's own vector work runs in three fused kernels that each
+// replace a kernel sequence and keep its bits (matrix.MulVecDotBlockW,
+// AxpyPairNormBlockW, ProjectDotsBlockW), so with one component a
+// sequential outer iteration sweeps its n×k vectors five times — the
+// mat-vec, the step, the mean and the projection sweep of z, and the
+// direction update — where the unfused kernel sequence took twelve (a
+// k = 1 solve at Workers ≥ 2 still runs that sequence, in parallel
+// kernels). Lanes that
 // converge (or break down) are compacted out of the block — pure data
 // movement via Block.KeepLanes — exactly where a lone solve of the column
 // would have stopped. A block runs at width 1, 2 or 4 (blockWidth): three
@@ -181,13 +189,19 @@ func blockWidth(lanes int) int {
 // and stops a lane when its relative residual drops below tol, when its
 // preconditioner breaks positive-definiteness, or after maxIter
 // iterations. Every lane follows the operation sequence of a width-1 solve
-// — same kernels (the k = 1 block kernels are the single-vector ones), same
-// order, same break points — so out's column c is bitwise identical to a
-// width-1 solve of rhs's column c. Lanes leave the active block via
-// KeepLanes compaction (pure data movement — surviving lanes' arithmetic is
-// untouched) and are finished (projected and written to out) at that
-// moment. The blocks run at blockWidth(lanes); the scalar slots a kernel
-// reads at a pad lane (alphas, negAlphas, betas) are 0.
+// — same kernels, same order, same break points — so out's column c is
+// bitwise identical to a width-1 solve of rhs's column c. Lanes leave the
+// active block via KeepLanes compaction (pure data movement — surviving
+// lanes' arithmetic is untouched) and are finished (projected and written
+// to out) at that moment. The blocks run at blockWidth(lanes); the scalar
+// slots a kernel reads at a pad lane (alphas, betas) are 0.
+//
+// With one component a sequential iteration makes five sweeps over its n×k
+// blocks besides the preconditioner: AP = A·P with P·AP (MulVecDotBlockW); X += αP and
+// R −= α·AP with ‖R‖ (AxpyPairNormBlockW); Z's mean, then Z's projection
+// with z·(r − r_prev) and r·z while r_prev ← r (ProjectDotsBlockW, two
+// sweeps); and P = βP + Z (AxpyBlockW). Each reduction folds the same
+// ReduceGrain chunks in the same order as the separate kernels did.
 //
 // out must be shaped like rhs and zeroed by the caller; only columns lo …
 // hi−1 are written, as are only stats[lo:hi], which must be zeroed. So
@@ -206,18 +220,17 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, pc preconditioner, rhs *mat
 	w0 := blockWidth(k0)
 	ws.ensureOuter(n, w0)
 	applyWork, applyDepth := pc.laneCost()
-	// Per-lane scalar scratch: 10 w0-sized lanes packed into pcgScal.
+	// Per-lane scalar scratch: 9 w0-sized lanes packed into pcgScal.
 	scal := ws.pcgScal
 	bnorms := scal[0:w0]
 	rzs := scal[w0 : 2*w0]
 	alphas := scal[2*w0 : 3*w0]
-	negAlphas := scal[3*w0 : 4*w0]
-	paps := scal[4*w0 : 5*w0]
-	norms := scal[5*w0 : 6*w0]
-	betas := scal[6*w0 : 7*w0]
-	zdiffs := scal[7*w0 : 8*w0]
-	newRzs := scal[8*w0 : 9*w0]
-	rrs := scal[9*w0 : 10*w0]
+	paps := scal[3*w0 : 4*w0]
+	norms := scal[4*w0 : 5*w0]
+	betas := scal[5*w0 : 6*w0]
+	zdiffs := scal[6*w0 : 7*w0]
+	newRzs := scal[7*w0 : 8*w0]
+	rrs := scal[8*w0 : 9*w0]
 	laneCol := ws.pcgLane[0:w0] // original output column of each live lane
 	keep := ws.pcgLane[w0 : 2*w0]
 	col := ws.pcgCol[:n]
@@ -262,15 +275,13 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, pc preconditioner, rhs *mat
 	PrevR.Reshape(n, width)
 	PrevR.CopyFrom(R)
 	AP := &ws.pcgAp
-	Diff := &ws.pcgDiff
 
 	for it := 0; it < maxIter && lanes > 0; it++ {
 		for j := 0; j < lanes; j++ {
 			stats[laneCol[j]].Iterations = it + 1
 		}
 		AP.Reshape(n, width)
-		a.MulVecBlockW(workers, P, AP)
-		matrix.DotBlockIntoW(workers, P, AP, paps)
+		a.MulVecDotBlockW(workers, P, AP, paps)
 		// Lanes whose preconditioner broke positive-definiteness stop here,
 		// with x as of BEFORE this iteration's update. Survivors get their
 		// step size.
@@ -293,13 +304,7 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, pc preconditioner, rhs *mat
 			width = R.K()
 		}
 		clear(alphas[lanes:width])
-		matrix.AxpyBlockW(workers, X, alphas[:width], P, X)
-		for j := 0; j < lanes; j++ {
-			negAlphas[j] = -alphas[j]
-		}
-		clear(negAlphas[lanes:width])
-		matrix.AxpyBlockW(workers, R, negAlphas[:width], AP, R)
-		matrix.Norm2BlockIntoW(workers, R, norms)
+		matrix.AxpyPairNormBlockW(workers, X, R, alphas[:width], P, AP, norms)
 		charge(stats, laneCol[:lanes], int64(a.NNZ()+10*n), 2)
 		nk = 0
 		for j := 0; j < lanes; j++ {
@@ -324,11 +329,7 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, pc preconditioner, rhs *mat
 		// One preconditioner pass for every still-active lane.
 		Z = pc.applyHTopBlock(workers, R, lanes, ws)
 		charge(stats, laneCol[:lanes], applyWork, applyDepth)
-		matrix.ProjectOutConstantMaskedBlockIdxW(workers, Z, ci)
-		Diff.Reshape(n, width)
-		matrix.SubIntoBlockW(workers, Diff, R, PrevR)
-		matrix.DotBlockIntoW(workers, Z, Diff, zdiffs)
-		matrix.DotBlockIntoW(workers, R, Z, newRzs)
+		matrix.ProjectDotsBlockW(workers, Z, ci, R, PrevR, zdiffs, newRzs)
 		nfall := 0 // lanes needing the unpreconditioned fallback direction
 		for j := 0; j < lanes; j++ {
 			beta := zdiffs[j] / rzs[j]
@@ -355,7 +356,6 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, pc preconditioner, rhs *mat
 			}
 		}
 		matrix.AxpyBlockW(workers, P, betas[:width], P, Z)
-		PrevR.CopyFrom(R)
 	}
 	// maxIter exhausted: remaining lanes finish with their current iterate.
 	for j := 0; j < lanes; j++ {

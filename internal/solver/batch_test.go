@@ -160,12 +160,12 @@ func TestSolveBatchSharesChainPasses(t *testing.T) {
 	}
 }
 
-// TestSolveBlockLaneGroups: a k-lane block solve splits into
-// max(min(p, k), ⌈k/4⌉) contiguous lane groups, uneven when the count does
-// not divide k, and runs a 3-lane group as a padded 4-wide block: at
-// Workers 1 k = 3 is one padded group, k = 5 groups of 2 and 3 and k = 8
-// two groups of 4, one after another; at Workers 2 and 4 the groups run
-// concurrently. Every lane — a zero right-hand side
+// TestSolveBlockLaneGroups: a k-lane block solve splits into contiguous
+// lane groups (laneGroups; TestLaneGroupSplit pins the split) and runs a
+// 3-lane group as a padded 4-wide block: at Workers 1 k = 3 is one padded
+// group, k = 5 groups of 4 and 1 and k = 8 two groups of 4, one after
+// another; at Workers 2 and 4 the groups, sized within one of each other,
+// run concurrently. Every lane — a zero right-hand side
 // included — and its SolveStats must be bitwise what a Workers:1 solve of
 // that column alone returns, and the summed trace must still partition as
 // OuterNS ⊇ PrecondNS ⊇ stages.
@@ -206,6 +206,74 @@ func TestSolveBlockLaneGroups(t *testing.T) {
 				tr.StageNS(obs.StageBack) + tr.StageNS(obs.StageBottom)
 			if tr.OuterNS < tr.PrecondNS || tr.PrecondNS < stages || stages <= 0 || tr.Levels != len(s.Chain.Levels) {
 				t.Fatalf("k=%d workers=%d: summed trace does not partition: %+v", k, w, tr)
+			}
+		}
+	}
+}
+
+// TestLaneGroupSplit pins how a k-lane block solve splits its lanes: at
+// Workers 1 it fills 4-lane groups first (k = 5 runs as 4 + 1, k = 6 as
+// 4 + 2, k = 7 as 4 + 3 with the 3 padded), and at p ≥ 2 it runs
+// max(min(p, k), ⌈k/4⌉) groups whose sizes differ by at most one. Then it
+// solves k = 5 and k = 6 at Workers 1 and requires every lane to be
+// bitwise what a solve of its column alone returns.
+func TestLaneGroupSplit(t *testing.T) {
+	for _, tc := range []struct {
+		p, k int
+		want string
+	}{
+		{1, 1, "[0 1)"},
+		{1, 3, "[0 3)"},
+		{1, 4, "[0 4)"},
+		{1, 5, "[0 4) [4 5)"},
+		{1, 6, "[0 4) [4 6)"},
+		{1, 7, "[0 4) [4 7)"},
+		{1, 9, "[0 4) [4 8) [8 9)"},
+		{2, 1, "[0 1)"},
+		{2, 5, "[0 2) [2 5)"},
+		{2, 6, "[0 3) [3 6)"},
+		{2, 9, "[0 3) [3 6) [6 9)"},
+		{4, 3, "[0 1) [1 2) [2 3)"},
+		{4, 8, "[0 2) [2 4) [4 6) [6 8)"},
+	} {
+		groups := laneGroups(tc.p, tc.k)
+		got := ""
+		for g := 0; g < groups; g++ {
+			lo, hi := laneGroup(tc.p, tc.k, groups, g)
+			if g > 0 {
+				got += " "
+			}
+			got += fmt.Sprintf("[%d %d)", lo, hi)
+		}
+		if got != tc.want {
+			t.Errorf("p=%d k=%d: groups %s, want %s", tc.p, tc.k, got, tc.want)
+		}
+	}
+
+	g := gen.PreferentialAttachment(600, 3, 23)
+	s, err := NewWithOptions(g, deepChainParams(g), Options{Workers: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps = 1e-7
+	seq := Options{Workers: 1}
+	for _, k := range []int{5, 6} {
+		bs := make([][]float64, k)
+		var rhs, out matrix.Block
+		rhs.Reshape(g.N, k)
+		for c := range bs {
+			bs[c] = randRHS(g.N, int64(500+c))
+			rhs.SetCol(c, bs[c])
+		}
+		sts := s.SolveBlockTraced(&rhs, &out, eps, seq, nil, nil)
+		x := make([]float64, g.N)
+		for c, b := range bs {
+			ref, refSt := s.SolveOpts(b, eps, seq)
+			out.ColInto(c, x)
+			label := fmt.Sprintf("k=%d lane %d", k, c)
+			requireBitwiseVec(t, label, x, ref)
+			if sts[c] != refSt {
+				t.Fatalf("%s: stats %+v, single solve %+v", label, sts[c], refSt)
 			}
 		}
 	}

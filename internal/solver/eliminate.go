@@ -43,10 +43,16 @@ type ElimOp struct {
 // Alongside the op log it carries an owner-computes reverse index: for each
 // round, the ops' scatter targets (the op.A/op.B neighbors that receive
 // forwarded b-mass) grouped by receiving vertex, in op order within each
-// group. ForwardRHSIntoW uses it to let every receiver accumulate its own
-// round contributions in parallel — two ops sharing a neighbor no longer
-// force a sequential scatter — while reproducing the sequential op-order
-// float sums bitwise (per receiver, the accumulation order is unchanged).
+// group. GreedyEliminationW patches each receiver's adjacency from its
+// group, and ForwardRHSIntoW at workers ≥ 2 lets every receiver accumulate
+// its own round contributions in parallel — two ops sharing a neighbor no
+// longer force a sequential scatter — while reproducing the op-order float
+// sums bitwise (per receiver, the accumulation order is unchanged). That
+// k = 1 parallel replay is the index's only reader in a solve: every
+// sequential replay, and every block replay, walks Ops in order. The index
+// costs 12 bytes per scatter item and 8 per receiver group — 0.23 MB of
+// the 3.6 MB one-level chain on a 96² grid with exponential weights — and
+// it could be build-time scratch if k = 1 solves ran sequentially.
 type Elimination struct {
 	OrigN    int
 	Ops      []ElimOp
@@ -464,37 +470,29 @@ func (el *Elimination) itemBounds(gi int) (lo, hi int32) {
 // using work (length OrigN) as scratch; all three are fully overwritten and
 // b is not modified.
 //
-// Within a round the eliminated vertices form an independent set, and a
-// round's scatter targets (neighbors) are never that round's eliminated
-// vertices — so the carry reads of a round see no same-round writes and run
-// in parallel. The scatter runs in parallel too, over the owner-computes
-// reverse index: each receiving vertex accumulates its own incoming
-// contributions (carry × precomputed coefficient) in ascending op order —
-// a fixed summation order that makes the result bitwise identical for
-// every worker count, and matches what a sequential op-order scatter of
-// the same contributions would produce. At workers==1 the replay runs as
-// plain loops — no closures, no goroutines, no allocation.
+// At workers==1 the replay walks Ops in order (forward1): each op takes its
+// vertex's value as its carry and adds carry × coefficient onto its
+// neighbours at once — plain loops, no closures, no allocation. At
+// workers ≥ 2 it runs round by round. Within a round the eliminated
+// vertices form an independent set, and a round's scatter targets
+// (neighbors) are never that round's eliminated vertices — so the carry
+// reads of a round see no same-round writes and run in parallel. The
+// scatter runs in parallel too, over the owner-computes reverse index:
+// each receiving vertex accumulates its own incoming contributions
+// (carry × precomputed coefficient) in ascending op order. That is the
+// order in which the op-order replay adds them, with the same coefficient
+// bits, so the two are bitwise identical and the result does not depend
+// on the worker count.
 func (el *Elimination) ForwardRHSIntoW(workers int, b, work, carry, reduced []float64) {
 	copy(work, b)
-	seq := par.Sequential(workers)
+	if par.Sequential(workers) {
+		el.forward1(work, carry, reduced)
+		return
+	}
 	for ri := 0; ri < el.Rounds; ri++ {
 		lo, hi := el.roundBounds(ri)
 		ops := el.Ops[lo:hi]
 		gLo, gHi := el.recvBounds(ri)
-		if seq {
-			for k := range ops {
-				carry[lo+k] = work[ops[k].V]
-			}
-			for g := gLo; g < gHi; g++ {
-				acc := work[el.recvVert[g]]
-				iLo, iHi := el.itemBounds(g)
-				for it := iLo; it < iHi; it++ {
-					acc += carry[el.recvOp[it]] * el.recvCoef[it]
-				}
-				work[el.recvVert[g]] = acc
-			}
-			continue
-		}
 		par.ForChunkedW(workers, len(ops), func(clo, chi int) {
 			for k := clo; k < chi; k++ {
 				carry[lo+k] = work[ops[k].V]
@@ -511,17 +509,37 @@ func (el *Elimination) ForwardRHSIntoW(workers int, b, work, carry, reduced []fl
 			}
 		})
 	}
-	if seq {
-		for j := range el.Keep {
-			reduced[j] = work[el.Keep[j]]
-		}
-		return
-	}
 	par.ForChunkedW(workers, len(el.Keep), func(clo, chi int) {
 		for j := clo; j < chi; j++ {
 			reduced[j] = work[el.Keep[j]]
 		}
 	})
+}
+
+// forward1 is ForwardRHSIntoW's op-order replay over work (already holding
+// b). A rake forwards its carry with coefficient 1 (adding c·1 is adding
+// c), a splice c·(W1/(W1+W2)) to A and c·(W2/(W1+W2)) to B — the reverse
+// index's coefficients, computed the same way.
+func (el *Elimination) forward1(work, carry, reduced []float64) {
+	ops := el.Ops
+	carry = carry[:len(ops)]
+	for k := range ops {
+		op := &ops[k]
+		c := work[op.V]
+		carry[k] = c
+		switch op.Kind {
+		case ElimDeg1:
+			work[op.A] += c
+		case ElimDeg2:
+			s := op.W1 + op.W2
+			work[op.A] += c * (op.W1 / s)
+			work[op.B] += c * (op.W2 / s)
+		}
+	}
+	reduced = reduced[:len(el.Keep)]
+	for j, v := range el.Keep {
+		reduced[j] = work[v]
+	}
 }
 
 // BackSolveIntoW extends a solution of the reduced system to the full
@@ -553,15 +571,17 @@ func (el *Elimination) BackSolveIntoW(workers int, xReduced, carry, x []float64)
 		lo, hi := el.roundBounds(ri)
 		ops := el.Ops[lo:hi]
 		if seq {
+			cr := carry[lo:hi]
+			cr = cr[:len(ops)]
 			for k := range ops {
 				op := &ops[k]
 				switch op.Kind {
 				case ElimDeg0:
 					x[op.V] = 0
 				case ElimDeg1:
-					x[op.V] = x[op.A] + carry[lo+k]/op.W1
+					x[op.V] = x[op.A] + cr[k]/op.W1
 				case ElimDeg2:
-					x[op.V] = (op.W1*x[op.A] + op.W2*x[op.B] + carry[lo+k]) / (op.W1 + op.W2)
+					x[op.V] = (op.W1*x[op.A] + op.W2*x[op.B] + cr[k]) / (op.W1 + op.W2)
 				}
 			}
 			continue
@@ -588,8 +608,9 @@ func (el *Elimination) BackSolveIntoW(workers int, xReduced, carry, x []float64)
 // log serves all k lanes, with the k values per vertex/op adjacent in
 // memory; lane c is bitwise identical to ForwardRHSIntoW on lane c. The
 // workers knob reaches only the k = 1 case: a wider replay runs a
-// fixed-width body like matrix's block kernels, with no allocation (block
-// solves parallelize across lane groups instead). Other widths panic.
+// fixed-width body of the op-order replay like matrix's block kernels,
+// with no allocation (block solves parallelize across lane groups
+// instead). Other widths panic.
 func (el *Elimination) ForwardRHSBlockIntoW(workers int, b, work, carry, reduced *matrix.Block) {
 	switch b.K() {
 	case 1:
@@ -626,31 +647,31 @@ func (el *Elimination) BackSolveBlockIntoW(workers int, xReduced, carry, x *matr
 }
 
 // forwardBlock2 is ForwardRHSBlockIntoW's replay at width 2 over the
-// interleaved backings (work already holds b): each receiving vertex's
-// lanes accumulate in locals and are written once. The reverse-index items
-// of consecutive groups are consecutive, so one cursor walks them all.
+// interleaved backings (work already holds b): forward1's op-order replay
+// with each op's lanes carried in locals.
 func (el *Elimination) forwardBlock2(work, carry, reduced []float64) {
-	verts, ends, from, coefs := el.recvVert, el.recvItemEnd, el.recvOp, el.recvCoef
-	it := int32(0)
-	for ri := 0; ri < el.Rounds; ri++ {
-		lo, hi := el.roundBounds(ri)
-		for k, op := range el.Ops[lo:hi] {
-			v, c := int(op.V)*2, (lo+k)*2
-			wr, cr := work[v:v+2:v+2], carry[c:c+2:c+2]
-			cr[0], cr[1] = wr[0], wr[1]
-		}
-		gLo, gHi := el.recvBounds(ri)
-		for g := gLo; g < gHi; g++ {
-			v := int(verts[g]) * 2
-			w := work[v : v+2 : v+2]
-			a0, a1 := w[0], w[1]
-			for ; it < ends[g]; it++ {
-				c := int(from[it]) * 2
-				cr, coef := carry[c:c+2:c+2], coefs[it]
-				a0 += cr[0] * coef
-				a1 += cr[1] * coef
-			}
-			w[0], w[1] = a0, a1
+	ops := el.Ops
+	for k := range ops {
+		op := &ops[k]
+		v, ck := int(op.V)*2, k*2
+		wv, cr := work[v:v+2:v+2], carry[ck:ck+2:ck+2]
+		c0, c1 := wv[0], wv[1]
+		cr[0], cr[1] = c0, c1
+		switch op.Kind {
+		case ElimDeg1:
+			a := int(op.A) * 2
+			wa := work[a : a+2 : a+2]
+			wa[0] += c0
+			wa[1] += c1
+		case ElimDeg2:
+			s := op.W1 + op.W2
+			fa, fb := op.W1/s, op.W2/s
+			a, b := int(op.A)*2, int(op.B)*2
+			wa, wb := work[a:a+2:a+2], work[b:b+2:b+2]
+			wa[0] += c0 * fa
+			wa[1] += c1 * fa
+			wb[0] += c0 * fb
+			wb[1] += c1 * fb
 		}
 	}
 	for j, v := range el.Keep {
@@ -661,29 +682,34 @@ func (el *Elimination) forwardBlock2(work, carry, reduced []float64) {
 
 // forwardBlock4 is forwardBlock2 at width 4.
 func (el *Elimination) forwardBlock4(work, carry, reduced []float64) {
-	verts, ends, from, coefs := el.recvVert, el.recvItemEnd, el.recvOp, el.recvCoef
-	it := int32(0)
-	for ri := 0; ri < el.Rounds; ri++ {
-		lo, hi := el.roundBounds(ri)
-		for k, op := range el.Ops[lo:hi] {
-			v, c := int(op.V)*4, (lo+k)*4
-			wr, cr := work[v:v+4:v+4], carry[c:c+4:c+4]
-			cr[0], cr[1], cr[2], cr[3] = wr[0], wr[1], wr[2], wr[3]
-		}
-		gLo, gHi := el.recvBounds(ri)
-		for g := gLo; g < gHi; g++ {
-			v := int(verts[g]) * 4
-			w := work[v : v+4 : v+4]
-			a0, a1, a2, a3 := w[0], w[1], w[2], w[3]
-			for ; it < ends[g]; it++ {
-				c := int(from[it]) * 4
-				cr, coef := carry[c:c+4:c+4], coefs[it]
-				a0 += cr[0] * coef
-				a1 += cr[1] * coef
-				a2 += cr[2] * coef
-				a3 += cr[3] * coef
-			}
-			w[0], w[1], w[2], w[3] = a0, a1, a2, a3
+	ops := el.Ops
+	for k := range ops {
+		op := &ops[k]
+		v, ck := int(op.V)*4, k*4
+		wv, cr := work[v:v+4:v+4], carry[ck:ck+4:ck+4]
+		c0, c1, c2, c3 := wv[0], wv[1], wv[2], wv[3]
+		cr[0], cr[1], cr[2], cr[3] = c0, c1, c2, c3
+		switch op.Kind {
+		case ElimDeg1:
+			a := int(op.A) * 4
+			wa := work[a : a+4 : a+4]
+			wa[0] += c0
+			wa[1] += c1
+			wa[2] += c2
+			wa[3] += c3
+		case ElimDeg2:
+			s := op.W1 + op.W2
+			fa, fb := op.W1/s, op.W2/s
+			a, b := int(op.A)*4, int(op.B)*4
+			wa, wb := work[a:a+4:a+4], work[b:b+4:b+4]
+			wa[0] += c0 * fa
+			wa[1] += c1 * fa
+			wa[2] += c2 * fa
+			wa[3] += c3 * fa
+			wb[0] += c0 * fb
+			wb[1] += c1 * fb
+			wb[2] += c2 * fb
+			wb[3] += c3 * fb
 		}
 	}
 	for j, v := range el.Keep {

@@ -84,6 +84,73 @@ func requireBlockReplaysBitwise(t *testing.T, el *Elimination, b []float64) {
 	}
 }
 
+// TestForwardReplayOpOrderBitwise holds the op-order forward replay — k = 1
+// at Workers 1 and the width-2 and width-4 bodies — to the reverse-index
+// replay that only k = 1 at Workers ≥ 2 still runs, bitwise in the reduced
+// right-hand side and the carries, lane by lane. The eliminations are a
+// star's (every op a rake onto one shared neighbour), a weighted cycle's
+// (splices onto shared neighbours), and every level's of the deep chains
+// on grid 32² and pa:2000:4 (whose minimum degree leaves nothing to
+// eliminate before sparsification).
+func TestForwardReplayOpOrderBitwise(t *testing.T) {
+	type namedElim struct {
+		name string
+		el   *Elimination
+	}
+	elims := []namedElim{
+		{"star", GreedyEliminationW(1, gen.Star(500), rand.New(rand.NewSource(11)), nil)},
+		{"cycle", GreedyEliminationW(1, gen.WithUniformWeights(gen.Cycle(1000), 0.5, 4, 3), rand.New(rand.NewSource(12)), nil)},
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"grid 32²", gen.Grid2D(32, 32)},
+		{"pa:2000:4", gen.PreferentialAttachment(2000, 4, 7)},
+	} {
+		s, err := NewWithOptions(tc.g, deepChainParams(tc.g), Options{Workers: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Chain.Levels) == 0 {
+			t.Fatalf("%s: chain has no levels", tc.name)
+		}
+		for i := range s.Chain.Levels {
+			elims = append(elims, namedElim{fmt.Sprintf("%s level %d", tc.name, i), s.Chain.Levels[i].Elim})
+		}
+	}
+	for _, tc := range elims {
+		el := tc.el
+		if len(el.Ops) == 0 {
+			t.Fatalf("%s: elimination has no ops", tc.name)
+		}
+		for _, k := range []int{1, 2, 4} {
+			var bb, work, carry, red matrix.Block
+			bb.Reshape(el.OrigN, k)
+			work.Reshape(el.OrigN, k)
+			carry.Reshape(len(el.Ops), k)
+			red.Reshape(len(el.Keep), k)
+			bs := make([][]float64, k)
+			for c := range bs {
+				bs[c] = randRHS(el.OrigN, int64(60+c))
+				bb.SetCol(c, bs[c])
+			}
+			el.ForwardRHSBlockIntoW(1, &bb, &work, &carry, &red)
+			gotRed, gotCarry := make([]float64, len(el.Keep)), make([]float64, len(el.Ops))
+			for c, b := range bs {
+				red.ColInto(c, gotRed)
+				carry.ColInto(c, gotCarry)
+				for _, w := range []int{2, 4} {
+					wantRed, wantCarry := forwardRHS(el, w, b)
+					label := fmt.Sprintf("%s k=%d lane %d vs workers %d", tc.name, k, c, w)
+					requireBitwiseVec(t, label+" reduced", gotRed, wantRed)
+					requireBitwiseVec(t, label+" carry", gotCarry, wantCarry)
+				}
+			}
+		}
+	}
+}
+
 // requireReplayPanics fails the test unless f panics.
 func requireReplayPanics(t *testing.T, what string, f func()) {
 	t.Helper()

@@ -173,16 +173,16 @@ func (s *Solver) SolveBatchTraced(bs [][]float64, eps float64, opt Options, tr *
 // out, which is reshaped to rhs's shape and fully overwritten. Lane c is
 // bitwise identical to Solve on rhs's column c for every Workers setting.
 //
-// The lanes are split into g = max(min(p, k), ⌈k/4⌉) contiguous groups
-// whose sizes differ by at most one, p being opt.Workers resolved, and each
-// group runs its own block PCG on its own pooled workspace. A group has at
-// most maxGroupLanes lanes, and one of three runs as a 4-wide block with a
-// zero pad lane (blockWidth), so the block kernels run widths 1, 2 and 4
-// only. At p = 1 the groups run one after another in the caller's
-// goroutine; at p ≥ 2 (and k ≥ 2) up to min(p, g) of them run
-// concurrently, each on the sequential kernels: parallelism comes from the
-// lanes, which are independent, not from inside each kernel. A lone lane
-// (k = 1) runs as one group whose kernels parallelize on the Workers knob.
+// The lanes are split into contiguous groups (laneGroups), p being
+// opt.Workers resolved, and each group runs its own block PCG on its own
+// pooled workspace. A group has at most maxGroupLanes lanes, and one of
+// three runs as a 4-wide block with a zero pad lane (blockWidth), so the
+// block kernels run widths 1, 2 and 4 only. At p = 1 the groups run one
+// after another in the caller's goroutine; at p ≥ 2 (and k ≥ 2) up to
+// min(p, g) of them run concurrently, each on the sequential kernels:
+// parallelism comes from the lanes, which are independent, not from inside
+// each kernel. A lone lane (k = 1) runs as one group whose kernels
+// parallelize on the Workers knob.
 // Each group returns its workspace to the pool as it finishes. The trace
 // sums the groups' slots, so it reads worker time rather than wall time.
 //
@@ -210,18 +210,20 @@ func (s *Solver) SolveBlockTraced(rhs, out *matrix.Block, eps float64, opt Optio
 	out.Reshape(rhs.N(), k)
 	out.Zero()
 	p := par.Resolve(opt.Workers)
-	groups := max(min(p, k), (k+maxGroupLanes-1)/maxGroupLanes)
+	groups := laneGroups(p, k)
 	var sum obs.SolveTrace
 	if p == 1 || groups == 1 {
 		for g := 0; g < groups; g++ {
-			ws := s.solveLanes(opt.Workers, rhs, g*k/groups, (g+1)*k/groups, eps, out, sts)
+			lo, hi := laneGroup(p, k, groups, g)
+			ws := s.solveLanes(opt.Workers, rhs, lo, hi, eps, out, sts)
 			sum.Add(&ws.trace)
 			s.Chain.ws.put(ws)
 		}
 	} else {
 		traces := make([]obs.SolveTrace, groups)
 		par.TasksW(min(p, groups), groups, func(g int) {
-			ws := s.solveLanes(1, rhs, g*k/groups, (g+1)*k/groups, eps, out, sts)
+			lo, hi := laneGroup(p, k, groups, g)
+			ws := s.solveLanes(1, rhs, lo, hi, eps, out, sts)
 			traces[g] = ws.trace
 			s.Chain.ws.put(ws)
 		})
@@ -238,6 +240,28 @@ func (s *Solver) SolveBlockTraced(rhs, out *matrix.Block, eps float64, opt Optio
 // maxGroupLanes caps the lanes of one group of a block solve (see
 // SolveBlockTraced and blockWidth).
 const maxGroupLanes = 4
+
+// laneGroups is how many lane groups a k-lane block solve at p resolved
+// workers runs: ⌈k/4⌉ at p = 1, where the groups run one after another and
+// so are filled to four lanes first (laneGroup); max(min(p, k), ⌈k/4⌉) at
+// p ≥ 2, so that every worker gets a group.
+func laneGroups(p, k int) int {
+	if p == 1 {
+		return (k + maxGroupLanes - 1) / maxGroupLanes
+	}
+	return max(min(p, k), (k+maxGroupLanes-1)/maxGroupLanes)
+}
+
+// laneGroup returns the lanes lo … hi−1 of group g of the groups
+// laneGroups(p, k) chose. At p = 1 every group but the last has
+// maxGroupLanes lanes, so k = 5 runs as 4 + 1 and k = 6 as 4 + 2 with no
+// pad lane; at p ≥ 2 the sizes differ by at most one, for balance.
+func laneGroup(p, k, groups, g int) (lo, hi int) {
+	if p == 1 {
+		return g * maxGroupLanes, min((g+1)*maxGroupLanes, k)
+	}
+	return g * k / groups, (g + 1) * k / groups
+}
 
 // solveLanes solves lanes lo … hi−1 of rhs into their columns of out (zeroed
 // by the caller) and stats on a workspace drawn from the chain's pool, and

@@ -55,11 +55,11 @@ type workspace struct {
 	// scratch (dots, norms, step sizes); pcgLane its
 	// lane bookkeeping (original column per lane + the compaction keep
 	// list); pcgCol a single plain column for finishing dropped lanes.
-	outerN                                    int
-	pcgX, pcgR, pcgAp, pcgPrev, pcgDiff, pcgP matrix.Block
-	pcgScal                                   []float64
-	pcgLane                                   []int
-	pcgCol                                    []float64
+	outerN                           int
+	pcgX, pcgR, pcgAp, pcgPrev, pcgP matrix.Block
+	pcgScal                          []float64
+	pcgLane                          []int
+	pcgCol                           []float64
 }
 
 // levelWS is one level's scratch: the Chebyshev recurrence blocks (sized to
@@ -134,7 +134,7 @@ func (ws *workspace) grow(k int) {
 
 // ensureOuter equips the workspace with the outer PCG scratch for a k-column
 // solve over vectors of length n (the solver's top-level system size).
-// Blocks are reshaped in place; the scalar scratch packs 10 k-sized lanes
+// Blocks are reshaped in place; the scalar scratch packs 9 k-sized lanes
 // (see pcgFlexibleBlock).
 func (ws *workspace) ensureOuter(n, k int) {
 	if n < ws.outerN {
@@ -145,9 +145,8 @@ func (ws *workspace) ensureOuter(n, k int) {
 	ws.pcgR.Reshape(n, k)
 	ws.pcgAp.Reshape(n, k)
 	ws.pcgPrev.Reshape(n, k)
-	ws.pcgDiff.Reshape(n, k)
 	ws.pcgP.Reshape(n, k)
-	ws.pcgScal = growFloats(ws.pcgScal, 10*k)
+	ws.pcgScal = growFloats(ws.pcgScal, 9*k)
 	ws.pcgLane = growInts(ws.pcgLane, 2*k)
 	ws.pcgCol = growFloats(ws.pcgCol, n)
 	if ws.pool != nil {
@@ -179,7 +178,6 @@ func (ws *workspace) bytes() int64 {
 	blk(&ws.pcgR)
 	blk(&ws.pcgAp)
 	blk(&ws.pcgPrev)
-	blk(&ws.pcgDiff)
 	blk(&ws.pcgP)
 	n += int64(cap(ws.pcgScal))*8 + int64(cap(ws.pcgLane))*8 + int64(cap(ws.pcgCol))*8
 	return n
