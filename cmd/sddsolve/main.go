@@ -128,8 +128,12 @@ func run() error {
 			}
 			fmt.Println()
 			for _, lb := range bt.Levels {
-				fmt.Printf("  build level %d: laplacian=%.1fms fill_analysis=%.1fms sparsify=%.1fms eliminate=%.1fms (%d rounds, %d ops)\n",
-					lb.Level+1, lb.LaplacianMS, lb.FillAnalysisMS, lb.SparsifyMS, lb.EliminateMS, lb.Rounds, lb.Ops)
+				dropped := ""
+				if lb.Level > bi.Level {
+					dropped = " dropped by the cut"
+				}
+				fmt.Printf("  build level %d: laplacian=%.1fms fill_analysis=%.1fms sparsify=%.1fms eliminate=%.1fms (%d rounds, %d ops)%s\n",
+					lb.Level+1, lb.LaplacianMS, lb.FillAnalysisMS, lb.SparsifyMS, lb.EliminateMS, lb.Rounds, lb.Ops, dropped)
 			}
 		}
 	}

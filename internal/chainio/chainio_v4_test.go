@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"parlap/internal/gen"
@@ -84,6 +85,69 @@ func TestRoundTripBitwiseV4SparseBottom(t *testing.T) {
 				if st.Iterations != stRef.Iterations {
 					t.Fatalf("workers=%d: %d iterations vs %d", w, st.Iterations, stRef.Iterations)
 				}
+				assertBitwiseEqual(t, fmt.Sprintf("workers=%d solve", w), xRef, x)
+				xs, _ := restored.SolveBatch(bs, eps)
+				for c := range xsRef {
+					assertBitwiseEqual(t, fmt.Sprintf("workers=%d batch col %d", w, c), xsRef[c], xs[c])
+				}
+			}
+		})
+	}
+}
+
+// TestRoundTripBitwiseCutChain: a chain that calibrate cut bottom-up
+// (levels and their probes dropped, the cut level factored as the bottom)
+// restores with the same truncation record and solves bit for bit like the
+// built chain at Workers 1 and 2. The tight-bound case keeps level 1's
+// rejected probe above the cut at level 2 while level 3's is dropped.
+func TestRoundTripBitwiseCutChain(t *testing.T) {
+	const eps = 1e-8
+	tight := solver.DefaultChainParams()
+	tight.MaxBottomVertices = 150
+	for _, tc := range []struct {
+		spec   string
+		params solver.ChainParams
+	}{
+		{"regular:1500:8", solver.DefaultChainParams()},
+		{"pa:3000:4", solver.DefaultChainParams()},
+		{"regular:2000:8", tight},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			g, err := gen.FromSpec(tc.spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			orig, err := solver.NewWithOptions(g, tc.params, solver.Options{Workers: 1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oc := orig.Chain
+			if !strings.Contains(oc.Stop, "cut bottom-up") {
+				t.Fatalf("chain was not cut: %q", oc.Stop)
+			}
+			for _, pr := range oc.Probes {
+				if pr.Level > oc.Depth() {
+					t.Fatalf("probe %+v names a dropped level (depth %d)", pr, oc.Depth())
+				}
+			}
+			id := graph.CanonicalID(g)
+			data, err := Encode(orig, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bs := randomRHS(g.N, 0x5eed, 3)
+			xRef, _ := orig.Solve(bs[0], eps)
+			xsRef, _ := orig.SolveBatch(bs, eps)
+			for _, w := range []int{1, 2} {
+				restored, err := Decode(data, id, solver.Options{Workers: w})
+				if err != nil {
+					t.Fatalf("workers=%d: decode: %v", w, err)
+				}
+				rc := restored.Chain
+				if !reflect.DeepEqual(rc.Probes, oc.Probes) || rc.Stop != oc.Stop || !reflect.DeepEqual(rc.Schedule(), oc.Schedule()) {
+					t.Fatalf("workers=%d: truncation record differs: %+v %q vs %+v %q", w, rc.Probes, rc.Stop, oc.Probes, oc.Stop)
+				}
+				x, _ := restored.Solve(bs[0], eps)
 				assertBitwiseEqual(t, fmt.Sprintf("workers=%d solve", w), xRef, x)
 				xs, _ := restored.SolveBatch(bs, eps)
 				for c := range xsRef {

@@ -3,6 +3,7 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -219,6 +220,7 @@ type LaplacianSymbolic struct {
 	pos      []int // original vertex -> elimination position, -1 if grounded
 	colPtr   []int32
 	rowPos   []int32
+	dense    int // the first step run on bitGraph, len(keep) if none
 }
 
 // Flops returns the multiply-adds of the numeric factorization, Σ|col|².
@@ -280,6 +282,12 @@ func (h *minKeyHeap) pop() uint64 {
 // id) together with the column structure of L. The pass is sequential and
 // reads no values, so its result depends only on a's sparsity pattern.
 //
+// The elimination graph starts as adjacency lists, where eliminating
+// a pivot merges its list into each neighbour's. Once the graph is dense —
+// 64·Σ|adj| ≥ r² over the r vertices still to eliminate — it moves to one
+// bitset row per remaining vertex (bitGraph), where that merge is r/64 word
+// ORs; the order, the structure and the fill are the same either way.
+//
 // It gives up as soon as the running nnz(L) exceeds maxFill, returning a nil
 // structure and the count reached — a failed probe pays for the columns up
 // to its budget (each a clique merge over the pivot's neighbours), not for
@@ -312,75 +320,86 @@ func AnalyzeLaplacian(a *Sparse, comp []int, numComp int, maxFill int64) (s *Lap
 			}
 		}
 		adj[v] = flat[lo:len(flat):len(flat)]
-		if !slices.IsSorted(adj[v]) {
-			slices.Sort(adj[v])
-		}
 		heap = append(heap, uint64(len(adj[v]))<<32|uint64(v))
 	}
 	slices.Sort(heap) // a sorted array is a valid heap
 	kept := len(heap)
+	sumAdj := int64(len(flat))
 
 	s = &LaplacianSymbolic{
 		n: n, comp: comp, numComp: numComp, grounded: grounded,
 		keep:   make([]int, kept),
 		pos:    make([]int, n),
 		colPtr: make([]int32, kept+1),
+		dense:  kept,
 	}
 	for v := range s.pos {
 		s.pos[v] = -1
 	}
 	rows := make([]int32, 0, len(flat))
-	var merged []int32
+	mark := make([]int, n) // clique-merge marks, one stamp per merge
+	stamp := 0
+	var bg *bitGraph // the elimination graph once it is dense
 	for step := 0; step < kept; step++ {
-		var p int
+		if r := int64(kept - step); bg == nil && 64*sumAdj >= r*r {
+			bg = newBitGraph(adj, func(v int) bool { return s.pos[v] < 0 && !isGrounded(v) })
+			adj, s.dense = nil, step
+		}
+		var p, deg int
 		for {
 			key := heap.pop()
 			p = int(uint32(key))
-			if s.pos[p] < 0 && int(key>>32) == len(adj[p]) {
+			if s.pos[p] >= 0 {
+				continue
+			}
+			if bg != nil {
+				deg = int(bg.deg[bg.row[p]])
+			} else {
+				deg = len(adj[p])
+			}
+			if int(key>>32) == deg {
 				break
 			}
 		}
 		s.pos[p] = step
 		s.keep[step] = p
-		col := adj[p]
-		fill += int64(len(col))
+		fill += int64(deg)
 		if fill > maxFill {
 			return nil, fill, nil
 		}
+		if bg != nil {
+			rows = bg.eliminate(p, rows, &heap)
+			s.colPtr[step+1] = int32(len(rows))
+			continue
+		}
+		col := adj[p]
 		rows = append(rows, col...)
 		s.colPtr[step+1] = int32(len(rows))
+		sumAdj -= int64(len(col))
 		// Eliminating p joins its neighbours into a clique:
-		// adj[u] = (adj[u] ∪ col) \ {u, p}, a sorted merge.
+		// adj[u] = (adj[u] ∪ col) \ {u, p}. Lists are unordered (each
+		// column is sorted once at the end), so the union marks adj[u]
+		// less p in place and appends the unmarked rest of col.
 		for _, u := range col {
+			stamp++
+			mark[u] = stamp
 			old := adj[u]
-			merged = merged[:0]
-			i, j := 0, 0
-			for i < len(old) || j < len(col) {
-				var x int32
-				switch {
-				case j == len(col) || (i < len(old) && old[i] < col[j]):
-					x = old[i]
-					i++
-				case i == len(old) || col[j] < old[i]:
-					x = col[j]
-					j++
-				default:
-					x = old[i]
-					i++
-					j++
-				}
-				if x != u && int(x) != p {
-					merged = append(merged, x)
+			nu := old[:0]
+			for _, x := range old {
+				if int(x) != p {
+					mark[x] = stamp
+					nu = append(nu, x)
 				}
 			}
-			if len(merged) <= cap(old) {
-				adj[u] = old[:len(merged)]
-			} else {
-				adj[u] = make([]int32, len(merged), len(merged)+len(merged)/2)
+			for _, x := range col {
+				if mark[x] != stamp {
+					nu = append(nu, x)
+				}
 			}
-			copy(adj[u], merged)
-			if len(merged) != len(old) {
-				heap.push(uint64(len(merged))<<32 | uint64(u))
+			adj[u] = nu
+			if len(nu) != len(old) {
+				sumAdj += int64(len(nu) - len(old))
+				heap.push(uint64(len(nu))<<32 | uint64(u))
 			}
 		}
 		adj[p] = nil
@@ -396,6 +415,81 @@ func AnalyzeLaplacian(a *Sparse, comp []int, numComp int, maxFill int64) (s *Lap
 	}
 	s.rowPos = rows
 	return s, fill, nil
+}
+
+// bitGraph is AnalyzeLaplacian's elimination graph once it is dense: one
+// bitset row per vertex remaining at the switch, numbered in increasing
+// vertex id.
+type bitGraph struct {
+	words int
+	bits  []uint64 // row i is bits[i*words : (i+1)*words]
+	deg   []int32  // row -> degree (set bits)
+	id    []int32  // row -> vertex
+	row   []int32  // vertex -> row; meaningful for remaining vertices only
+}
+
+// newBitGraph renumbers the vertices for which remaining holds into rows and
+// sets each row's bits from its adjacency list.
+func newBitGraph(adj [][]int32, remaining func(v int) bool) *bitGraph {
+	g := &bitGraph{row: make([]int32, len(adj))}
+	for v := range adj {
+		if remaining(v) {
+			g.row[v] = int32(len(g.id))
+			g.id = append(g.id, int32(v))
+		}
+	}
+	r := len(g.id)
+	g.words = (r + 63) / 64
+	g.bits = make([]uint64, r*g.words)
+	g.deg = make([]int32, r)
+	for i, v := range g.id {
+		row := g.bits[i*g.words : (i+1)*g.words]
+		for _, u := range adj[v] {
+			b := g.row[u]
+			row[b>>6] |= 1 << (b & 63)
+		}
+		g.deg[i] = int32(len(adj[v]))
+	}
+	return g
+}
+
+// eliminate removes vertex p: it appends p's neighbours to rows, ORs p's
+// row into each neighbour's (clearing the neighbour's own bit and p's), and
+// pushes every changed degree onto heap.
+func (g *bitGraph) eliminate(p int, rows []int32, heap *minKeyHeap) []int32 {
+	rp := int(g.row[p])
+	prow := g.bits[rp*g.words : (rp+1)*g.words]
+	start := len(rows)
+	lo, hi := len(prow), 0
+	for wi, w := range prow {
+		if w == 0 {
+			continue
+		}
+		lo, hi = min(lo, wi), wi+1
+		for ; w != 0; w &= w - 1 {
+			rows = append(rows, g.id[wi<<6|bits.TrailingZeros64(w)])
+		}
+	}
+	for _, u := range rows[start:] {
+		ru := int(g.row[u])
+		urow := g.bits[ru*g.words : (ru+1)*g.words]
+		src := prow[lo:hi]
+		dst := urow[lo:hi]
+		dst = dst[:len(src)]
+		added := 0
+		for j, w := range src {
+			added += bits.OnesCount64(w &^ dst[j])
+			dst[j] |= w
+		}
+		urow[ru>>6] &^= 1 << (ru & 63)
+		urow[rp>>6] &^= 1 << (rp & 63)
+		// added counted u's own bit; u also loses its edge to p.
+		if added != 2 {
+			g.deg[ru] += int32(added - 2)
+			heap.push(uint64(g.deg[ru])<<32 | uint64(u))
+		}
+	}
+	return rows
 }
 
 // FactorW runs the numeric factorization of a (the matrix the structure was

@@ -394,6 +394,215 @@ func TestAnalyzeLaplacianAbandonsAtBudget(t *testing.T) {
 	}
 }
 
+// analyzeLaplacianReference is AnalyzeLaplacian on sorted adjacency lists
+// alone: the explicit elimination graph stays lists to the end, each clique
+// merge a sorted merge. It is the test-only reference that the unordered
+// merge and the bitset switch are checked against. dense is the first step
+// at which the remaining graph meets AnalyzeLaplacian's switch condition
+// 64·Σ|adj| ≥ r² (the kept count if it never does), where the analysis
+// under test must switch to bitsets.
+func analyzeLaplacianReference(a *Sparse, comp []int, numComp int, maxFill int64) (s *LaplacianSymbolic, fill int64, dense int) {
+	n := a.N
+	grounded, err := groundLast(n, comp, numComp)
+	if err != nil {
+		panic(err)
+	}
+	if maxFill > math.MaxInt32 {
+		maxFill = math.MaxInt32 // column pointers are int32
+	}
+	isGrounded := func(v int) bool { return grounded[comp[v]] == v }
+
+	// Elimination-graph adjacency over the kept vertices, one flat backing
+	// array; each list's capacity is clipped to its length so growth
+	// reallocates instead of running into its neighbour.
+	flat := make([]int32, 0, a.NNZ())
+	adj := make([][]int32, n)
+	var heap minKeyHeap
+	for v := 0; v < n; v++ {
+		if isGrounded(v) {
+			continue
+		}
+		lo := len(flat)
+		for i := a.Off[v]; i < a.Off[v+1]; i++ {
+			if u := int(a.Col[i]); u != v && !isGrounded(u) {
+				flat = append(flat, int32(u))
+			}
+		}
+		adj[v] = flat[lo:len(flat):len(flat)]
+		if !slices.IsSorted(adj[v]) {
+			slices.Sort(adj[v])
+		}
+		heap = append(heap, uint64(len(adj[v]))<<32|uint64(v))
+	}
+	slices.Sort(heap) // a sorted array is a valid heap
+	kept := len(heap)
+	sumAdj := int64(len(flat))
+	dense = kept
+
+	s = &LaplacianSymbolic{
+		n: n, comp: comp, numComp: numComp, grounded: grounded,
+		keep:   make([]int, kept),
+		pos:    make([]int, n),
+		colPtr: make([]int32, kept+1),
+	}
+	for v := range s.pos {
+		s.pos[v] = -1
+	}
+	rows := make([]int32, 0, len(flat))
+	var merged []int32
+	for step := 0; step < kept; step++ {
+		if r := int64(kept - step); dense == kept && 64*sumAdj >= r*r {
+			dense = step
+		}
+		var p int
+		for {
+			key := heap.pop()
+			p = int(uint32(key))
+			if s.pos[p] < 0 && int(key>>32) == len(adj[p]) {
+				break
+			}
+		}
+		s.pos[p] = step
+		s.keep[step] = p
+		col := adj[p]
+		fill += int64(len(col))
+		if fill > maxFill {
+			return nil, fill, dense
+		}
+		sumAdj -= int64(len(col))
+		rows = append(rows, col...)
+		s.colPtr[step+1] = int32(len(rows))
+		// Eliminating p joins its neighbours into a clique:
+		// adj[u] = (adj[u] ∪ col) \ {u, p}, a sorted merge.
+		for _, u := range col {
+			old := adj[u]
+			merged = merged[:0]
+			i, j := 0, 0
+			for i < len(old) || j < len(col) {
+				var x int32
+				switch {
+				case j == len(col) || (i < len(old) && old[i] < col[j]):
+					x = old[i]
+					i++
+				case i == len(old) || col[j] < old[i]:
+					x = col[j]
+					j++
+				default:
+					x = old[i]
+					i++
+					j++
+				}
+				if x != u && int(x) != p {
+					merged = append(merged, x)
+				}
+			}
+			if len(merged) <= cap(old) {
+				adj[u] = old[:len(merged)]
+			} else {
+				adj[u] = make([]int32, len(merged), len(merged)+len(merged)/2)
+			}
+			copy(adj[u], merged)
+			sumAdj += int64(len(merged) - len(old))
+			if len(merged) != len(old) {
+				heap.push(uint64(len(merged))<<32 | uint64(u))
+			}
+		}
+		adj[p] = nil
+	}
+	// Vertex ids -> elimination positions. Everything in column j was
+	// eliminated after j, so the entries are below-diagonal by construction;
+	// sorting gives the numeric pass and the solves ascending rows.
+	for q, v := range rows {
+		rows[q] = int32(s.pos[v])
+	}
+	for j := 0; j < kept; j++ {
+		slices.Sort(rows[s.colPtr[j]:s.colPtr[j+1]])
+	}
+	s.rowPos = rows
+	return s, fill, dense
+}
+
+// analyzeCorpus holds graphs whose remaining elimination graph turns dense
+// at once (complete, star, small cliques), late (grids, expanders, pa) or
+// never (a matching leaves every kept vertex isolated), with several
+// multi-component members.
+func analyzeCorpus() map[string]*graph.Graph {
+	matching := make([]*graph.Graph, 300)
+	for i := range matching {
+		matching[i] = gen.Path(2)
+	}
+	return map[string]*graph.Graph{
+		"grid2d":     gen.Grid2D(24, 31),
+		"grid3d":     gen.Grid3D(7, 8, 6),
+		"pa":         gen.PreferentialAttachment(900, 4, 3),
+		"regular":    gen.RandomRegular(500, 8, 2),
+		"complete":   gen.Complete(45),
+		"star":       gen.Star(200),
+		"cliques":    gen.PathOfCliques(12, 9),
+		"union":      disjointUnion(gen.Grid2D(15, 12), gen.RandomRegular(120, 6, 4), gen.Star(30), gen.Path(1), gen.Complete(9)),
+		"union-pa":   disjointUnion(gen.PreferentialAttachment(400, 3, 5), gen.Grid3D(5, 5, 5), gen.Cycle(40)),
+		"matching":   disjointUnion(matching...),
+		"path-large": gen.Path(3000),
+	}
+}
+
+// TestAnalyzeLaplacianMatchesReference: the bitset-switching analysis
+// returns the list-only reference's order, column pointers, row positions
+// and fill bit for bit, and abandons at exactly the same running fill at
+// budgets 0, 1, nnz(L)−1 and nnz(L).
+func TestAnalyzeLaplacianMatchesReference(t *testing.T) {
+	phases := map[string]int{}
+	for name, g := range analyzeCorpus() {
+		a := LaplacianOf(g)
+		comp, k := g.ConnectedComponents()
+		ref, refFill, dense := analyzeLaplacianReference(a, comp, k, math.MaxInt64)
+		switch dense {
+		case 0:
+			phases["at once"]++
+		case len(ref.keep):
+			phases["never"]++
+		default:
+			phases["late"]++
+		}
+		got, fill, err := AnalyzeLaplacian(a, comp, k, math.MaxInt64)
+		if err != nil || got == nil {
+			t.Fatalf("%s: unbounded analysis failed: %v", name, err)
+		}
+		if fill != refFill {
+			t.Fatalf("%s: fill %d, reference %d", name, fill, refFill)
+		}
+		if !slices.Equal(got.keep, ref.keep) || !slices.Equal(got.pos, ref.pos) {
+			t.Fatalf("%s: elimination order differs from the reference", name)
+		}
+		if !slices.Equal(got.colPtr, ref.colPtr) || !slices.Equal(got.rowPos, ref.rowPos) {
+			t.Fatalf("%s: column structure differs from the reference", name)
+		}
+		if got.dense != dense {
+			t.Fatalf("%s: switched to bitsets at step %d, want %d", name, got.dense, dense)
+		}
+		nnz := int64(len(ref.rowPos))
+		for _, budget := range []int64{0, 1, nnz - 1, nnz} {
+			if budget < 0 {
+				continue
+			}
+			rs, rf, _ := analyzeLaplacianReference(a, comp, k, budget)
+			s, f, err := AnalyzeLaplacian(a, comp, k, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (s == nil) != (rs == nil) || f != rf {
+				t.Fatalf("%s budget %d: abandoned=%v at fill %d, reference abandoned=%v at %d",
+					name, budget, s == nil, f, rs == nil, rf)
+			}
+		}
+	}
+	for _, ph := range []string{"at once", "late", "never"} {
+		if phases[ph] == 0 {
+			t.Errorf("corpus has no graph that turns dense %s (%v)", ph, phases)
+		}
+	}
+}
+
 // TestLaplacianFactorFromParts: a factor reassembled from its own parts
 // solves bit-for-bit; parts that violate a structural invariant are an
 // error, never a panic.

@@ -102,10 +102,15 @@ type SolveTimings struct {
 	// the reply; total_ms spans both.
 	DecodeMS float64 `json:"decode_ms"`
 	EncodeMS float64 `json:"encode_ms"`
+	// Stop is the chain's truncation reason (Chain.Stop): where the chain
+	// that served the request ends and the two operation counts that put
+	// its bottom there.
+	Stop string `json:"stop"`
 }
 
-// solveTimingsJSON renders a trace for the wire.
-func solveTimingsJSON(tr *obs.SolveTrace) *SolveTimings {
+// solveTimingsJSON renders a trace and the serving chain's stop reason for
+// the wire.
+func solveTimingsJSON(tr *obs.SolveTrace, stop string) *SolveTimings {
 	toMS := func(ns int64) float64 { return float64(ns) / 1e6 }
 	lv := tr.Levels
 	if lv > obs.TraceLevels {
@@ -124,6 +129,7 @@ func solveTimingsJSON(tr *obs.SolveTrace) *SolveTimings {
 		BackMS:      make([]float64, lv),
 		DecodeMS:    toMS(tr.DecodeNS),
 		EncodeMS:    toMS(tr.EncodeNS),
+		Stop:        stop,
 	}
 	for i := 0; i < lv; i++ {
 		out.ChebMS[i] = toMS(tr.ChebNS[i])
@@ -297,7 +303,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	tr.TotalNS = time.Since(tStart).Nanoseconds()
 	s.observeSolve(e, &tr, len(xs))
 	if r.URL.Query().Get("debug") == "timings" {
-		out = append(append(out, `,"timings":`...), timingsJSON(&tr)...)
+		out = append(append(out, `,"timings":`...), timingsJSON(&tr, e.solver.Chain.Stop)...)
 	}
 	*buf = append(out, "}\n"...)
 	writeBody(w, *buf)

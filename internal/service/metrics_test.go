@@ -200,6 +200,11 @@ func TestSolveDebugTimings(t *testing.T) {
 	if tm.Levels <= 0 || len(tm.ChebMS) != tm.Levels || len(tm.ForwardMS) != tm.Levels || len(tm.BackMS) != tm.Levels {
 		t.Fatalf("per-level arrays inconsistent with levels=%d: %+v", tm.Levels, tm)
 	}
+	var gs GraphStats
+	doJSON(t, "GET", fmt.Sprintf("%s/graphs/%s/stats", ts.URL, reg.ID), nil, &gs)
+	if tm.Stop == "" || tm.Stop != gs.Bottom.Stop {
+		t.Fatalf("timings stop %q, /stats bottom stop %q", tm.Stop, gs.Bottom.Stop)
+	}
 	// Exclusive attribution: the stage pieces cannot exceed what they
 	// partition.
 	var stages float64
@@ -274,19 +279,41 @@ func TestStatsExplainChainDepth(t *testing.T) {
 		t.Fatalf("grid bottom probe %+v does not show the rule being met (nnz(L)=%d)", b.Probe, b.NNZL)
 	}
 
-	// An expander recurses: level 1's rejected probe rides on the schedule.
+	// An expander is cut bottom-up at level 1: the bottom's probe shows the
+	// direct side against the counted recursion it replaced.
 	var exp RegisterResponse
 	if code := doJSON(t, "POST", ts.URL+"/graphs", RegisterRequest{Spec: "regular:1500:8"}, &exp); code != 200 {
 		t.Fatalf("register expander: status %d", code)
 	}
 	var es GraphStats
 	doJSON(t, "GET", fmt.Sprintf("%s/graphs/%s/stats", ts.URL, exp.ID), nil, &es)
-	if es.Levels < 2 || len(es.Schedule) != es.Levels {
-		t.Fatalf("expander built %d levels (schedule %d entries), want a deeper chain", es.Levels, len(es.Schedule))
+	eb := es.Bottom
+	if es.Levels != 1 || eb.Probe == nil || eb.Probe.Abandoned || eb.Probe.SolveOps != 2*int64(eb.NNZL) ||
+		eb.Probe.SolveOps > eb.Probe.SweepOps || !strings.Contains(eb.Stop, "cut bottom-up") || !strings.Contains(eb.Stop, "recursion") {
+		t.Fatalf("expander stats do not describe a bottom-up cut at level 1: levels %d, bottom %+v", es.Levels, eb)
 	}
-	pr := es.Schedule[1].Probe
+
+	// Under a tight fill bound the expander recurses: level 1's rejected
+	// probe rides on the schedule.
+	tight := solver.DefaultChainParams()
+	tight.MaxBottomVertices = 100
+	tts := testServer(t, Config{Chain: &tight})
+	var deep RegisterResponse
+	if code := doJSON(t, "POST", tts.URL+"/graphs", RegisterRequest{Spec: "regular:1500:8"}, &deep); code != 200 {
+		t.Fatalf("register expander under a tight bound: status %d", code)
+	}
+	var ds GraphStats
+	doJSON(t, "GET", fmt.Sprintf("%s/graphs/%s/stats", tts.URL, deep.ID), nil, &ds)
+	if ds.Levels < 2 || len(ds.Schedule) != ds.Levels {
+		t.Fatalf("expander built %d levels (schedule %d entries), want a deeper chain", ds.Levels, len(ds.Schedule))
+	}
+	pr := ds.Schedule[1].Probe
 	if pr == nil || (!pr.Abandoned && pr.SolveOps <= pr.SweepOps) {
 		t.Fatalf("expander level 1 probe %+v does not explain why the chain recursed", pr)
+	}
+	key := fmt.Sprintf(`parlap_graph_truncation_abandoned{graph="%s",level="1"}`, deep.ID)
+	if got, ok := scrape(t, tts.URL)[key]; !ok || (got == 1) != pr.Abandoned {
+		t.Errorf("%s = %v (present %v), want abandoned=%v", key, got, ok, pr.Abandoned)
 	}
 
 	m := scrape(t, ts.URL)
@@ -306,9 +333,11 @@ func TestStatsExplainChainDepth(t *testing.T) {
 			t.Errorf("%s = %v, want %d", key, got, want)
 		}
 	}
-	key := fmt.Sprintf(`parlap_graph_truncation_abandoned{graph="%s",level="1"}`, exp.ID)
-	if got, ok := m[key]; !ok || (got == 1) != pr.Abandoned {
-		t.Errorf("%s = %v (present %v), want abandoned=%v", key, got, ok, pr.Abandoned)
+	for side, want := range map[string]int64{"solve": eb.Probe.SolveOps, "sweep": eb.Probe.SweepOps} {
+		key := fmt.Sprintf(`parlap_graph_truncation_ops{graph="%s",level="1",side="%s"}`, exp.ID, side)
+		if got := m[key]; got != float64(want) {
+			t.Errorf("%s = %v, want %d", key, got, want)
+		}
 	}
 
 	logMu.Lock()
@@ -334,11 +363,17 @@ func TestStatsExplainBuildTime(t *testing.T) {
 	var gs GraphStats
 	doJSON(t, "GET", fmt.Sprintf("%s/graphs/%s/stats", ts.URL, reg.ID), nil, &gs)
 	bt := gs.Build
-	if bt == nil || len(bt.Levels) != gs.Levels+1 {
+	if bt == nil || len(bt.Levels) < gs.Levels+1 {
 		t.Fatalf("build block %+v does not cover %d levels and the bottom", bt, gs.Levels)
 	}
+	// The expander is cut bottom-up: the record keeps the levels the cut
+	// dropped, so it still adds up to the build's wall time.
+	if len(bt.Levels) == gs.Levels+1 || !strings.Contains(gs.Bottom.Stop, "cut bottom-up") {
+		t.Fatalf("build block has %d entries for %d levels, stop %q; want the dropped levels of a cut", len(bt.Levels), gs.Levels, gs.Bottom.Stop)
+	}
 	for i, lb := range bt.Levels {
-		built := i < gs.Levels
+		// Every entry but the last was built as a level, kept or not.
+		built := i < len(bt.Levels)-1
 		if lb.Level != i || lb.LaplacianMS <= 0 || (lb.Ops > 0) != built || (lb.Rounds > 0) != built ||
 			(lb.SparsifyMS > 0) != built || (lb.EliminateMS > 0) != built {
 			t.Errorf("level %d of %d: implausible build record %+v", i, gs.Levels, lb)

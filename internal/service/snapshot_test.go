@@ -233,8 +233,9 @@ func resealedVersion(v byte) func(data []byte) []byte {
 }
 
 // TestSnapshotUnderOtherParamsIsRebuilt: snapshots are keyed by graph alone,
-// so a blob built under other chain parameters (here a MaxLevels 1 chain)
-// must not be served by a server restarted with different knobs. It counts
+// so a blob built under other chain parameters (here a chain pinned two
+// levels deep by BottomSizeEdges, where the default cuts at level 1) must
+// not be served by a server restarted with different knobs. It counts
 // as a miss plus an error, and the chain is rebuilt under the server's own
 // parameters. A difference in Sparsify.Workers alone, which snapshots do not
 // record, still restores.
@@ -248,20 +249,21 @@ func TestSnapshotUnderOtherParamsIsRebuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ef.levels < 2 {
-		t.Fatalf("default chain has %d levels; the test needs MaxLevels 1 to differ", ef.levels)
-	}
 	xRef, _, err := fresh.Solve(ctx, id, bs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ds := snapshotStore(t)
-	shallow := solver.DefaultChainParams()
-	shallow.MaxLevels = 1
-	s1 := New(Config{Workers: 1, Snapshots: ds, SnapshotOnBuild: true, Chain: &shallow})
-	if _, _, err := s1.Register(ctx, g, "t"); err != nil {
+	deep := solver.DefaultChainParams()
+	deep.BottomSizeEdges = 150
+	s1 := New(Config{Workers: 1, Snapshots: ds, SnapshotOnBuild: true, Chain: &deep})
+	e1, _, err := s1.Register(ctx, g, "t")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if e1.levels == ef.levels {
+		t.Fatalf("both chains have %d levels; the test needs the other parameters to build another chain", ef.levels)
 	}
 	if err := s1.Shutdown(ctx); err != nil {
 		t.Fatal(err)

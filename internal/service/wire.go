@@ -237,8 +237,8 @@ func appendStatsFields(dst []byte, st solver.SolveStats) []byte {
 }
 
 // timingsJSON renders the ?debug=timings block.
-func timingsJSON(tr *obs.SolveTrace) []byte {
-	data, _ := json.Marshal(solveTimingsJSON(tr)) // plain numbers: cannot fail
+func timingsJSON(tr *obs.SolveTrace, stop string) []byte {
+	data, _ := json.Marshal(solveTimingsJSON(tr, stop)) // numbers and a string: cannot fail
 	return data
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -18,14 +19,22 @@ import (
 type ChainParams struct {
 	Sparsify SparsifyParams
 	// BottomSizeEdges > 0 truncates the chain once a level has at most this
-	// many edges (§6.3's size rule; tests pin chain depth with it). ≤0, the default, selects the count-based rule instead: the
-	// chain stops at the first level i ≥ 1 whose sparse bottom factor
-	// satisfies 2·nnz(L_i) ≤ MinChebIts·nnz(Lap_i) — one direct solve there
-	// costs no more than the cheapest Chebyshev sweep that recursing through
-	// the level could ever run. §6.3 stops at m^(1/3) because its levels
-	// shrink by κ^Ω(1); at serving sizes they shrink 3–4× while every level
-	// multiplies the visits below it by its Chebyshev count, so the balance
-	// point is set from this exact operation count, never from a timer.
+	// many edges (§6.3's size rule; tests pin chain depth with it). ≤0, the
+	// default, selects the count-based rule instead, which stops the chain
+	// at a level i ≥ 1 wherever a direct solve there (2·nnz(L_i) + kept_i
+	// ops with its sparse bottom factor) costs no more than recursing
+	// through it. Two checks apply it:
+	//   - on the way down, the build stops at the first level whose factor
+	//     satisfies 2·nnz(L_i) ≤ MinChebIts·nnz(Lap_i), the cheapest sweep
+	//     a recursion could ever run (a sufficient condition, and cheap);
+	//   - calibrate then evaluates cost_i = min(direct_i,
+	//     ChebIts_i·(nnz(Lap_i) + elimination ops + cost_{i+1})) bottom-up
+	//     with the final schedule, and cuts the chain at every level where
+	//     the direct side wins, dropping the levels below it.
+	// §6.3 stops at m^(1/3) because its levels shrink by κ^Ω(1); at serving
+	// sizes they shrink 3–4× while every level multiplies the visits below
+	// it by its Chebyshev count, so the balance point is set from these
+	// exact operation counts, never from a timer.
 	BottomSizeEdges int
 	// MaxBottomVertices bounds the bottom factor's memory: the build fails
 	// if nnz(L) of the graph the chain stops at exceeds
@@ -151,24 +160,33 @@ type Level struct {
 }
 
 // TruncationProbe records one evaluation of the count-based truncation rule
-// (ChainParams.BottomSizeEdges ≤ 0) on a level i ≥ 1: the two operation
-// counts it compared.
+// (ChainParams.BottomSizeEdges ≤ 0) on a level i ≥ 1: the direct side and
+// the recursion side of the comparison. The chain stops at level i iff the
+// probe is not Abandoned and SolveOps ≤ SweepOps. A level keeps one probe:
+// calibrate's exact probe replaces the one the build made on the way down,
+// except at a bottom that the way-down probe accepted.
 type TruncationProbe struct {
 	Level int `json:"level"`
 	// SolveOps is 2·nnz(L_i), the multiply-adds of one direct solve at this
 	// level; when Abandoned, the value the symbolic factorization had
 	// reached when it ran past its budget and gave up.
 	SolveOps int64 `json:"solve_ops"`
-	// SweepOps is MinChebIts·nnz(Lap_i), the cheapest Chebyshev sweep the
-	// level could run. The chain stops here iff SolveOps ≤ SweepOps.
+	// SweepOps is what recursing through the level costs, less the kept_i
+	// divisions by D that a direct solve adds to SolveOps. On the way down
+	// it is the floor MinChebIts·nnz(Lap_i), the cheapest Chebyshev sweep
+	// the level could run; calibrate's exact probe counts the recursion it
+	// would replace, solveCost(i) − kept_i. The analysis is abandoned once
+	// SolveOps/2 passes min(SweepOps/2, the MaxBottomVertices bound).
 	SweepOps  int64 `json:"sweep_ops"`
 	Abandoned bool  `json:"abandoned,omitempty"`
 }
 
 // LevelBuild is what building one level cost: wall time per phase and the
-// size of its elimination. The entry after the last level describes the
-// graph the chain stops at, which is assembled and analyzed but neither
-// sparsified nor eliminated.
+// size of its elimination. The last entry describes the graph the build
+// stopped at on the way down, which is assembled and analyzed but neither
+// sparsified nor eliminated. When calibrate cuts the chain at level i, the
+// entries from i on stay: level i's (now the bottom's) adds the cut's fill
+// analysis, and those past it are the levels the cut dropped.
 type LevelBuild struct {
 	Level          int     `json:"level"`
 	LaplacianMS    float64 `json:"laplacian_ms"`
@@ -183,7 +201,9 @@ type LevelBuild struct {
 
 // BuildTimings is the chain build's wall time by level and phase, taken
 // once by BuildChainOpts. It answers "why did this build take so long";
-// nothing reads it back into a decision.
+// nothing reads it back into a decision. FactorMS counts every bottom
+// factorization the build ran, the one a cut replaced included;
+// CalibrateMS excludes the cut's analysis and factorization.
 type BuildTimings struct {
 	Levels      []LevelBuild `json:"levels"`
 	FactorMS    float64      `json:"factor_ms"`
@@ -233,9 +253,10 @@ type Chain struct {
 	BottomG *graph.Graph
 	Params  ChainParams
 	Opt     Options // runtime execution policy threaded into every kernel
-	// Probes lists every evaluation of the count-based truncation rule in
-	// build order (the last one is the accepting probe when the rule ended
-	// the chain); Stop says in words why the chain ends where it does.
+	// Probes holds the count-based truncation rule's evaluation of each
+	// level i ≥ 1 it reached, by level (the last one is the accepting probe
+	// when the rule ended the chain); Stop says in words why the chain ends
+	// where it does.
 	Probes []TruncationProbe
 	Stop   string
 	// Build is the construction's wall time by level and phase; nil on a
@@ -457,8 +478,11 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 	// Sparse factorization: Σ|col|² work; the column sweep is sequential.
 	rec.Add(sym.Flops(), int64(bf.GroundedLen()))
 	t0 = time.Now()
-	c.calibrate(rng)
-	bt.CalibrateMS = ms(time.Since(t0))
+	cutMS, err := c.calibrate(rng, maxFill, rec)
+	bt.CalibrateMS = ms(time.Since(t0)) - cutMS
+	if err != nil {
+		return nil, err
+	}
 	c.ready()
 	bt.TotalMS = ms(time.Since(tBuild))
 	return c, nil
@@ -487,54 +511,123 @@ func BuildChainOpts(g *graph.Graph, p ChainParams, opt Options, rec *wd.Recorder
 //     Chebyshev iterations. Without the measured upper bound a single
 //     under-sampled edge can push spec(H⁻¹A) above the assumed interval,
 //     where a fixed-degree Chebyshev polynomial blows up exponentially.
+//  3. Exact truncation (count-based rule only). Once level i's ChebIts is
+//     final, solveCost(i) is the counted cost of recursing through it over
+//     the chain below, already cut. cutAt makes level i the bottom if a
+//     direct solve there costs no more (Lemma 6.6's balance, evaluated as
+//     cost_i = min(direct_i, recursion_i) bottom-up).
 //
 // The loop runs bottom-up and finalizes each level's ChebIts BEFORE
 // measuring the level above, so every measurement sees the actual adapted
 // preconditioner it will run against. The rng is consumed in a fixed
 // sequential order and every kernel uses par's fixed reduction trees, so
-// the calibrated schedule is bitwise identical for every worker count.
-func (c *Chain) calibrate(rng *rand.Rand) {
+// the calibrated schedule and every cut are bitwise identical for every
+// worker count. cutMS is the wall time the cut probes spent analyzing and
+// factoring, which they record in c.Build themselves.
+func (c *Chain) calibrate(rng *rand.Rand, maxFill int64, rec *wd.Recorder) (cutMS float64, err error) {
 	if len(c.Levels) < 2 {
-		return
+		return 0, nil
 	}
-	w := c.Opt.Workers
-	p := &c.Params
 	ws := c.ws.get(c, 1)
-	defer c.ws.put(ws)
 	for i := len(c.Levels) - 1; i >= 1; i-- {
-		lvl := &c.Levels[i]
-		shrink := float64(c.Levels[i-1].G.M()) / float64(lvl.G.M()+1)
-		static := min(int(math.Ceil(math.Sqrt(lvl.Kappa*chebSlack))), maxChebIts)
-		budget := min(max(int(math.Ceil(chebBudget*shrink)), p.MinChebIts), static)
-		lo, hi, ok := c.lanczosBounds(w, i, calibIters, rng, ws)
-		lvl.Calibrated = ok
-		if !ok {
-			// Unusable measurement: fall back to the static schedule (the
-			// envelope the pre-measurement chain would have assumed).
-			lvl.EigHi = eigSafety
-			lvl.EigLo = lvl.EigHi / (lvl.Kappa * chebSlack)
-			lvl.KappaMeasured = 0
-			lvl.ChebIts = budget
+		c.calibrateLevel(i, rng, ws)
+		if c.Params.BottomSizeEdges > 0 {
 			continue
 		}
-		lvl.KappaMeasured = hi / lo
-		lvl.EigHi = hi * eigSafety
-		staticLo := lvl.EigHi / (lvl.Kappa * chebSlack)
-		// Asymmetric padding: EigHi gets the full safety margin (outside
-		// the interval a fixed-degree Chebyshev polynomial diverges), EigLo
-		// only √eigSafety (a slightly-high floor merely under-damps the
-		// lowest modes, which the adaptive outer iteration absorbs).
-		measLo := lo / math.Sqrt(eigSafety)
-		if measLo < staticLo {
-			measLo = staticLo // safety envelope: never schedule worse than κ·slack
+		cut, t, err := c.cutAt(i, maxFill, rec)
+		cutMS += t
+		if err != nil {
+			return cutMS, err
 		}
-		if measLo > lvl.EigHi/2 {
-			measLo = lvl.EigHi / 2 // keep a non-degenerate interval
+		if cut {
+			// The workspace is shaped for the levels just dropped: start a
+			// fresh pool, so MemoryBytes counts only the final chain.
+			c.ws = wsPool{}
+			ws = c.ws.get(c, 1)
 		}
-		lvl.EigLo = measLo
-		its := min(int(math.Ceil(math.Sqrt(lvl.EigHi/lvl.EigLo))), budget)
-		lvl.ChebIts = max(min(its, maxChebIts), p.MinChebIts)
 	}
+	c.ws.put(ws)
+	return cutMS, nil
+}
+
+// calibrateLevel sets level i's Chebyshev schedule (steps 1 and 2 of
+// calibrate) against the chain below it.
+func (c *Chain) calibrateLevel(i int, rng *rand.Rand, ws *workspace) {
+	p := &c.Params
+	lvl := &c.Levels[i]
+	shrink := float64(c.Levels[i-1].G.M()) / float64(lvl.G.M()+1)
+	static := min(int(math.Ceil(math.Sqrt(lvl.Kappa*chebSlack))), maxChebIts)
+	budget := min(max(int(math.Ceil(chebBudget*shrink)), p.MinChebIts), static)
+	lo, hi, ok := c.lanczosBounds(c.Opt.Workers, i, calibIters, rng, ws)
+	lvl.Calibrated = ok
+	if !ok {
+		// Unusable measurement: fall back to the static schedule (the
+		// envelope the pre-measurement chain would have assumed).
+		lvl.EigHi = eigSafety
+		lvl.EigLo = lvl.EigHi / (lvl.Kappa * chebSlack)
+		lvl.KappaMeasured = 0
+		lvl.ChebIts = budget
+		return
+	}
+	lvl.KappaMeasured = hi / lo
+	lvl.EigHi = hi * eigSafety
+	staticLo := lvl.EigHi / (lvl.Kappa * chebSlack)
+	// Asymmetric padding: EigHi gets the full safety margin (outside
+	// the interval a fixed-degree Chebyshev polynomial diverges), EigLo
+	// only √eigSafety (a slightly-high floor merely under-damps the
+	// lowest modes, which the adaptive outer iteration absorbs).
+	measLo := lo / math.Sqrt(eigSafety)
+	if measLo < staticLo {
+		measLo = staticLo // safety envelope: never schedule worse than κ·slack
+	}
+	if measLo > lvl.EigHi/2 {
+		measLo = lvl.EigHi / 2 // keep a non-degenerate interval
+	}
+	lvl.EigLo = measLo
+	its := min(int(math.Ceil(math.Sqrt(lvl.EigHi/lvl.EigLo))), budget)
+	lvl.ChebIts = max(min(its, maxChebIts), p.MinChebIts)
+}
+
+// cutAt probes level i, whose schedule and the chain below it are final,
+// for a direct solve that costs no more than recursing through it: the fill
+// analysis gets the budget 2·nnz(L_i) + kept_i ≤ solveCost(i) (and the
+// MaxBottomVertices bound), so it gives up as soon as the recursion has won.
+// If the analysis completes, level i is factored and becomes the bottom: the
+// levels below it and their probes are dropped. Level i's probe replaces the
+// cheaper one the build recorded on the way down. spentMS is the wall time
+// of the analysis and the factorization.
+func (c *Chain) cutAt(i int, maxFill int64, rec *wd.Recorder) (cut bool, spentMS float64, err error) {
+	lvl := &c.Levels[i]
+	recur, _ := c.solveCost(i)
+	kept := int64(lvl.G.N - lvl.NumComp) // the grounded system's size
+	t0 := time.Now()
+	s, fill, err := matrix.AnalyzeLaplacian(lvl.Lap, lvl.Comp, lvl.NumComp, min((recur-kept)/2, maxFill))
+	analysisMS := ms(time.Since(t0))
+	c.Build.Levels[i].FillAnalysisMS += analysisMS
+	if err != nil {
+		return false, analysisMS, fmt.Errorf("solver: level %d analysis: %w", i, err)
+	}
+	// Every level i ≥ 1 was probed on the way down; this probe replaces it.
+	probe := TruncationProbe{Level: i, SolveOps: 2 * fill, SweepOps: recur - kept, Abandoned: s == nil}
+	*c.probeAt(i) = probe
+	if s == nil {
+		return false, analysisMS, nil
+	}
+	t0 = time.Now()
+	bf, err := s.FactorW(c.Opt.Workers, lvl.Lap)
+	factorMS := ms(time.Since(t0))
+	c.Build.FactorMS += factorMS
+	if err != nil {
+		return false, analysisMS + factorMS, fmt.Errorf("solver: level %d factorization: %w", i, err)
+	}
+	rec.Add(s.Flops(), int64(bf.GroundedLen()))
+	c.Stop = fmt.Sprintf("level %d: direct solve 2*nnz(L)+kept=%d <= recursion %d ops (cut bottom-up, depth %d -> %d)",
+		i, probe.SolveOps+kept, recur, len(c.Build.Levels)-1, i)
+	c.Bottom, c.BottomG = bf, lvl.G
+	clear(c.Levels[i:]) // release the dropped levels
+	c.Levels = c.Levels[:i]
+	c.Probes = slices.DeleteFunc(c.Probes, func(pr TruncationProbe) bool { return pr.Level > i })
+	return true, analysisMS + factorMS, nil
 }
 
 // mergeParallelW merges parallel edges (summing conductances) and drops

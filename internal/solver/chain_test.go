@@ -137,13 +137,16 @@ func TestBuildChainKappaGrowthSchedule(t *testing.T) {
 	}
 }
 
-// TestZeroParamsTakeDefaults: a ChainParams with only Sparsify and Seed set
-// builds exactly the chain DefaultChainParams() builds — every zero field
-// takes the default's value — on a graph deep enough (two levels) for the
-// depth, κ-growth and shrink-retry settings to matter.
+// TestZeroParamsTakeDefaults: a ChainParams with only Sparsify, Seed and
+// BottomSizeEdges set builds exactly the chain DefaultChainParams() with
+// that BottomSizeEdges builds — every zero field takes the default's value
+// — on a chain pinned deep enough (two levels) for the depth, κ-growth and
+// shrink-retry settings to matter. (The count-based default cuts this graph
+// at level 1, so the depth is set with the size rule.)
 func TestZeroParamsTakeDefaults(t *testing.T) {
 	g := gen.RandomRegular(600, 8, 1)
 	def := DefaultChainParams()
+	def.BottomSizeEdges = 200
 	build := func(p ChainParams) *Solver {
 		s, err := NewWithOptions(g, p, Options{Workers: 1}, nil)
 		if err != nil {
@@ -152,7 +155,7 @@ func TestZeroParamsTakeDefaults(t *testing.T) {
 		return s
 	}
 	ref := build(def)
-	got := build(ChainParams{Sparsify: def.Sparsify, Seed: def.Seed})
+	got := build(ChainParams{Sparsify: def.Sparsify, Seed: def.Seed, BottomSizeEdges: def.BottomSizeEdges})
 	if len(ref.Chain.Levels) < 2 {
 		t.Fatalf("default chain has %d levels; the test needs two", len(ref.Chain.Levels))
 	}

@@ -39,11 +39,15 @@ type convergencePin struct {
 // direct solve undercuts the cheapest sweep) moved them 105 → 72 / 227 → 201
 // / 90 → 90 and the 128×128 grid 175 → 81 (TestConvergenceIterationPinGrid128):
 // a shallower chain hands the outer loop an exact solve where it used to get
-// a fixed-degree Chebyshev approximation.
+// a fixed-degree Chebyshev approximation. Exact truncation (calibrate cuts
+// the chain bottom-up wherever a direct solve costs no more than the
+// counted recursion) moved 201 → 79 and 90 → 78: both chains now stop at
+// level 1, where the old floor test kept recursing (grid2d:64x64 builds the
+// same chain and stays at 72).
 var convergencePins = []convergencePin{
 	{spec: "grid2d:64x64", iters: 72, band: 8},
-	{spec: "regular:4000:8", iters: 201, band: 20},
-	{spec: "pa:4000:4", iters: 90, band: 9},
+	{spec: "regular:4000:8", iters: 79, band: 8},
+	{spec: "pa:4000:4", iters: 78, band: 8},
 }
 
 // benchRHS reproduces cmd/benchsolve's right-hand-side stream (seed 1):
@@ -106,6 +110,48 @@ func TestConvergenceIterationPins(t *testing.T) {
 			}
 			t.Logf("%s: %d iterations (pin %d±%d), residual %.2e",
 				pin.spec, st.Iterations, pin.iters, pin.band, st.Residual)
+		})
+	}
+}
+
+// TestConvergencePinAccuracy checks the answer, not just the residual, on
+// the pinned graphs whose chains exact truncation changed: the chain's
+// solution at eps 1e-6 lies within 10·eps of a reference in the energy
+// norm, ‖x − x*‖_A ≤ 10·eps·‖x*‖_A. x* comes from plain CG at eps 1e-12, a
+// path that shares no code with the chain.
+func TestConvergencePinAccuracy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("testbed chain builds are too heavy for -short")
+	}
+	const eps = 1e-6
+	for _, spec := range []string{"regular:4000:8", "pa:4000:4"} {
+		t.Run(spec, func(t *testing.T) {
+			g, err := gen.FromSpec(spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewWithOptions(g, DefaultChainParams(), Options{Workers: testWorkers(t)}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := benchRHS(g.N)
+			x, st := s.Solve(b, eps)
+			if !st.Converged {
+				t.Fatalf("solve did not converge: %+v", st)
+			}
+			a := matrix.LaplacianOf(g)
+			comp, k := g.ConnectedComponents()
+			ref, rst := CG(a, b, comp, k, 1e-12, 10*g.N, nil)
+			if !rst.Converged {
+				t.Fatalf("reference CG did not converge: %+v", rst)
+			}
+			diff := make([]float64, g.N)
+			matrix.SubIntoW(0, diff, x, ref)
+			e, scale := matrix.ANorm(a, diff), matrix.ANorm(a, ref)
+			if e > 10*eps*scale {
+				t.Fatalf("energy-norm error %.3e > 10·eps·‖x*‖_A = %.3e", e, 10*eps*scale)
+			}
+			t.Logf("%s: ‖x − x*‖_A / ‖x*‖_A = %.2e", spec, e/scale)
 		})
 	}
 }

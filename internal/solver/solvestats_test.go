@@ -27,7 +27,7 @@ var solveCountPins = []struct {
 	skipRaceMode bool
 }{
 	{"grid2d:96x96", func() *graph.Graph { return gen.Grid2D(96, 96) }, 77, 15544683, 280665, false},
-	{"pa:10000:4", func() *graph.Graph { return gen.PreferentialAttachment(10000, 4, 1) }, 86, 57831990, 514366, true},
+	{"pa:10000:4", func() *graph.Graph { return gen.PreferentialAttachment(10000, 4, 1) }, 77, 23306129, 151921, true},
 }
 
 func endsRHS(n int) []float64 {
