@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -158,6 +159,103 @@ func TestDenseReferenceSelfConsistency(t *testing.T) {
 			if r := math.Sqrt(num / den); r > 1e-8 {
 				t.Fatalf("%s: ‖L·L⁺b − Pb‖/‖Pb‖ = %.3e", name, r)
 			}
+		})
+	}
+}
+
+// directCorpus is the differential oracle's input set: the unit and
+// exponentially weighted meshes the bench runs, an expander, a
+// preferential-attachment graph, the bottleneck families (cliques on a
+// path, a barbell), a torus, a grid with weights uniform in 1e-6…1e6, a
+// multigraph grid (parallel edges, a zero-weight edge) and a
+// two-component union.
+func directCorpus(t *testing.T) map[string]*graph.Graph {
+	spec := func(s string) *graph.Graph {
+		g, err := gen.FromSpec(s, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	multi := append([]graph.Edge(nil), gen.Grid2D(30, 30).Edges...)
+	for i := 0; i < len(multi); i += 7 {
+		e := multi[i]
+		multi = append(multi, graph.Edge{U: e.V, V: e.U, W: 0.5 + float64(i%5)})
+	}
+	multi = append(multi, graph.Edge{U: 0, V: 31, W: 0})
+	two := append([]graph.Edge(nil), gen.Grid2D(20, 20).Edges...)
+	for _, e := range spec("pa:300:3").Edges {
+		two = append(two, graph.Edge{U: e.U + 400, V: e.V + 400, W: e.W})
+	}
+	return map[string]*graph.Graph{
+		"grid24":          gen.Grid2D(24, 24),
+		"grid32-expw":     gen.WithExponentialWeights(gen.Grid2D(32, 32), 8, 8, 1),
+		"grid3d10":        gen.Grid3D(10, 10, 10),
+		"grid3d10-expw":   gen.WithExponentialWeights(gen.Grid3D(10, 10, 10), 8, 8, 1),
+		"pa1500x4":        spec("pa:1500:4"),
+		"regular1000x8":   spec("regular:1000:8"),
+		"path-of-cliques": gen.PathOfCliques(10, 40),
+		"barbell":         gen.Barbell(30, 60),
+		"torus":           gen.Torus2D(30, 30),
+		"grid30-spread":   gen.WithUniformWeights(gen.Grid2D(30, 30), 1e-6, 1e6, 3),
+		"grid30-multi":    graph.FromEdges(900, multi),
+		"two-components":  graph.FromEdges(700, two),
+	}
+}
+
+// TestSolveMatchesDirect is the differential oracle: every chain solve path
+// — a single right-hand side, each lane of a 4-lane block, and a solver
+// reassembled from its snapshot, on the default chain and on the deep one —
+// lands within ‖x − x*‖_A ≤ 10·eps·‖x*‖_A of x*, the whole-graph sparse
+// LDLᵀ solution, an independent code path. The right-hand sides have
+// nonzero per-component means, so a wrong projection shows as an offset.
+func TestSolveMatchesDirect(t *testing.T) {
+	const eps = 1e-8
+	for name, g := range directCorpus(t) {
+		t.Run(name, func(t *testing.T) {
+			a := matrix.LaplacianOf(g)
+			bs := make([][]float64, 4)
+			want := make([][]float64, len(bs))
+			for c := range bs {
+				bs[c] = offsetRHS(g, int64(0x0AC1+c))
+				want[c] = denseSolve(t, g, bs[c])
+			}
+			worst := 0.0 // largest ‖x − x*‖_A / (eps·‖x*‖_A) seen
+			check := func(label string, x, want []float64, st SolveStats) {
+				t.Helper()
+				if !st.Converged {
+					t.Fatalf("%s: did not converge: %+v", label, st)
+				}
+				diff := make([]float64, g.N)
+				matrix.SubIntoW(1, diff, x, want)
+				e, scale := matrix.ANorm(a, diff), matrix.ANorm(a, want)
+				if e > 10*eps*scale {
+					t.Fatalf("%s: ‖x − x*‖_A = %.3e > 10·eps·‖x*‖_A = %.3e", label, e, 10*eps*scale)
+				}
+				worst = max(worst, e/(eps*scale))
+			}
+			for _, chain := range []struct {
+				name string
+				p    ChainParams
+			}{{"default", DefaultChainParams()}, {"deep", deepChainParams(g)}} {
+				s, err := NewWithOptions(g, chain.p, Options{Workers: 1}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x, st := s.SolveOpts(bs[0], eps, Options{Workers: testWorkers(t)})
+				check(chain.name+" k=1", x, want[0], st)
+				xs, sts := s.SolveBatchOpts(bs, eps, Options{Workers: 1})
+				for c := range xs {
+					check(fmt.Sprintf("%s block lane %d", chain.name, c), xs[c], want[c], sts[c])
+				}
+				restored, err := AssembleSnapshot(s.Snapshot(), Options{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				x, st = restored.Solve(bs[1], eps)
+				check(chain.name+" restored", x, want[1], st)
+			}
+			t.Logf("worst ‖x − x*‖_A = %.2f·eps·‖x*‖_A", worst)
 		})
 	}
 }

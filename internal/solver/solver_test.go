@@ -376,29 +376,6 @@ func TestSolveDisconnected(t *testing.T) {
 	}
 }
 
-func TestSolveMatchesDirect(t *testing.T) {
-	// Compare against the dense pseudo-inverse on a small graph.
-	g := gen.Grid2D(8, 8)
-	s, err := New(g, DefaultChainParams(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, k := g.ConnectedComponents()
-	lf, err := matrix.NewLaplacianFactorW(0, matrix.LaplacianOf(g), comp, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := randRHS(g.N, 18)
-	want := lf.Solve(b)
-	got, _ := s.Solve(b, 1e-10)
-	matrix.ProjectOutConstant(got)
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-6*(1+math.Abs(want[i])) {
-			t.Fatalf("x[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestSolveEpsilonSweep is Theorem 1.1's log(1/ε) factor: on a 64² grid
 // the outer iterations grow linearly in the digits of accuracy, measuring
 // 29/51/72/93/115 at ε = 1e-2…1e-10. The pins ask for at most 40 at 1e-2
