@@ -159,8 +159,8 @@ func (b *Block) KeepLanes(k int, keep []int) {
 // The block kernels below take a workers knob only for their k = 1 case
 // (a lone right-hand side still parallelizes inside each kernel), which
 // delegates to the single-vector W kernels — except that the three fused
-// outer-PCG kernels (MulVecDotBlockW, AxpyPairNormBlockW,
-// ProjectDotsBlockW) run their own width-1 body at Workers 1. Wider blocks
+// outer-PCG kernels (MulVecDotBlockW, AxpyPairNormBlockW, DotsBlockW) run
+// their own width-1 body at Workers 1. Wider blocks
 // always run as one sequential sweep: a block solve parallelizes by
 // splitting its lanes into groups (Solver.SolveBlockTraced), a far coarser
 // grain than chunks of one level's vertices, and a sweep allocates
@@ -537,7 +537,9 @@ func laneMeans4(x []float64) (m0, m1, m2, m3 float64) {
 
 // The outer PCG iteration's vector work (pcgFlexibleBlock in package
 // solver) runs as three fused kernels, each one pass over its blocks in
-// place of the kernel sequence it names. Only the sequential bodies fuse:
+// place of the kernel sequence it names. None of them projects: the driver
+// projects its right-hand side once, and the preconditioner returns z
+// already projected per component. Only the sequential bodies fuse:
 // at k = 1 and Workers ≥ 2 a fused kernel runs the sequence it replaces,
 // on the parallel single-vector kernels, so that path — which the CG and
 // Jacobi-PCG baselines take at Workers 0 — keeps the work and speed it
@@ -702,70 +704,42 @@ func axpyPairNorm4(x, r, alphas, p, ap []float64) (d0, d1, d2, d3 float64) {
 	return d0, d1, d2, d3
 }
 
-// ProjectDotsBlockW projects z as ProjectOutConstantMaskedBlockIdxW does
-// and, in the same sweep, computes per lane zdiffs[c] = z[:,c]·(r[:,c] −
-// prev[:,c]) and rzs[c] = r[:,c]·z[:,c] of the projected z, then sets
-// prev ← r. Lane c is bitwise identical to that projection, then
-// SubIntoW(diff, r, prev), DotW(z, diff), DotW(r, z) and a copy of r into
-// prev. With one component the sweep subtracts each lane's mean, taken in
-// a first pass; with several it runs after the projection's own segmented
-// pass and subtracts zero, which changes no bit. z, r and prev must not
-// alias; zdiffs and rzs must hold k values.
-func ProjectDotsBlockW(workers int, z *Block, ci *CompIndex, r, prev *Block, zdiffs, rzs []float64) {
-	k := z.k
-	if k != 1 && k != 2 && k != 4 {
-		panicWidth("ProjectDotsBlockW", k)
-	}
-	one := ci.NumComp == 1
-	if !one {
-		ProjectOutConstantMaskedBlockIdxW(workers, z, ci)
-	}
+// DotsBlockW computes per lane zdiffs[c] = z[:,c]·(r[:,c] − prev[:,c]) and
+// rzs[c] = r[:,c]·z[:,c] and sets prev ← r, in one sweep that reads z and
+// leaves it unchanged. Lane c is bitwise identical to SubIntoW(diff, r,
+// prev), DotW(z, diff), DotW(r, z) and a copy of r into prev. z, r and prev
+// must not alias; zdiffs and rzs must hold k values.
+func DotsBlockW(workers int, z, r, prev *Block, zdiffs, rzs []float64) {
 	zd, rd, pd := z.data, r.data, prev.data
-	switch k {
+	switch z.k {
 	case 1:
 		if !par.Sequential(workers) {
-			if one {
-				ProjectOutConstantW(workers, zd)
-			}
 			zdiffs[0] = par.SumFloat64W(workers, len(zd), func(i int) float64 { return zd[i] * (rd[i] - pd[i]) })
 			rzs[0] = DotW(workers, rd, zd)
 			copy(pd, rd)
 			return
 		}
-		var m float64
-		if one {
-			m = MeanW(1, zd)
-		}
-		zdiffs[0], rzs[0] = projectDots1(zd, rd, pd, m)
+		zdiffs[0], rzs[0] = dots1(zd, rd, pd)
 	case 2:
-		var m [2]float64
-		if one {
-			m[0], m[1] = laneMeans2(zd)
-		}
-		zdiffs[0], zdiffs[1], rzs[0], rzs[1] = projectDots2(zd, rd, pd, m)
+		zdiffs[0], zdiffs[1], rzs[0], rzs[1] = dots2(zd, rd, pd)
 	case 4:
-		var m [4]float64
-		if one {
-			m[0], m[1], m[2], m[3] = laneMeans4(zd)
-		}
-		d, e := projectDots4(zd, rd, pd, m)
+		d, e := dots4(zd, rd, pd)
 		copy(zdiffs, d[:])
 		copy(rzs, e[:])
+	default:
+		panicWidth("DotsBlockW", z.k)
 	}
 }
 
-// projectDots1 is ProjectDotsBlockW's sequential sweep at width 1 with
-// mean m; it returns z·(r − prev) and r·z, each folded in ReduceGrain
-// chunks.
-func projectDots1(z, r, prev []float64, m float64) (zd, rz float64) {
+// dots1 is DotsBlockW's sequential sweep at width 1; it returns z·(r −
+// prev) and r·z, each folded in ReduceGrain chunks.
+func dots1(z, r, prev []float64) (zd, rz float64) {
 	for c := 0; c < len(z); c += par.ReduceGrain {
 		e := min(c+par.ReduceGrain, len(z))
 		zs, rs, ps := z[c:e], r[c:e], prev[c:e]
 		rs, ps = rs[:len(zs)], ps[:len(zs)]
 		var s0, s1 float64
 		for i, zi := range zs {
-			zi -= m
-			zs[i] = zi
 			ri := rs[i]
 			s0 += zi * (ri - ps[i])
 			s1 += ri * zi
@@ -781,17 +755,15 @@ func projectDots1(z, r, prev []float64, m float64) (zd, rz float64) {
 	return zd, rz
 }
 
-// projectDots2 is ProjectDotsBlockW's sweep at width 2 with lane means m.
-func projectDots2(z, r, prev []float64, m [2]float64) (zd0, zd1, rz0, rz1 float64) {
+// dots2 is DotsBlockW's sweep at width 2.
+func dots2(z, r, prev []float64) (zd0, zd1, rz0, rz1 float64) {
 	const span = 2 * par.ReduceGrain
-	m0, m1 := m[0], m[1]
 	for lo := 0; lo < len(z); lo += span {
 		zs := z[lo:min(lo+span, len(z))]
 		rs, ps := r[lo:lo+len(zs)], prev[lo:lo+len(zs)]
 		var s0, s1, t0, t1 float64
 		for i := 1; i < len(zs); i += 2 {
-			z0, z1 := zs[i-1]-m0, zs[i]-m1
-			zs[i-1], zs[i] = z0, z1
+			z0, z1 := zs[i-1], zs[i]
 			r0, r1 := rs[i-1], rs[i]
 			s0 += z0 * (r0 - ps[i-1])
 			s1 += z1 * (r1 - ps[i])
@@ -811,18 +783,15 @@ func projectDots2(z, r, prev []float64, m [2]float64) (zd0, zd1, rz0, rz1 float6
 	return zd0, zd1, rz0, rz1
 }
 
-// projectDots4 is projectDots2 at width 4; it returns the lanes' z·(r −
-// prev) and r·z.
-func projectDots4(z, r, prev []float64, m [4]float64) (zd, rz [4]float64) {
+// dots4 is dots2 at width 4; it returns the lanes' z·(r − prev) and r·z.
+func dots4(z, r, prev []float64) (zd, rz [4]float64) {
 	const span = 4 * par.ReduceGrain
-	m0, m1, m2, m3 := m[0], m[1], m[2], m[3]
 	for lo := 0; lo < len(z); lo += span {
 		zs := z[lo:min(lo+span, len(z))]
 		rs, ps := r[lo:lo+len(zs)], prev[lo:lo+len(zs)]
 		var s0, s1, s2, s3, t0, t1, t2, t3 float64
 		for i := 3; i < len(zs); i += 4 {
-			z0, z1, z2, z3 := zs[i-3]-m0, zs[i-2]-m1, zs[i-1]-m2, zs[i]-m3
-			zs[i-3], zs[i-2], zs[i-1], zs[i] = z0, z1, z2, z3
+			z0, z1, z2, z3 := zs[i-3], zs[i-2], zs[i-1], zs[i]
 			r0, r1, r2, r3 := rs[i-3], rs[i-2], rs[i-1], rs[i]
 			s0 += z0 * (r0 - ps[i-3])
 			s1 += z1 * (r1 - ps[i-2])

@@ -235,7 +235,7 @@ func TestBlockKernelsRejectOtherWidths(t *testing.T) {
 			"LaplacianFactor.SolveBlockIntoW":   func() { lf.SolveBlockIntoW(1, x, y, gb) },
 			"MulVecDotBlockW":                   func() { a.MulVecDotBlockW(1, x, y, out) },
 			"AxpyPairNormBlockW":                func() { AxpyPairNormBlockW(1, x, y, out2, z, w, out) },
-			"ProjectDotsBlockW":                 func() { ProjectDotsBlockW(1, x, ci, y, z, out, out2) },
+			"DotsBlockW":                        func() { DotsBlockW(1, x, y, z, out, out2) },
 		} {
 			requirePanics(t, fmt.Sprintf("%s at width %d", name, k), f)
 		}
@@ -391,61 +391,55 @@ func TestProjectBlockBitwise(t *testing.T) {
 // TestFusedPCGKernelsBitwise holds each fused outer-PCG kernel to the
 // kernel sequence it replaces, bitwise, in every output: MulVecDotBlockW
 // to MulVecBlockW + DotBlockIntoW; AxpyPairNormBlockW to two AxpyBlockW
-// and Norm2BlockIntoW; ProjectDotsBlockW to the projection, r − prev, the
-// two dots and prev ← r. It covers widths 1, 2 and 4, lengths on either
-// side of the ReduceGrain chunk boundaries, one and three components, and
-// Workers 1, 2 and 4 (only k = 1 parallelizes; the wider bodies ignore it).
+// and Norm2BlockIntoW; DotsBlockW to r − prev, the two dots and prev ← r,
+// leaving z as it was. It covers widths 1, 2 and 4, lengths on either side
+// of the ReduceGrain chunk boundaries, and Workers 1, 2 and 4 (only k = 1
+// parallelizes; the wider bodies ignore it).
 func TestFusedPCGKernelsBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
 	for _, n := range []int{5, par.ReduceGrain, par.ReduceGrain + 1, 2*par.ReduceGrain + 31} {
 		a := randLap(n, int64(n))
-		for _, numComp := range []int{1, 3} {
-			ci := NewCompIndexW(1, randomPartition(rng, n, numComp), numComp)
-			for _, k := range blockTestWidths {
-				p, q, r, z := randCols(n, k, 30), randCols(n, k, 31), randCols(n, k, 32), randCols(n, k, 33)
-				alphas := randCols(k, 1, 34)[0]
-				negAlphas := make([]float64, k)
-				for c, al := range alphas {
-					negAlphas[c] = -al
-				}
-				for _, w := range blockTestWorkers {
-					label := fmt.Sprintf("n=%d comps=%d k=%d w=%d", n, numComp, k, w)
-					want, got := make([]float64, k), make([]float64, k)
-					want2, got2 := make([]float64, k), make([]float64, k)
+		for _, k := range blockTestWidths {
+			p, q, r, z := randCols(n, k, 30), randCols(n, k, 31), randCols(n, k, 32), randCols(n, k, 33)
+			alphas := randCols(k, 1, 34)[0]
+			negAlphas := make([]float64, k)
+			for c, al := range alphas {
+				negAlphas[c] = -al
+			}
+			for _, w := range blockTestWorkers {
+				label := fmt.Sprintf("n=%d k=%d w=%d", n, k, w)
+				want, got := make([]float64, k), make([]float64, k)
+				want2, got2 := make([]float64, k), make([]float64, k)
 
-					pb, apWant, apGot := blockFromCols(p), NewBlock(n, k), blockFromCols(q)
-					a.MulVecBlockW(w, pb, apWant)
-					DotBlockIntoW(w, pb, apWant, want)
-					a.MulVecDotBlockW(w, pb, apGot, got)
-					requireBitwise(t, label+" MulVecDot ap", apGot.Data(), apWant.Data())
-					requireBitwise(t, label+" MulVecDot paps", got, want)
+				pb, apWant, apGot := blockFromCols(p), NewBlock(n, k), blockFromCols(q)
+				a.MulVecBlockW(w, pb, apWant)
+				DotBlockIntoW(w, pb, apWant, want)
+				a.MulVecDotBlockW(w, pb, apGot, got)
+				requireBitwise(t, label+" MulVecDot ap", apGot.Data(), apWant.Data())
+				requireBitwise(t, label+" MulVecDot paps", got, want)
 
-					xWant, rWant := blockFromCols(q), blockFromCols(r)
-					xGot, rGot := blockFromCols(q), blockFromCols(r)
-					apb := blockFromCols(z)
-					AxpyBlockW(w, xWant, alphas, pb, xWant)
-					AxpyBlockW(w, rWant, negAlphas, apb, rWant)
-					Norm2BlockIntoW(w, rWant, want)
-					AxpyPairNormBlockW(w, xGot, rGot, alphas, pb, apb, got)
-					requireBitwise(t, label+" AxpyPairNorm x", xGot.Data(), xWant.Data())
-					requireBitwise(t, label+" AxpyPairNorm r", rGot.Data(), rWant.Data())
-					requireBitwise(t, label+" AxpyPairNorm norms", got, want)
+				xWant, rWant := blockFromCols(q), blockFromCols(r)
+				xGot, rGot := blockFromCols(q), blockFromCols(r)
+				apb := blockFromCols(z)
+				AxpyBlockW(w, xWant, alphas, pb, xWant)
+				AxpyBlockW(w, rWant, negAlphas, apb, rWant)
+				Norm2BlockIntoW(w, rWant, want)
+				AxpyPairNormBlockW(w, xGot, rGot, alphas, pb, apb, got)
+				requireBitwise(t, label+" AxpyPairNorm x", xGot.Data(), xWant.Data())
+				requireBitwise(t, label+" AxpyPairNorm r", rGot.Data(), rWant.Data())
+				requireBitwise(t, label+" AxpyPairNorm norms", got, want)
 
-					rb := blockFromCols(r)
-					zWant, prevWant := blockFromCols(z), blockFromCols(q)
-					zGot, prevGot := blockFromCols(z), blockFromCols(q)
-					diff := NewBlock(n, k)
-					ProjectOutConstantMaskedBlockIdxW(w, zWant, ci)
-					SubIntoW(1, diff.Data(), rb.Data(), prevWant.Data())
-					DotBlockIntoW(w, zWant, diff, want)
-					DotBlockIntoW(w, rb, zWant, want2)
-					prevWant.CopyFrom(rb)
-					ProjectDotsBlockW(w, zGot, ci, rb, prevGot, got, got2)
-					requireBitwise(t, label+" ProjectDots z", zGot.Data(), zWant.Data())
-					requireBitwise(t, label+" ProjectDots prev", prevGot.Data(), prevWant.Data())
-					requireBitwise(t, label+" ProjectDots zdiffs", got, want)
-					requireBitwise(t, label+" ProjectDots rzs", got2, want2)
-				}
+				rb, zb := blockFromCols(r), blockFromCols(z)
+				prevWant, prevGot := blockFromCols(q), blockFromCols(q)
+				diff := NewBlock(n, k)
+				SubIntoW(w, diff.Data(), rb.Data(), prevWant.Data())
+				DotBlockIntoW(w, zb, diff, want)
+				DotBlockIntoW(w, rb, zb, want2)
+				prevWant.CopyFrom(rb)
+				DotsBlockW(w, zb, rb, prevGot, got, got2)
+				requireBitwise(t, label+" Dots z", zb.Data(), blockFromCols(z).Data())
+				requireBitwise(t, label+" Dots prev", prevGot.Data(), prevWant.Data())
+				requireBitwise(t, label+" Dots zdiffs", got, want)
+				requireBitwise(t, label+" Dots rzs", got2, want2)
 			}
 		}
 	}

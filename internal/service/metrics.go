@@ -222,7 +222,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, row := range rows {
 		e.Int("parlap_graph_bottom_nnz_l", []obs.Label{{K: "graph", V: row.id}}, int64(row.bottom.NNZL))
 	}
-	e.Header("parlap_graph_truncation_ops", "Operation counts the truncation rule compared at each probed level (side=solve: 2*nnz(L), or the count the symbolic pass abandoned at; side=sweep: MinChebIts*nnz(Lap)); the chain stops at the first level with solve <= sweep.", "gauge")
+	e.Header("parlap_graph_truncation_ops", "Operation counts the truncation rule compared at each probed level (side=solve: 2*nnz(L), or the count the symbolic pass abandoned at; side=sweep: MinChebIts*nnz(Lap) for a probe on the way down, or the counted recursion the level would replace, solveCost(i) - kept_i, for an exact probe); a level becomes the bottom when solve <= sweep, on the way down or by a bottom-up cut.", "gauge")
 	for _, row := range rows {
 		for _, pr := range row.probes {
 			lvl := strconv.Itoa(pr.Level)

@@ -23,12 +23,18 @@ import (
 // a k-wide solve is bitwise identical to a solve of that column alone. The
 // outer driver's own vector work runs in three fused kernels that each
 // replace a kernel sequence and keep its bits (matrix.MulVecDotBlockW,
-// AxpyPairNormBlockW, ProjectDotsBlockW), so with one component a
-// sequential outer iteration sweeps its n×k vectors five times — the
-// mat-vec, the step, the mean and the projection sweep of z, and the
-// direction update — where the unfused kernel sequence took twelve (a
+// AxpyPairNormBlockW, DotsBlockW), so a sequential outer iteration sweeps
+// its n×k vectors four times — the mat-vec, the step, the dots against z,
+// and the direction update — where the unfused kernel sequence took ten (a
 // k = 1 solve at Workers ≥ 2 still runs that sequence, in parallel
-// kernels). Lanes that
+// kernels).
+//
+// One projection per preconditioner application: every block the
+// recursion returns is already in range(A) per component, because
+// applyHBlock projects its back-substituted block and the bottom factor's
+// solve ends in its own projection. So the Chebyshev sweep and the outer
+// driver never project a preconditioned block again; the driver projects
+// only its right-hand side on entry and each lane it finishes. Lanes that
 // converge (or break down) are compacted out of the block — pure data
 // movement via Block.KeepLanes — exactly where a lone solve of the column
 // would have stopped. A block runs at width 1, 2 or 4 (blockWidth): three
@@ -61,7 +67,8 @@ func (c *Chain) solveLevelBlock(workers, i int, bs *matrix.Block, ws *workspace)
 // and back-substitution: one forward/backward replay of the elimination log
 // per batch instead of per RHS. The κ scaling of the subgraph inside H is
 // part of H's definition, so no extra scaling appears here. The returned
-// block is ws's level-i back-substitution buffer.
+// block is ws's level-i back-substitution buffer, projected per component
+// of level i: the one projection each of its callers relies on.
 func (c *Chain) applyHBlock(workers, i int, r *matrix.Block, ws *workspace) *matrix.Block {
 	lvl := &c.Levels[i]
 	l := &ws.lvl[i]
@@ -79,7 +86,8 @@ func (c *Chain) applyHBlock(workers, i int, r *matrix.Block, ws *workspace) *mat
 
 // applyHTopBlock applies the whole-chain preconditioner to the k lanes of rs
 // (the first lanes of them live, any other a zero pad) into ws and returns
-// the workspace-resident block. It reshapes the chain scratch to rs's width
+// the workspace-resident block, projected per component by applyHBlock(0)
+// or, with no level, by the bottom factor's solve. It reshapes the chain scratch to rs's width
 // when the batch narrowed (lane dropout in the outer driver), which on a
 // warm workspace is slice-header work only.
 func (c *Chain) applyHTopBlock(workers int, rs *matrix.Block, lanes int, ws *workspace) *matrix.Block {
@@ -107,13 +115,15 @@ func (c *Chain) applyHTopBlock(workers int, rs *matrix.Block, lanes int, ws *wor
 // reproduces the single-column iteration bitwise. The direction/iterate
 // updates and the mat-vec/residual updates are fused (ChebUpdateBlockW,
 // MulVecAxpyBlockW), sweeping the n×k working set twice per iteration
-// instead of four times. Keeping the recursion closure-free and the scratch
-// level-resident is what makes a steady-state application allocation-free.
+// instead of four times. The sweep projects nothing: each z it takes from
+// applyHBlock is in range(A_i), and its caller (the level above's
+// back-substitution) projects the result. Keeping the recursion
+// closure-free and the scratch level-resident is what makes a steady-state
+// application allocation-free.
 func (c *Chain) chebLevelBlock(workers, i int, bs *matrix.Block, ws *workspace) *matrix.Block {
 	l := &ws.lvl[i]
 	lvl := &c.Levels[i]
 	a := lvl.Lap
-	ci := lvl.CompIdx
 	x, r, p, ap := &l.chebX, &l.chebR, &l.chebP, &l.chebAp
 	// Stage timing: the sweep's own kernel time, EXCLUSIVE of the recursive
 	// preconditioner applications (those land in deeper levels' trace
@@ -122,18 +132,15 @@ func (c *Chain) chebLevelBlock(workers, i int, bs *matrix.Block, ws *workspace) 
 	var innerNS int64
 	x.Zero()
 	r.CopyFrom(bs)
-	matrix.ProjectOutConstantMaskedBlockIdxW(workers, r, ci)
 	co := newChebCoeffs(lvl.EigLo, lvl.EigHi)
 	for it := 0; it < lvl.ChebIts; it++ {
 		ta := time.Now()
 		z := c.applyHBlock(workers, i, r, ws)
 		innerNS += time.Since(ta).Nanoseconds()
-		matrix.ProjectOutConstantMaskedBlockIdxW(workers, z, ci)
 		alpha, beta, first := co.step(it)
 		matrix.ChebUpdateBlockW(workers, p, z, beta, x, alpha, first)
 		a.MulVecAxpyBlockW(workers, p, ap, -alpha, r)
 	}
-	matrix.ProjectOutConstantMaskedBlockIdxW(workers, x, ci)
 	ws.trace.ChebNS[obs.LevelIndex(i)] += time.Since(t0).Nanoseconds() - innerNS
 	return x
 }
@@ -159,7 +166,8 @@ type preconditioner interface {
 	// applyHTopBlock applies the preconditioner to rs, whose first lanes
 	// lanes are live and any further lane a zero pad, and returns the
 	// result in a block the preconditioner owns; the driver may overwrite
-	// it until the next call.
+	// it until the next call. Every lane of the result is projected per
+	// component of the driver's operator, so the driver never projects it.
 	applyHTopBlock(workers int, rs *matrix.Block, lanes int, ws *workspace) *matrix.Block
 	// laneCost is the analytic (work, depth) one application charges each
 	// lane it serves.
@@ -196,12 +204,14 @@ func blockWidth(lanes int) int {
 // to out) at that moment. The blocks run at blockWidth(lanes); the scalar
 // slots a kernel reads at a pad lane (alphas, betas) are 0.
 //
-// With one component a sequential iteration makes five sweeps over its n×k
-// blocks besides the preconditioner: AP = A·P with P·AP (MulVecDotBlockW); X += αP and
-// R −= α·AP with ‖R‖ (AxpyPairNormBlockW); Z's mean, then Z's projection
-// with z·(r − r_prev) and r·z while r_prev ← r (ProjectDotsBlockW, two
-// sweeps); and P = βP + Z (AxpyBlockW). Each reduction folds the same
-// ReduceGrain chunks in the same order as the separate kernels did.
+// A sequential iteration makes four sweeps over its n×k blocks besides the
+// preconditioner: AP = A·P with P·AP (MulVecDotBlockW); X += αP and
+// R −= α·AP with ‖R‖ (AxpyPairNormBlockW); z·(r − r_prev) and r·z while
+// r_prev ← r (DotsBlockW); and P = βP + Z (AxpyBlockW). Each reduction
+// folds the same ReduceGrain chunks in the same order as the separate
+// kernels did. Z needs no projection: pc returns it projected (see
+// preconditioner), so R is projected once on entry and X once per lane
+// as the lane finishes.
 //
 // out must be shaped like rhs and zeroed by the caller; only columns lo …
 // hi−1 are written, as are only stats[lo:hi], which must be zeroed. So
@@ -266,7 +276,6 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, pc preconditioner, rhs *mat
 	X.Zero()
 	Z := pc.applyHTopBlock(workers, R, lanes, ws)
 	charge(stats, laneCol[:lanes], applyWork, applyDepth)
-	matrix.ProjectOutConstantMaskedBlockIdxW(workers, Z, ci)
 	matrix.DotBlockIntoW(workers, R, Z, rzs)
 	P := &ws.pcgP
 	P.Reshape(n, width)
@@ -329,7 +338,7 @@ func pcgFlexibleBlock(workers int, a *matrix.Sparse, pc preconditioner, rhs *mat
 		// One preconditioner pass for every still-active lane.
 		Z = pc.applyHTopBlock(workers, R, lanes, ws)
 		charge(stats, laneCol[:lanes], applyWork, applyDepth)
-		matrix.ProjectDotsBlockW(workers, Z, ci, R, PrevR, zdiffs, newRzs)
+		matrix.DotsBlockW(workers, Z, R, PrevR, zdiffs, newRzs)
 		nfall := 0 // lanes needing the unpreconditioned fallback direction
 		for j := 0; j < lanes; j++ {
 			beta := zdiffs[j] / rzs[j]

@@ -58,7 +58,6 @@ type Elimination struct {
 	Ops      []ElimOp
 	RoundEnd []int // Ops prefix length after each round
 	Keep     []int // reduced index -> original vertex
-	Pos      []int // original vertex -> reduced index (-1 if eliminated)
 	Reduced  *graph.Graph
 	Rounds   int
 
@@ -148,7 +147,7 @@ func GreedyEliminationW(workers int, g *graph.Graph, rng *rand.Rand, rec *wd.Rec
 	rec.Add(int64(n+len(adj)), 1)
 	nbrs := func(v int) []matrix.RowEntry { return adj[off[v] : off[v]+int(deg[v])] }
 
-	el := &Elimination{OrigN: n, Pos: make([]int, n)}
+	el := &Elimination{OrigN: n}
 	alive := make([]bool, n)
 	for i := range alive {
 		alive[i] = true
@@ -300,15 +299,11 @@ func GreedyEliminationW(workers int, g *graph.Graph, rng *rand.Rand, rec *wd.Rec
 	}
 	// Build the reduced graph: every remaining edge joins two kept vertices.
 	// Walking the kept vertices' rows for neighbours above them lists the
-	// edges in (u, v) order.
+	// edges in (u, v) order; pos maps a kept vertex to its reduced index.
 	el.Keep = par.FilterIndexW(workers, n, func(v int) bool { return alive[v] })
-	par.ForChunkedW(workers, n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			el.Pos[v] = -1
-		}
-	})
+	pos := make([]int, n)
 	par.ForW(workers, len(el.Keep), func(j int) {
-		el.Pos[el.Keep[j]] = j
+		pos[el.Keep[j]] = j
 	})
 	upper := make([]int, len(el.Keep))
 	par.ForW(workers, len(el.Keep), func(j int) {
@@ -325,7 +320,7 @@ func GreedyEliminationW(workers int, g *graph.Graph, rng *rand.Rand, rec *wd.Rec
 		u, at := el.Keep[j], edgeOff[j]
 		for _, e := range nbrs(u) {
 			if int(e.Col) > u {
-				redEdges[at] = graph.Edge{U: j, V: el.Pos[e.Col], W: e.Val}
+				redEdges[at] = graph.Edge{U: j, V: pos[e.Col], W: e.Val}
 				at++
 			}
 		}
@@ -780,7 +775,7 @@ func (el *Elimination) backBlock4(xReduced, carry, x []float64) {
 }
 
 // ReindexW rebuilds every derived structure of an elimination whose OrigN,
-// Ops and RoundEnd came from a snapshot: the Keep/Pos vertex maps, the round
+// Ops and RoundEnd came from a snapshot: the Keep vertex map, the round
 // count, and the owner-computes reverse index. The replay runs the exact
 // passes GreedyEliminationW ran at build time (appendRecvRound per round,
 // ascending-vertex Keep), so the reconstructed index — including the
@@ -834,15 +829,6 @@ func (el *Elimination) ReindexW(workers int) error {
 	}
 	el.Rounds = len(el.RoundEnd)
 	el.Keep = par.FilterIndexW(workers, n, func(v int) bool { return !eliminated[v] })
-	el.Pos = make([]int, n)
-	par.ForChunkedW(workers, n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			el.Pos[v] = -1
-		}
-	})
-	par.ForW(workers, len(el.Keep), func(j int) {
-		el.Pos[el.Keep[j]] = j
-	})
 	el.recvRoundEnd, el.recvVert, el.recvItemEnd = nil, nil, nil
 	el.recvOp, el.recvCoef = nil, nil
 	for ri := 0; ri < el.Rounds; ri++ {
@@ -853,11 +839,12 @@ func (el *Elimination) ReindexW(workers int) error {
 }
 
 // MemoryBytes estimates the elimination's retained footprint: the op log,
-// the round/vertex maps and the owner-computes reverse index. The reduced
+// the round boundaries, the kept-vertex map and the owner-computes reverse
+// index. The reduced
 // graph is excluded — chains account it as the next level's graph.
 func (el *Elimination) MemoryBytes() int64 {
 	b := int64(len(el.Ops)) * 32
-	b += int64(len(el.RoundEnd)+len(el.Keep)+len(el.Pos)) * 8
+	b += int64(len(el.RoundEnd)+len(el.Keep)) * 8
 	b += int64(len(el.recvRoundEnd)+len(el.recvVert)+len(el.recvItemEnd)+len(el.recvOp)) * 4
 	b += int64(len(el.recvCoef)) * 8
 	return b

@@ -50,26 +50,29 @@ type SolveStats struct {
 }
 
 // diagPrecond is the baselines' preconditioner: z = r for CG (inv nil), or
-// z[i] = inv[i]·r[i] for Jacobi-PCG, into a block it owns. Its cost is
-// zero, so a baseline's Work/Depth count the outer iteration alone.
+// z[i] = inv[i]·r[i] for Jacobi-PCG, into a block it owns, projected per
+// component of ci as the preconditioner contract asks. Its cost is zero,
+// so a baseline's Work/Depth count the outer iteration alone.
 type diagPrecond struct {
 	inv []float64
+	ci  *matrix.CompIndex
 	z   matrix.Block
 }
 
-func (d *diagPrecond) applyHTopBlock(_ int, rs *matrix.Block, _ int, _ *workspace) *matrix.Block {
+func (d *diagPrecond) applyHTopBlock(workers int, rs *matrix.Block, _ int, _ *workspace) *matrix.Block {
 	d.z.Reshape(rs.N(), rs.K())
 	if d.inv == nil {
 		d.z.CopyFrom(rs)
-		return &d.z
-	}
-	k := rs.K()
-	zd, rd := d.z.Data(), rs.Data()
-	for i, inv := range d.inv {
-		for j := i * k; j < (i+1)*k; j++ {
-			zd[j] = inv * rd[j]
+	} else {
+		k := rs.K()
+		zd, rd := d.z.Data(), rs.Data()
+		for i, inv := range d.inv {
+			for j := i * k; j < (i+1)*k; j++ {
+				zd[j] = inv * rd[j]
+			}
 		}
 	}
+	matrix.ProjectOutConstantMaskedBlockIdxW(workers, &d.z, d.ci)
 	return &d.z
 }
 
@@ -83,8 +86,8 @@ func baselinePCG(a *matrix.Sparse, b []float64, pc *diagPrecond, comp []int, num
 	x := make([]float64, a.N)
 	rhs, out := matrix.VecBlock(b), matrix.VecBlock(x)
 	var st [1]SolveStats
-	pcgFlexibleBlock(0, a, pc, &rhs, 0, 1, matrix.NewCompIndex(comp, numComp), tol, maxIter,
-		&workspace{}, &out, st[:])
+	pc.ci = matrix.NewCompIndex(comp, numComp)
+	pcgFlexibleBlock(0, a, pc, &rhs, 0, 1, pc.ci, tol, maxIter, &workspace{}, &out, st[:])
 	rec.Add(st[0].Work, st[0].Depth)
 	return x, st[0]
 }
