@@ -27,19 +27,18 @@ import (
 // its n×k vectors four times — the mat-vec, the step, the dots against z,
 // and the direction update — where the unfused kernel sequence took ten (a
 // k = 1 solve at Workers ≥ 2 still runs that sequence, in parallel
-// kernels).
+// kernels). Lanes that converge (or break down) are compacted out of the
+// block — pure data movement via Block.KeepLanes — exactly where a lone
+// solve of the column would have stopped. A block runs at width 1, 2 or 4
+// (blockWidth): three live lanes carry a fourth, zero pad lane, which
+// every kernel keeps exactly zero and the driver never treats as a lane.
 //
 // One projection per preconditioner application: every block the
 // recursion returns is already in range(A) per component, because
 // applyHBlock projects its back-substituted block and the bottom factor's
 // solve ends in its own projection. So the Chebyshev sweep and the outer
 // driver never project a preconditioned block again; the driver projects
-// only its right-hand side on entry and each lane it finishes. Lanes that
-// converge (or break down) are compacted out of the block — pure data
-// movement via Block.KeepLanes — exactly where a lone solve of the column
-// would have stopped. A block runs at width 1, 2 or 4 (blockWidth): three
-// live lanes carry a fourth, zero pad lane, which every kernel keeps
-// exactly zero and the driver never treats as a lane.
+// only its right-hand side on entry and each lane it finishes.
 //
 // Scratch lives in the per-solve workspace (each buffer a Block reshaped to
 // the batch width), so steady-state applications reuse backing arrays
@@ -87,9 +86,9 @@ func (c *Chain) applyHBlock(workers, i int, r *matrix.Block, ws *workspace) *mat
 // applyHTopBlock applies the whole-chain preconditioner to the k lanes of rs
 // (the first lanes of them live, any other a zero pad) into ws and returns
 // the workspace-resident block, projected per component by applyHBlock(0)
-// or, with no level, by the bottom factor's solve. It reshapes the chain scratch to rs's width
-// when the batch narrowed (lane dropout in the outer driver), which on a
-// warm workspace is slice-header work only.
+// or, with no level, by the bottom factor's solve. It reshapes the chain
+// scratch to rs's width when the batch narrowed (lane dropout in the outer
+// driver), which on a warm workspace is slice-header work only.
 func (c *Chain) applyHTopBlock(workers int, rs *matrix.Block, lanes int, ws *workspace) *matrix.Block {
 	if k := rs.K(); ws.cols != k {
 		ws.grow(k)
@@ -210,8 +209,8 @@ func blockWidth(lanes int) int {
 // r_prev ← r (DotsBlockW); and P = βP + Z (AxpyBlockW). Each reduction
 // folds the same ReduceGrain chunks in the same order as the separate
 // kernels did. Z needs no projection: pc returns it projected (see
-// preconditioner), so R is projected once on entry and X once per lane
-// as the lane finishes.
+// preconditioner). The driver projects R once on entry and X once per
+// lane as the lane finishes.
 //
 // out must be shaped like rhs and zeroed by the caller; only columns lo …
 // hi−1 are written, as are only stats[lo:hi], which must be zeroed. So

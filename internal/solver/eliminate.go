@@ -840,8 +840,8 @@ func (el *Elimination) ReindexW(workers int) error {
 
 // MemoryBytes estimates the elimination's retained footprint: the op log,
 // the round boundaries, the kept-vertex map and the owner-computes reverse
-// index. The reduced
-// graph is excluded — chains account it as the next level's graph.
+// index. The reduced graph is excluded — chains account it as the next
+// level's graph.
 func (el *Elimination) MemoryBytes() int64 {
 	b := int64(len(el.Ops)) * 32
 	b += int64(len(el.RoundEnd)+len(el.Keep)) * 8

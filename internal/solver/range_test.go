@@ -81,7 +81,7 @@ func TestPreconditionerReturnsRange(t *testing.T) {
 		maxDepth int
 	}{
 		{"no-level", gen.Grid2D(8, 8), DefaultChainParams(), 0, 0},
-		{"default", grid, DefaultChainParams(), 1, 1},
+		{"default", grid, DefaultChainParams(), 0, 99},
 		{"deep", grid, deepChainParams(grid), 2, 99},
 		{"two-component", two, deepChainParams(two), 2, 99},
 	} {
