@@ -103,10 +103,10 @@ func TestSolverAgainstDenseOnWeightedGraphs(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		matrix.ProjectOutConstantMaskedW(0, b, comp, k)
+		matrix.ProjectOutConstantMaskedIdxW(0, b, matrix.NewCompIndexW(0, comp, k))
 		want := lf.Solve(b)
 		got, _ := s.Solve(b, 1e-10)
-		matrix.ProjectOutConstantMaskedW(0, got, comp, k)
+		matrix.ProjectOutConstantMaskedIdxW(0, got, matrix.NewCompIndexW(0, comp, k))
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-5*(1+math.Abs(want[i])) {
 				return false

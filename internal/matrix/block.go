@@ -429,44 +429,22 @@ func ChebUpdateBlockW(workers int, p, z *Block, beta float64, x *Block, alpha fl
 
 // ProjectOutConstantMaskedBlockIdxW subtracts each lane's per-component
 // mean in place — lane c is bitwise identical to
-// ProjectOutConstantMaskedIdxW on that lane. The single-component path
-// allocates nothing; the multi-component path allocates its segmented
-// sums, matching the single-vector kernel's behaviour.
+// ProjectOutConstantMaskedIdxW on that lane. Widths 2 and 4 run
+// sequentially and allocate nothing: one component takes
+// projectOutMean2/4, several the index's projectOutMeans.
 func ProjectOutConstantMaskedBlockIdxW(workers int, x *Block, ci *CompIndex) {
 	k := x.k
-	switch k {
-	case 1:
+	switch {
+	case k == 1:
 		ProjectOutConstantMaskedIdxW(workers, x.Vec(), ci)
-		return
-	case 2, 4:
-	default:
+	case k != 2 && k != 4:
 		panicWidth("ProjectOutConstantMaskedBlockIdxW", k)
-	}
-	if ci.NumComp == 1 {
-		if k == 2 {
-			projectOutMean2(x.data)
-		} else {
-			projectOutMean4(x.data)
-		}
-		return
-	}
-	xd := x.data
-	mus := par.SegmentedSumFloat64BatchW(1, k, ci.SegOff, func(i, col int) float64 {
-		return xd[ci.Order[i]*k+col]
-	})
-	for s := 0; s < ci.NumComp; s++ {
-		if sz := ci.SegOff[s+1] - ci.SegOff[s]; sz > 0 {
-			for c := 0; c < k; c++ {
-				mus[s*k+c] /= float64(sz)
-			}
-		}
-	}
-	for i, ct := range ci.Comp {
-		xr := xd[i*k : (i+1)*k]
-		mr := mus[ct*k : (ct+1)*k]
-		for c := 0; c < k; c++ {
-			xr[c] -= mr[c]
-		}
+	case ci.NumComp > 1:
+		ci.projectOutMeans(x.data, k)
+	case k == 2:
+		projectOutMean2(x.data)
+	default:
+		projectOutMean4(x.data)
 	}
 }
 

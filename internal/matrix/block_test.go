@@ -532,7 +532,7 @@ func TestAxpySubBatchBitwise(t *testing.T) {
 }
 
 // TestProjectBatchBitwise checks the block projection against the
-// comp-array single-vector projection (no CompIndex on the reference side).
+// single-vector projection of each column over a freshly built index.
 func TestProjectBatchBitwise(t *testing.T) {
 	n, k := 6000, 4
 	comp := make([]int, n)
@@ -554,7 +554,7 @@ func TestProjectBatchBitwise(t *testing.T) {
 		ProjectOutConstantMaskedBlockIdxW(tc.workers, x, NewCompIndexW(0, comp, tc.numComp))
 		got := make([]float64, n)
 		for c := 0; c < k; c++ {
-			ProjectOutConstantMaskedW(1, xs[c], comp, tc.numComp)
+			ProjectOutConstantMaskedIdxW(1, xs[c], NewCompIndexW(0, comp, tc.numComp))
 			x.ColInto(c, got)
 			requireBitwise(t, tc.name, got, xs[c])
 		}
@@ -563,7 +563,8 @@ func TestProjectBatchBitwise(t *testing.T) {
 
 // TestProjectOutConstantMaskedBatchColumnParity drives the block projection
 // over six components whose lanes carry distinct per-component offsets, so
-// a lane or segment mix-up in the segmented sums shows as a wrong mean.
+// a lane or component mix-up in the per-component sums shows as a wrong
+// mean.
 func TestProjectOutConstantMaskedBatchColumnParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n, numComp, cols := 7000, 6, 4

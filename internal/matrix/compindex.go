@@ -3,11 +3,12 @@ package matrix
 import "parlap/internal/par"
 
 // CompIndex is a component-sorted view of a partition comp: []int — the
-// per-component vertex lists laid out flat, exactly what a segmented
-// reduction needs to compute per-component sums without a scalar loop per
-// component. Solver layers build one per chain level (and one for the input
-// graph) at construction time and reuse it on every projection, the way the
-// elimination caches its scatter reverse index.
+// per-component vertex lists laid out flat, so a projection can fold and
+// update each component's vertices as one contiguous run of Order without
+// scanning the whole vector per component. Solver layers build one per
+// chain level (and one for the input graph) at construction time and reuse
+// it on every projection, the way the elimination caches its scatter
+// reverse index.
 //
 // A CompIndex is read-only after construction and safe for concurrent use.
 type CompIndex struct {
@@ -52,42 +53,72 @@ func (ci *CompIndex) MemoryBytes() int64 {
 	return int64(len(ci.Order)+len(ci.SegOff)) * 8
 }
 
-// componentMeans returns the per-component mean of x via one flat segmented
-// parallel reduction over the component-sorted order. The fold per component
-// uses par's fixed-grain chunk tree, so the means are bitwise identical for
-// every worker count.
-func (ci *CompIndex) componentMeans(workers int, x []float64) []float64 {
-	mu := par.SegmentedSumFloat64W(workers, ci.SegOff, func(i int) float64 {
-		return x[ci.Order[i]]
-	})
-	for c := range mu {
-		if sz := ci.SegOff[c+1] - ci.SegOff[c]; sz > 0 {
-			mu[c] /= float64(sz)
-		}
-	}
-	return mu
-}
-
 // ProjectOutConstantMaskedIdxW subtracts the per-component mean from x in
-// place using the cached component index: a segmented parallel reduction for
-// the sums, then a flat parallel subtraction pass. No per-component scalar
-// loop remains; results are bitwise identical for every worker count.
+// place using the cached component index. A single component takes
+// ProjectOutConstantW (MeanW's chunk tree, parallel at Workers ≥ 2);
+// several take projectOutMeans, sequential and allocation-free at every
+// worker count, so results are bitwise identical for every worker count.
 func ProjectOutConstantMaskedIdxW(workers int, x []float64, ci *CompIndex) {
 	if ci.NumComp == 1 {
 		ProjectOutConstantW(workers, x)
 		return
 	}
-	mu := ci.componentMeans(workers, x)
-	comp := ci.Comp
-	if par.Sequential(workers) {
-		for i := range x {
-			x[i] -= mu[comp[i]]
+	ci.projectOutMeans(x, 1)
+}
+
+// projectOutMeans subtracts each lane's per-component mean in place from
+// the n×k vertex-major backing x (k = 1, 2 or 4), one component at a time.
+// A component's sum folds its run of Order in the pieces that the fixed
+// par.ReduceGrain chunks of the whole order cut it into — each piece summed
+// from 0, the pieces added in chunk order, so a component holding every
+// vertex folds exactly as MeanW does — and the mean is then subtracted over
+// the same run. Lane c reproduces the k = 1 projection of that lane bit for bit. No
+// per-component array, no goroutine, no allocation.
+func (ci *CompIndex) projectOutMeans(x []float64, k int) {
+	for s := 0; s < ci.NumComp; s++ {
+		lo, hi := ci.SegOff[s], ci.SegOff[s+1]
+		var mu [4]float64
+		for a := lo; a < hi; {
+			b := min((a/par.ReduceGrain+1)*par.ReduceGrain, hi)
+			piece := foldLanes(x, k, ci.Order[a:b])
+			for c := 0; c < k; c++ {
+				mu[c] += piece[c]
+			}
+			a = b
 		}
-		return
+		run := ci.Order[lo:hi]
+		for c := 0; c < k; c++ {
+			mu[c] /= float64(len(run))
+		}
+		if k == 1 {
+			for _, v := range run {
+				x[v] -= mu[0]
+			}
+			continue
+		}
+		for _, v := range run {
+			xv := x[v*k : v*k+k]
+			for c := range xv {
+				xv[c] -= mu[c]
+			}
+		}
 	}
-	par.ForChunkedW(workers, len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] -= mu[comp[i]]
+}
+
+// foldLanes sums each of the k lanes of x over the vertices vs, from 0.
+func foldLanes(x []float64, k int, vs []int) (sum [4]float64) {
+	if k == 1 {
+		var s0 float64
+		for _, v := range vs {
+			s0 += x[v]
 		}
-	})
+		sum[0] = s0
+		return sum
+	}
+	for _, v := range vs {
+		for c, xv := range x[v*k : v*k+k] {
+			sum[c] += xv
+		}
+	}
+	return sum
 }

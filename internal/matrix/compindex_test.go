@@ -1,14 +1,17 @@
 package matrix
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"parlap/internal/par"
 )
 
-// The masked projection is the last per-iteration kernel that touched
-// components with a scalar loop; these tests pin the segmented-reduction
-// replacement: the index layout, worker-count bitwise equivalence (case (c)
-// of the sequential-bottleneck list), and batch-vs-single column parity.
+// The masked projection folds each component's run of the component-sorted
+// order in place; these tests pin the index layout, worker-count bitwise
+// equivalence, and agreement with the single-component tree when one
+// component holds every vertex.
 
 func randomPartition(rng *rand.Rand, n, numComp int) []int {
 	comp := make([]int, n)
@@ -74,7 +77,7 @@ func TestProjectOutConstantMaskedWorkerBitwise(t *testing.T) {
 				base[i] = rng.NormFloat64() + float64(comp[i]*3)
 			}
 			ref := append([]float64(nil), base...)
-			ProjectOutConstantMaskedW(1, ref, comp, k)
+			ProjectOutConstantMaskedIdxW(1, ref, NewCompIndexW(0, comp, k))
 			// Means are actually removed.
 			sums := make([]float64, k)
 			cnt := make([]int, k)
@@ -89,22 +92,41 @@ func TestProjectOutConstantMaskedWorkerBitwise(t *testing.T) {
 			}
 			for _, w := range []int{0, 2, 3, 8} {
 				got := append([]float64(nil), base...)
-				ProjectOutConstantMaskedW(w, got, comp, k)
+				ProjectOutConstantMaskedIdxW(w, got, NewCompIndexW(w, comp, k))
 				for i := range got {
 					if got[i] != ref[i] {
 						t.Fatalf("n=%d k=%d workers=%d: entry %d %.17g != %.17g", n, k, w, i, got[i], ref[i])
 					}
 				}
 			}
-			// Cached-index form must agree with the on-the-fly form bitwise.
-			ci := NewCompIndexW(0, comp, k)
-			got := append([]float64(nil), base...)
-			ProjectOutConstantMaskedIdxW(3, got, ci)
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("n=%d k=%d: Idx form diverges at %d", n, k, i)
+		}
+	}
+}
+
+// TestProjectMaskedFullComponentMatchesMean checks the multi-component fold
+// against the single-component tree: when one component holds every vertex
+// (the others empty) its run of the order is the identity and its pieces
+// are MeanW's chunks, so the projection must equal ProjectOutConstantW at
+// width 1 and projectOutMean2/4 at widths 2 and 4, bit for bit, at sizes
+// below, at and across the reduction grain.
+func TestProjectMaskedFullComponentMatchesMean(t *testing.T) {
+	for _, n := range []int{1, 7, par.ReduceGrain, 2*par.ReduceGrain + 31} {
+		comp := make([]int, n)
+		for i := range comp {
+			comp[i] = 1 // components 0 and 2 are empty
+		}
+		multi, one := NewCompIndexW(0, comp, 3), NewCompIndexW(0, make([]int, n), 1)
+		for _, k := range blockTestWidths {
+			xs := randCols(n, k, int64(n+k))
+			for c, col := range xs {
+				for i := range col {
+					col[i] += 3 + float64(c)
 				}
 			}
+			got, want := blockFromCols(xs), blockFromCols(xs)
+			ProjectOutConstantMaskedBlockIdxW(1, got, multi)
+			ProjectOutConstantMaskedBlockIdxW(1, want, one)
+			requireBitwise(t, fmt.Sprintf("n=%d k=%d", n, k), got.Data(), want.Data())
 		}
 	}
 }

@@ -22,7 +22,7 @@ func denseReferenceSolve(a *Sparse, comp []int, numComp int, b []float64) []floa
 	const prec = 256
 	n := a.N
 	x := append([]float64(nil), b...)
-	ProjectOutConstantMaskedW(0, x, comp, numComp)
+	ProjectOutConstantMaskedIdxW(0, x, NewCompIndexW(0, comp, numComp))
 	grounded := make([]int, numComp)
 	for v := 0; v < n; v++ {
 		grounded[comp[v]] = v
@@ -73,7 +73,7 @@ func denseReferenceSolve(a *Sparse, comp []int, numComp int, b []float64) []floa
 		sol[c] = s.Quo(s, m[c][c])
 		out[keep[c]], _ = sol[c].Float64()
 	}
-	ProjectOutConstantMaskedW(0, out, comp, numComp)
+	ProjectOutConstantMaskedIdxW(0, out, NewCompIndexW(0, comp, numComp))
 	return out
 }
 
@@ -151,7 +151,7 @@ func TestLaplacianFactorMatchesDenseReference(t *testing.T) {
 			ref := denseReferenceSolve(a, comp, k, b)
 
 			pb := append([]float64(nil), b...)
-			ProjectOutConstantMaskedW(0, pb, comp, k)
+			ProjectOutConstantMaskedIdxW(0, pb, NewCompIndexW(0, comp, k))
 			r := a.Apply(x)
 			SubIntoW(0, r, r, pb)
 			normA := 0.0

@@ -184,7 +184,7 @@ func TestProjectOutConstant(t *testing.T) {
 func TestProjectOutConstantMasked(t *testing.T) {
 	x := []float64{1, 3, 10, 30}
 	comp := []int{0, 0, 1, 1}
-	ProjectOutConstantMaskedW(0, x, comp, 2)
+	ProjectOutConstantMaskedIdxW(0, x, NewCompIndexW(0, comp, 2))
 	if x[0] != -1 || x[1] != 1 || x[2] != -10 || x[3] != 10 {
 		t.Fatalf("masked projection wrong: %v", x)
 	}

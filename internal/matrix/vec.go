@@ -155,23 +155,6 @@ func ProjectOutConstantW(workers int, x []float64) {
 	})
 }
 
-// ProjectOutConstantMaskedW subtracts the mean computed over each component
-// of a partition: comp[v] gives the component of v and counts the component
-// sizes. Used when the Laplacian's graph is disconnected (null space is
-// per-component constants). The single-component case (the common one on solver hot
-// paths) reduces with the deterministic parallel tree; the multi-component
-// case builds a component-sorted index and runs the flat segmented parallel
-// reduction of ProjectOutConstantMaskedIdxW. Hot paths that project against
-// the same partition repeatedly should build the CompIndex once (solver
-// chain levels cache one) and call the Idx form directly.
-func ProjectOutConstantMaskedW(workers int, x []float64, comp []int, numComp int) {
-	if numComp == 1 {
-		ProjectOutConstantW(workers, x)
-		return
-	}
-	ProjectOutConstantMaskedIdxW(workers, x, NewCompIndexW(workers, comp, numComp))
-}
-
 // ANorm returns ‖x‖_A = sqrt(xᵀAx), clamping tiny negative values caused by
 // roundoff on semidefinite A.
 func ANorm(a *Sparse, x []float64) float64 {

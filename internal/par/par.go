@@ -518,148 +518,6 @@ func PackByKeyW(workers, n, numKeys int, key func(i int) int) (off, order []int)
 	return off, order
 }
 
-// SegmentedSumFloat64W computes one sum per segment of a segment-sorted
-// index space: out[s] = Σ_{i ∈ [segOff[s], segOff[s+1])} f(i), where segOff
-// (length numSeg+1, segOff[numSeg] == n) partitions [0, n) into contiguous
-// segments. The index space is folded in fixed-grain chunks (the same grain
-// as ReduceFloat64W) and each segment combines its chunk partials in chunk
-// order, so the tree shape per segment depends only on n and the segment
-// boundaries — out[s] is bitwise identical for every worker count. This is
-// the flat segmented sum of Andoni–Stein–Song-style per-component
-// reductions: no scalar loop per segment, one parallel pass over the data.
-func SegmentedSumFloat64W(workers int, segOff []int, f func(i int) float64) []float64 {
-	numSeg := len(segOff) - 1
-	out := make([]float64, numSeg)
-	n := segOff[numSeg]
-	if n <= 0 {
-		return out
-	}
-	numChunks := grainChunks(n)
-	// segAt(i) is only ever advanced forward, so each chunk locates its
-	// first segment by binary search and walks from there.
-	if numChunks == 1 {
-		segmentedFold(segOff, 0, n, out, f)
-		return out
-	}
-	// partial[c] holds chunk c's per-segment sums for the (contiguous) run
-	// of segments it intersects, starting at segBase[c].
-	partial := make([][]float64, numChunks)
-	segBase := make([]int, numChunks)
-	runTasks(Resolve(workers), numChunks, func(c int) {
-		lo, hi := grainBounds(c, n)
-		s0 := findSeg(segOff, lo)
-		s1 := findSeg(segOff, hi-1)
-		acc := make([]float64, s1-s0+1)
-		segmentedFoldInto(segOff, lo, hi, s0, acc, f)
-		partial[c] = acc
-		segBase[c] = s0
-	})
-	for c := 0; c < numChunks; c++ {
-		base := segBase[c]
-		for j, v := range partial[c] {
-			out[base+j] += v
-		}
-	}
-	return out
-}
-
-// SegmentedSumFloat64BatchW is SegmentedSumFloat64W over k columns in one
-// pass: out[s*k+col] = Σ_{i ∈ segment s} f(i, col). Every column folds
-// through exactly the chunk tree of the single form, so column col is
-// bitwise identical to SegmentedSumFloat64W with f(i) = f(i, col).
-func SegmentedSumFloat64BatchW(workers, k int, segOff []int, f func(i, col int) float64) []float64 {
-	numSeg := len(segOff) - 1
-	out := make([]float64, numSeg*k)
-	n := segOff[numSeg]
-	if n <= 0 || k == 0 {
-		return out
-	}
-	numChunks := grainChunks(n)
-	fold := func(lo, hi, s0 int, acc []float64) {
-		s := s0
-		for i := lo; i < hi; i++ {
-			for segOff[s+1] <= i {
-				s++
-			}
-			row := acc[(s-s0)*k : (s-s0+1)*k]
-			for col := 0; col < k; col++ {
-				row[col] += f(i, col)
-			}
-		}
-	}
-	if numChunks == 1 {
-		fold(0, n, 0, out)
-		return out
-	}
-	partial := make([][]float64, numChunks)
-	segBase := make([]int, numChunks)
-	runTasks(Resolve(workers), numChunks, func(c int) {
-		lo, hi := grainBounds(c, n)
-		s0 := findSeg(segOff, lo)
-		s1 := findSeg(segOff, hi-1)
-		acc := make([]float64, (s1-s0+1)*k)
-		fold(lo, hi, s0, acc)
-		partial[c] = acc
-		segBase[c] = s0
-	})
-	for c := 0; c < numChunks; c++ {
-		base := segBase[c]
-		p := partial[c]
-		for j := 0; j < len(p)/k; j++ {
-			row := out[(base+j)*k : (base+j+1)*k]
-			for col := 0; col < k; col++ {
-				row[col] += p[j*k+col]
-			}
-		}
-	}
-	return out
-}
-
-// findSeg returns the segment containing index i: the largest s with
-// segOff[s] <= i. Empty segments make segOff non-strictly increasing, so the
-// search lands on the (unique) non-empty segment covering i.
-func findSeg(segOff []int, i int) int {
-	lo, hi := 0, len(segOff)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if segOff[mid] <= i {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	// Skip empty segments sharing the same offset: advance to the segment
-	// that actually contains i (segOff[s+1] > i).
-	for segOff[lo+1] <= i {
-		lo++
-	}
-	return lo
-}
-
-// segmentedFold accumulates f over [lo, hi) into out, indexed by absolute
-// segment id.
-func segmentedFold(segOff []int, lo, hi int, out []float64, f func(i int) float64) {
-	s := findSeg(segOff, lo)
-	for i := lo; i < hi; i++ {
-		for segOff[s+1] <= i {
-			s++
-		}
-		out[s] += f(i)
-	}
-}
-
-// segmentedFoldInto accumulates f over [lo, hi) into acc, indexed relative
-// to segment s0 (the segment containing lo).
-func segmentedFoldInto(segOff []int, lo, hi, s0 int, acc []float64, f func(i int) float64) {
-	s := s0
-	for i := lo; i < hi; i++ {
-		for segOff[s+1] <= i {
-			s++
-		}
-		acc[s-s0] += f(i)
-	}
-}
-
 // SortW stably sorts xs by the strict-weak order less: elements that compare
 // equal keep their input order, so the result is the unique stable order and
 // is identical for every worker count. It is a fixed-grain parallel merge

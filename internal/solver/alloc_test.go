@@ -16,9 +16,8 @@ import (
 // its sequential fast path before building a parallel closure. (At
 // workers > 1 goroutine fan-out inherently allocates; the equivalence
 // suites prove the arithmetic is identical, so the sequential path is the
-// one to lock.) Connected testbed graph: the single-component projection is
-// the allocation-free one; per-component mean buffers on disconnected
-// graphs are small and documented.
+// one to lock.) The variants below repeat the walls on disconnected graphs,
+// whose per-component projection allocates nothing either.
 
 func TestPrecondApplyZeroAllocs(t *testing.T) {
 	g := gen.Grid2D(48, 48)
@@ -264,7 +263,9 @@ func BenchmarkSolveSingle(b *testing.B) {
 // chain (one level over a sparse LDLᵀ bottom factor), exponentially spread
 // conductances (the grid_expw workload's weights, which change the
 // sparsifier's sampling and the calibrated schedule), and a preferential-
-// attachment graph (irregular degrees, so uneven CSR rows in every sweep).
+// attachment graph (irregular degrees, so uneven CSR rows in every sweep),
+// and a two-component union (grid side² beside grid (5·side/8)²) with the
+// default and a deep chain, where every projection is per component.
 // Each must hold the same steady-state zero-allocation guarantee.
 type allocVariant struct {
 	name   string
@@ -276,10 +277,18 @@ func allocVariants(side int) []allocVariant {
 	grid := gen.Grid2D(side, side)
 	expw := gen.WithExponentialWeights(gen.Grid2D(side, side), 8, 4, 5)
 	pa := gen.PreferentialAttachment(side*side, 3, 17)
+	small := gen.Grid2D(side*5/8, side*5/8)
+	edges := append([]graph.Edge(nil), grid.Edges...)
+	for _, e := range small.Edges {
+		edges = append(edges, graph.Edge{U: e.U + grid.N, V: e.V + grid.N, W: e.W})
+	}
+	two := graph.FromEdges(grid.N+small.N, edges)
 	return []allocVariant{
 		{"default-params", grid, DefaultChainParams()},
 		{"exp-weights", expw, deepChainParams(expw)},
 		{"pa", pa, deepChainParams(pa)},
+		{"two-components", two, DefaultChainParams()},
+		{"two-components-deep", two, deepChainParams(two)},
 	}
 }
 

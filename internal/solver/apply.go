@@ -65,15 +65,16 @@ func (c *Chain) solveLevelBlock(workers, i int, bs *matrix.Block, ws *workspace)
 // r by partial-Cholesky elimination into A_{i+1}, a recursive solve there,
 // and back-substitution: one forward/backward replay of the elimination log
 // per batch instead of per RHS. The κ scaling of the subgraph inside H is
-// part of H's definition, so no extra scaling appears here. The returned
-// block is ws's level-i back-substitution buffer, projected per component
-// of level i: the one projection each of its callers relies on.
+// part of H's definition, so no extra scaling appears here. The forward
+// replay works in ws's level-i back-substitution buffer, which the back
+// replay then overwrites; that buffer is the returned block, projected per
+// component of level i: the one projection each of its callers relies on.
 func (c *Chain) applyHBlock(workers, i int, r *matrix.Block, ws *workspace) *matrix.Block {
 	lvl := &c.Levels[i]
 	l := &ws.lvl[i]
 	li := obs.LevelIndex(i)
 	t0 := time.Now()
-	lvl.Elim.ForwardRHSBlockIntoW(workers, r, &l.fwdWork, &l.fwdCarry, &l.fwdRed)
+	lvl.Elim.ForwardRHSBlockIntoW(workers, r, &l.backX, &l.fwdCarry, &l.fwdRed)
 	ws.trace.FwdNS[li] += time.Since(t0).Nanoseconds()
 	xr := c.solveLevelBlock(workers, i+1, &l.fwdRed, ws)
 	t1 := time.Now()

@@ -136,8 +136,9 @@ type Level struct {
 	Comp    []int          // connected components of A_i
 	NumComp int
 	// CompIdx is the component-sorted index over Comp, built once here and
-	// reused by every per-iteration masked projection (the segmented-
-	// reduction analogue of the elimination's cached reverse index).
+	// reused by every per-iteration masked projection, which folds and
+	// updates each component's run of it in place (the analogue of the
+	// elimination's cached reverse index).
 	CompIdx *matrix.CompIndex
 	Sampled int          // off-subgraph edges sampled into B_i (B_i itself is not kept)
 	Elim    *Elimination // partial Cholesky B_i → A_{i+1}

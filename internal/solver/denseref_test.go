@@ -16,9 +16,9 @@ import (
 // checked against a dense 256-bit elimination in the matrix package), the
 // ground truth the chain preconditioner is supposed to approximate. The
 // multi-component cases use right-hand sides with NONZERO per-component
-// means — exactly the masked-projection case (c) the segmented reduction
-// now handles in parallel: a wrong per-component mean shows up here as a
-// solution offset no residual check would catch.
+// means — exactly the case the per-component masked projection exists
+// for: a wrong per-component mean shows up here as a solution offset no
+// residual check would catch.
 
 func denseRefGraphs() map[string]*graph.Graph {
 	union := func(gs ...*graph.Graph) *graph.Graph {
@@ -149,7 +149,7 @@ func TestDenseReferenceSelfConsistency(t *testing.T) {
 			x := denseSolve(t, g, b)
 			lx := lap.Apply(x)
 			pb := matrix.CopyVec(b)
-			matrix.ProjectOutConstantMaskedW(0, pb, comp, k)
+			matrix.ProjectOutConstantMaskedIdxW(0, pb, matrix.NewCompIndexW(0, comp, k))
 			num, den := 0.0, 1e-30
 			for i := range pb {
 				d := lx[i] - pb[i]

@@ -18,8 +18,8 @@ import (
 // built chain (level graphs compared edge-for-edge with exact weight bits),
 // and single + batch solves are bitwise identical for
 // Workers ∈ {1, 2, 4, GOMAXPROCS}. With the jittered-BFS frontier rounds
-// and the segmented masked projection now parallel, this closes the loop
-// the PR-1 suite opened: no stage of the pipeline is exempt.
+// parallel, this closes the loop the first equivalence suite opened: no
+// stage of the pipeline is exempt.
 
 // fuzzWorkers: 1 is the sequential reference; 0 = GOMAXPROCS.
 var fuzzWorkers = []int{2, 4, 0}
@@ -39,7 +39,7 @@ func randomFuzzGraph(rng *rand.Rand) (string, *graph.Graph) {
 			return fmt.Sprintf("pa:%d:%d", n, m), gen.PreferentialAttachment(n, m, rng.Int63())
 		default:
 			// Disconnected union of two smaller draws (multi-component
-			// chains exercise the masked projection's segmented sums).
+			// chains exercise the per-component masked projection).
 			g1 := gen.Grid2D(5+rng.Intn(8), 5+rng.Intn(8))
 			g2 := gen.PreferentialAttachment(80+rng.Intn(150), 2, rng.Int63())
 			var edges []graph.Edge

@@ -159,7 +159,7 @@ func TestEliminateBackSolveProperty(t *testing.T) {
 		b := randRHS(g.N, seed+2)
 		// Project b per component of g (null space of L).
 		comp, k := g.ConnectedComponents()
-		matrix.ProjectOutConstantMaskedW(0, b, comp, k)
+		matrix.ProjectOutConstantMaskedIdxW(0, b, matrix.NewCompIndexW(0, comp, k))
 		red, carry := forwardRHS(el, 0, b)
 		rcomp, rk := el.Reduced.ConnectedComponents()
 		lf, err := matrix.NewLaplacianFactorW(0, matrix.LaplacianOf(el.Reduced), rcomp, rk)
@@ -369,7 +369,7 @@ func TestSolveDisconnected(t *testing.T) {
 	}
 	b := randRHS(g.N, 16)
 	comp, k := g.ConnectedComponents()
-	matrix.ProjectOutConstantMaskedW(0, b, comp, k)
+	matrix.ProjectOutConstantMaskedIdxW(0, b, matrix.NewCompIndexW(0, comp, k))
 	x, _ := s.Solve(b, 1e-8)
 	if res := s.Residual(x, b); res > 1e-6 {
 		t.Fatalf("disconnected residual %v", res)

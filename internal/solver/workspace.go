@@ -63,11 +63,13 @@ type workspace struct {
 }
 
 // levelWS is one level's scratch: the Chebyshev recurrence blocks (sized to
-// the level's vertex count), the elimination replay buffers and the
-// back-substitution output (which is also what applyHBlock returns).
+// the level's vertex count; levels ≥ 1 only, since the outer PCG, not a
+// sweep, iterates at level 0 and calibration measures levels ≥ 1), the
+// elimination replay buffers and the back-substitution output (which is
+// also what applyHBlock returns, and the forward replay's work vector
+// before that: nothing reads it between the two replays).
 type levelWS struct {
-	chebX, chebR, chebP, chebAp matrix.Block // n_i × k
-	fwdWork                     matrix.Block // n_i × k
+	chebX, chebR, chebP, chebAp matrix.Block // n_i × k, empty at level 0
 	fwdCarry                    matrix.Block // len(Elim.Ops) × k
 	fwdRed                      matrix.Block // len(Elim.Keep) × k
 	backX                       matrix.Block // n_i × k
@@ -118,11 +120,12 @@ func (ws *workspace) grow(k int) {
 		lvl := &c.Levels[i]
 		n := lvl.G.N
 		l := &ws.lvl[i]
-		l.chebX.Reshape(n, k)
-		l.chebR.Reshape(n, k)
-		l.chebP.Reshape(n, k)
-		l.chebAp.Reshape(n, k)
-		l.fwdWork.Reshape(lvl.Elim.OrigN, k)
+		if i > 0 {
+			l.chebX.Reshape(n, k)
+			l.chebR.Reshape(n, k)
+			l.chebP.Reshape(n, k)
+			l.chebAp.Reshape(n, k)
+		}
 		l.fwdCarry.Reshape(len(lvl.Elim.Ops), k)
 		l.fwdRed.Reshape(len(lvl.Elim.Keep), k)
 		l.backX.Reshape(lvl.Elim.OrigN, k)
@@ -167,7 +170,6 @@ func (ws *workspace) bytes() int64 {
 		blk(&l.chebR)
 		blk(&l.chebP)
 		blk(&l.chebAp)
-		blk(&l.fwdWork)
 		blk(&l.fwdCarry)
 		blk(&l.fwdRed)
 		blk(&l.backX)
