@@ -531,10 +531,13 @@ func TestAxpySubBatchBitwise(t *testing.T) {
 	}
 }
 
-// TestProjectBatchBitwise checks the block projection against the
-// single-vector projection of each column over a freshly built index.
+// TestProjectBatchBitwise checks the block projection at widths 1, 2 and 4
+// against refProjectComp, a per-component loop over comp that shares no code
+// with CompIndex: one component (the MeanW tree) and four interleaved ones,
+// at n > 2·par.ReduceGrain so that components 1 and 2 straddle chunk
+// boundaries of the component-sorted order.
 func TestProjectBatchBitwise(t *testing.T) {
-	n, k := 6000, 4
+	n := 6000
 	comp := make([]int, n)
 	for _, tc := range []struct {
 		name    string
@@ -549,15 +552,54 @@ func TestProjectBatchBitwise(t *testing.T) {
 		for i := range comp {
 			comp[i] = tc.part(i)
 		}
-		xs := randCols(n, k, tc.seed)
-		x := blockFromCols(xs)
-		ProjectOutConstantMaskedBlockIdxW(tc.workers, x, NewCompIndexW(0, comp, tc.numComp))
-		got := make([]float64, n)
-		for c := 0; c < k; c++ {
-			ProjectOutConstantMaskedIdxW(1, xs[c], NewCompIndexW(0, comp, tc.numComp))
-			x.ColInto(c, got)
-			requireBitwise(t, tc.name, got, xs[c])
+		ci := NewCompIndexW(0, comp, tc.numComp)
+		for _, k := range blockTestWidths {
+			xs := randCols(n, k, tc.seed+int64(k))
+			x := blockFromCols(xs)
+			ProjectOutConstantMaskedBlockIdxW(tc.workers, x, ci)
+			got := make([]float64, n)
+			for c := 0; c < k; c++ {
+				refProjectComp(xs[c], comp, tc.numComp)
+				x.ColInto(c, got)
+				requireBitwise(t, fmt.Sprintf("%s k=%d", tc.name, k), got, xs[c])
+			}
 		}
+	}
+}
+
+// refProjectComp subtracts each component's mean from x in place, with the
+// summation order the projection promises: component c's vertices in
+// ascending id, placed after those of components 0..c−1, are summed in the
+// pieces that par.ReduceGrain-sized chunks of that placement cut them into,
+// each piece from 0 and the pieces added in order.
+func refProjectComp(x []float64, comp []int, numComp int) {
+	off := 0
+	for c := 0; c < numComp; c++ {
+		var sum, piece float64
+		pos := off
+		for v, cv := range comp {
+			if cv != c {
+				continue
+			}
+			if pos > off && pos%par.ReduceGrain == 0 {
+				sum += piece
+				piece = 0
+			}
+			piece += x[v]
+			pos++
+		}
+		sum += piece
+		cnt := pos - off
+		if cnt == 0 {
+			continue
+		}
+		mean := sum / float64(cnt)
+		for v, cv := range comp {
+			if cv == c {
+				x[v] -= mean
+			}
+		}
+		off = pos
 	}
 }
 

@@ -62,6 +62,13 @@ func TestCompIndexLayout(t *testing.T) {
 	}
 }
 
+// TestProjectOutConstantMaskedWorkerBitwise checks that the means are
+// removed and that the bits do not depend on Workers. With one component the
+// worker loop exercises ProjectOutConstantW's parallel MeanW tree; with
+// several the projection itself is sequential at every worker count, so the
+// loop only checks that the index packed at each worker count projects the
+// same. The per-component summation order is held by TestProjectBatchBitwise
+// and the two-component digests.
 func TestProjectOutConstantMaskedWorkerBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{5, 300, 9000} {
